@@ -59,11 +59,14 @@ void BM_PageSetSetRange(benchmark::State& state) {
 BENCHMARK(BM_PageSetSetRange);
 
 void BM_CowFaultPath(benchmark::State& state) {
-  // Touch + dirty a 64 MiB segment through the image-backed CoW path.
+  // Touch + dirty a 64 MiB segment through the image-backed CoW path. A
+  // 3-page segment ahead of it puts its base mid-word, so the walk has a
+  // partial word at each end.
   fwmem::HostMemory host(64_GiB);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);
+    builder.AddSegment("boot", 3 * fwbase::kPageSize);
     auto seg = builder.AddSegment("mem", 64_MiB);
     builder.DirtyBytes(seg, 64_MiB);
     image = builder.TakeSnapshot("img");
@@ -71,13 +74,45 @@ void BM_CowFaultPath(benchmark::State& state) {
   const uint64_t pages = fwbase::PagesFor(64_MiB);
   for (auto _ : state) {
     fwmem::AddressSpace clone(host, image);
-    auto faults = clone.Touch(0, 0, pages);
-    faults += clone.Dirty(0, 0, pages);
+    auto faults = clone.Touch(1, 0, pages);
+    faults += clone.Dirty(1, 0, pages);
     benchmark::DoNotOptimize(faults.Faults());
   }
   state.SetItemsProcessed(state.iterations() * pages * 2);
 }
 BENCHMARK(BM_CowFaultPath);
+
+void BM_ClonePageWalk(benchmark::State& state) {
+  // The guest-kernel page walk of one snapshot restore: touch 4% (the
+  // clone-invariant hot pages) and dirty 2% (a per-clone salt) of a 64 MiB
+  // kernel + 44 MiB OS image, then tear the clone down. A parked sibling
+  // keeps the hot pages resident, as on a host serving the function. Items
+  // are image pages walked.
+  fwmem::HostMemory host(64_GiB);
+  std::shared_ptr<fwmem::SnapshotImage> image;
+  {
+    fwmem::AddressSpace builder(host);
+    builder.DirtyBytes(builder.AddSegment("guest_kernel", 64_MiB), 64_MiB);
+    builder.DirtyBytes(builder.AddSegment("guest_os", 44_MiB), 44_MiB);
+    image = builder.TakeSnapshot("img");
+  }
+  fwmem::AddressSpace sibling(host, image);
+  sibling.TouchRandomFraction(0, 0.04, 7);
+  sibling.TouchRandomFraction(1, 0.04, 8);
+  uint64_t fc_id = 0;
+  for (auto _ : state) {
+    ++fc_id;
+    fwmem::AddressSpace clone(host, image);
+    auto faults = clone.TouchRandomFraction(0, 0.04, 7);
+    faults += clone.TouchRandomFraction(1, 0.04, 8);
+    faults += clone.DirtyRandomFraction(0, 0.02, 1000 + fc_id);
+    faults += clone.DirtyRandomFraction(1, 0.02, 2000 + fc_id);
+    clone.Unmap();
+    benchmark::DoNotOptimize(faults.Faults());
+  }
+  state.SetItemsProcessed(state.iterations() * image->total_pages());
+}
+BENCHMARK(BM_ClonePageWalk);
 
 void BM_PssAccounting(benchmark::State& state) {
   fwmem::HostMemory host(64_GiB);

@@ -247,8 +247,8 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
           const uint64_t fc_id = instance->fc_id;
           auto& space = instance->vm->address_space();
           fwmem::FaultCounts faults;
-          const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-          const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
+          const fwmem::SegmentId kern = instance->guest_kernel;
+          const fwmem::SegmentId os = instance->guest_os;
           faults += space.TouchRandomFraction(kern, config_.guest_os_steady_touch_fraction, 7);
           faults += space.TouchRandomFraction(os, config_.guest_os_steady_touch_fraction, 8);
           faults += space.DirtyRandomFraction(kern, config_.guest_os_steady_dirty_fraction,
@@ -355,6 +355,23 @@ fwsim::Co<void> FireworksPlatform::RestoreUniqueness(fwlang::GuestProcess& proce
   env_.metrics().GetCounter("fw.uniqueness.reseed.count").Increment();
 }
 
+fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
+  fwmem::AddressSpace& space = instance.vm->address_space();
+  instance.guest_kernel = space.SegmentByName(fwvmm::kSegGuestKernel);
+  instance.guest_os = space.SegmentByName(fwvmm::kSegGuestOs);
+  fwmem::FaultCounts faults;
+  faults += space.TouchRandomFraction(instance.guest_kernel,
+                                      config_.guest_os_resume_touch_fraction, 7);
+  faults += space.TouchRandomFraction(instance.guest_os, config_.guest_os_resume_touch_fraction,
+                                      8);
+  faults += space.DirtyRandomFraction(instance.guest_kernel,
+                                      config_.guest_os_resume_dirty_fraction,
+                                      1000 + instance.fc_id);
+  faults += space.DirtyRandomFraction(instance.guest_os, config_.guest_os_resume_dirty_fraction,
+                                      2000 + instance.fc_id);
+  return faults;
+}
+
 fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
                                                    const std::string& fn_name,
                                                    const std::string& args,
@@ -419,19 +436,8 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   }
 
   // Post-resume guest-kernel activity: page tables, slab, timers re-arming.
-  {
-    auto& space = vm->address_space();
-    fwmem::FaultCounts faults;
-    const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-    const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-    faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-    faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-    faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                        1000 + fc_id);
-    faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                        2000 + fc_id);
-    co_await hv_.ServiceFaults(*vm, faults);
-  }
+  const fwmem::FaultCounts resume_faults = GuestResumeFaults(instance);
+  co_await hv_.ServiceFaults(*vm, resume_faults);
 
   // Attach the resumed guest's runtime (free: the process state is a value
   // copy), then restore its uniqueness while still inside the restore window
@@ -543,21 +549,9 @@ fwsim::Co<Result<uint64_t>> FireworksPlatform::PrepareClone(const std::string& f
     co_await hv_.PrefetchWorkingSet(*fn.image, prefetch_bytes);
   }
 
-  // Post-resume guest-kernel activity, identical to the invoke path (salts
-  // are keyed by fc_id, so clones never collide).
-  {
-    auto& space = vm->address_space();
-    fwmem::FaultCounts faults;
-    const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-    const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-    faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-    faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-    faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                        1000 + fc_id);
-    faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                        2000 + fc_id);
-    co_await hv_.ServiceFaults(*vm, faults);
-  }
+  // Post-resume guest-kernel activity, identical to the invoke path.
+  const fwmem::FaultCounts resume_faults = GuestResumeFaults(*instance);
+  co_await hv_.ServiceFaults(*vm, resume_faults);
 
   instance->fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
                                                        fwstore::FsKind::kVirtio);

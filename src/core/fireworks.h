@@ -166,6 +166,9 @@ class FireworksPlatform : public ServerlessPlatform {
     fwnet::IpAddr external_ip;
     std::string topic;
     uint64_t fc_id = 0;
+    // The clone's guest kernel and OS segments, resolved once at resume.
+    fwmem::SegmentId guest_kernel = fwmem::kNoSegment;
+    fwmem::SegmentId guest_os = fwmem::kNoSegment;
   };
 
   // Timestamps of one snapshot-path attempt, for the latency breakdown.
@@ -193,6 +196,13 @@ class FireworksPlatform : public ServerlessPlatform {
   // monotonic-clock rebase — charged on the restore critical path, emitted
   // as guest_reseed/clock_rebase child spans of the caller's restore span.
   fwsim::Co<void> RestoreUniqueness(fwlang::GuestProcess& process, fwvmm::MicroVm& vm);
+
+  // Page faults of the post-resume guest-kernel activity of a freshly
+  // restored clone (page tables, slab, timers re-arming), identical on the
+  // invoke and warm-pool paths; salts are keyed by fc_id, so clones never
+  // collide. Resolves the clone's guest kernel and OS segments into
+  // `instance`.
+  fwmem::FaultCounts GuestResumeFaults(Instance& instance);
 
   // One attempt of the snapshot invoke path (netns → produce → restore →
   // consume → exec → response). Fills `instance` incrementally so the caller

@@ -141,10 +141,16 @@ fwsim::Co<void> GuestProcess::RebaseMonotonicClock(uint64_t generation) {
 }
 
 fwmem::SegmentId GuestProcess::EnsureSegment(const char* seg_name, uint64_t bytes) {
-  if (space_.HasSegment(seg_name)) {
-    return space_.SegmentByName(seg_name);
-  }
-  return space_.AddSegment(seg_name, bytes);
+  const fwmem::SegmentId seg = space_.FindSegment(seg_name);
+  return seg != fwmem::kNoSegment ? seg : space_.AddSegment(seg_name, bytes);
+}
+
+void GuestProcess::ResolveSegments() {
+  text_seg_ = space_.FindSegment(kSegRuntimeText);
+  heap_seg_ = space_.FindSegment(kSegRuntimeHeap);
+  bytecode_seg_ = space_.FindSegment(kSegBytecode);
+  app_heap_seg_ = space_.FindSegment(kSegAppHeap);
+  jit_seg_ = space_.FindSegment(kSegJitCode);
 }
 
 fwsim::Co<void> GuestProcess::ChargeFaults(const fwmem::FaultCounts& faults, ExecStats& stats) {
@@ -167,13 +173,13 @@ fwsim::Co<void> GuestProcess::InstallPackages(const FunctionSource& fn) {
 fwsim::Co<void> GuestProcess::BootRuntime() {
   FW_CHECK_MSG(!runtime_booted_, "runtime already booted");
   ExecStats stats;
-  const fwmem::SegmentId text = EnsureSegment(kSegRuntimeText, costs_.runtime_text_bytes);
+  text_seg_ = EnsureSegment(kSegRuntimeText, costs_.runtime_text_bytes);
   // Binary text is read: shared when the sandbox has a base image containing
   // it (containers), private fresh content otherwise (cold microVMs).
-  fwmem::FaultCounts faults = space_.TouchBytes(text, costs_.runtime_text_bytes);
+  fwmem::FaultCounts faults = space_.TouchBytes(text_seg_, costs_.runtime_text_bytes);
   co_await fwsim::Delay(sim_, costs_.runtime_boot_cost);
-  const fwmem::SegmentId heap = EnsureSegment(kSegRuntimeHeap, costs_.runtime_boot_heap_bytes);
-  faults += space_.DirtyBytes(heap, costs_.runtime_boot_heap_bytes);
+  heap_seg_ = EnsureSegment(kSegRuntimeHeap, costs_.runtime_boot_heap_bytes);
+  faults += space_.DirtyBytes(heap_seg_, costs_.runtime_boot_heap_bytes);
   co_await ChargeFaults(faults, stats);
   runtime_booted_ = true;
   // The runtime seeds its PRNG once at boot (getrandom at startup): from here
@@ -184,13 +190,13 @@ fwsim::Co<void> GuestProcess::BootRuntime() {
 fwsim::Co<void> GuestProcess::AttachRuntime() {
   FW_CHECK_MSG(!runtime_booted_, "runtime already booted");
   ExecStats stats;
-  const fwmem::SegmentId text = EnsureSegment(kSegRuntimeText, costs_.runtime_text_bytes);
-  fwmem::FaultCounts faults = space_.TouchBytes(text, costs_.runtime_text_bytes);
+  text_seg_ = EnsureSegment(kSegRuntimeText, costs_.runtime_text_bytes);
+  fwmem::FaultCounts faults = space_.TouchBytes(text_seg_, costs_.runtime_text_bytes);
   // Isolate context creation is measured in hundreds of microseconds.
   co_await fwsim::Delay(sim_, Duration::Micros(900));
-  const fwmem::SegmentId heap = EnsureSegment(kSegRuntimeHeap, costs_.runtime_boot_heap_bytes);
+  heap_seg_ = EnsureSegment(kSegRuntimeHeap, costs_.runtime_boot_heap_bytes);
   // A fresh isolate only needs a sliver of heap.
-  faults += space_.DirtyBytes(heap, 2 * fwbase::kMiB);
+  faults += space_.DirtyBytes(heap_seg_, 2 * fwbase::kMiB);
   co_await ChargeFaults(faults, stats);
   runtime_booted_ = true;
   SeedIdentity(boot_entropy_);
@@ -204,10 +210,10 @@ fwsim::Co<void> GuestProcess::LoadApplication(const FunctionSource& fn) {
   co_await fwsim::Delay(sim_, costs_.app_load_fixed_cost + costs_.app_load_cost_per_kib * code_kib);
   bytecode_bytes_used_ =
       static_cast<uint64_t>(code_kib * static_cast<double>(costs_.bytecode_bytes_per_code_kib));
-  const fwmem::SegmentId bytecode =
+  bytecode_seg_ =
       EnsureSegment(kSegBytecode, std::max<uint64_t>(bytecode_bytes_used_, fwbase::kPageSize));
-  fwmem::FaultCounts faults = space_.DirtyBytes(bytecode, bytecode_bytes_used_);
-  EnsureSegment(kSegAppHeap, costs_.app_heap_capacity_bytes);
+  fwmem::FaultCounts faults = space_.DirtyBytes(bytecode_seg_, bytecode_bytes_used_);
+  app_heap_seg_ = EnsureSegment(kSegAppHeap, costs_.app_heap_capacity_bytes);
   co_await ChargeFaults(faults, stats);
   loaded_fn_ = &fn;
 }
@@ -226,24 +232,26 @@ fwsim::Co<void> GuestProcess::JitCompile(const MethodDef& method, MethodState& s
   const uint64_t jit_bytes =
       static_cast<uint64_t>(code_kib * static_cast<double>(costs_.jit_code_bytes_per_code_kib));
   FW_CHECK(loaded_fn_ != nullptr);
-  const uint64_t capacity_bytes = std::max<uint64_t>(
-      static_cast<uint64_t>(static_cast<double>(loaded_fn_->TotalCodeBytes()) /
-                            static_cast<double>(kKiB) *
-                            static_cast<double>(costs_.jit_code_bytes_per_code_kib)) *
-          2,
-      fwbase::kPageSize);
-  const fwmem::SegmentId jit_seg = EnsureSegment(kSegJitCode, capacity_bytes);
+  if (jit_seg_ == fwmem::kNoSegment) {
+    const uint64_t capacity_bytes = std::max<uint64_t>(
+        static_cast<uint64_t>(static_cast<double>(loaded_fn_->TotalCodeBytes()) /
+                              static_cast<double>(kKiB) *
+                              static_cast<double>(costs_.jit_code_bytes_per_code_kib)) *
+            2,
+        fwbase::kPageSize);
+    jit_seg_ = EnsureSegment(kSegJitCode, capacity_bytes);
+  }
   if (state.compiles == 0) {
     // First compile of this method: allocate fresh code pages.
     state.jit_offset_page = jit_alloc_cursor_pages_;
     state.jit_pages = PagesFor(jit_bytes);
-    FW_CHECK_MSG(state.jit_offset_page + state.jit_pages <= space_.SegmentPages(jit_seg),
+    FW_CHECK_MSG(state.jit_offset_page + state.jit_pages <= space_.SegmentPages(jit_seg_),
                  "JIT code cache exhausted");
     jit_alloc_cursor_pages_ += state.jit_pages;
     jit_code_bytes_used_ += jit_bytes;
   }
   // (Re-)compilation writes the method's code pages.
-  fwmem::FaultCounts faults = space_.Dirty(jit_seg, state.jit_offset_page, state.jit_pages);
+  fwmem::FaultCounts faults = space_.Dirty(jit_seg_, state.jit_offset_page, state.jit_pages);
   co_await ChargeFaults(faults, stats);
   ++state.compiles;
   state.tier = ExecTier::kJit;
@@ -272,12 +280,11 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
   if (pending_clone_jit_relocation_) {
     pending_clone_jit_relocation_ = false;
     if (jit_code_bytes_used_ > 0 && costs_.jit_code_shareable_fraction < 1.0) {
-      const fwmem::SegmentId jit_seg = space_.SegmentByName(kSegJitCode);
       const uint64_t used_pages = PagesFor(jit_code_bytes_used_);
       const auto dirty_pages = static_cast<uint64_t>(
           static_cast<double>(used_pages) * (1.0 - costs_.jit_code_shareable_fraction) + 0.5);
       ExecStats reloc_stats;
-      co_await ChargeFaults(space_.Dirty(jit_seg, 0, std::min(dirty_pages, used_pages)),
+      co_await ChargeFaults(space_.Dirty(jit_seg_, 0, std::min(dirty_pages, used_pages)),
                             reloc_stats);
     }
   }
@@ -289,10 +296,10 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
   {
     ExecStats ws_stats;
     fwmem::FaultCounts faults;
-    faults += space_.TouchRandomFraction(space_.SegmentByName(kSegRuntimeText),
-                                         costs_.runtime_text_exec_touch_fraction, /*salt=*/42);
-    faults += space_.TouchRandomFraction(space_.SegmentByName(kSegRuntimeHeap),
-                                         costs_.runtime_heap_exec_touch_fraction, /*salt=*/43);
+    faults += space_.TouchRandomFraction(text_seg_, costs_.runtime_text_exec_touch_fraction,
+                                         /*salt=*/42);
+    faults += space_.TouchRandomFraction(heap_seg_, costs_.runtime_heap_exec_touch_fraction,
+                                         /*salt=*/43);
     co_await ChargeFaults(faults, ws_stats);
   }
 
@@ -300,9 +307,8 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
 
   // Per-invocation GC / cache churn in the runtime heap: writes that diverge
   // per sandbox (hence the per-sandbox salt).
-  const fwmem::SegmentId heap = space_.SegmentByName(kSegRuntimeHeap);
   co_await ChargeFaults(
-      space_.DirtyRandomFraction(heap, costs_.runtime_heap_exec_dirty_fraction,
+      space_.DirtyRandomFraction(heap_seg_, costs_.runtime_heap_exec_dirty_fraction,
                                  /*salt=*/mem_salt_ * 7919 + 13),
       stats);
 
@@ -359,11 +365,9 @@ fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& method,
   {
     fwmem::FaultCounts faults;
     if (state.tier == ExecTier::kJit) {
-      const fwmem::SegmentId jit_seg = space_.SegmentByName(kSegJitCode);
-      faults += space_.Touch(jit_seg, state.jit_offset_page, state.jit_pages);
+      faults += space_.Touch(jit_seg_, state.jit_offset_page, state.jit_pages);
     } else if (bytecode_bytes_used_ > 0) {
-      const fwmem::SegmentId bc = space_.SegmentByName(kSegBytecode);
-      faults += space_.TouchBytes(bc, bytecode_bytes_used_);
+      faults += space_.TouchBytes(bytecode_seg_, bytecode_bytes_used_);
     }
     co_await ChargeFaults(faults, stats);
   }
@@ -459,8 +463,7 @@ fwsim::Co<void> GuestProcess::ExecOp(const Op& op, ExecTier tier, double jit_der
       break;
     }
     case OpKind::kAllocHeap: {
-      const fwmem::SegmentId heap = space_.SegmentByName(kSegAppHeap);
-      const uint64_t seg_pages = space_.SegmentPages(heap);
+      const uint64_t seg_pages = space_.SegmentPages(app_heap_seg_);
       uint64_t pages = PagesFor(op.amount);
       fwmem::FaultCounts faults;
       while (pages > 0) {
@@ -468,7 +471,7 @@ fwsim::Co<void> GuestProcess::ExecOp(const Op& op, ExecTier tier, double jit_der
           heap_cursor_pages_ = 0;  // The GC recycles the heap.
         }
         const uint64_t chunk = std::min(pages, seg_pages - heap_cursor_pages_);
-        faults += space_.Dirty(heap, heap_cursor_pages_, chunk);
+        faults += space_.Dirty(app_heap_seg_, heap_cursor_pages_, chunk);
         heap_cursor_pages_ += chunk;
         pages -= chunk;
       }
@@ -504,6 +507,7 @@ std::unique_ptr<GuestProcess> GuestProcess::FromState(const State& state,
   clone->bytecode_bytes_used_ = state.bytecode_bytes_used;
   clone->jit_alloc_cursor_pages_ = state.jit_alloc_cursor_pages;
   clone->pending_clone_jit_relocation_ = state.jit_code_bytes_used > 0;
+  clone->ResolveSegments();
   if (clone_space.guest_identity().valid) {
     // The modeled collision (DESIGN.md §15): the clone wakes with the exact
     // identity record the snapshot captured — same RNG position, same clock

@@ -215,6 +215,8 @@ class GuestProcess {
   void SyncIdentity();
 
   fwmem::SegmentId EnsureSegment(const char* seg_name, uint64_t bytes);
+  // Resolves every runtime-managed segment the space already has (clones).
+  void ResolveSegments();
   fwsim::Co<void> ChargeFaults(const fwmem::FaultCounts& faults, ExecStats& stats);
   // Pays the compile stall for `method` and allocates its machine-code pages.
   // `reoptimize` marks a post-deopt respecialisation (cheaper).
@@ -244,6 +246,14 @@ class GuestProcess {
   uint64_t jit_alloc_cursor_pages_ = 0;
   uint64_t heap_cursor_pages_ = 0;
   uint64_t mem_salt_ = 0;
+  // Ids of the runtime-managed segments in space_, resolved when each is
+  // created or, on a clone, once in FromState — never by name per request.
+  // fwmem::kNoSegment until the segment exists.
+  fwmem::SegmentId text_seg_ = fwmem::kNoSegment;
+  fwmem::SegmentId heap_seg_ = fwmem::kNoSegment;
+  fwmem::SegmentId bytecode_seg_ = fwmem::kNoSegment;
+  fwmem::SegmentId app_heap_seg_ = fwmem::kNoSegment;
+  fwmem::SegmentId jit_seg_ = fwmem::kNoSegment;
   // Guest identity (DESIGN.md §15). `resume_anchor_` is the sim time this
   // process instance (re)started; the guest monotonic clock is
   // identity_.monotonic_base_ns + (now - resume_anchor_).

@@ -1,6 +1,7 @@
 #include "src/mem/address_space.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/base/check.h"
@@ -24,6 +25,22 @@ uint64_t MixPage(uint64_t salt, uint64_t page) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+// The pages of bitmap word `wi` a random-fraction access picks: page p is
+// picked when MixPage(salt, p) < threshold, or always for fraction 1
+// (threshold UINT64_MAX, which a strict less-than would miss for one hash).
+uint64_t PickWord(uint64_t salt, uint64_t threshold, uint64_t wi) {
+  if (threshold == UINT64_MAX) {
+    return ~uint64_t{0};
+  }
+  uint64_t picked = 0;
+  for (uint64_t bit = 0; threshold > 0 && bit < kWordPages; ++bit) {
+    picked |= static_cast<uint64_t>(MixPage(salt, wi * kWordPages + bit) < threshold) << bit;
+  }
+  return picked;
+}
+
+uint64_t Popcount(uint64_t w) { return static_cast<uint64_t>(std::popcount(w)); }
 
 }  // namespace
 
@@ -77,22 +94,18 @@ SegmentId AddressSpace::AddSegment(const std::string& name, uint64_t bytes) {
 }
 
 SegmentId AddressSpace::SegmentByName(const std::string& name) const {
+  const SegmentId seg = FindSegment(name);
+  FW_CHECK_MSG(seg != kNoSegment, ("no segment named " + name).c_str());
+  return seg;
+}
+
+SegmentId AddressSpace::FindSegment(const std::string& name) const {
   for (size_t i = 0; i < segments_.size(); ++i) {
     if (segments_[i].name == name) {
       return static_cast<SegmentId>(i);
     }
   }
-  FW_CHECK_MSG(false, ("no segment named " + name).c_str());
-  return 0;
-}
-
-bool AddressSpace::HasSegment(const std::string& name) const {
-  for (const auto& s : segments_) {
-    if (s.name == name) {
-      return true;
-    }
-  }
-  return false;
+  return kNoSegment;
 }
 
 uint64_t AddressSpace::SegmentPages(SegmentId seg) const {
@@ -100,80 +113,70 @@ uint64_t AddressSpace::SegmentPages(SegmentId seg) const {
   return segments_[seg].pages;
 }
 
-uint64_t AddressSpace::GlobalPage(SegmentId seg, uint64_t offset) const {
-  FW_CHECK(seg < segments_.size());
-  FW_DCHECK(offset < segments_[seg].pages);
-  return segments_[seg].base_page + offset;
-}
-
-void AddressSpace::AccessPage(uint64_t page, bool write, FaultCounts& out) {
-  if (private_.Test(page)) {
-    ++out.already_mapped;
-    return;
-  }
-  const bool image_valid =
-      image_ != nullptr && page < image_->total_pages() && image_->IsValid(page);
+void AddressSpace::AccessWord(uint64_t wi, uint64_t mask, bool write, FaultCounts& out) {
+  // The three page states are disjoint bits: a page is in at most one of
+  // private_, resident_shared_ and zero_, and in none while not present.
+  const uint64_t priv = private_.word(wi);
+  const uint64_t shared = resident_shared_.word(wi);
+  const uint64_t zero = zero_.word(wi);
+  const uint64_t absent = mask & ~(priv | shared | zero);
+  const uint64_t valid = image_ != nullptr ? image_->ValidWord(wi) : 0;
+  const uint64_t page0 = wi * kWordPages;
 
   if (!write) {
-    if (resident_shared_.Test(page) || zero_.Test(page)) {
-      ++out.already_mapped;
+    out.already_mapped += Popcount(mask & ~absent);
+    if (image_ == nullptr) {
+      // Fresh space: a guest "reading" fresh content had to produce it first
+      // (kernel decompression, file load into RAM) — private frame.
+      private_.SetBits(wi, absent);
+      out.fresh_writes += Popcount(absent);
       return;
     }
-    if (image_valid) {
-      const bool was_major = image_->backing().IncResident(page);
-      resident_shared_.Set(page);
-      image_touched_.Set(page);
-      if (was_major) {
+    const uint64_t from_image = absent & valid;
+    BackingStore& backing = image_->backing();
+    for (uint64_t w = from_image; w != 0; w &= w - 1) {
+      if (backing.IncResident(page0 + static_cast<uint64_t>(std::countr_zero(w)))) {
         ++out.major_faults;
       } else {
         ++out.minor_shared;
       }
-      return;
     }
-    if (image_ == nullptr) {
-      // Fresh space: a guest "reading" fresh content had to produce it first
-      // (kernel decompression, file load into RAM) — private frame.
-      host_.AllocFrames(1);
-      private_.Set(page);
-      ++out.fresh_writes;
-      return;
-    }
+    resident_shared_.SetBits(wi, from_image);
+    image_touched_.SetBits(wi, from_image);
     // Image-backed space reading a page the image has no content for: shared
     // zero page, no frame charge.
-    zero_.Set(page);
-    ++out.zero_fills;
+    zero_.SetBits(wi, absent & ~valid);
+    out.zero_fills += Popcount(absent & ~valid);
     return;
   }
 
-  // Write access.
-  if (resident_shared_.Test(page)) {
-    // Copy-on-write: drop the shared reference, take a private frame.
-    image_->backing().DecResident(page);
-    resident_shared_.Clear(page);
-    host_.AllocFrames(1);
-    private_.Set(page);
-    ++out.cow_copies;
-    return;
+  // Write access: every page not yet private takes a private frame.
+  out.already_mapped += Popcount(mask & priv);
+  const uint64_t cow = mask & shared;
+  if (cow != 0) {
+    // Copy-on-write: drop the shared reference.
+    BackingStore& backing = image_->backing();
+    for (uint64_t w = cow; w != 0; w &= w - 1) {
+      backing.DecResident(page0 + static_cast<uint64_t>(std::countr_zero(w)));
+    }
+    resident_shared_.ClearBits(wi, cow);
   }
-  if (zero_.Test(page)) {
-    zero_.Clear(page);
-    host_.AllocFrames(1);
-    private_.Set(page);
-    ++out.fresh_writes;
-    return;
+  zero_.ClearBits(wi, mask & zero);
+  // A write to a not-yet-resident image page still reads the content, then
+  // immediately breaks the mapping private.
+  image_touched_.SetBits(wi, absent & valid);
+  private_.SetBits(wi, mask & ~priv);
+  out.cow_copies += Popcount(cow) + Popcount(absent & valid);
+  out.fresh_writes += Popcount(mask & zero) + Popcount(absent & ~valid);
+}
+
+void AddressSpace::Settle(const FaultCounts& out) {
+  if (image_ != nullptr) {
+    image_->backing().Settle();
   }
-  if (image_valid) {
-    // Write to a not-yet-resident image page: the kernel still reads the
-    // content, then immediately breaks the mapping private.
-    host_.AllocFrames(1);
-    private_.Set(page);
-    image_touched_.Set(page);
-    ++out.cow_copies;
-    return;
+  if (out.NewPrivatePages() > 0) {
+    host_.AllocFrames(out.NewPrivatePages());
   }
-  host_.AllocFrames(1);
-  private_.Set(page);
-  ++out.fresh_writes;
 }
 
 FaultCounts AddressSpace::AccessRange(SegmentId seg, uint64_t first, uint64_t count,
@@ -184,9 +187,10 @@ FaultCounts AddressSpace::AccessRange(SegmentId seg, uint64_t first, uint64_t co
   const auto& layout = segments_[seg];
   FW_CHECK_MSG(first + count <= layout.pages, "access beyond segment end");
   FaultCounts out;
-  for (uint64_t i = 0; i < count; ++i) {
-    AccessPage(layout.base_page + first + i, write, out);
-  }
+  const uint64_t begin = layout.base_page + first;
+  ForEachWordIn(begin, begin + count,
+                [&](uint64_t wi, uint64_t mask) { AccessWord(wi, mask, write, out); });
+  Settle(out);
   return out;
 }
 
@@ -208,32 +212,30 @@ FaultCounts AddressSpace::DirtyBytes(SegmentId seg, uint64_t bytes) {
   return Dirty(seg, 0, pages);
 }
 
-FaultCounts AddressSpace::DirtyRandomFraction(SegmentId seg, double fraction, uint64_t salt) {
+FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt,
+                                               bool write) {
   FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
   FW_CHECK(seg < segments_.size());
   const auto& layout = segments_[seg];
   const uint64_t threshold = FractionThreshold(fraction);
   FaultCounts out;
-  for (uint64_t i = 0; i < layout.pages; ++i) {
-    if (fraction >= 1.0 || MixPage(salt, layout.base_page + i) < threshold) {
-      AccessPage(layout.base_page + i, /*write=*/true, out);
-    }
-  }
+  ForEachWordIn(layout.base_page, layout.base_page + layout.pages,
+                [&](uint64_t wi, uint64_t span) {
+                  const uint64_t mask = PickWord(salt, threshold, wi) & span;
+                  if (mask != 0) {
+                    AccessWord(wi, mask, write, out);
+                  }
+                });
+  Settle(out);
   return out;
 }
 
+FaultCounts AddressSpace::DirtyRandomFraction(SegmentId seg, double fraction, uint64_t salt) {
+  return AccessRandomFraction(seg, fraction, salt, /*write=*/true);
+}
+
 FaultCounts AddressSpace::TouchRandomFraction(SegmentId seg, double fraction, uint64_t salt) {
-  FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  FW_CHECK(seg < segments_.size());
-  const auto& layout = segments_[seg];
-  const uint64_t threshold = FractionThreshold(fraction);
-  FaultCounts out;
-  for (uint64_t i = 0; i < layout.pages; ++i) {
-    if (fraction >= 1.0 || MixPage(salt, layout.base_page + i) < threshold) {
-      AccessPage(layout.base_page + i, /*write=*/false, out);
-    }
-  }
-  return out;
+  return AccessRandomFraction(seg, fraction, salt, /*write=*/false);
 }
 
 std::shared_ptr<SnapshotImage> AddressSpace::TakeSnapshot(const std::string& name) const {
@@ -253,7 +255,9 @@ void AddressSpace::Unmap() {
     return;
   }
   if (image_ != nullptr) {
-    resident_shared_.ForEachSet([this](uint64_t page) { image_->backing().DecResident(page); });
+    BackingStore& backing = image_->backing();
+    resident_shared_.ForEachSet([&backing](uint64_t page) { backing.DecResident(page); });
+    backing.Settle();
   }
   host_.FreeFrames(private_.Count());
   resident_shared_.ClearAll();
@@ -271,8 +275,10 @@ uint64_t AddressSpace::uss_bytes() const { return private_.Count() * fwbase::kPa
 double AddressSpace::pss_bytes() const {
   double pss_pages = static_cast<double>(private_.Count());
   if (image_ != nullptr) {
-    resident_shared_.ForEachSet([this, &pss_pages](uint64_t page) {
-      pss_pages += 1.0 / static_cast<double>(image_->backing().ResidentRefs(page));
+    // Ascending page order, one page at a time: the sum is bit-stable.
+    const BackingStore& backing = image_->backing();
+    resident_shared_.ForEachSet([&backing, &pss_pages](uint64_t page) {
+      pss_pages += 1.0 / static_cast<double>(backing.ResidentRefs(page));
     });
   }
   return pss_pages * static_cast<double>(fwbase::kPageSize);

@@ -14,6 +14,9 @@
 // everything it loads, so both reads and writes of fresh content allocate
 // private frames and nothing is shared between sandboxes.
 //
+// Accesses are applied 64 pages at a time, one bitmap word per step, with
+// the same per-page results as a page-by-page walk (DESIGN.md §3).
+//
 // TakeSnapshot() freezes the current content into an immutable SnapshotImage;
 // FromImage() creates a new space whose pages fault in lazily from the image,
 // exactly the MAP_PRIVATE restore path of Firecracker snapshots (§3.3, Fig 4).
@@ -33,6 +36,8 @@
 namespace fwmem {
 
 using SegmentId = uint32_t;
+// Names no segment; every access through it fails its bounds check.
+inline constexpr SegmentId kNoSegment = UINT32_MAX;
 
 struct SegmentLayout {
   std::string name;
@@ -67,6 +72,8 @@ class SnapshotImage {
   uint64_t valid_pages() const { return valid_.Count(); }
   uint64_t file_bytes() const { return valid_pages() * fwbase::kPageSize; }
   bool IsValid(uint64_t page) const { return valid_.Test(page); }
+  // Word `wi` of the valid-page bitmap (see kWordPages); 0 past the image.
+  uint64_t ValidWord(uint64_t wi) const { return wi < valid_.num_words() ? valid_.word(wi) : 0; }
 
   BackingStore& backing() { return backing_; }
   const BackingStore& backing() const { return backing_; }
@@ -146,7 +153,9 @@ class AddressSpace {
   SegmentId AddSegment(const std::string& name, uint64_t bytes);
   // Looks a segment up by name; FW_CHECKs that it exists.
   SegmentId SegmentByName(const std::string& name) const;
-  bool HasSegment(const std::string& name) const;
+  // Looks a segment up by name; kNoSegment when there is none.
+  SegmentId FindSegment(const std::string& name) const;
+  bool HasSegment(const std::string& name) const { return FindSegment(name) != kNoSegment; }
   const std::vector<SegmentLayout>& segments() const { return segments_; }
   uint64_t SegmentPages(SegmentId seg) const;
 
@@ -194,9 +203,14 @@ class AddressSpace {
   void set_guest_identity(const GuestIdentityRecord& identity) { guest_identity_ = identity; }
 
  private:
-  uint64_t GlobalPage(SegmentId seg, uint64_t offset) const;
   FaultCounts AccessRange(SegmentId seg, uint64_t first, uint64_t count, bool write);
-  void AccessPage(uint64_t page, bool write, FaultCounts& out);
+  FaultCounts AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt, bool write);
+  // The fault engine: one read or write of the pages in `mask`, all within
+  // bitmap word `wi`, counted into `out`. Host frames are charged by Settle.
+  void AccessWord(uint64_t wi, uint64_t mask, bool write, FaultCounts& out);
+  // Charges the host once for an access call's frame changes: page-cache
+  // frees first, then every allocation.
+  void Settle(const FaultCounts& out);
   void GrowTo(uint64_t pages);
 
   HostMemory& host_;

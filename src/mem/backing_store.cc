@@ -1,7 +1,5 @@
 #include "src/mem/backing_store.h"
 
-#include "src/base/check.h"
-
 namespace fwmem {
 
 BackingStore::BackingStore(HostMemory& host, uint64_t num_pages)
@@ -10,33 +8,19 @@ BackingStore::BackingStore(HostMemory& host, uint64_t num_pages)
 BackingStore::~BackingStore() {
   // All mappings must unmap before the store dies; release whatever remains
   // resident (the page cache is dropped with the file).
+  Settle();
   host_.FreeFrames(resident_pages_);
 }
 
-bool BackingStore::IncResident(uint64_t page) {
-  FW_CHECK(page < refs_.size());
-  const bool first = refs_[page] == 0;
-  ++refs_[page];
-  if (first) {
-    host_.AllocFrames(1);
-    ++resident_pages_;
+void BackingStore::Settle() {
+  if (pending_frees_ > 0) {
+    host_.FreeFrames(pending_frees_);
+    pending_frees_ = 0;
   }
-  return first;
-}
-
-void BackingStore::DecResident(uint64_t page) {
-  FW_CHECK(page < refs_.size());
-  FW_CHECK_MSG(refs_[page] > 0, "DecResident on non-resident page");
-  --refs_[page];
-  if (refs_[page] == 0) {
-    host_.FreeFrames(1);
-    --resident_pages_;
+  if (pending_allocs_ > 0) {
+    host_.AllocFrames(pending_allocs_);
+    pending_allocs_ = 0;
   }
-}
-
-uint32_t BackingStore::ResidentRefs(uint64_t page) const {
-  FW_CHECK(page < refs_.size());
-  return refs_[page];
 }
 
 }  // namespace fwmem

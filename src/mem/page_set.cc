@@ -1,57 +1,26 @@
 #include "src/mem/page_set.h"
 
 #include <algorithm>
-#include <bit>
-
-#include "src/base/check.h"
 
 namespace fwmem {
 
-PageSet::PageSet(uint64_t num_pages) : num_pages_(num_pages), words_((num_pages + 63) / 64, 0) {}
+PageSet::PageSet(uint64_t num_pages)
+    : num_pages_(num_pages), words_((num_pages + kWordPages - 1) / kWordPages, 0) {}
 
 void PageSet::Grow(uint64_t new_num_pages) {
   FW_CHECK(new_num_pages >= num_pages_);
   num_pages_ = new_num_pages;
-  words_.resize((new_num_pages + 63) / 64, 0);
-}
-
-bool PageSet::Test(uint64_t page) const {
-  FW_DCHECK(page < num_pages_);
-  return (words_[page / 64] >> (page % 64)) & 1;
-}
-
-void PageSet::Set(uint64_t page) {
-  FW_DCHECK(page < num_pages_);
-  uint64_t& w = words_[page / 64];
-  const uint64_t bit = 1ULL << (page % 64);
-  if ((w & bit) == 0) {
-    w |= bit;
-    ++count_;
-  }
-}
-
-void PageSet::Clear(uint64_t page) {
-  FW_DCHECK(page < num_pages_);
-  uint64_t& w = words_[page / 64];
-  const uint64_t bit = 1ULL << (page % 64);
-  if ((w & bit) != 0) {
-    w &= ~bit;
-    --count_;
-  }
+  words_.resize((new_num_pages + kWordPages - 1) / kWordPages, 0);
 }
 
 void PageSet::SetRange(uint64_t first, uint64_t count) {
-  const uint64_t end = std::min(first + count, num_pages_);
-  for (uint64_t p = first; p < end; ++p) {
-    Set(p);
-  }
+  ForEachWordIn(first, std::min(first + count, num_pages_),
+                [this](uint64_t wi, uint64_t mask) { SetBits(wi, mask); });
 }
 
 void PageSet::ClearRange(uint64_t first, uint64_t count) {
-  const uint64_t end = std::min(first + count, num_pages_);
-  for (uint64_t p = first; p < end; ++p) {
-    Clear(p);
-  }
+  ForEachWordIn(first, std::min(first + count, num_pages_),
+                [this](uint64_t wi, uint64_t mask) { ClearBits(wi, mask); });
 }
 
 void PageSet::ClearAll() {
@@ -60,46 +29,11 @@ void PageSet::ClearAll() {
 }
 
 uint64_t PageSet::CountRange(uint64_t first, uint64_t count) const {
-  const uint64_t end = std::min(first + count, num_pages_);
   uint64_t n = 0;
-  for (uint64_t p = first; p < end; ++p) {
-    if (Test(p)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-void PageSet::ForEachSet(const std::function<void(uint64_t)>& fn) const {
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
-    uint64_t w = words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      fn(wi * 64 + static_cast<uint64_t>(bit));
-      w &= w - 1;
-    }
-  }
-}
-
-void PageSet::ForEachRange(const std::function<void(uint64_t, uint64_t)>& fn) const {
-  bool open = false;
-  uint64_t first = 0;
-  uint64_t prev = 0;
-  ForEachSet([&](uint64_t page) {
-    if (open && page == prev + 1) {
-      prev = page;
-      return;
-    }
-    if (open) {
-      fn(first, prev - first + 1);
-    }
-    open = true;
-    first = page;
-    prev = page;
+  ForEachWordIn(first, std::min(first + count, num_pages_), [this, &n](uint64_t wi, uint64_t mask) {
+    n += static_cast<uint64_t>(std::popcount(words_[wi] & mask));
   });
-  if (open) {
-    fn(first, prev - first + 1);
-  }
+  return n;
 }
 
 void PageSet::UnionWith(const PageSet& other) {

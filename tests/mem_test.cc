@@ -2,12 +2,16 @@
 // accounting, CoW snapshot mappings, and smem-style PSS/RSS/USS metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "src/base/rng.h"
 #include "src/mem/address_space.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/host_memory.h"
 #include "src/mem/page_set.h"
+#include "src/obs/metrics.h"
 
 namespace fwmem {
 namespace {
@@ -39,6 +43,37 @@ TEST(PageSetTest, RangeOpsAndClamping) {
   EXPECT_TRUE(s.Test(99));
   s.ClearRange(95, 100);
   EXPECT_EQ(s.Count(), 5u);
+
+  // Ranges that cross word boundaries, start and end mid-word, or fill whole
+  // words.
+  PageSet w(300);
+  w.SetRange(60, 10);  // Crosses the 64 boundary.
+  EXPECT_EQ(w.Count(), 10u);
+  EXPECT_FALSE(w.Test(59));
+  EXPECT_TRUE(w.Test(60));
+  EXPECT_TRUE(w.Test(63));
+  EXPECT_TRUE(w.Test(64));
+  EXPECT_TRUE(w.Test(69));
+  EXPECT_FALSE(w.Test(70));
+  w.SetRange(5, 250);  // Two partial and two whole words; overlaps the bits already set.
+  EXPECT_EQ(w.Count(), 250u);
+  EXPECT_FALSE(w.Test(4));
+  EXPECT_TRUE(w.Test(254));
+  EXPECT_FALSE(w.Test(255));
+  w.ClearRange(63, 130);  // Clears [63, 193), mid-word to mid-word.
+  EXPECT_EQ(w.Count(), 120u);
+  EXPECT_TRUE(w.Test(62));
+  EXPECT_FALSE(w.Test(63));
+  EXPECT_FALSE(w.Test(192));
+  EXPECT_TRUE(w.Test(193));
+  w.SetRange(256, 1000);  // Starts on a word boundary, clamps at 300.
+  EXPECT_EQ(w.Count(), 164u);
+  EXPECT_TRUE(w.Test(299));
+  w.SetRange(400, 10);  // Entirely past the end: no-op.
+  w.ClearRange(0, 0);
+  EXPECT_EQ(w.Count(), 164u);
+  w.ClearRange(0, 300);
+  EXPECT_EQ(w.Count(), 0u);
 }
 
 TEST(PageSetTest, CountRange) {
@@ -47,6 +82,21 @@ TEST(PageSetTest, CountRange) {
   EXPECT_EQ(s.CountRange(0, 256), 20u);
   EXPECT_EQ(s.CountRange(15, 10), 10u);
   EXPECT_EQ(s.CountRange(0, 10), 0u);
+
+  // Word-crossing counts against a page-by-page count.
+  PageSet w(200);
+  for (uint64_t p = 0; p < 200; p += 3) {
+    w.Set(p);
+  }
+  for (uint64_t first : {0u, 1u, 63u, 64u, 65u, 127u, 130u, 199u}) {
+    for (uint64_t count : {0u, 1u, 2u, 64u, 65u, 70u, 140u, 500u}) {
+      uint64_t want = 0;
+      for (uint64_t p = first; p < std::min<uint64_t>(first + count, 200); ++p) {
+        want += w.Test(p) ? 1 : 0;
+      }
+      EXPECT_EQ(w.CountRange(first, count), want) << first << "+" << count;
+    }
+  }
 }
 
 TEST(PageSetTest, ForEachSetAscending) {
@@ -117,13 +167,19 @@ TEST(BackingStoreTest, FirstTouchIsMajor) {
   {
     BackingStore store(host, 10);
     EXPECT_TRUE(store.IncResident(0));
+    EXPECT_EQ(host.used_frames(), 0u);  // Charged by Settle(), not per page.
+    store.Settle();
     EXPECT_EQ(host.used_frames(), 1u);
     EXPECT_FALSE(store.IncResident(0));  // Second mapper: minor.
+    store.Settle();
     EXPECT_EQ(host.used_frames(), 1u);   // Still one frame.
     EXPECT_EQ(store.ResidentRefs(0), 2u);
     store.DecResident(0);
+    store.Settle();
     EXPECT_EQ(host.used_frames(), 1u);
     store.DecResident(0);
+    EXPECT_EQ(store.resident_pages(), 0u);
+    store.Settle();
     EXPECT_EQ(host.used_frames(), 0u);
   }
   EXPECT_EQ(host.used_frames(), 0u);
@@ -135,6 +191,7 @@ TEST(BackingStoreTest, DestructorReleasesResidentFrames) {
     BackingStore store(host, 10);
     store.IncResident(1);
     store.IncResident(2);
+    store.Settle();
     EXPECT_EQ(host.used_frames(), 2u);
   }
   EXPECT_EQ(host.used_frames(), 0u);
@@ -383,6 +440,366 @@ TEST_P(PssConservationTest, PssSumsToHostFrames) {
 }
 
 INSTANTIATE_TEST_SUITE_P(VmCounts, PssConservationTest, ::testing::Values(1, 2, 3, 5, 8, 16));
+
+// ---------------------------------------------------------------------------
+// Differential test of the word-parallel fault engine against a per-page
+// reference model: the page-at-a-time fault path, frames charged one by one.
+// ---------------------------------------------------------------------------
+
+uint64_t RefThreshold(double fraction) {
+  return fraction >= 1.0 ? UINT64_MAX
+                         : static_cast<uint64_t>(fraction * 18446744073709551616.0);
+}
+
+uint64_t RefMixPage(uint64_t salt, uint64_t page) {
+  uint64_t z = salt ^ (page * 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+// A snapshot file in the reference world: valid pages and per-page refcounts
+// of the page cache, each residency change charged to the host at once.
+struct RefImage {
+  RefImage(HostMemory& host, std::vector<bool> valid)
+      : host(host), valid(std::move(valid)), refs(this->valid.size(), 0) {}
+  ~RefImage() { host.FreeFrames(resident); }
+
+  bool Inc(uint64_t page) {
+    if (refs[page]++ > 0) {
+      return false;
+    }
+    host.AllocFrames(1);
+    ++resident;
+    return true;
+  }
+  void Dec(uint64_t page) {
+    if (--refs[page] == 0) {
+      host.FreeFrames(1);
+      --resident;
+    }
+  }
+
+  HostMemory& host;
+  std::vector<bool> valid;
+  std::vector<uint32_t> refs;
+  uint64_t resident = 0;
+};
+
+class RefSpace {
+ public:
+  enum State : uint8_t { kAbsent, kShared, kZero, kPrivate };
+
+  RefSpace(HostMemory& host, std::shared_ptr<RefImage> image, std::vector<uint64_t> seg_pages)
+      : host_(host), image_(std::move(image)) {
+    for (uint64_t pages : seg_pages) {
+      AddSegment(pages);
+    }
+  }
+  ~RefSpace() { Unmap(); }
+
+  void AddSegment(uint64_t pages) {
+    bases_.push_back(state_.size());
+    sizes_.push_back(pages);
+    state_.resize(state_.size() + pages, kAbsent);
+    touched_.resize(state_.size(), false);
+  }
+
+  FaultCounts Access(size_t seg, uint64_t first, uint64_t count, bool write) {
+    FaultCounts out;
+    for (uint64_t i = 0; i < count; ++i) {
+      AccessPage(bases_[seg] + first + i, write, out);
+    }
+    return out;
+  }
+
+  FaultCounts Fraction(size_t seg, double fraction, uint64_t salt, bool write) {
+    const uint64_t threshold = RefThreshold(fraction);
+    FaultCounts out;
+    for (uint64_t i = 0; i < sizes_[seg]; ++i) {
+      if (fraction >= 1.0 || RefMixPage(salt, bases_[seg] + i) < threshold) {
+        AccessPage(bases_[seg] + i, write, out);
+      }
+    }
+    return out;
+  }
+
+  void Unmap() {
+    uint64_t private_pages = 0;
+    for (uint64_t page = 0; page < state_.size(); ++page) {
+      if (state_[page] == kShared) {
+        image_->Dec(page);
+      }
+      private_pages += state_[page] == kPrivate ? 1 : 0;
+      state_[page] = kAbsent;
+    }
+    host_.FreeFrames(private_pages);
+  }
+
+  double Pss() const {
+    double pss_pages = static_cast<double>(Count(kPrivate));
+    for (uint64_t page = 0; page < state_.size(); ++page) {
+      if (state_[page] == kShared) {
+        pss_pages += 1.0 / static_cast<double>(image_->refs[page]);
+      }
+    }
+    return pss_pages * static_cast<double>(kPageSize);
+  }
+
+  uint64_t Count(State s, size_t seg) const {
+    uint64_t n = 0;
+    for (uint64_t i = 0; i < sizes_[seg]; ++i) {
+      n += state_[bases_[seg] + i] == s ? 1 : 0;
+    }
+    return n;
+  }
+  uint64_t Count(State s) const {
+    uint64_t n = 0;
+    for (size_t seg = 0; seg < sizes_.size(); ++seg) {
+      n += Count(s, seg);
+    }
+    return n;
+  }
+  bool Touched(uint64_t page) const { return touched_[page]; }
+  const std::vector<uint64_t>& sizes() const { return sizes_; }
+
+  std::shared_ptr<RefImage> TakeSnapshot() const {
+    std::vector<bool> valid(state_.size());
+    for (uint64_t page = 0; page < state_.size(); ++page) {
+      valid[page] = state_[page] == kShared || state_[page] == kPrivate;
+    }
+    return std::make_shared<RefImage>(host_, std::move(valid));
+  }
+
+ private:
+  void AccessPage(uint64_t page, bool write, FaultCounts& out) {
+    State& st = state_[page];
+    if (st == kPrivate) {
+      ++out.already_mapped;
+      return;
+    }
+    const bool image_valid =
+        image_ != nullptr && page < image_->valid.size() && image_->valid[page];
+    if (!write) {
+      if (st == kShared || st == kZero) {
+        ++out.already_mapped;
+      } else if (image_valid) {
+        ++(image_->Inc(page) ? out.major_faults : out.minor_shared);
+        st = kShared;
+        touched_[page] = true;
+      } else if (image_ == nullptr) {
+        host_.AllocFrames(1);
+        st = kPrivate;
+        ++out.fresh_writes;
+      } else {
+        st = kZero;
+        ++out.zero_fills;
+      }
+      return;
+    }
+    if (st == kShared) {
+      image_->Dec(page);
+      ++out.cow_copies;
+    } else if (st == kZero) {
+      ++out.fresh_writes;
+    } else if (image_valid) {
+      touched_[page] = true;
+      ++out.cow_copies;
+    } else {
+      ++out.fresh_writes;
+    }
+    host_.AllocFrames(1);
+    st = kPrivate;
+  }
+
+  HostMemory& host_;
+  std::shared_ptr<RefImage> image_;
+  std::vector<uint64_t> bases_;
+  std::vector<uint64_t> sizes_;
+  std::vector<State> state_;
+  std::vector<bool> touched_;
+};
+
+void ExpectSameFaults(const FaultCounts& got, const FaultCounts& want) {
+  EXPECT_EQ(got.major_faults, want.major_faults);
+  EXPECT_EQ(got.minor_shared, want.minor_shared);
+  EXPECT_EQ(got.zero_fills, want.zero_fills);
+  EXPECT_EQ(got.cow_copies, want.cow_copies);
+  EXPECT_EQ(got.fresh_writes, want.fresh_writes);
+  EXPECT_EQ(got.already_mapped, want.already_mapped);
+}
+
+// One host with its metrics, for each of the two worlds.
+struct World {
+  World() { host.set_metrics(&metrics); }
+  fwobs::MetricsRegistry metrics;
+  HostMemory host{4_GiB};
+};
+
+void ExpectSameHost(World& got, World& want) {
+  EXPECT_EQ(got.host.used_frames(), want.host.used_frames());
+  EXPECT_EQ(got.host.peak_used_bytes(), want.host.peak_used_bytes());
+  EXPECT_EQ(got.host.total_allocated_frames(), want.host.total_allocated_frames());
+  EXPECT_EQ(got.host.total_freed_frames(), want.host.total_freed_frames());
+  EXPECT_EQ(got.metrics.GetGauge("mem.host.used_bytes").value(),
+            want.metrics.GetGauge("mem.host.used_bytes").value());
+  EXPECT_EQ(got.metrics.GetCounter("mem.frame.alloc.count").value(),
+            want.metrics.GetCounter("mem.frame.alloc.count").value());
+}
+
+void ExpectSameSpace(const AddressSpace& got, const RefSpace& want) {
+  const auto stats = got.PerSegmentStats();
+  ASSERT_EQ(stats.size(), want.sizes().size());
+  for (size_t seg = 0; seg < stats.size(); ++seg) {
+    EXPECT_EQ(stats[seg].private_pages, want.Count(RefSpace::kPrivate, seg)) << "segment " << seg;
+    EXPECT_EQ(stats[seg].resident_shared, want.Count(RefSpace::kShared, seg)) << "segment " << seg;
+    EXPECT_EQ(stats[seg].zero_pages, want.Count(RefSpace::kZero, seg)) << "segment " << seg;
+  }
+  EXPECT_EQ(got.private_pages(), want.Count(RefSpace::kPrivate));
+  EXPECT_EQ(got.shared_resident_pages(), want.Count(RefSpace::kShared));
+  for (uint64_t page = 0; page < got.image_touched().size(); ++page) {
+    EXPECT_EQ(got.image_touched().Test(page), want.Touched(page)) << "page " << page;
+  }
+  EXPECT_EQ(got.pss_bytes(), want.Pss());  // Bit-equal, not approximately.
+}
+
+void ExpectSameRefs(const SnapshotImage& got, const RefImage& want) {
+  ASSERT_EQ(got.total_pages(), want.valid.size());
+  EXPECT_EQ(got.backing().resident_pages(), want.resident);
+  for (uint64_t page = 0; page < want.valid.size(); ++page) {
+    EXPECT_EQ(got.IsValid(page), want.valid[page]) << "page " << page;
+    EXPECT_EQ(got.backing().ResidentRefs(page), want.refs[page]) << "page " << page;
+  }
+}
+
+class FaultEngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // Odd sizes, so segment bases fall mid-word and segments end mid-word.
+  const std::vector<uint64_t> kSegPages = {37, 64, 100, 3, 129, 70};
+
+  // One random access against both models, on segment `seg`.
+  void RandomAccess(AddressSpace& got, RefSpace& want, size_t seg) {
+    const uint64_t pages = want.sizes()[seg];
+    const bool write = rng_.Chance(0.5);
+    FaultCounts real;
+    FaultCounts ref;
+    if (rng_.Chance(0.5)) {
+      const uint64_t first = pages == 0 ? 0 : rng_.UniformU64(pages);
+      const uint64_t count = rng_.UniformU64(pages - first + 1);
+      real = write ? got.Dirty(static_cast<SegmentId>(seg), first, count)
+                   : got.Touch(static_cast<SegmentId>(seg), first, count);
+      ref = want.Access(seg, first, count, write);
+    } else {
+      // Few salts, so clones of one image often pick the same pages.
+      const double fractions[] = {0.0, 1.0, 0.02, 0.3, 0.75,
+                                  static_cast<double>(rng_.UniformU64(1000)) / 1000.0};
+      const double fraction = fractions[rng_.UniformU64(6)];
+      const uint64_t salt = rng_.UniformU64(4);
+      real = write ? got.DirtyRandomFraction(static_cast<SegmentId>(seg), fraction, salt)
+                   : got.TouchRandomFraction(static_cast<SegmentId>(seg), fraction, salt);
+      ref = want.Fraction(seg, fraction, salt, write);
+    }
+    ExpectSameFaults(real, ref);
+  }
+
+  fwbase::Rng rng_{GetParam()};
+};
+
+TEST_P(FaultEngineDifferentialTest, MatchesPerPageReference) {
+  World real;
+  World ref;
+  // A fresh builder leaves a partially valid image: some pages never
+  // touched, some only read, some written.
+  auto builder = std::make_unique<AddressSpace>(real.host);
+  auto ref_builder = std::make_unique<RefSpace>(ref.host, nullptr, kSegPages);
+  for (uint64_t pages : kSegPages) {
+    builder->AddSegment("seg", pages * kPageSize);
+  }
+  for (int op = 0; op < 40; ++op) {
+    RandomAccess(*builder, *ref_builder, rng_.UniformU64(kSegPages.size()));
+    ExpectSameHost(real, ref);
+  }
+  ExpectSameSpace(*builder, *ref_builder);
+  std::shared_ptr<SnapshotImage> image = builder->TakeSnapshot("img");
+  std::shared_ptr<RefImage> ref_image = ref_builder->TakeSnapshot();
+  builder.reset();
+  ref_builder.reset();
+  ExpectSameRefs(*image, *ref_image);
+  ExpectSameHost(real, ref);
+
+  // Several clones of the image, each running a random mix of accesses;
+  // some grow a segment past the image, some unmap and are restored anew.
+  constexpr int kClones = 4;
+  std::vector<std::unique_ptr<AddressSpace>> clones;
+  std::vector<std::unique_ptr<RefSpace>> ref_clones;
+  for (int i = 0; i < kClones; ++i) {
+    clones.push_back(std::make_unique<AddressSpace>(real.host, image));
+    ref_clones.push_back(std::make_unique<RefSpace>(ref.host, ref_image, kSegPages));
+  }
+  for (int op = 0; op < 400; ++op) {
+    const size_t c = rng_.UniformU64(kClones);
+    const uint64_t action = rng_.UniformU64(40);
+    if (action == 0) {
+      clones[c]->Unmap();
+      ref_clones[c]->Unmap();
+      ExpectSameHost(real, ref);
+      clones[c] = std::make_unique<AddressSpace>(real.host, image);
+      ref_clones[c] = std::make_unique<RefSpace>(ref.host, ref_image, kSegPages);
+    } else if (action == 1 && ref_clones[c]->sizes().size() == kSegPages.size()) {
+      const uint64_t pages = 1 + rng_.UniformU64(90);
+      clones[c]->AddSegment("heap", pages * kPageSize);
+      ref_clones[c]->AddSegment(pages);
+    } else {
+      RandomAccess(*clones[c], *ref_clones[c], rng_.UniformU64(ref_clones[c]->sizes().size()));
+    }
+    ExpectSameHost(real, ref);
+    ExpectSameSpace(*clones[c], *ref_clones[c]);
+    if (HasFailure()) {
+      FAIL() << "diverged at op " << op;
+    }
+  }
+  ExpectSameRefs(*image, *ref_image);
+  clones.clear();
+  ref_clones.clear();
+  ExpectSameHost(real, ref);
+  EXPECT_EQ(image->backing().resident_pages(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultEngineDifferentialTest, ::testing::Range<uint64_t>(1, 13));
+
+// Writing an image page this clone alone maps frees its page-cache frame and
+// takes a private one: the host ends where it started, and the peak does not
+// move, exactly as when each page was charged on its own.
+TEST(FaultEngineTest, CowOfLastReferenceLeavesPeakUnmoved) {
+  World real;
+  World ref;
+  std::shared_ptr<SnapshotImage> image;
+  {
+    AddressSpace builder(real.host);
+    builder.AddSegment("os", 100 * kPageSize);
+    builder.Dirty(0, 0, 100);
+    image = builder.TakeSnapshot("img");
+  }
+  RefSpace ref_builder(ref.host, nullptr, {100});
+  ref_builder.Access(0, 0, 100, /*write=*/true);
+  auto ref_image = ref_builder.TakeSnapshot();
+  ref_builder.Unmap();
+
+  AddressSpace vm(real.host, image);
+  RefSpace ref_vm(ref.host, ref_image, {100});
+  ExpectSameFaults(vm.Touch(0, 3, 90), ref_vm.Access(0, 3, 90, /*write=*/false));
+  const uint64_t used = real.host.used_frames();
+  const uint64_t peak = real.host.peak_used_bytes();
+  const FaultCounts fc = vm.Dirty(0, 10, 70);
+  ExpectSameFaults(fc, ref_vm.Access(0, 10, 70, /*write=*/true));
+  EXPECT_EQ(fc.cow_copies, 70u);
+  EXPECT_EQ(real.host.used_frames(), used);
+  EXPECT_EQ(real.host.peak_used_bytes(), peak);
+  EXPECT_EQ(real.host.total_freed_frames(), 100u + 70u);  // Builder teardown + 70 cache frames.
+  ExpectSameHost(real, ref);
+  ExpectSameSpace(vm, ref_vm);
+  ExpectSameRefs(*image, *ref_image);
+}
 
 }  // namespace
 }  // namespace fwmem
