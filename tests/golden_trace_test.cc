@@ -16,6 +16,7 @@
 // definition, so regeneration works from any build directory.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "src/cluster/host.h"
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
+#include "src/fault/fault.h"
 #include "src/obs/trace.h"
 #include "src/workloads/faasdom.h"
 #include "tests/test_util.h"
@@ -451,6 +453,271 @@ TEST(GoldenTrace, ClusterColdHostJoinWarmup) {
       static_cast<unsigned long long>(rollup.distribution.warm_restores),
       static_cast<unsigned long long>(rollup.warm_hits));
   ExpectMatchesGolden("cluster_join_warmup_trace.golden", rendered);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 6: the front end's books. Two seeded ModelHost runs that between
+// them move every Rollup counter off zero. The golden pins, per run, the
+// outcome digest, every Rollup field, every non-zero counter and every gauge
+// of the cluster registry, so a change to how the front end keeps its counts
+// cannot move any reported number unnoticed. Doubles are printed with %.17g
+// (round-trip exact).
+// ---------------------------------------------------------------------------
+
+std::string RenderStats(const char* name, const fwbase::SampleStats& s) {
+  return fwbase::StrFormat("rollup.%s count=%lld mean=%.17g p50=%.17g p99=%.17g max=%.17g\n",
+                           name, static_cast<long long>(s.count()), s.mean(),
+                           s.Percentile(50.0), s.Percentile(99.0), s.max());
+}
+
+// Every non-zero counter and every gauge of `metrics`, in the registry's own
+// (sorted) order. Keys come from the text dump; values are read back exactly.
+std::string RenderRegistry(const fwobs::MetricsRegistry& metrics) {
+  std::string out;
+  std::istringstream dump(metrics.ToText());
+  std::string line;
+  while (std::getline(dump, line)) {
+    std::istringstream fields(line);
+    std::string kind;
+    std::string key;
+    fields >> kind >> key;
+    const size_t brace = key.find('{');
+    const std::string name = key.substr(0, brace);
+    const std::string label =
+        brace == std::string::npos ? std::string() : key.substr(brace + 1, key.size() - brace - 2);
+    if (kind == "counter") {
+      const uint64_t value = metrics.CounterValue(name, label);
+      if (value != 0) {
+        out += fwbase::StrFormat("counter %s %" PRIu64 "\n", key.c_str(), value);
+      }
+    } else if (kind == "gauge") {
+      out += fwbase::StrFormat("gauge %s %.17g\n", key.c_str(), metrics.GaugeValue(name, label));
+    }
+  }
+  return out;
+}
+
+// The Rollup's integer counters, by name (the assertion below wants each
+// non-zero in at least one scenario).
+std::vector<std::pair<const char*, uint64_t>> RollupCounters(
+    const fwcluster::Cluster::Rollup& r) {
+  return {{"submitted", r.submitted},
+          {"completed", r.completed},
+          {"failed", r.failed},
+          {"retries", r.retries},
+          {"zombie_discards", r.zombie_discards},
+          {"warm_hits", r.warm_hits},
+          {"shed", r.shed},
+          {"expired", r.expired},
+          {"retry_budget_denied", r.retry_budget_denied},
+          {"hedges", r.hedges},
+          {"hedge_wins", r.hedge_wins},
+          {"hedge_discards", r.hedge_discards},
+          {"suspects", r.suspects},
+          {"detector_deaths", r.detector_deaths},
+          {"reinstated", r.reinstated},
+          {"brownout_discards", r.brownout_discards},
+          {"peak_live_vms", r.peak_live_vms},
+          {"slo_total", r.slo_total},
+          {"slo_good", r.slo_good},
+          {"slo_alerts", r.slo_alerts},
+          {"hosts_added", r.hosts_added},
+          {"hosts_removed", r.hosts_removed},
+          {"zone_outages", r.zone_outages}};
+}
+
+std::string RenderBooks(const char* scenario, fwcluster::Cluster& cluster) {
+  const fwcluster::Cluster::Rollup r = cluster.ComputeRollup();
+  std::string out = fwbase::StrFormat("scenario %s\ndigest %016" PRIx64 "\n", scenario,
+                                      cluster.OutcomeDigest());
+  for (const auto& [name, value] : RollupCounters(r)) {
+    out += fwbase::StrFormat("rollup.%s %" PRIu64 "\n", name, value);
+  }
+  out += RenderStats("latency_ms", r.latency_ms);
+  out += RenderStats("startup_ms", r.startup_ms);
+  out += fwbase::StrFormat("rollup.peak_pss_bytes %.17g\n", r.peak_pss_bytes);
+  out += fwbase::StrFormat("rollup.slo_attainment %.17g\n", r.slo_attainment);
+  out += fwbase::StrFormat("rollup.slo_worst_attainment %.17g\n", r.slo_worst_attainment);
+  out += fwbase::StrFormat("rollup.host_hours %.17g\n", r.host_hours);
+  const fwcluster::DistributionStats& d = r.distribution;
+  const std::pair<const char*, uint64_t> distribution[] = {
+      {"manifest_fetches", d.manifest_fetches},
+      {"cold_fetches", d.cold_fetches},
+      {"coalesced", d.coalesced},
+      {"chunks_from_cache", d.chunks_from_cache},
+      {"chunks_from_peer", d.chunks_from_peer},
+      {"chunks_from_registry", d.chunks_from_registry},
+      {"bytes_from_cache", d.bytes_from_cache},
+      {"bytes_from_peer", d.bytes_from_peer},
+      {"bytes_from_registry", d.bytes_from_registry},
+      {"retries", d.retries},
+      {"corrupt_chunks", d.corrupt_chunks},
+      {"registry_unreachable", d.registry_unreachable},
+      {"cold_boots", d.cold_boots},
+      {"cache_evictions", d.cache_evictions},
+      {"warm_restores", d.warm_restores},
+      {"demand_restores", d.demand_restores},
+      {"guest_reseeds", d.guest_reseeds}};
+  for (const auto& [name, value] : distribution) {
+    out += fwbase::StrFormat("rollup.distribution.%s %" PRIu64 "\n", name, value);
+  }
+  out += RenderRegistry(cluster.obs().metrics());
+  return out;
+}
+
+fwcluster::HostCalibration BooksCalibration() {
+  fwcluster::HostCalibration cal;
+  cal.cold_startup = Duration::Millis(17);
+  cal.cold_exec = Duration::Millis(3);
+  cal.cold_others = Duration::Millis(1);
+  cal.warm_startup = Duration::Micros(1600);
+  cal.warm_exec = Duration::Millis(3);
+  cal.warm_others = Duration::Micros(400);
+  cal.prepare_cost = Duration::Millis(16);
+  cal.instance_pss_bytes = 50e6;
+  cal.pooled_clone_pss_bytes = 6e6;
+  return cal;
+}
+
+std::unique_ptr<fwcluster::ClusterHost> MakeBooksHost(fwsim::Simulation& sim, int index) {
+  fwcluster::ModelHost::Config mc;
+  mc.vcpus = 4;
+  mc.memory_bytes = 1.0 * (1ull << 30);
+  mc.calibration = BooksCalibration();
+  return std::make_unique<fwcluster::ModelHost>(sim, index, mc);
+}
+
+void InstallBooksApps(fwsim::Simulation& sim, fwcluster::Cluster& cluster, int num_apps) {
+  for (int a = 0; a < num_apps; ++a) {
+    fwlang::FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency,
+                                                    fwlang::Language::kNodeJs);
+    fn.name = fwbase::StrFormat("app-%d", a);
+    ASSERT_TRUE(RunSync(sim, cluster.InstallAll(fn)).ok());
+  }
+}
+
+// Half the stream goes to the hot app-0, the rest rotates over the others.
+// `burst` back-to-back hot submits with a generous deadline land at
+// `burst_at`, so admission parks them on the hot app's host.
+fwsim::Co<void> DriveBooksStream(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+                                 int count, Duration gap, int num_apps, int burst_at,
+                                 int burst) {
+  for (int i = 0; i < count; ++i) {
+    if (i == burst_at) {
+      for (int b = 0; b < burst; ++b) {
+        (void)cluster.Submit("app-0", "{}", Duration::Seconds(1));
+      }
+    }
+    const int app = i % 2 == 0 ? 0 : 1 + (i / 2) % (num_apps - 1);
+    (void)cluster.Submit(fwbase::StrFormat("app-%d", app), "{}");
+    co_await fwsim::Delay(sim, gap);
+  }
+}
+
+// Crashes the hot app's host in the middle of its burst (its queued and
+// in-flight copies of app-0 outnumber the app's retry budget) and restarts
+// it a second later, then partitions another host for less than the
+// detector's dead threshold.
+fwsim::Co<void> BooksFaults(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+                            Duration crash_at) {
+  co_await fwsim::Delay(sim, crash_at);
+  const int hot = cluster.outcome(1).host;
+  cluster.CrashHost(hot);
+  co_await fwsim::Delay(sim, Duration::Seconds(1));
+  cluster.RestartHost(hot);
+  co_await fwsim::Delay(sim, Duration::Millis(100));
+  // Long enough to raise suspicion (~460 ms of silence at the default
+  // heartbeat), too short to be declared dead (~1.8 s); heals mid-stream.
+  cluster.PartitionHost((hot + 1) % cluster.num_hosts(), Duration::Millis(600));
+}
+
+std::string RunBooksFrontEnd(fwcluster::Cluster::Rollup* rollup) {
+  fwsim::Simulation sim(42);  // Fixed seed: the golden depends on it.
+  std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;
+  for (int i = 0; i < 4; ++i) {
+    hosts.push_back(MakeBooksHost(sim, i));
+  }
+  fwcluster::Cluster::Config cc;
+  cc.policy = fwcluster::SchedulerPolicy::kSnapshotLocality;
+  cc.workers_per_host = 16;
+  cc.admission.queue_capacity = 16;
+  cc.admission.default_deadline = Duration::Millis(40);
+  cc.hedging = true;
+  cc.hedge_min_delay = Duration::Millis(15);
+  cc.fault_plan.Set(fwfault::FaultKind::kHostSlowdown, 0.03);
+  cc.slow_host_mean_delay = Duration::Millis(60);
+  cc.health.pressure_fraction = 0.1;
+  cc.slo.target = Duration::Millis(30);
+  fwcluster::Cluster cluster(sim, std::move(hosts), cc);
+  constexpr int kApps = 4;
+  InstallBooksApps(sim, cluster, kApps);
+  constexpr int kStream = 1500;
+  constexpr int kBurst = 60;
+  constexpr int kBurstAt = 500;
+  const Duration gap = Duration::Millis(2);
+  sim.Spawn(DriveBooksStream(sim, cluster, kStream, gap, kApps, kBurstAt, kBurst));
+  sim.Spawn(BooksFaults(sim, cluster, gap * kBurstAt + Duration::Millis(3)));
+  cluster.Drain(kStream + kBurst);
+  *rollup = cluster.ComputeRollup();
+  return RenderBooks("front_end", cluster);
+}
+
+std::string RunBooksFleet(fwcluster::Cluster::Rollup* rollup) {
+  fwsim::Simulation sim(43);  // Fixed seed: the golden depends on it.
+  std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(MakeBooksHost(sim, i));
+  }
+  fwcluster::Cluster::Config cc;
+  cc.policy = fwcluster::SchedulerPolicy::kSnapshotLocality;
+  cc.num_zones = 3;
+  cc.host_factory = MakeBooksHost;
+  cc.fleet.enabled = true;
+  cc.fleet.interval = Duration::Millis(500);
+  cc.fleet.min_hosts = 2;
+  cc.fleet.max_hosts = 8;
+  cc.fleet.host_capacity = 2;
+  cc.fleet.scale_down_ticks = 2;
+  cc.distribution.enabled = true;
+  cc.distribution.base_layer_bytes = 4ull << 20;
+  cc.distribution.delta_layer_bytes = 1ull << 20;
+  cc.distribution.chunk_bytes = 1ull << 20;
+  cc.fault_plan.Set(fwfault::FaultKind::kZoneOutage, 0.5, /*max_trips=*/2);
+  cc.zone_outage_check_interval = Duration::Millis(700);
+  cc.zone_outage_duration = Duration::Seconds(1);
+  fwcluster::Cluster cluster(sim, std::move(hosts), cc);
+  constexpr int kApps = 6;
+  InstallBooksApps(sim, cluster, kApps);
+  // ~500 req/s for 3 s grows the fleet; a 1 req/s trickle then shrinks it.
+  constexpr int kBurst = 1500;
+  constexpr int kTrickle = 8;
+  sim.Spawn(DriveBooksStream(sim, cluster, kBurst, Duration::Millis(2), kApps, -1, 0));
+  sim.Spawn([](fwsim::Simulation& s, fwcluster::Cluster& c) -> fwsim::Co<void> {
+    co_await fwsim::Delay(s, Duration::Seconds(4));
+    for (int i = 0; i < kTrickle; ++i) {
+      (void)c.Submit("app-1", "{}");
+      co_await fwsim::Delay(s, Duration::Seconds(1));
+    }
+  }(sim, cluster));
+  cluster.Drain(kBurst + kTrickle);
+  *rollup = cluster.ComputeRollup();
+  return RenderBooks("fleet", cluster);
+}
+
+TEST(GoldenTrace, ClusterBooks) {
+  fwcluster::Cluster::Rollup front_end;
+  fwcluster::Cluster::Rollup fleet;
+  std::string rendered = RunBooksFrontEnd(&front_end);
+  rendered += RunBooksFleet(&fleet);
+  // The golden exists to pin every count the front end reports: fail loudly
+  // if the scenarios stop moving one of them instead of pinning a zero.
+  const auto a = RollupCounters(front_end);
+  const auto b = RollupCounters(fleet);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i].second != 0 || b[i].second != 0)
+        << "no scenario moves rollup." << a[i].first;
+  }
+  ExpectMatchesGolden("cluster_books.golden", rendered);
 }
 
 }  // namespace
