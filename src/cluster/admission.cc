@@ -84,9 +84,4 @@ bool RetryBudget::TrySpend(const std::string& app) {
   return true;
 }
 
-double RetryBudget::tokens(const std::string& app) const {
-  auto it = tokens_.find(app);
-  return it == tokens_.end() ? burst_ : it->second;
-}
-
 }  // namespace fwcluster

@@ -70,8 +70,6 @@ class AdmissionController {
 
   Duration EstimatedWait(int host, int64_t queue_depth) const;
 
-  const AdmissionConfig& config() const { return config_; }
-
  private:
   AdmissionConfig config_;
   int workers_per_host_;
@@ -89,8 +87,6 @@ class RetryBudget {
   // One retry of `app`: spends a token, or returns false when the bucket is
   // empty (the retry must be abandoned).
   bool TrySpend(const std::string& app);
-
-  double tokens(const std::string& app) const;
 
  private:
   bool enabled_;

@@ -8,25 +8,74 @@
 #include "src/base/strings.h"
 
 namespace fwcluster {
+namespace {
+
+constexpr int kVnodesPerHost = 64;
+// Warm-pool autoscaler (and ZoneSpreader) cadence, rate-EWMA weight,
+// Little's-law headroom, and the cap on parked clones per host × app.
+constexpr Duration kAutoscaleInterval = Duration::Seconds(1);
+constexpr double kAutoscaleEwmaAlpha = 0.3;
+constexpr double kAutoscaleSafety = 1.5;
+constexpr int kMaxPoolPerApp = 8;
+// Sampling period for the cluster-wide memory/density gauges, the
+// fleet-wide rollup gauges, and the SLO monitor's bucket ring.
+constexpr Duration kSampleInterval = Duration::Millis(250);
+// Retry budget: tokens deposited per accepted first attempt, bucket size.
+constexpr double kRetryBudgetRatio = 0.1;
+constexpr double kRetryBudgetBurst = 10.0;
+// Hedge trigger: this quantile of the last kHedgeWindow completed latencies,
+// once kHedgeMinSamples are in. A window, not run-cumulative stats, so the
+// delay tracks the current tail instead of staying inflated by every
+// overload episode the run has ever seen.
+constexpr double kHedgeQuantile = 99.0;
+constexpr size_t kHedgeMinSamples = 50;
+constexpr size_t kHedgeWindow = 1024;
+// Warm clones parked per app during a cold host's join warm-up, before the
+// host is admitted to the scheduler ring.
+constexpr int kJoinWarmClones = 1;
+
+}  // namespace
 
 Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost>> hosts,
                  const Config& config)
     : sim_(sim),
       config_(config),
       obs_([this] { return sim_.Now(); }),
-      slo_(config.slo, config.sample_interval, &obs_),
-      scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()),
-                               config.vnodes_per_host)),
+      slo_(config.slo, kSampleInterval, &obs_),
+      scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()), kVnodesPerHost)),
       health_(std::make_unique<FailureDetector>(static_cast<int>(hosts.size()),
                                                 config.health, sim.Now())),
       admission_(static_cast<int>(hosts.size()), config.workers_per_host,
                  config.admission),
-      retry_budget_(config.retry_budget, config.retry_budget_ratio,
-                    config.retry_budget_burst),
+      retry_budget_(config.retry_budget, kRetryBudgetRatio, kRetryBudgetBurst),
       injector_(sim, config.fault_plan, config.fault_seed) {
   FW_CHECK(!hosts.empty());
   FW_CHECK(config.workers_per_host > 0);
-  FW_CHECK(config.max_attempts >= 1);
+  fwobs::MetricsRegistry& metrics = obs_.metrics();
+  submitted_ = &metrics.GetCounter("cluster.submitted");
+  completed_ = &metrics.GetCounter("cluster.completed");
+  failed_ = &metrics.GetCounter("cluster.failed");
+  warm_hits_ = &metrics.GetCounter("cluster.warm_hits");
+  retries_ = &metrics.GetCounter("cluster.retries");
+  zombie_discards_ = &metrics.GetCounter("cluster.zombie_discards");
+  shed_ = &metrics.GetCounter("cluster.shed");
+  expired_ = &metrics.GetCounter("cluster.expired");
+  retry_budget_denied_ = &metrics.GetCounter("cluster.retry_budget_denied");
+  hedges_ = &metrics.GetCounter("cluster.hedges");
+  hedge_wins_ = &metrics.GetCounter("cluster.hedge_wins");
+  hedge_discards_ = &metrics.GetCounter("cluster.hedge_discards");
+  suspects_ = &metrics.GetCounter("cluster.suspects");
+  detector_deaths_ = &metrics.GetCounter("cluster.detector_deaths");
+  reinstated_ = &metrics.GetCounter("cluster.reinstated");
+  brownout_discards_ = &metrics.GetCounter("cluster.brownout_discards");
+  host_crashes_ = &metrics.GetCounter("cluster.host_crashes");
+  host_restarts_ = &metrics.GetCounter("cluster.host_restarts");
+  host_partitions_ = &metrics.GetCounter("cluster.host_partitions");
+  zone_outages_ = &metrics.GetCounter("cluster.zone_outages");
+  hosts_added_ = &metrics.GetCounter("cluster.hosts_added");
+  hosts_admitted_ = &metrics.GetCounter("cluster.hosts_admitted");
+  hosts_removed_ = &metrics.GetCounter("cluster.hosts_removed");
+  hosts_decommissioned_ = &metrics.GetCounter("cluster.hosts_decommissioned");
   // Attribute the shared simulation's dispatch cost to the cluster profiler
   // (disabled by default: one branch per event until someone Enables it).
   sim_.set_profiler(&obs_.profiler());
@@ -54,9 +103,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
     if (config_.autoscale) {
       sim_.Spawn(Autoscaler(i));
     }
-    if (config_.health_checks) {
-      sim_.Spawn(Heartbeater(i));
-    }
+    sim_.Spawn(Heartbeater(i));
   }
   sim_.Spawn(Sampler());
   // Every elastic-fleet service is gated so a default config spawns nothing
@@ -68,7 +115,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
         std::make_unique<FleetPlanner>(config_.fleet, config_.workers_per_host);
     sim_.Spawn(FleetAutoscaler());
   }
-  if (config_.num_zones > 1 && config_.zone_spread && config_.autoscale) {
+  if (config_.num_zones > 1 && config_.autoscale) {
     sim_.Spawn(ZoneSpreader());
   }
   if (config_.fault_plan.spec(fwfault::FaultKind::kZoneOutage).enabled()) {
@@ -130,18 +177,14 @@ std::vector<HostView> Cluster::Views() {
       views[i].alive = false;
       continue;
     }
-    if (config_.health_checks) {
-      // Detected state: what heartbeats + data-path evidence support, not
-      // what the fault bookkeeping knows. A freshly crashed host looks alive
-      // until it misses heartbeats or bounces a request.
-      ApplyTransition(h, health_->Evaluate(h, now));
-      const HealthState state = health_->state(h);
-      views[i].alive = state != HealthState::kDead;
-      views[i].suspect = state == HealthState::kSuspect;
-      views[i].pressured = health_->pressured(h);
-    } else {
-      views[i].alive = hs.alive && now >= hs.partitioned_until;
-    }
+    // Detected state: what heartbeats + data-path evidence support, not what
+    // the fault bookkeeping knows. A freshly crashed host looks alive until
+    // it misses heartbeats or bounces a request.
+    ApplyTransition(h, health_->Evaluate(h, now));
+    const HealthState state = health_->state(h);
+    views[i].alive = state != HealthState::kDead;
+    views[i].suspect = state == HealthState::kSuspect;
+    views[i].pressured = health_->pressured(h);
   }
   return views;
 }
@@ -149,7 +192,7 @@ std::vector<HostView> Cluster::Views() {
 uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
                          Duration deadline) {
   Request req;
-  const uint64_t id = ++submitted_;
+  const uint64_t id = submitted() + 1;  // Dense: outcomes_ is indexed by id - 1.
   req.id = id;
   req.fn = fn_name;
   req.args = args;
@@ -164,11 +207,11 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   outcomes_.back().fn = fn_name;
   primary_host_.push_back(-1);
   hedged_.push_back(0);
-  // Demand signals for the fleet planner and the zone spreader (pure
-  // bookkeeping; both loops are gated off in a default config).
-  ++fleet_tick_arrivals_;
+  // Demand signal for the zone spreader (pure bookkeeping; the loop is
+  // gated off in a default config). The fleet planner counts submits off
+  // submitted() instead.
   ++spread_arrivals_[fn_name];
-  obs_.metrics().GetCounter("cluster.submitted").Increment();
+  submitted_->Increment();
   if (config_.hedging) {
     sim_.Spawn(Hedger(id, fn_name, args, req.submitted, req.deadline));
   }
@@ -206,8 +249,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     if (req.hedge) {
       // A hedge copy that cannot be placed is simply abandoned — the primary
       // still owns the request's outcome.
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      hedge_discards_->Increment();
       return;
     }
     RecordFailure(req, Status::Unavailable("no schedulable host"));
@@ -217,8 +259,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
   const Status admit = admission_.Admit(target, static_cast<int64_t>(hs.queue->size()),
                                         sim_.Now(), req.deadline);
   if (!admit.ok()) {
-    ++shed_;
-    obs_.metrics().GetCounter("cluster.shed").Increment();
+    shed_->Increment();
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.shed", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(target));
@@ -226,8 +267,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
     }
     if (req.hedge) {
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      hedge_discards_->Increment();
       return;
     }
     RecordFailure(req, admit);
@@ -245,10 +285,9 @@ void Cluster::Dispatch(Request req, int exclude_host) {
 }
 
 void Cluster::RetryRequest(Request req, int failed_host) {
-  ++retries_;
+  retries_->Increment();
   ++req.attempts;
-  obs_.metrics().GetCounter("cluster.retries").Increment();
-  if (req.attempts > config_.max_attempts) {
+  if (req.attempts > kMaxAttempts) {
     RecordFailure(req, Status::Unavailable("retry attempts exhausted"));
     return;
   }
@@ -256,8 +295,7 @@ void Cluster::RetryRequest(Request req, int failed_host) {
     // The app is already burning its budget on failures: abandoning the
     // retry keeps recovery traffic a bounded fraction of offered load
     // instead of a storm.
-    ++retry_budget_denied_;
-    obs_.metrics().GetCounter("cluster.retry_budget_denied").Increment();
+    retry_budget_denied_->Increment();
     RecordFailure(req,
                   Status::ResourceExhausted("retry budget for " + req.fn + " exhausted"));
     return;
@@ -271,8 +309,7 @@ void Cluster::RecordFailure(const Request& req, Status status) {
   out.attempts = req.attempts;
   out.latency = sim_.Now() - req.submitted;
   ++out.completions;
-  ++failed_;
-  obs_.metrics().GetCounter("cluster.failed").Increment();
+  failed_->Increment();
   slo_.Record(req.fn, /*good=*/false);
 }
 
@@ -288,30 +325,25 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
   out.warm_hit = warm_hit;
   out.request_id = result.exec_stats.request_id;
   ++out.completions;
-  ++completed_;
+  completed_->Increment();
   latency_ms_.Add(out.latency.millis());
-  if (recent_latency_ms_.size() < static_cast<size_t>(config_.hedge_window)) {
+  if (recent_latency_ms_.size() < kHedgeWindow) {
     recent_latency_ms_.push_back(out.latency.millis());
   } else {
     recent_latency_ms_[recent_latency_next_] = out.latency.millis();
     recent_latency_next_ = (recent_latency_next_ + 1) % recent_latency_ms_.size();
   }
   startup_ms_.Add(result.startup.millis());
-  obs_.metrics().GetCounter("cluster.completed").Increment();
   slo_.Record(req.fn, /*good=*/out.latency <= config_.slo.target);
   if (warm_hit) {
-    obs_.metrics().GetCounter("cluster.warm_hits").Increment();
+    warm_hits_->Increment();
   }
   if (req.hedge) {
-    ++hedge_wins_;
-    obs_.metrics().GetCounter("cluster.hedge_wins").Increment();
+    hedge_wins_->Increment();
   }
 }
 
 void Cluster::ReportHostFailure(int host_index) {
-  if (!config_.health_checks) {
-    return;
-  }
   // Connection-refused analog: no need to wait out phi when the data path
   // already proved the host gone.
   ApplyTransition(host_index, health_->ReportFailure(host_index));
@@ -322,16 +354,13 @@ void Cluster::ApplyTransition(int host_index, HealthTransition transition) {
     case HealthTransition::kNone:
       return;
     case HealthTransition::kSuspected:
-      ++suspects_;
-      obs_.metrics().GetCounter("cluster.suspects").Increment();
+      suspects_->Increment();
       return;
     case HealthTransition::kDied:
-      ++detector_deaths_;
-      obs_.metrics().GetCounter("cluster.detector_deaths").Increment();
+      detector_deaths_->Increment();
       return;
     case HealthTransition::kReinstated:
-      ++reinstated_;
-      obs_.metrics().GetCounter("cluster.reinstated").Increment();
+      reinstated_->Increment();
       return;
   }
 }
@@ -345,14 +374,13 @@ double Cluster::PssFraction(int host_index) const {
 }
 
 Duration Cluster::HedgeDelay() const {
-  if (static_cast<int64_t>(recent_latency_ms_.size()) >= config_.hedge_min_samples) {
+  if (recent_latency_ms_.size() >= kHedgeMinSamples) {
     // Nearest-rank quantile over the recent-latency ring (order within the
     // ring is irrelevant to a quantile).
     std::vector<double> window = recent_latency_ms_;
     const size_t rank = std::min(
         window.size() - 1,
-        static_cast<size_t>(config_.hedge_quantile / 100.0 *
-                            static_cast<double>(window.size())));
+        static_cast<size_t>(kHedgeQuantile / 100.0 * static_cast<double>(window.size())));
     std::nth_element(window.begin(), window.begin() + rank, window.end());
     const Duration observed = Duration::MillisF(window[rank]);
     if (observed > config_.hedge_min_delay) {
@@ -369,8 +397,7 @@ fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
     co_return;
   }
   hedged_[id - 1] = 1;
-  ++hedges_;
-  obs_.metrics().GetCounter("cluster.hedges").Increment();
+  hedges_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "cluster.hedge", "cluster");
     span.SetAttribute("request", id);
@@ -396,8 +423,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // heap-allocated — AddHost only push_backs unique_ptrs — so `hs`
       // stays stable across suspensions and fleet growth.)
       --hs.inflight;
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      hedge_discards_->Increment();
       continue;
     }
     if (!hs.alive) {
@@ -406,8 +432,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       --hs.inflight;
       ReportHostFailure(host_index);
       if (req.hedge) {
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+        hedge_discards_->Increment();
         continue;
       }
       RetryRequest(std::move(req), host_index);
@@ -418,8 +443,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // the queue stalled behind a slow host): drop it now instead of
       // burning a worker on a response nobody is waiting for.
       --hs.inflight;
-      ++expired_;
-      obs_.metrics().GetCounter("cluster.expired").Increment();
+      expired_->Increment();
       if (!req.hedge) {
         RecordFailure(req, Status::DeadlineExceeded("request expired in dispatch queue"));
       }
@@ -490,12 +514,10 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Zombie: the host crashed while this invocation was in flight. The
       // result (if any) is discarded and the request retried elsewhere —
       // never both, so completions stay exactly-once.
-      ++zombie_discards_;
-      obs_.metrics().GetCounter("cluster.zombie_discards").Increment();
+      zombie_discards_->Increment();
       ReportHostFailure(host_index);
       if (req.hedge || Terminal(req.id)) {
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+        hedge_discards_->Increment();
         continue;
       }
       RetryRequest(std::move(req), host_index);
@@ -504,16 +526,14 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
     if (Terminal(req.id)) {
       // The other copy won while this one was executing: first recorded
       // completion stands, this result is discarded unrecorded.
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      hedge_discards_->Increment();
       continue;
     }
     if (!result.ok()) {
       if (req.hedge) {
         // Hedge copies never drive terminal failures; the primary is still
         // in flight and owns the outcome.
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+        hedge_discards_->Increment();
         continue;
       }
       // The platform exhausted its own recovery (internal retries + cold-boot
@@ -529,7 +549,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // still trims the pool when the app's rate drops.
       const int pending = static_cast<int>(hs.host->PooledClones(req.fn)) +
                           hs.preparing[req.fn];
-      if (pending < config_.max_pool_per_app) {
+      if (pending < kMaxPoolPerApp) {
         ++hs.preparing[req.fn];
         sim_.Spawn(PrepareOne(host_index, req.fn, hs.epoch));
       }
@@ -554,9 +574,9 @@ fwsim::Co<void> Cluster::Heartbeater(int host_index) {
 
 fwsim::Co<void> Cluster::Autoscaler(int host_index) {
   HostState& hs = *hosts_[host_index];
-  const double interval_s = config_.autoscale_interval.seconds();
+  const double interval_s = kAutoscaleInterval.seconds();
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.autoscale_interval);
+    co_await fwsim::Delay(sim_, kAutoscaleInterval);
     if (!running_) {
       break;
     }
@@ -569,7 +589,7 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
       hs.arrivals.clear();
       continue;
     }
-    if (config_.health_checks && health_->pressured(host_index)) {
+    if (health_->pressured(host_index)) {
       // Brownout: shed the parked clones (reclaimable memory) before the
       // host OOMs, and skip growth this tick. The scheduler is already
       // steering new work away via the pressured view bit.
@@ -578,8 +598,7 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
           if (!hs.host->DiscardClone(app).ok()) {
             break;
           }
-          ++brownout_discards_;
-          obs_.metrics().GetCounter("cluster.brownout_discards").Increment();
+          brownout_discards_->Increment();
         }
       }
       hs.arrivals.clear();
@@ -590,14 +609,12 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
       const double observed =
           (ait == hs.arrivals.end() ? 0.0 : static_cast<double>(ait->second)) / interval_s;
       double& ewma = hs.rate_ewma[app];
-      ewma = config_.autoscale_ewma_alpha * observed +
-             (1.0 - config_.autoscale_ewma_alpha) * ewma;
+      ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
       // Little's law: cover the arrivals that land while a replacement clone
       // is being prepared, with safety headroom.
       const int target = std::min(
-          config_.max_pool_per_app,
-          static_cast<int>(
-              std::ceil(ewma * hs.prepare_seconds_ewma * config_.autoscale_safety)));
+          kMaxPoolPerApp,
+          static_cast<int>(std::ceil(ewma * hs.prepare_seconds_ewma * kAutoscaleSafety)));
       const int deficit = target - static_cast<int>(hs.host->PooledClones(app)) -
                           hs.preparing[app];
       for (int k = 0; k < deficit; ++k) {
@@ -636,7 +653,7 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t ep
 
 fwsim::Co<void> Cluster::Sampler() {
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.sample_interval);
+    co_await fwsim::Delay(sim_, kSampleInterval);
     if (!running_) {
       break;
     }
@@ -677,12 +694,12 @@ void Cluster::Drain(uint64_t until_terminal) {
   // Instead: abort once simulated time advances drain_stall_timeout past the
   // last new submission or terminal outcome.
   uint64_t last_terminal = terminal();
-  uint64_t last_submitted = submitted_;
+  uint64_t last_submitted = submitted();
   fwbase::SimTime last_progress = sim_.Now();
   while (terminal() < until_terminal && sim_.StepOne()) {
-    if (terminal() != last_terminal || submitted_ != last_submitted) {
+    if (terminal() != last_terminal || submitted() != last_submitted) {
       last_terminal = terminal();
-      last_submitted = submitted_;
+      last_submitted = submitted();
       last_progress = sim_.Now();
     } else if (sim_.Now() - last_progress > config_.drain_stall_timeout) {
       FW_CHECK_MSG(
@@ -692,7 +709,7 @@ void Cluster::Drain(uint64_t until_terminal) {
               "progress for %.0fs of simulated time — until_terminal exceeds what "
               "this workload will ever produce",
               static_cast<unsigned long long>(until_terminal),
-              static_cast<unsigned long long>(submitted_),
+              static_cast<unsigned long long>(submitted()),
               static_cast<unsigned long long>(terminal()),
               config_.drain_stall_timeout.seconds())
               .c_str());
@@ -715,7 +732,7 @@ void Cluster::CrashHost(int host) {
   hs.host->DropWarmPool();
   hs.arrivals.clear();
   hs.rate_ewma.clear();
-  obs_.metrics().GetCounter("cluster.host_crashes").Increment();
+  host_crashes_->Increment();
 }
 
 void Cluster::RestartHost(int host) {
@@ -734,20 +751,19 @@ void Cluster::RestartHost(int host) {
   }
   // The detector reinstates the host on its next heartbeat, not here: a
   // restart the front end has no evidence for does not exist yet.
-  obs_.metrics().GetCounter("cluster.host_restarts").Increment();
+  host_restarts_->Increment();
 }
 
 void Cluster::PartitionHost(int host, Duration duration) {
   FW_CHECK(host >= 0 && host < num_hosts());
   HostState& hs = *hosts_[host];
   hs.partitioned_until = std::max(hs.partitioned_until, sim_.Now() + duration);
-  obs_.metrics().GetCounter("cluster.host_partitions").Increment();
+  host_partitions_->Increment();
 }
 
 void Cluster::KillZone(int zone) {
   FW_CHECK(zone >= 0 && zone < config_.num_zones);
-  ++zone_outages_;
-  obs_.metrics().GetCounter("cluster.zone_outages").Increment();
+  zone_outages_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.zone_outage", "cluster");
     span.SetAttribute("zone", static_cast<uint64_t>(zone));
@@ -821,9 +837,7 @@ int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
   hs->lifecycle = HostLifecycle::kJoining;
   hosts_.push_back(std::move(hs));
   // Grow every per-host control-plane table alongside the host list.
-  if (config_.health_checks) {
-    health_->AddHost(sim_.Now());
-  }
+  health_->AddHost(sim_.Now());
   admission_.AddHost();
   if (distribution_ != nullptr) {
     distribution_->AddHost();
@@ -834,12 +848,9 @@ int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
   if (config_.autoscale) {
     sim_.Spawn(Autoscaler(index));
   }
-  if (config_.health_checks) {
-    sim_.Spawn(Heartbeater(index));
-  }
+  sim_.Spawn(Heartbeater(index));
   fleet_ledger_.OnProvision(index, sim_.Now());
-  ++hosts_added_;
-  obs_.metrics().GetCounter("cluster.hosts_added").Increment();
+  hosts_added_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.join", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(index));
@@ -871,8 +882,8 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
       co_await distribution_->WarmRestore(host_index, app);
     }
-    for (int k = 0; k < config_.join_warm_clones; ++k) {
-      if (static_cast<int>(hs.host->PooledClones(app)) >= config_.max_pool_per_app) {
+    for (int k = 0; k < kJoinWarmClones; ++k) {
+      if (static_cast<int>(hs.host->PooledClones(app)) >= kMaxPoolPerApp) {
         break;
       }
       Status s = co_await hs.host->PrepareClone(app);
@@ -890,7 +901,7 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
   // not leave; the detector excludes the host until it heartbeats again.
   hs.lifecycle = HostLifecycle::kActive;
   scheduler_->OnHostJoin(host_index);
-  obs_.metrics().GetCounter("cluster.hosts_admitted").Increment();
+  hosts_admitted_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.admit", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host_index));
@@ -909,8 +920,7 @@ void Cluster::RemoveHost(int host) {
   // queue and inflight work through the normal completion path.
   hs.lifecycle = HostLifecycle::kDraining;
   scheduler_->OnHostLeave(host);
-  ++hosts_removed_;
-  obs_.metrics().GetCounter("cluster.hosts_removed").Increment();
+  hosts_removed_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.drain", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host));
@@ -953,7 +963,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       HostState& ts = *hosts_[target];
       const int pending =
           static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
-      if (pending < config_.max_pool_per_app) {
+      if (pending < kMaxPoolPerApp) {
         ++ts.preparing[app];
         sim_.Spawn(PrepareOne(target, app, ts.epoch));
       }
@@ -962,7 +972,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // Bleed: inflight covers both queued and executing requests, and the
   // scheduler stopped feeding this host when it left the ring.
   while (hs.inflight > 0) {
-    co_await fwsim::Delay(sim_, config_.sample_interval);
+    co_await fwsim::Delay(sim_, kSampleInterval);
   }
   // Teardown. The epoch bump first: any PrepareOne still in flight for this
   // host discards its clone on completion instead of parking it on capacity
@@ -974,7 +984,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   hs.arrivals.clear();
   hs.rate_ewma.clear();
   fleet_ledger_.OnRemove(host_index, sim_.Now());
-  obs_.metrics().GetCounter("cluster.hosts_decommissioned").Increment();
+  hosts_decommissioned_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.removed", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host_index));
@@ -983,9 +993,9 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
 }
 
 fwsim::Co<void> Cluster::ZoneSpreader() {
-  const double interval_s = config_.autoscale_interval.seconds();
+  const double interval_s = kAutoscaleInterval.seconds();
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.autoscale_interval);
+    co_await fwsim::Delay(sim_, kAutoscaleInterval);
     if (!running_) {
       break;
     }
@@ -1002,8 +1012,7 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
           (ait == spread_arrivals_.end() ? 0.0 : static_cast<double>(ait->second)) /
           interval_s;
       double& ewma = spread_rate_ewma_[app];
-      ewma = config_.autoscale_ewma_alpha * observed +
-             (1.0 - config_.autoscale_ewma_alpha) * ewma;
+      ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
       if (alive_zones.size() < 2 || ewma <= 1e-6) {
         // One zone left (nothing to spread to) or the app carries no
         // traffic (nothing worth keeping warm twice).
@@ -1037,8 +1046,8 @@ fwsim::Co<void> Cluster::FleetAutoscaler() {
     if (!running_) {
       break;
     }
-    const double rate = static_cast<double>(fleet_tick_arrivals_) / interval_s;
-    fleet_tick_arrivals_ = 0;
+    const double rate = static_cast<double>(submitted() - fleet_tick_mark_) / interval_s;
+    fleet_tick_mark_ = submitted();
     int provisioned = 0;
     for (const auto& other : hosts_) {
       if (other->lifecycle != HostLifecycle::kRemoved &&
@@ -1095,7 +1104,8 @@ fwsim::Co<void> Cluster::ZoneOutageLoop() {
     }
     // Round-robin over zones so repeated trips exercise every failure
     // domain; zone_outages_ counts KillZone calls, so read it pre-kill.
-    const int zone = static_cast<int>(zone_outages_ % static_cast<uint64_t>(config_.num_zones));
+    const int zone =
+        static_cast<int>(zone_outages_->value() % static_cast<uint64_t>(config_.num_zones));
     KillZone(zone);
     sim_.Spawn(RestoreZoneAfter(zone, config_.zone_outage_duration));
   }
@@ -1115,24 +1125,24 @@ const Cluster::Outcome& Cluster::outcome(uint64_t id) const {
 
 Cluster::Rollup Cluster::ComputeRollup() const {
   Rollup r;
-  r.submitted = submitted_;
-  r.completed = completed_;
-  r.failed = failed_;
-  r.retries = retries_;
-  r.zombie_discards = zombie_discards_;
+  r.submitted = submitted_->value();
+  r.completed = completed_->value();
+  r.failed = failed_->value();
+  r.retries = retries_->value();
+  r.zombie_discards = zombie_discards_->value();
   for (const auto& hs : hosts_) {
     r.warm_hits += hs->host->warm_hits();
   }
-  r.shed = shed_;
-  r.expired = expired_;
-  r.retry_budget_denied = retry_budget_denied_;
-  r.hedges = hedges_;
-  r.hedge_wins = hedge_wins_;
-  r.hedge_discards = hedge_discards_;
-  r.suspects = suspects_;
-  r.detector_deaths = detector_deaths_;
-  r.reinstated = reinstated_;
-  r.brownout_discards = brownout_discards_;
+  r.shed = shed_->value();
+  r.expired = expired_->value();
+  r.retry_budget_denied = retry_budget_denied_->value();
+  r.hedges = hedges_->value();
+  r.hedge_wins = hedge_wins_->value();
+  r.hedge_discards = hedge_discards_->value();
+  r.suspects = suspects_->value();
+  r.detector_deaths = detector_deaths_->value();
+  r.reinstated = reinstated_->value();
+  r.brownout_discards = brownout_discards_->value();
   r.latency_ms = latency_ms_;
   r.startup_ms = startup_ms_;
   r.peak_pss_bytes = peak_pss_bytes_;
@@ -1142,9 +1152,9 @@ Cluster::Rollup Cluster::ComputeRollup() const {
   r.slo_alerts = slo_.alerts();
   r.slo_attainment = slo_.Attainment();
   r.slo_worst_attainment = slo_.WorstAttainment();
-  r.hosts_added = hosts_added_;
-  r.hosts_removed = hosts_removed_;
-  r.zone_outages = zone_outages_;
+  r.hosts_added = hosts_added_->value();
+  r.hosts_removed = hosts_removed_->value();
+  r.zone_outages = zone_outages_->value();
   r.host_hours = fleet_ledger_.HostHours(sim_.Now());
   if (distribution_ != nullptr) {
     r.distribution = distribution_->stats();

@@ -77,27 +77,23 @@ namespace fwcluster {
 
 class Cluster {
  public:
+  // Front-end dispatch attempts per request (crash recovery), counting the
+  // first try.
+  static constexpr int kMaxAttempts = 4;
+
+  // The control loops' fixed tunables (autoscaler cadence and EWMA, pool cap,
+  // sampler period, retry-budget deposit and burst, hedge quantile and
+  // window, join warm-up clones) are constants in cluster.cc.
   struct Config {
     Config() {}
 
     SchedulerPolicy policy = SchedulerPolicy::kSnapshotLocality;
-    int vnodes_per_host = 64;
     // Dispatch worker coroutines per host: the host-level concurrency cap.
     int workers_per_host = 32;
-    // Front-end retries per request (crash recovery), counting the first try.
-    int max_attempts = 4;
 
     // Warm-pool autoscaler: per host × app, target pool size from Little's
     // law over an EWMA of the observed per-app arrival rate at that host.
     bool autoscale = true;
-    Duration autoscale_interval = Duration::Seconds(1);
-    double autoscale_ewma_alpha = 0.3;
-    double autoscale_safety = 1.5;
-    int max_pool_per_app = 8;
-
-    // Sampling period for the cluster-wide memory/density gauges, the
-    // fleet-wide rollup gauges, and the SLO monitor's bucket ring.
-    Duration sample_interval = Duration::Millis(250);
 
     // Per-app latency SLO + multi-window burn-rate alerting (slo.h). Always
     // on: recording is pure bookkeeping off outcomes the front end already
@@ -105,29 +101,19 @@ class Cluster {
     SloConfig slo;
 
     // --- Overload control & health (DESIGN.md §11) -----------------------
-    // Heartbeat-driven failure detection. When false the front end falls
-    // back to the omniscient oracle (its own fault bookkeeping) — kept for
-    // A/B runs; production-shaped configs leave this on.
-    bool health_checks = true;
+    // Heartbeat-driven failure detection: the front end's only view of
+    // host liveness.
     HealthConfig health;
     // Bounded dispatch queues + deadline-aware shedding at enqueue.
     AdmissionConfig admission;
     // Per-app token-bucket retry budget (crash-recovery retries spend one
-    // token; accepted first attempts deposit retry_budget_ratio).
+    // token; accepted first attempts deposit a tenth of one).
     bool retry_budget = true;
-    double retry_budget_ratio = 0.1;
-    double retry_budget_burst = 10.0;
-    // Tail-latency hedging: after max(hedge_min_delay, observed
-    // hedge_quantile latency), re-dispatch a still-inflight request to a
+    // Tail-latency hedging: after max(hedge_min_delay, the p99 of the last
+    // 1024 completed latencies), re-dispatch a still-inflight request to a
     // second host. First recorded completion wins.
     bool hedging = false;
     Duration hedge_min_delay = Duration::Millis(20);
-    double hedge_quantile = 99.0;
-    int64_t hedge_min_samples = 50;
-    // The trigger quantile is computed over the last hedge_window completed
-    // latencies, so the delay tracks the current tail instead of staying
-    // inflated by every overload episode the run has ever seen.
-    int64_t hedge_window = 1024;
     // Snapshot distribution tier (DESIGN.md §13): registry + per-host chunk
     // caches + peer fetch + REAP working-set restore. Off by default — every
     // host is then assumed to hold every snapshot, the pre-tier model.
@@ -146,15 +132,11 @@ class Cluster {
     // --- Elastic fleet & zones (DESIGN.md §16) ---------------------------
     // Failure domains: initial host i lives in zone i % num_zones; hosts
     // added later join the least-populated zone. One zone = the pre-zone
-    // model (everything at zone 0, no spreading).
+    // model (everything at zone 0, no spreading). With >= 2 zones and the
+    // autoscaler on, a ZoneSpreader loop keeps warm clones of every
+    // traffic-bearing app in two zones, so a zone outage leaves warm
+    // capacity.
     int num_zones = 1;
-    // With >= 2 zones and the autoscaler on, a ZoneSpreader loop keeps at
-    // least one warm clone of every traffic-bearing app in a second zone
-    // (per Scheduler::WarmTargets), so a zone outage leaves warm capacity.
-    bool zone_spread = true;
-    // Warm clones parked per app during a cold host's join warm-up, before
-    // the host is admitted to the scheduler ring.
-    int join_warm_clones = 1;
     // Host-count autoscaling (fleet_manager.h). Requires host_factory.
     FleetConfig fleet;
     // Builds host number `index` for fleet growth; also used by AddHost()
@@ -193,7 +175,7 @@ class Cluster {
   // spinning forever on the background services' event stream.
   void Drain(uint64_t until_terminal);
   // Drains everything submitted so far.
-  void DrainAll() { Drain(submitted_); }
+  void DrainAll() { Drain(submitted()); }
   // Stops the autoscaler/heartbeat/sampler loops so the event queue can
   // empty.
   void Shutdown();
@@ -211,8 +193,7 @@ class Cluster {
   // --- Elastic fleet (DESIGN.md §16) ---------------------------------------
   // Provisions a cold host into `zone` (or the least-populated zone when
   // negative). The host installs every app, warms its snapshot caches and
-  // parks join_warm_clones clones per app, and only then joins the
-  // scheduler ring. Returns the new host index immediately; admission
+  // parks one clone per app, and only then joins the scheduler ring. Returns the new host index immediately; admission
   // happens asynchronously on the simulation. Uses `host` when given, else
   // Config::host_factory.
   int AddHost(std::unique_ptr<ClusterHost> host = nullptr, int zone = -1);
@@ -292,8 +273,9 @@ class Cluster {
 
   // Outcome of request `id` (valid once terminal).
   const Outcome& outcome(uint64_t id) const;
-  uint64_t submitted() const { return submitted_; }
-  uint64_t terminal() const { return completed_ + failed_; }
+  uint64_t submitted() const { return outcomes_.size(); }
+  uint64_t terminal() const { return completed_->value() + failed_->value(); }
+  // Reads the cluster.* counters back out of obs().metrics().
   Rollup ComputeRollup() const;
 
   // Order-insensitive digest of every terminal outcome (id, host, attempts,
@@ -305,15 +287,17 @@ class Cluster {
   // Ground truth (the fault bookkeeping), not the detector's belief; tests
   // compare the two.
   bool alive(int i) const { return hosts_[i]->alive; }
-  // The failure detector's view (only meaningful with health_checks on).
+  // The failure detector's belief about each host: what heartbeats and
+  // data-path errors support, and all the scheduler ever sees.
   const FailureDetector& detector() const { return *health_; }
   // Cluster-level observability (per-host metrics live on each FullHost's
   // own HostEnv). Enable obs().tracer() for cluster spans, obs().profiler()
   // for sim/wall hot-scope attribution (the ctor hooks it into the shared
-  // Simulation's dispatch path).
+  // Simulation's dispatch path). The registry is the only store of every
+  // count the front end reports, and its cluster.* counters are registered
+  // at construction: never Reset() a live cluster's metrics, or the rollup
+  // and terminal() lose their counts.
   fwobs::Observability& obs() { return obs_; }
-  // SLO attainment + burn-rate alerting state (read-only; fed internally).
-  const SloMonitor& slo() const { return slo_; }
   // The snapshot distribution tier; nullptr when Config::distribution is
   // disabled.
   const SnapshotDistribution* distribution() const { return distribution_.get(); }
@@ -369,7 +353,7 @@ class Cluster {
   // hedges avoid the primary's host.
   void Dispatch(Request req, int exclude_host = -1);
   // Retry after a crash bounce / zombie discard: spends retry budget,
-  // respects max_attempts.
+  // respects kMaxAttempts.
   void RetryRequest(Request req, int failed_host);
   void RecordFailure(const Request& req, Status status);
   void RecordCompletion(const Request& req, const fwcore::InvocationResult& result,
@@ -402,8 +386,10 @@ class Cluster {
   // DrainAndRemove: replenish warm capacity elsewhere, wait out inflight,
   // tear down (kDraining → kRemoved).
   fwsim::Co<void> DrainAndRemove(int host_index);
-  // Keeps every traffic-bearing app's warm capacity spread over >= 2 zones
-  // (gated: only spawned with num_zones > 1, zone_spread, and autoscale).
+  // Every autoscale tick, for each app with a non-zero submit-rate EWMA,
+  // makes each of Scheduler::WarmTargets(app, 2) — the ring owner and the
+  // first host clockwise in another zone — hold or prepare at least one
+  // clone. Only spawned with num_zones > 1 and autoscale on.
   fwsim::Co<void> ZoneSpreader();
   // Host-count autoscaler (gated on Config::fleet.enabled + host_factory).
   fwsim::Co<void> FleetAutoscaler();
@@ -433,31 +419,41 @@ class Cluster {
   std::vector<fwlang::FunctionSource> installed_sources_;
   bool running_ = true;
 
-  uint64_t submitted_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t zombie_discards_ = 0;
-  uint64_t shed_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t retry_budget_denied_ = 0;
-  uint64_t hedges_ = 0;
-  uint64_t hedge_wins_ = 0;
-  uint64_t hedge_discards_ = 0;
-  uint64_t suspects_ = 0;
-  uint64_t detector_deaths_ = 0;
-  uint64_t reinstated_ = 0;
-  uint64_t brownout_discards_ = 0;
-  // Elastic fleet bookkeeping.
-  uint64_t hosts_added_ = 0;
-  uint64_t hosts_removed_ = 0;
-  uint64_t zone_outages_ = 0;
+  // Handles to the cluster.* counters, resolved once by the constructor.
+  // Each count the front end reports lives only here, in the registry.
+  fwobs::Counter* submitted_ = nullptr;
+  fwobs::Counter* completed_ = nullptr;
+  fwobs::Counter* failed_ = nullptr;
+  fwobs::Counter* warm_hits_ = nullptr;
+  fwobs::Counter* retries_ = nullptr;
+  fwobs::Counter* zombie_discards_ = nullptr;
+  fwobs::Counter* shed_ = nullptr;
+  fwobs::Counter* expired_ = nullptr;
+  fwobs::Counter* retry_budget_denied_ = nullptr;
+  fwobs::Counter* hedges_ = nullptr;
+  fwobs::Counter* hedge_wins_ = nullptr;
+  fwobs::Counter* hedge_discards_ = nullptr;
+  fwobs::Counter* suspects_ = nullptr;
+  fwobs::Counter* detector_deaths_ = nullptr;
+  fwobs::Counter* reinstated_ = nullptr;
+  fwobs::Counter* brownout_discards_ = nullptr;
+  fwobs::Counter* host_crashes_ = nullptr;
+  fwobs::Counter* host_restarts_ = nullptr;
+  fwobs::Counter* host_partitions_ = nullptr;
+  fwobs::Counter* zone_outages_ = nullptr;
+  fwobs::Counter* hosts_added_ = nullptr;
+  fwobs::Counter* hosts_admitted_ = nullptr;
+  fwobs::Counter* hosts_removed_ = nullptr;
+  fwobs::Counter* hosts_decommissioned_ = nullptr;
   std::unique_ptr<FleetPlanner> fleet_planner_;  // Only with fleet.enabled.
   FleetLedger fleet_ledger_;
-  // Cluster-level Little's-law signals for the fleet planner: arrivals since
-  // the last fleet tick and an EWMA of observed service time (the same
-  // signal the admission controller keeps per host, aggregated).
-  uint64_t fleet_tick_arrivals_ = 0;
+  // Cluster-level Little's-law signals for the fleet planner: submitted()
+  // at the last fleet tick (the arrivals since are the difference), and an
+  // EWMA (alpha 0.3) of the intrinsic per-request cost, startup + exec, of
+  // successful invocations, which cold samples may only lower (see
+  // Worker). This is not the admission controller's signal: that one is
+  // kept per host, over dequeue→response time, at alpha 0.2.
+  uint64_t fleet_tick_mark_ = 0;
   double service_seconds_ewma_ = 0.05;
   // Per-app arrivals since the last ZoneSpreader tick, and the rate EWMAs it
   // maintains (ordered: iteration order is part of determinism).

@@ -7,22 +7,6 @@
 
 namespace fwcluster {
 
-const char* HostLifecycleName(HostLifecycle lifecycle) {
-  switch (lifecycle) {
-    case HostLifecycle::kJoining:
-      return "joining";
-    case HostLifecycle::kWarming:
-      return "warming";
-    case HostLifecycle::kActive:
-      return "active";
-    case HostLifecycle::kDraining:
-      return "draining";
-    case HostLifecycle::kRemoved:
-      return "removed";
-  }
-  return "?";
-}
-
 FleetPlanner::FleetPlanner(const FleetConfig& config, int default_host_capacity)
     : config_(config),
       capacity_(config.host_capacity > 0 ? config.host_capacity : default_host_capacity) {

@@ -43,8 +43,6 @@ using fwbase::SimTime;
 // removed: torn down (no VMs, no netns, no parked clones); terminal.
 enum class HostLifecycle { kJoining, kWarming, kActive, kDraining, kRemoved };
 
-const char* HostLifecycleName(HostLifecycle lifecycle);
-
 struct FleetConfig {
   FleetConfig() {}
 
@@ -81,7 +79,6 @@ class FleetPlanner {
   int Step(double observed_rate_per_sec, double service_seconds, int provisioned);
 
   double rate_ewma() const { return rate_ewma_; }
-  const FleetConfig& config() const { return config_; }
 
  private:
   FleetConfig config_;

@@ -9,18 +9,6 @@ namespace {
 constexpr double kLog10E = 0.4342944819032518;
 }  // namespace
 
-const char* HealthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::kAlive:
-      return "alive";
-    case HealthState::kSuspect:
-      return "suspect";
-    case HealthState::kDead:
-      return "dead";
-  }
-  return "?";
-}
-
 FailureDetector::FailureDetector(int num_hosts, const HealthConfig& config, SimTime now)
     : config_(config) {
   FW_CHECK(num_hosts > 0);

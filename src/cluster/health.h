@@ -51,8 +51,6 @@ using fwbase::SimTime;
 
 enum class HealthState { kAlive, kSuspect, kDead };
 
-const char* HealthStateName(HealthState state);
-
 // State-machine edge taken by one detector call, surfaced so the cluster can
 // mirror transitions into metrics (cluster.suspects / detector_dead /
 // reinstated) without the detector depending on observability.

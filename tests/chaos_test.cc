@@ -398,7 +398,7 @@ uint64_t RunClusterCrashScenario(uint64_t seed) {
   // many times it was dispatched.
   for (uint64_t id = 1; id <= cluster.submitted(); ++id) {
     EXPECT_EQ(cluster.outcome(id).completions, 1u) << "request " << id;
-    EXPECT_LE(cluster.outcome(id).attempts, cc.max_attempts);
+    EXPECT_LE(cluster.outcome(id).attempts, fwcluster::Cluster::kMaxAttempts);
   }
   // The crash landed mid-stream: it must actually have exercised the zombie
   // or requeue path, otherwise this scenario tests nothing.
@@ -575,7 +575,7 @@ uint64_t RunClusterPartitionCrashScenario(uint64_t seed) {
       << "partition+crash of one host must stay within the retry budget";
   for (uint64_t id = 1; id <= cluster.submitted(); ++id) {
     EXPECT_EQ(cluster.outcome(id).completions, 1u) << "request " << id;
-    EXPECT_LE(cluster.outcome(id).attempts, cc.max_attempts);
+    EXPECT_LE(cluster.outcome(id).attempts, fwcluster::Cluster::kMaxAttempts);
   }
   EXPECT_GT(rollup.retries, 0u);
 
@@ -931,7 +931,7 @@ ZoneOutageRun RunZoneOutageScenario(uint64_t seed, bool inject_outage) {
   for (uint64_t id = 1; id <= cluster.submitted(); ++id) {
     const fwcluster::Cluster::Outcome& out = cluster.outcome(id);
     EXPECT_EQ(out.completions, 1u) << "request " << id;
-    EXPECT_LE(out.attempts, cc.max_attempts);
+    EXPECT_LE(out.attempts, fwcluster::Cluster::kMaxAttempts);
     if (out.status.ok()) {
       EXPECT_NE(out.request_id, 0u) << "request " << id;
       EXPECT_TRUE(seen_ids.insert(out.request_id).second)
