@@ -79,12 +79,12 @@ TEST(LexerTest, RecordsSuppressionsPerLine) {
   const auto lex = fwlint::Lex(
       "int a;  // fwlint:allow(determinism)\n"
       "int b;\n"
-      "int c;  /* fwlint:allow(layering, coro-hygiene) */\n");
+      "int c;  /* fwlint:allow(layering, use-after-move) */\n");
   ASSERT_EQ(lex.suppressions.count(1), 1u);
   EXPECT_EQ(lex.suppressions.at(1).count("determinism"), 1u);
   EXPECT_EQ(lex.suppressions.count(2), 0u);
   EXPECT_EQ(lex.suppressions.at(3).count("layering"), 1u);
-  EXPECT_EQ(lex.suppressions.at(3).count("coro-hygiene"), 1u);
+  EXPECT_EQ(lex.suppressions.at(3).count("use-after-move"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,62 +249,6 @@ TEST(UnorderedIterationCheckTest, DecoyAndSuppression) {
 }
 
 // ---------------------------------------------------------------------------
-// discarded-status
-// ---------------------------------------------------------------------------
-
-TEST(DiscardedStatusCheckTest, FlagsBareCallsIncludingCrossFile) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", R"cc(
-    class Store {
-     public:
-      Status Remove(const std::string& name);
-      Result<int> Lookup(const std::string& name);
-    };
-  )cc");
-  a.AddFile("src/core/user.cc", R"cc(
-    void Cleanup(Store& store) {
-      store.Remove("stale");
-      if (ready) store.Lookup("x");
-    }
-  )cc");
-  const auto hits = OfCheck(a.Run(), "discarded-status");
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].file, "src/core/user.cc");
-  EXPECT_EQ(hits[0].line, 3);
-  EXPECT_EQ(hits[1].line, 4);
-}
-
-TEST(DiscardedStatusCheckTest, HandledResultsAreClean) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", "class S { public: Status Remove(const std::string& n); };");
-  a.AddFile("src/core/user.cc", R"cc(
-    Status Forward(S& s) {
-      Status st = s.Remove("a");          // assigned
-      if (!s.Remove("b").ok()) {          // inspected
-        return s.Remove("c");             // returned
-      }
-      FW_CHECK(s.Remove("d").ok());       // checked
-      (void)s.Remove("e");                // explicit opt-out
-      return st;
-    }
-  )cc");
-  EXPECT_TRUE(OfCheck(a.Run(), "discarded-status").empty());
-}
-
-TEST(DiscardedStatusCheckTest, DecoyAndSuppression) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", "class S { public: Status Remove(const std::string& n); };");
-  a.AddFile("src/core/user.cc", R"cc(
-    void F(S& s) {
-      // s.Remove("commented-out");
-      const char* doc = "call s.Remove(name) and check the result";
-      s.Remove("tolerated");  // fwlint:allow(discarded-status) best-effort cleanup
-    }
-  )cc");
-  EXPECT_TRUE(OfCheck(a.Run(), "discarded-status").empty());
-}
-
-// ---------------------------------------------------------------------------
 // layering
 // ---------------------------------------------------------------------------
 
@@ -353,59 +297,6 @@ TEST(LayeringCheckTest, NonSrcFilesCommentsAndSuppressionsAreExempt) {
     #include "src/simcore/simulation.h"  // fwlint:allow(layering) transitional edge
   )cc");
   EXPECT_TRUE(OfCheck(allowed, "layering").empty());
-}
-
-// ---------------------------------------------------------------------------
-// coro-hygiene
-// ---------------------------------------------------------------------------
-
-TEST(CoroHygieneCheckTest, FlagsDroppedCoReturningCalls) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", R"cc(
-    class Store {
-     public:
-      fwsim::Co<Status> Persist(const std::string& name);
-    };
-  )cc");
-  a.AddFile("src/core/user.cc", R"cc(
-    void F(Store& store) {
-      store.Persist("x");
-    }
-  )cc");
-  const auto hits = OfCheck(a.Run(), "coro-hygiene");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].file, "src/core/user.cc");
-  EXPECT_EQ(hits[0].line, 3);
-  // A dropped Co must not *also* count as a dropped Status.
-  EXPECT_TRUE(OfCheck(a.Run(), "discarded-status").empty());
-}
-
-TEST(CoroHygieneCheckTest, AwaitedAndSpawnedCoroutinesAreClean) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", "struct S { fwsim::Co<void> Persist(int n); };");
-  a.AddFile("src/core/user.cc", R"cc(
-    fwsim::Co<void> G(S& s, fwsim::Simulation& sim) {
-      co_await s.Persist(1);
-      Status st = co_await s.Persist(2);
-      sim.Spawn(s.Persist(3));
-      auto pending = s.Persist(4);
-      co_await std::move(pending);
-    }
-  )cc");
-  EXPECT_TRUE(OfCheck(a.Run(), "coro-hygiene").empty());
-}
-
-TEST(CoroHygieneCheckTest, DecoyAndSuppression) {
-  Analyzer a;
-  a.AddFile("src/storage/api.h", "struct S { fwsim::Co<void> Persist(int n); };");
-  a.AddFile("src/core/user.cc", R"cc(
-    void F(S& s) {
-      // s.Persist(1);
-      const char* doc = "never call s.Persist(n) without awaiting it";
-      s.Persist(2);  // fwlint:allow(coro-hygiene) exercised by the destructor test
-    }
-  )cc");
-  EXPECT_TRUE(OfCheck(a.Run(), "coro-hygiene").empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -479,12 +370,7 @@ TEST(AnalyzerTest, RegistryCollectsDeclaredReturnTypes) {
     int Zeta();
   )cc");
   (void)a.Run();
-  EXPECT_EQ(a.status_functions().count("Alpha"), 1u);
-  EXPECT_EQ(a.status_functions().count("Beta"), 1u);
-  EXPECT_EQ(a.status_functions().count("Gamma"), 1u);
-  EXPECT_EQ(a.coro_functions().count("Delta"), 1u);
-  EXPECT_EQ(a.status_functions().count("Epsilon"), 0u);
-  EXPECT_EQ(a.status_functions().count("Zeta"), 0u);
+  EXPECT_EQ(a.coro_functions(), std::set<std::string>{"Delta"});
 }
 
 TEST(AnalyzerTest, CheckFilterRunsOnlyRequestedChecks) {
@@ -633,7 +519,7 @@ TEST(ParserTest, RecognisesFunctionsCoroutinesAndParams) {
   EXPECT_TRUE(fetch.params[1].is_view);
   EXPECT_FALSE(fetch.params[2].is_ref);
   const fwlint::FunctionInfo& flush = p.functions[1];
-  EXPECT_TRUE(flush.returns_status);
+  EXPECT_FALSE(flush.returns_co);
   EXPECT_FALSE(flush.has_body);
   ASSERT_EQ(flush.params.size(), 1u);
   EXPECT_TRUE(flush.params[0].is_ptr);

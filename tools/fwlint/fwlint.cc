@@ -156,10 +156,10 @@ std::string Diagnostic::ToString() const {
 
 const std::vector<std::string>& AllChecks() {
   static const std::vector<std::string> kChecks = {
-      "determinism",      "unordered-iteration",  "discarded-status",
-      "layering",         "coro-hygiene",         "unbounded-queue",
-      "hot-path-logging", "suspend-lifetime",     "use-after-move",
-      "iterator-invalidation", "snapshot-captured-identity", "stale-suppression",
+      "determinism",      "unordered-iteration",  "layering",
+      "unbounded-queue",  "hot-path-logging",     "suspend-lifetime",
+      "use-after-move",   "iterator-invalidation", "snapshot-captured-identity",
+      "stale-suppression",
   };
   return kChecks;
 }
@@ -174,16 +174,11 @@ void Analyzer::AddFile(std::string path, std::string content) {
   registry_built_ = false;
 }
 
-// Phase one: cross-file registries, rebuilt on the structural parser (PR 3's
-// token-pattern version missed qualified out-of-line definitions like
-// `Status Store::Remove(...)` and `Co<void> Cluster::Worker(...) { ... }` —
-// the "registry drift" the flow-aware rewrite closes). Functions *declared*
-// to return Status / Result<T> / StatusOr<T> feed discarded-status; Co<...>
-// feeds coro-hygiene and suspend-lifetime. Variable declarations of the form
-// `Result<X> r(...)` still register; the entry is harmless because `r(...)`
-// as a bare statement would be a dropped result anyway.
+// Phase one: cross-file registries, built on the structural parser so
+// qualified out-of-line definitions like `Co<void> Cluster::Worker(...) {
+// ... }` register. Functions *declared* to return Co<...> feed
+// suspend-lifetime's detached-coroutine registry.
 void Analyzer::BuildRegistry() {
-  status_fns_.clear();
   coro_fns_.clear();
   unordered_vars_.clear();
   detached_fns_.clear();
@@ -192,8 +187,6 @@ void Analyzer::BuildRegistry() {
     for (const FunctionInfo& fn : f.parse.functions) {
       if (fn.returns_co) {
         coro_fns_.insert(fn.name);
-      } else if (fn.returns_status) {
-        status_fns_.insert(fn.name);
       }
     }
   }
@@ -288,7 +281,6 @@ std::vector<Diagnostic> Analyzer::Run(const std::set<std::string>& checks) {
   for (const File& f : files_) {
     CheckDeterminism(f, raw);
     CheckUnorderedIteration(f, raw);
-    CheckBareCalls(f, raw);
     CheckLayering(f, raw);
     CheckUnboundedQueue(f, raw);
     CheckHotPathLogging(f, raw);
@@ -474,86 +466,6 @@ void Analyzer::CheckUnorderedIteration(const File& f, std::vector<Diagnostic>& o
                          "': hash order can leak into deterministic output; iterate a "
                          "sorted copy or switch to an ordered container"});
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// discarded-status / coro-hygiene
-// ---------------------------------------------------------------------------
-
-// Walks statements looking for bare calls `a.b.C(...);` whose final callee is
-// in the Status or Co registry. Statement starts are tokens right after ';',
-// '{', '}', ')' (control clauses like `if (x) Foo();`), or `else`/`do`.
-void Analyzer::CheckBareCalls(const File& f, std::vector<Diagnostic>& out) const {
-  const Tokens& t = f.lex.tokens;
-  bool at_start = true;
-  for (size_t i = 0; i < t.size(); ++i) {
-    const bool start_here = at_start;
-    // Compute the start flag for the *next* token before any continue.
-    at_start = (t[i].kind == TokenKind::kPunct &&
-                (t[i].text == ";" || t[i].text == "{" || t[i].text == "}" ||
-                 t[i].text == ")")) ||
-               (t[i].kind == TokenKind::kIdentifier &&
-                (t[i].text == "else" || t[i].text == "do"));
-    if (!start_here || t[i].kind != TokenKind::kIdentifier || IsKeyword(t[i].text)) {
-      continue;
-    }
-    // `(void)Foo();` is the explicit opt-out idiom; honour it.
-    if (i >= 3 && t[i - 1].punct(")") && t[i - 2].ident("void") && t[i - 3].punct("(")) {
-      continue;
-    }
-
-    // Parse a call chain: ident (:: . -> ident)* '(' args ')' [. -> chain]* ';'
-    std::string callee = t[i].text;
-    int callee_line = t[i].line;
-    size_t j = i + 1;
-    bool called = false;  // saw at least one argument list
-    while (j < t.size()) {
-      if ((t[j].punct("::") || t[j].punct(".") || t[j].punct("->")) && j + 1 < t.size() &&
-          t[j + 1].kind == TokenKind::kIdentifier) {
-        callee = t[j + 1].text;
-        callee_line = t[j + 1].line;
-        j += 2;
-        continue;
-      }
-      if (t[j].punct("<")) {
-        std::optional<size_t> after = TrySkipAngles(t, j);
-        if (after.has_value() && *after < t.size() && t[*after].punct("(")) {
-          j = *after;
-          continue;
-        }
-        break;
-      }
-      if (t[j].punct("(")) {
-        j = SkipParens(t, j);
-        called = true;
-        if (j < t.size() && t[j].punct(";")) {
-          if (coro_fns_.count(callee) != 0) {
-            out.push_back(
-                {f.path, callee_line, "coro-hygiene",
-                 "Co-returning call '" + callee +
-                     "' constructed and dropped: the coroutine never runs; co_await it, "
-                     "Spawn it, or (void)-cast with a fwlint:allow(coro-hygiene) note"});
-          } else if (status_fns_.count(callee) != 0) {
-            out.push_back({f.path, callee_line, "discarded-status",
-                           "result of Status/Result-returning call '" + callee +
-                               "' is discarded; handle it, FW_CHECK it, or (void)-cast "
-                               "with a fwlint:allow(discarded-status) note"});
-          }
-          break;
-        }
-        if (j + 1 < t.size() && (t[j].punct(".") || t[j].punct("->")) &&
-            t[j + 1].kind == TokenKind::kIdentifier) {
-          callee = t[j + 1].text;
-          callee_line = t[j + 1].line;
-          j += 2;
-          continue;
-        }
-        break;
-      }
-      break;
-    }
-    (void)called;
   }
 }
 

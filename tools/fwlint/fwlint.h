@@ -10,12 +10,8 @@
 //   unordered-iteration  range-for / .begin() iteration over variables
 //                        declared as unordered_map/unordered_set, where hash
 //                        order can leak into "deterministic" output
-//   discarded-status     calls to functions declared to return Status /
-//                        Result<T> / StatusOr used as bare statements
 //   layering             #include edges that go up or across the layer DAG
 //                        (see kLayerRank in fwlint.cc and DESIGN.md)
-//   coro-hygiene         calls to functions declared to return fwsim::Co<T>
-//                        dropped without co_await / Spawn / scheduling
 //   unbounded-queue      std::deque members (and queue-named std::vector
 //                        members) declared in src/ dispatch paths, which grow
 //                        without a cap or shed policy; overload then queues
@@ -50,9 +46,13 @@
 //   // fwlint:allow(<check>)           e.g.  // fwlint:allow(determinism)
 // on that line (inside any comment; "all" suppresses every check).
 //
+// A dropped Status / Result<T> / fwsim::Co<T> is not a check here: those
+// types are [[nodiscard]] and the build passes -Werror=unused-result, so the
+// compiler rejects it (tests/compile_fail proves it does).
+//
 // The analyzer is multi-pass: AddFile() every translation unit first (each
 // file is lexed and structurally parsed once), then Run(). Phase one builds
-// cross-file registries — Status-/Co-returning function names (from parsed
+// cross-file registries — Co-returning function names (from parsed
 // declarations, so multi-line and qualified out-of-line forms register),
 // unordered-container variable names (with cross-file alias resolution), and
 // the set of coroutine names that are detached via Simulation::Spawn. Phase
@@ -117,10 +117,9 @@ class Analyzer {
   const std::vector<SuppressionSite>& suppression_sites() const { return suppression_sites_; }
 
   // Exposed for tests: the registry of function names declared to return
-  // Status/Result/StatusOr (resp. Co<...>) across all added files, of
-  // variable/member names declared with an unordered container type, and of
-  // coroutine names passed to Spawn (detached from their caller's lifetime).
-  const std::set<std::string>& status_functions() const { return status_fns_; }
+  // Co<...> across all added files, of variable/member names declared with an
+  // unordered container type, and of coroutine names passed to Spawn
+  // (detached from their caller's lifetime).
   const std::set<std::string>& coro_functions() const { return coro_fns_; }
   const std::set<std::string>& unordered_variables() const { return unordered_vars_; }
   const std::set<std::string>& detached_coroutines() const { return detached_fns_; }
@@ -136,7 +135,6 @@ class Analyzer {
   void BuildRegistry();
   void CheckDeterminism(const File& f, std::vector<Diagnostic>& out) const;
   void CheckUnorderedIteration(const File& f, std::vector<Diagnostic>& out) const;
-  void CheckBareCalls(const File& f, std::vector<Diagnostic>& out) const;
   void CheckLayering(const File& f, std::vector<Diagnostic>& out) const;
   void CheckUnboundedQueue(const File& f, std::vector<Diagnostic>& out) const;
   void CheckHotPathLogging(const File& f, std::vector<Diagnostic>& out) const;
@@ -147,7 +145,6 @@ class Analyzer {
   void CheckIteratorInvalidation(const File& f, std::vector<Diagnostic>& out) const;
 
   std::vector<File> files_;
-  std::set<std::string> status_fns_;
   std::set<std::string> coro_fns_;
   std::set<std::string> unordered_vars_;
   std::set<std::string> detached_fns_;

@@ -287,10 +287,6 @@ bool TypeMentionsTemplate(const std::vector<std::string>& type, const char* head
   return false;
 }
 
-bool TypeMentions(const std::vector<std::string>& type, const char* name) {
-  return std::find(type.begin(), type.end(), name) != type.end();
-}
-
 // Attempts to recognise a function declaration/definition whose parameter
 // list opens at `lp`. On success appends to `out` and returns true.
 bool TryParseFunctionAt(const Tokens& t, size_t lp, const std::set<size_t>& lambda_bodies,
@@ -430,8 +426,6 @@ bool TryParseFunctionAt(const Tokens& t, size_t lp, const std::set<size_t>& lamb
   fn.params_open = lp;
   fn.params_close = rp;
   fn.returns_co = TypeMentionsTemplate(core, "Co");
-  fn.returns_status = TypeMentions(core, "Status") || TypeMentionsTemplate(core, "Result") ||
-                      TypeMentionsTemplate(core, "StatusOr");
 
   // Parameters: split (lp, rp) on top-level commas.
   {

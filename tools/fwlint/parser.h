@@ -68,7 +68,6 @@ struct FunctionInfo {
   bool has_body = false;
   size_t body_open = 0, body_close = 0;  // '{'/'}' token indices when has_body
   bool returns_co = false;       // Co<...> (any qualification)
-  bool returns_status = false;   // Status / Result<...> / StatusOr<...>
   bool is_coroutine = false;     // body contains co_await/co_yield/co_return
   std::vector<Param> params;
   std::vector<size_t> awaits;    // token indices of co_await in the body
