@@ -165,24 +165,6 @@ InvocationResult MeasureWarm(PlatformKind kind, const fwlang::FunctionSource& fn
 
 namespace {
 
-// Minimal JSON string rendering for report keys/values (quotes, backslashes,
-// control characters). Report strings are ASCII flag values in practice.
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string JsonNum(double value) {
   // %.10g round-trips every value a bench reports and renders integers bare.
   return StrFormat("%.10g", value);
@@ -196,7 +178,7 @@ void AppendObject(std::string& out, const std::map<std::string, std::string>& kv
       out += ',';
     }
     first = false;
-    out += JsonStr(key);
+    out += fwbase::JsonQuote(key);
     out += ':';
     out += value;
   }
@@ -208,7 +190,7 @@ void AppendObject(std::string& out, const std::map<std::string, std::string>& kv
 BenchReport::BenchReport(std::string scenario) : scenario_(std::move(scenario)) {}
 
 void BenchReport::AddConfig(const std::string& key, const std::string& value) {
-  config_[key] = JsonStr(value);
+  config_[key] = fwbase::JsonQuote(value);
 }
 
 void BenchReport::AddConfig(const std::string& key, const char* value) {
@@ -242,7 +224,7 @@ void BenchReport::SetDigest(uint64_t digest) {
 
 std::string BenchReport::ToJson() const {
   std::string out = "{\"schema\":\"fwbench/1\",\"scenario\":";
-  out += JsonStr(scenario_);
+  out += fwbase::JsonQuote(scenario_);
   out += ",\"config\":";
   AppendObject(out, config_);
   out += ",\"metrics\":";
@@ -254,12 +236,12 @@ std::string BenchReport::ToJson() const {
   out += ",\"guards\":";
   std::map<std::string, std::string> guards;
   for (const auto& [name, better] : guards_) {
-    guards[name] = JsonStr(better);
+    guards[name] = fwbase::JsonQuote(better);
   }
   AppendObject(out, guards);
   if (!digest_.empty()) {
     out += ",\"digest\":";
-    out += JsonStr(digest_);
+    out += fwbase::JsonQuote(digest_);
   }
   out += "}\n";
   return out;

@@ -21,6 +21,12 @@ std::vector<std::string> StrSplit(std::string_view s, char sep);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+// `s` as a JSON string literal, quotes included: the mandatory escapes, and
+// \u00XX for every other control byte and every byte that is not part of
+// well-formed UTF-8, so the result is always valid UTF-8 JSON whatever
+// bytes `s` holds (span names and attributes carry user strings).
+std::string JsonQuote(std::string_view s);
+
 }  // namespace fwbase
 
 #endif  // FIREWORKS_SRC_BASE_STRINGS_H_

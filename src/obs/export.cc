@@ -5,127 +5,26 @@
 #include "src/base/strings.h"
 
 namespace fwobs {
-namespace {
-
-// Length of the valid UTF-8 sequence starting at s[i], or 0 if the bytes
-// there are not well-formed UTF-8 (truncated sequence, bad continuation
-// byte, overlong encoding, surrogate, or > U+10FFFF).
-size_t Utf8SequenceLength(const std::string& s, size_t i) {
-  const unsigned char lead = static_cast<unsigned char>(s[i]);
-  size_t len;
-  unsigned char lo = 0x80;
-  unsigned char hi = 0xbf;
-  if (lead < 0x80) {
-    return 1;
-  } else if (lead >= 0xc2 && lead <= 0xdf) {
-    len = 2;
-  } else if (lead >= 0xe0 && lead <= 0xef) {
-    len = 3;
-    if (lead == 0xe0) {
-      lo = 0xa0;  // reject overlong
-    } else if (lead == 0xed) {
-      hi = 0x9f;  // reject UTF-16 surrogates
-    }
-  } else if (lead >= 0xf0 && lead <= 0xf4) {
-    len = 4;
-    if (lead == 0xf0) {
-      lo = 0x90;  // reject overlong
-    } else if (lead == 0xf4) {
-      hi = 0x8f;  // reject > U+10FFFF
-    }
-  } else {
-    return 0;  // 0x80..0xc1 and 0xf5..0xff are never lead bytes
-  }
-  if (i + len > s.size()) {
-    return 0;
-  }
-  for (size_t k = 1; k < len; ++k) {
-    const unsigned char c = static_cast<unsigned char>(s[i + k]);
-    const unsigned char min = (k == 1) ? lo : 0x80;
-    const unsigned char max = (k == 1) ? hi : 0xbf;
-    if (c < min || c > max) {
-      return 0;
-    }
-  }
-  return len;
-}
-
-// JSON string escaping. Local on purpose: obs sits below fwlang and cannot
-// use its JSON helpers. Span names and attribute values are arbitrary bytes
-// (workload traces put user strings in them), so beyond the mandatory
-// escapes this validates UTF-8 and renders any invalid byte as \u00XX —
-// the output document is always valid UTF-8 JSON that chrome://tracing and
-// strict parsers accept.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (size_t i = 0; i < s.size();) {
-    const char c = s[i];
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        ++i;
-        continue;
-      case '\\':
-        out += "\\\\";
-        ++i;
-        continue;
-      case '\n':
-        out += "\\n";
-        ++i;
-        continue;
-      case '\t':
-        out += "\\t";
-        ++i;
-        continue;
-      case '\r':
-        out += "\\r";
-        ++i;
-        continue;
-      default:
-        break;
-    }
-    const unsigned char byte = static_cast<unsigned char>(c);
-    if (byte < 0x20) {
-      out += fwbase::StrFormat("\\u%04x", byte);
-      ++i;
-      continue;
-    }
-    const size_t len = Utf8SequenceLength(s, i);
-    if (len == 0) {
-      out += fwbase::StrFormat("\\u%04x", byte);  // invalid UTF-8 byte
-      ++i;
-      continue;
-    }
-    out.append(s, i, len);
-    i += len;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 void ChromeTraceBuilder::AddProcess(const std::string& name, const Tracer& tracer) {
   const int pid = next_pid_++;
   events_.push_back(fwbase::StrFormat(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"args\":{\"name\":%s}}",
-      pid, JsonEscape(name).c_str()));
+      pid, fwbase::JsonQuote(name).c_str()));
   for (const Span& span : tracer.spans()) {
     if (!span.finished()) {
       continue;  // Open spans have no extent; they only arise on error paths.
     }
     std::string args;
     for (const auto& [key, value] : span.attributes()) {
-      args += fwbase::StrFormat("%s%s:%s", args.empty() ? "" : ",", JsonEscape(key).c_str(),
-                                JsonEscape(value).c_str());
+      args += fwbase::StrFormat("%s%s:%s", args.empty() ? "" : ",",
+                                fwbase::JsonQuote(key).c_str(), fwbase::JsonQuote(value).c_str());
     }
     events_.push_back(fwbase::StrFormat(
         "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
         "\"pid\":%d,\"tid\":1,\"args\":{%s}}",
-        JsonEscape(span.name()).c_str(),
-        JsonEscape(span.category().empty() ? "sim" : span.category()).c_str(),
+        fwbase::JsonQuote(span.name()).c_str(),
+        fwbase::JsonQuote(span.category().empty() ? "sim" : span.category()).c_str(),
         static_cast<double>(span.start().nanos()) / 1e3,
         static_cast<double>(span.duration().nanos()) / 1e3, pid, args.c_str()));
   }

@@ -347,5 +347,31 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("mem", "snapshot.mem"));
 }
 
+TEST(StringsTest, JsonQuoteAppliesTheMandatoryEscapes) {
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
+  EXPECT_EQ(JsonQuote("quote\" back\\slash \n\t\r"), "\"quote\\\" back\\\\slash \\n\\t\\r\"");
+}
+
+TEST(StringsTest, JsonQuoteWritesOtherControlBytesAsUnicodeEscapes) {
+  EXPECT_EQ(JsonQuote("a\x01"
+                      "b\x1f"),
+            "\"a\\u0001b\\u001f\"");
+  EXPECT_EQ(JsonQuote(std::string("nul\0", 4)), "\"nul\\u0000\"");
+}
+
+TEST(StringsTest, JsonQuoteKeepsValidUtf8AndEscapesEveryInvalidByte) {
+  // Well-formed 2-, 3- and 4-byte sequences pass through unmangled.
+  EXPECT_EQ(JsonQuote("\xcf\x80 \xe2\x82\xac \xf0\x9f\x98\x80"),
+            "\"\xcf\x80 \xe2\x82\xac \xf0\x9f\x98\x80\"");
+  // Stray high-bit bytes (the case that once shipped raw into traces).
+  EXPECT_EQ(JsonQuote("raw\x80\xff bytes"), "\"raw\\u0080\\u00ff bytes\"");
+  // Overlong encoding, UTF-16 surrogate, beyond U+10FFFF, truncated.
+  EXPECT_EQ(JsonQuote("\xc0\xaf"), "\"\\u00c0\\u00af\"");
+  EXPECT_EQ(JsonQuote("\xed\xa0\x80"), "\"\\u00ed\\u00a0\\u0080\"");
+  EXPECT_EQ(JsonQuote("\xf4\x90\x80\x80"), "\"\\u00f4\\u0090\\u0080\\u0080\"");
+  EXPECT_EQ(JsonQuote("\xe2\x82"), "\"\\u00e2\\u0082\"");
+}
+
 }  // namespace
 }  // namespace fwbase

@@ -990,6 +990,19 @@ TEST(BaselineTest, SerializeParseRoundTrip) {
   EXPECT_EQ(base.entries[1].count, 1);
 }
 
+TEST(BaselineTest, QuotedBytesRoundTrip) {
+  // The writer quotes control and non-UTF-8 bytes as \u00XX; the reader
+  // decodes them back to the same bytes.
+  const std::string message = std::string("tab\t quote\" ctl\x01 raw\xff pi\xcf\x80");
+  const std::string json =
+      fwlint::SerializeBaseline({{"src/a.cc", 1, "use-after-move", message}});
+  fwlint::Baseline base;
+  std::string error;
+  ASSERT_TRUE(fwlint::ParseBaseline(json, &base, &error)) << error;
+  ASSERT_EQ(base.entries.size(), 1u);
+  EXPECT_EQ(base.entries[0].message, message);
+}
+
 TEST(BaselineTest, MalformedBaselinesAreHardErrors) {
   const char* kBad[] = {
       "{ not json",

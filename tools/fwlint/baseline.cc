@@ -1,36 +1,14 @@
 #include "tools/fwlint/baseline.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <tuple>
 
+#include "src/base/strings.h"
+
 namespace fwlint {
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Minimal scanner for the subset SerializeBaseline emits.
 class Scanner {
@@ -202,9 +180,9 @@ std::string SerializeBaseline(const std::vector<Diagnostic>& diags) {
   for (const auto& [key, n] : counts) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    {\"file\": \"" << JsonEscape(std::get<0>(key)) << "\", \"check\": \""
-       << JsonEscape(std::get<1>(key)) << "\", \"count\": " << n << ", \"message\": \""
-       << JsonEscape(std::get<2>(key)) << "\"}";
+    os << "    {\"file\": " << fwbase::JsonQuote(std::get<0>(key))
+       << ", \"check\": " << fwbase::JsonQuote(std::get<1>(key)) << ", \"count\": " << n
+       << ", \"message\": " << fwbase::JsonQuote(std::get<2>(key)) << "}";
   }
   os << (first ? "]\n}\n" : "\n  ]\n}\n");
   return os.str();
