@@ -22,6 +22,18 @@ FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
       tracer_(&env.tracer()) {
   hv_.set_observability(&env.obs());
   hv_.set_fault_injector(&env.fault_injector());
+  fwobs::MetricsRegistry& metrics = env.metrics();
+  egress_retransmit_counter_ = &metrics.GetCounter("fw.net.egress_retransmit.count");
+  corruption_repairs_counter_ = &metrics.GetCounter("fw.snapshot.corruption_repairs.count");
+  deadline_counter_ = &metrics.GetCounter("fw.invoke.deadline.count");
+  retry_counter_ = &metrics.GetCounter("fw.invoke.retry.count");
+  reinstall_counter_ = &metrics.GetCounter("fw.invoke.snapshot_reinstall.count");
+  coldboot_counter_ = &metrics.GetCounter("fw.invoke.coldboot.count");
+  reseed_counter_ = &metrics.GetCounter("fw.uniqueness.reseed.count");
+  stale_clone_counter_ = &metrics.GetCounter("fw.uniqueness.stale_clone_discarded.count");
+  prepared_counter_ = &metrics.GetCounter("fw.warmpool.prepared.count");
+  invoked_counter_ = &metrics.GetCounter("fw.warmpool.invoked.count");
+  discarded_counter_ = &metrics.GetCounter("fw.warmpool.discarded.count");
 }
 
 FireworksPlatform::~FireworksPlatform() { ReleaseInstances(); }
@@ -61,7 +73,7 @@ ExecEnv FireworksPlatform::MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_
       if (sent.ok()) {
         co_return;
       }
-      env_.metrics().GetCounter("fw.net.egress_retransmit.count").Increment();
+      egress_retransmit_counter_->Increment();
     }
     FW_LOG(kWarning) << "fireworks: guest egress dropped after retransmit budget";
   };
@@ -285,7 +297,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
         // Distinct from snapshot_reinstall.count (which also counts other
         // reinstall call sites): chaos runs assert on this one to prove the
         // checksum-repair path actually fired, not just that latency moved.
-        env_.metrics().GetCounter("fw.snapshot.corruption_repairs.count").Increment();
+        corruption_repairs_counter_->Increment();
       } else {
         FW_LOG(kWarning) << "fireworks: snapshot re-install for " << fn_name
                       << " failed: " << reinstalled.ToString();
@@ -293,7 +305,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
     }
 
     if (env_.sim().Now() >= deadline) {
-      env_.metrics().GetCounter("fw.invoke.deadline.count").Increment();
+      deadline_counter_->Increment();
       co_return Status::DeadlineExceeded("invocation of " + fn_name +
                                          " exceeded its deadline after " +
                                          std::to_string(attempt) + " attempt(s): " +
@@ -317,7 +329,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       fwobs::ScopedSpan retry_span(tracer_, "invoke.retry", "invoke");
       retry_span.SetAttribute("attempt", static_cast<uint64_t>(attempt));
       co_await fwsim::Delay(env_.sim(), backoff);
-      env_.metrics().GetCounter("fw.invoke.retry.count").Increment();
+      retry_counter_->Increment();
     }
   }
 
@@ -352,7 +364,7 @@ fwsim::Co<void> FireworksPlatform::RestoreUniqueness(fwlang::GuestProcess& proce
     co_await process.RebaseMonotonicClock(vm.generation());
   }
   profiler.Exit(prof_token);
-  env_.metrics().GetCounter("fw.uniqueness.reseed.count").Increment();
+  reseed_counter_->Increment();
 }
 
 fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
@@ -571,7 +583,7 @@ fwsim::Co<Result<uint64_t>> FireworksPlatform::PrepareClone(const std::string& f
   auto fc_id_value = co_await hv_.GuestReadMmds(*vm, "fcID");
   FW_CHECK(fc_id_value.ok());
 
-  env_.metrics().GetCounter("fw.warmpool.prepared.count").Increment();
+  prepared_counter_->Increment();
   pool_[fn_name].push_back(std::move(instance));
   co_return fc_id;
 }
@@ -594,7 +606,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
     // restore and reseed-acknowledge): it still carries snapshot-duplicated
     // identity and must not serve user traffic. Discard it; the caller falls
     // back to the full invoke path, which restores a fresh, reseeded clone.
-    env_.metrics().GetCounter("fw.uniqueness.stale_clone_discarded.count").Increment();
+    stale_clone_counter_->Increment();
     Teardown(*instance);
     co_return Status::FailedPrecondition("parked clone for " + fn_name +
                                          " has a stale VM generation");
@@ -656,7 +668,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   result.others = result.total - result.startup - result.exec;
   root.End();
   result.root_span = root.get();
-  env_.metrics().GetCounter("fw.warmpool.invoked.count").Increment();
+  invoked_counter_->Increment();
 
   if (options.keep_instance) {
     instances_.push_back(std::move(instance));
@@ -677,7 +689,7 @@ Status FireworksPlatform::DiscardClone(const std::string& fn_name) {
     pool_.erase(pit);
   }
   Teardown(*instance);
-  env_.metrics().GetCounter("fw.warmpool.discarded.count").Increment();
+  discarded_counter_->Increment();
   return Status::Ok();
 }
 
@@ -718,7 +730,7 @@ fwsim::Co<Status> FireworksPlatform::ReinstallSnapshot(const InstalledFunction& 
   if (config_.pin_snapshots) {
     (void)env_.snapshot_store().Pin(fn.snapshot_name);
   }
-  env_.metrics().GetCounter("fw.invoke.snapshot_reinstall.count").Increment();
+  reinstall_counter_->Increment();
   co_return Status::Ok();
 }
 
@@ -726,7 +738,7 @@ fwsim::Co<Status> FireworksPlatform::ColdBootInvoke(const InstalledFunction& fn,
                                                     const std::string& fn_name,
                                                     const InvokeOptions& options,
                                                     SimTime t0, InvocationResult& result) {
-  env_.metrics().GetCounter("fw.invoke.coldboot.count").Increment();
+  coldboot_counter_->Increment();
   result.cold = true;
   result.cold_boot_fallback = true;
 

@@ -224,6 +224,19 @@ class FireworksPlatform : public ServerlessPlatform {
   Config config_;
   fwvmm::Hypervisor hv_;
   fwobs::Tracer* tracer_;
+  // Handles to the fixed-name fw.* counters, resolved once by the
+  // constructor so the request paths bump them without a registry lookup.
+  fwobs::Counter* egress_retransmit_counter_ = nullptr;
+  fwobs::Counter* corruption_repairs_counter_ = nullptr;
+  fwobs::Counter* deadline_counter_ = nullptr;
+  fwobs::Counter* retry_counter_ = nullptr;
+  fwobs::Counter* reinstall_counter_ = nullptr;
+  fwobs::Counter* coldboot_counter_ = nullptr;
+  fwobs::Counter* reseed_counter_ = nullptr;
+  fwobs::Counter* stale_clone_counter_ = nullptr;
+  fwobs::Counter* prepared_counter_ = nullptr;
+  fwobs::Counter* invoked_counter_ = nullptr;
+  fwobs::Counter* discarded_counter_ = nullptr;
   std::map<std::string, InstalledFunction> installed_;
   std::vector<std::unique_ptr<Instance>> instances_;  // Kept instances.
   // Parked clones per function, oldest first (ordered map: release order must
