@@ -193,8 +193,9 @@ class Cluster {
   // --- Elastic fleet (DESIGN.md §16) ---------------------------------------
   // Provisions a cold host into `zone` (or the least-populated zone when
   // negative). The host installs every app, warms its snapshot caches and
-  // parks one clone per app, and only then joins the scheduler ring. Returns the new host index immediately; admission
-  // happens asynchronously on the simulation. Uses `host` when given, else
+  // parks one clone per app, and only then joins the scheduler ring.
+  // Returns the new host index immediately; admission happens
+  // asynchronously on the simulation. Uses `host` when given, else
   // Config::host_factory.
   int AddHost(std::unique_ptr<ClusterHost> host = nullptr, int zone = -1);
   // Decommissions a host: leaves the scheduler ring at once (no new
