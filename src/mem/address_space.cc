@@ -216,6 +216,7 @@ FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, double fraction, u
                                                bool write) {
   FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
   FW_CHECK(seg < segments_.size());
+  FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());
   const auto& layout = segments_[seg];
   const uint64_t threshold = FractionThreshold(fraction);
   FaultCounts out;
