@@ -88,15 +88,10 @@ FirecrackerPlatform::LaunchSandbox(const InstalledFunction& fn,
       sandbox->vm = *restored;
       // Post-restore guest-kernel activity.
       auto& space = sandbox->vm->address_space();
-      fwmem::FaultCounts faults;
-      const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-      const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-      faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-      faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-      faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                          3000 + next_instance_);
-      faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                          4000 + next_instance_);
+      const fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
+          space, space.SegmentByName(fwvmm::kSegGuestKernel),
+          space.SegmentByName(fwvmm::kSegGuestOs), config_.guest_os_resume_touch_fraction,
+          config_.guest_os_resume_dirty_fraction, 3000 + next_instance_, 4000 + next_instance_);
       co_await hv_.ServiceFaults(*sandbox->vm, faults);
     } else {
       // Snapshot path failed (restore crash, corrupted or evicted image):
@@ -240,15 +235,10 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
     if (options.steady_state && config_.mode == FirecrackerMode::kOsSnapshot) {
       // Steady-state guest residency for long-running restored instances.
       auto& space = sandbox->vm->address_space();
-      fwmem::FaultCounts faults;
-      const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-      const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-      faults += space.TouchRandomFraction(kern, config_.guest_os_steady_touch_fraction, 7);
-      faults += space.TouchRandomFraction(os, config_.guest_os_steady_touch_fraction, 8);
-      faults += space.DirtyRandomFraction(kern, config_.guest_os_steady_dirty_fraction,
-                                          5000 + next_instance_);
-      faults += space.DirtyRandomFraction(os, config_.guest_os_steady_dirty_fraction,
-                                          6000 + next_instance_);
+      const fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
+          space, space.SegmentByName(fwvmm::kSegGuestKernel),
+          space.SegmentByName(fwvmm::kSegGuestOs), config_.guest_os_steady_touch_fraction,
+          config_.guest_os_steady_dirty_fraction, 5000 + next_instance_, 6000 + next_instance_);
       co_await hv_.ServiceFaults(*sandbox->vm, faults);
     }
     kept_.push_back(std::move(sandbox));

@@ -258,15 +258,10 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
           // pages in the runtime heap. Charged after the latency measurement.
           const uint64_t fc_id = instance->fc_id;
           auto& space = instance->vm->address_space();
-          fwmem::FaultCounts faults;
-          const fwmem::SegmentId kern = instance->guest_kernel;
-          const fwmem::SegmentId os = instance->guest_os;
-          faults += space.TouchRandomFraction(kern, config_.guest_os_steady_touch_fraction, 7);
-          faults += space.TouchRandomFraction(os, config_.guest_os_steady_touch_fraction, 8);
-          faults += space.DirtyRandomFraction(kern, config_.guest_os_steady_dirty_fraction,
-                                              5000 + fc_id);
-          faults += space.DirtyRandomFraction(os, config_.guest_os_steady_dirty_fraction,
-                                              6000 + fc_id);
+          fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
+              space, instance->guest_kernel, instance->guest_os,
+              config_.guest_os_steady_touch_fraction, config_.guest_os_steady_dirty_fraction,
+              5000 + fc_id, 6000 + fc_id);
           faults += space.DirtyRandomFraction(space.SegmentByName(fwlang::kSegRuntimeHeap),
                                               config_.steady_runtime_heap_dirty_fraction,
                                               7000 + fc_id);
@@ -371,17 +366,10 @@ fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
   fwmem::AddressSpace& space = instance.vm->address_space();
   instance.guest_kernel = space.SegmentByName(fwvmm::kSegGuestKernel);
   instance.guest_os = space.SegmentByName(fwvmm::kSegGuestOs);
-  fwmem::FaultCounts faults;
-  faults += space.TouchRandomFraction(instance.guest_kernel,
-                                      config_.guest_os_resume_touch_fraction, 7);
-  faults += space.TouchRandomFraction(instance.guest_os, config_.guest_os_resume_touch_fraction,
-                                      8);
-  faults += space.DirtyRandomFraction(instance.guest_kernel,
-                                      config_.guest_os_resume_dirty_fraction,
-                                      1000 + instance.fc_id);
-  faults += space.DirtyRandomFraction(instance.guest_os, config_.guest_os_resume_dirty_fraction,
-                                      2000 + instance.fc_id);
-  return faults;
+  return fwvmm::GuestOsPageActivity(space, instance.guest_kernel, instance.guest_os,
+                                    config_.guest_os_resume_touch_fraction,
+                                    config_.guest_os_resume_dirty_fraction,
+                                    1000 + instance.fc_id, 2000 + instance.fc_id);
 }
 
 fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,

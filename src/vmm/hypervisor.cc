@@ -10,6 +10,18 @@ namespace fwvmm {
 
 using fwbase::Result;
 
+fwmem::FaultCounts GuestOsPageActivity(fwmem::AddressSpace& space, fwmem::SegmentId kernel,
+                                       fwmem::SegmentId os, double touch_fraction,
+                                       double dirty_fraction, uint64_t kernel_dirty_salt,
+                                       uint64_t os_dirty_salt) {
+  fwmem::FaultCounts faults = space.TouchRandomFraction(kernel, touch_fraction,
+                                                        kGuestKernelTouchSalt);
+  faults += space.TouchRandomFraction(os, touch_fraction, kGuestOsTouchSalt);
+  faults += space.DirtyRandomFraction(kernel, dirty_fraction, kernel_dirty_salt);
+  faults += space.DirtyRandomFraction(os, dirty_fraction, os_dirty_salt);
+  return faults;
+}
+
 const char* VmStateName(VmState state) {
   switch (state) {
     case VmState::kConfigured:

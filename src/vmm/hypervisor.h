@@ -45,6 +45,19 @@ using fwbase::Duration;
 inline constexpr char kSegGuestKernel[] = "guest_kernel";
 inline constexpr char kSegGuestOs[] = "guest_os";
 
+// Salts of the guest kernel's and OS's hot pages. They are the same for every
+// clone of an image, so every clone touches the same shared hot set (Fig 4).
+inline constexpr uint64_t kGuestKernelTouchSalt = 7;
+inline constexpr uint64_t kGuestOsTouchSalt = 8;
+
+// Guest kernel/OS page activity of one running clone: reads `touch_fraction`
+// of each segment's shared hot set, then writes `dirty_fraction` of each
+// segment picked by the clone's own salts, in that order.
+fwmem::FaultCounts GuestOsPageActivity(fwmem::AddressSpace& space, fwmem::SegmentId kernel,
+                                       fwmem::SegmentId os, double touch_fraction,
+                                       double dirty_fraction, uint64_t kernel_dirty_salt,
+                                       uint64_t os_dirty_salt);
+
 class Hypervisor {
  public:
   struct Config {
