@@ -5,44 +5,21 @@
 #include <utility>
 
 #include "src/base/check.h"
+#include "src/mem/page_pick.h"
 
 namespace fwmem {
 namespace {
 
-// Converts a fraction in [0,1] to a strict-less-than hash threshold. The
-// double→u64 cast of 1.0 * 2^64 would overflow, so saturate explicitly.
-uint64_t FractionThreshold(double fraction) {
-  if (fraction >= 1.0) {
-    return UINT64_MAX;
-  }
-  return static_cast<uint64_t>(fraction * 18446744073709551616.0 /* 2^64 */);
-}
-
-// Deterministic per-page hash used to pick pseudo-random page subsets.
-uint64_t MixPage(uint64_t salt, uint64_t page) {
-  uint64_t z = salt ^ (page * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-// The pages of bitmap word `wi` a random-fraction access picks: page p is
-// picked when MixPage(salt, p) < threshold, or always for fraction 1
-// (threshold UINT64_MAX, which a strict less-than would miss for one hash).
-uint64_t PickWord(uint64_t salt, uint64_t threshold, uint64_t wi) {
-  if (threshold == UINT64_MAX) {
-    return ~uint64_t{0};
-  }
-  uint64_t picked = 0;
-  for (uint64_t bit = 0; threshold > 0 && bit < kWordPages; ++bit) {
-    picked |= static_cast<uint64_t>(MixPage(salt, wi * kWordPages + bit) < threshold) << bit;
-  }
-  return picked;
-}
-
 uint64_t Popcount(uint64_t w) { return static_cast<uint64_t>(std::popcount(w)); }
 
 }  // namespace
+
+void PickWords(uint64_t salt, uint64_t threshold, uint64_t first_word, uint64_t words,
+               uint64_t* out) {
+  for (uint64_t i = 0; i < words; ++i) {
+    out[i] = PickWord(salt, threshold, first_word + i);
+  }
+}
 
 FaultCounts& FaultCounts::operator+=(const FaultCounts& o) {
   major_faults += o.major_faults;
