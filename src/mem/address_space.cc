@@ -14,7 +14,7 @@ uint64_t Popcount(uint64_t w) { return static_cast<uint64_t>(std::popcount(w)); 
 
 }  // namespace
 
-void PickWords(uint64_t salt, uint64_t threshold, uint64_t first_word, uint64_t words,
+FW_MEM_ISA_CLONES void PickWords(uint64_t salt, uint64_t threshold, uint64_t first_word, uint64_t words,
                uint64_t* out) {
   for (uint64_t i = 0; i < words; ++i) {
     out[i] = PickWord(salt, threshold, first_word + i);
@@ -156,8 +156,8 @@ void AddressSpace::Settle(const FaultCounts& out) {
   }
 }
 
-FaultCounts AddressSpace::AccessRange(SegmentId seg, uint64_t first, uint64_t count,
-                                      bool write) {
+FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRange(SegmentId seg, uint64_t first,
+                                                        uint64_t count, bool write) {
   FW_CHECK(!unmapped_);
   FW_CHECK(seg < segments_.size());
   FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());
@@ -189,8 +189,8 @@ FaultCounts AddressSpace::DirtyBytes(SegmentId seg, uint64_t bytes) {
   return Dirty(seg, 0, pages);
 }
 
-FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt,
-                                               bool write) {
+FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, double fraction,
+                                                                 uint64_t salt, bool write) {
   FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
   FW_CHECK(seg < segments_.size());
   FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());

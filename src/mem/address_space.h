@@ -203,6 +203,8 @@ class AddressSpace {
   void set_guest_identity(const GuestIdentityRecord& identity) { guest_identity_ = identity; }
 
  private:
+  // The two word loops run at the host's ISA: each is compiled once per
+  // x86-64 level with AccessWord and the pick inlined (src/mem/page_pick.h).
   FaultCounts AccessRange(SegmentId seg, uint64_t first, uint64_t count, bool write);
   FaultCounts AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt, bool write);
   // The fault engine: one read or write of the pages in `mask`, all within

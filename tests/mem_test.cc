@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/mem/address_space.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/host_memory.h"
+#include "src/mem/page_pick.h"
 #include "src/mem/page_set.h"
 #include "src/obs/metrics.h"
 
@@ -766,6 +769,111 @@ TEST_P(FaultEngineDifferentialTest, MatchesPerPageReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultEngineDifferentialTest, ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// The page pick at every ISA level FW_MEM_ISA_CLONES compiles it for. A CI
+// runner executes only its own CPU's clone through the engine, so each
+// variant is compiled here on its own and checked against RefMixPage.
+// ---------------------------------------------------------------------------
+
+// out[i] = PickWord(salt, threshold, first_word + i). Always inlined, so each
+// wrapper below compiles the loop for its own ISA level, as an engine clone
+// does.
+[[gnu::always_inline]] inline void PickRun(uint64_t salt, uint64_t threshold,
+                                           uint64_t first_word, uint64_t words, uint64_t* out) {
+  for (uint64_t i = 0; i < words; ++i) {
+    out[i] = PickWord(salt, threshold, first_word + i);
+  }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+[[gnu::target("arch=x86-64-v4")]] void PickRunV4(uint64_t salt, uint64_t threshold,
+                                                 uint64_t first_word, uint64_t words,
+                                                 uint64_t* out) {
+  PickRun(salt, threshold, first_word, words, out);
+}
+[[gnu::target("arch=x86-64-v3")]] void PickRunV3(uint64_t salt, uint64_t threshold,
+                                                 uint64_t first_word, uint64_t words,
+                                                 uint64_t* out) {
+  PickRun(salt, threshold, first_word, words, out);
+}
+#endif
+void PickRunBaseline(uint64_t salt, uint64_t threshold, uint64_t first_word, uint64_t words,
+                     uint64_t* out) {
+  PickRun(salt, threshold, first_word, words, out);
+}
+
+using PickRunFn = void (*)(uint64_t, uint64_t, uint64_t, uint64_t, uint64_t*);
+
+struct PickVariant {
+  std::string name;
+  PickRunFn pick;  // nullptr: not compiled on this platform.
+  bool (*supported)();
+};
+
+std::vector<PickVariant> PickVariants() {
+  std::vector<PickVariant> variants;
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  variants.push_back({"x86_64_v4", PickRunV4, [] { return __builtin_cpu_supports("x86-64-v4") > 0; }});
+  variants.push_back({"x86_64_v3", PickRunV3, [] { return __builtin_cpu_supports("x86-64-v3") > 0; }});
+#else
+  variants.push_back({"x86_64_v4", nullptr, [] { return false; }});
+  variants.push_back({"x86_64_v3", nullptr, [] { return false; }});
+#endif
+  variants.push_back({"baseline", PickRunBaseline, [] { return true; }});
+  return variants;
+}
+
+void PrintTo(const PickVariant& variant, std::ostream* os) { *os << variant.name; }
+
+class PickVariantTest : public ::testing::TestWithParam<PickVariant> {};
+
+TEST_P(PickVariantTest, MatchesReferenceHash) {
+  const PickVariant& variant = GetParam();
+  if (variant.pick == nullptr || !variant.supported()) {
+    GTEST_SKIP() << "pick variant " << variant.name << " cannot run on this build or CPU";
+  }
+  fwbase::Rng rng(2024);
+  std::vector<uint64_t> salts = {0, 1, 7, 8, 42, 43, 1001, 2002, 5000, 7919 * 3 + 13, UINT64_MAX};
+  for (int i = 0; i < 40; ++i) {
+    salts.push_back(rng.NextU64());
+  }
+  for (const double fraction : {0.0, 0.02, 0.04, 0.55, 0.999, 1.0}) {
+    const uint64_t threshold = RefThreshold(fraction);
+    for (const uint64_t salt : salts) {
+      // A page range that starts and ends mid-word, near page 0 or far out.
+      const uint64_t first = (rng.Chance(0.2) ? uint64_t{1} << 40 : 0) + 1 + rng.UniformU64(5000);
+      const uint64_t end = first + 1 + rng.UniformU64(900);
+      const uint64_t first_word = first / kWordPages;
+      std::vector<uint64_t> got((end - 1) / kWordPages - first_word + 1);
+      variant.pick(salt, threshold, first_word, got.size(), got.data());
+      uint64_t picked_in_range = 0;
+      uint64_t want_in_range = 0;
+      ForEachWordIn(first, end, [&](uint64_t wi, uint64_t span) {
+        uint64_t want = 0;
+        for (uint64_t bit = 0; bit < kWordPages; ++bit) {
+          if (fraction >= 1.0 || RefMixPage(salt, wi * kWordPages + bit) < threshold) {
+            want |= uint64_t{1} << bit;
+          }
+        }
+        const uint64_t word = got[wi - first_word];
+        EXPECT_EQ(word, want) << variant.name << " fraction " << fraction << " salt " << salt
+                              << " word " << wi;
+        picked_in_range += static_cast<uint64_t>(std::popcount(word & span));
+        want_in_range += static_cast<uint64_t>(std::popcount(want & span));
+      });
+      EXPECT_EQ(picked_in_range, want_in_range);
+      if (HasFailure()) {
+        FAIL() << variant.name << " diverged at fraction " << fraction << " salt " << salt;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, PickVariantTest, ::testing::ValuesIn(PickVariants()),
+                         [](const ::testing::TestParamInfo<PickVariant>& info) {
+                           return info.param.name;
+                         });
 
 // Writing an image page this clone alone maps frees its page-cache frame and
 // takes a private one: the host ends where it started, and the peak does not
