@@ -9,7 +9,7 @@
 // FW_MEM_ISA_CLONES marks the fault engine's word loops (DESIGN.md §3). With
 // GCC on x86-64 it compiles each marked function three times, for
 // x86-64-v4 (AVX-512), x86-64-v3 (AVX2, BMI, POPCNT) and the baseline ISA,
-// with every call inside it inlined (flatten), and the loader picks the
+// with the calls inside it inlined (flatten), and the loader picks the
 // clone the CPU runs. Every clone does the same integer work, so picks,
 // fault counts and refcounts are identical on every CPU. Elsewhere the
 // macro is empty.
