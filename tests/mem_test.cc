@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -849,22 +848,17 @@ TEST_P(PickVariantTest, MatchesReferenceHash) {
       const uint64_t first_word = first / kWordPages;
       std::vector<uint64_t> got((end - 1) / kWordPages - first_word + 1);
       variant.pick(salt, threshold, first_word, got.size(), got.data());
-      uint64_t picked_in_range = 0;
-      uint64_t want_in_range = 0;
-      ForEachWordIn(first, end, [&](uint64_t wi, uint64_t span) {
+      for (uint64_t i = 0; i < got.size(); ++i) {
+        const uint64_t wi = first_word + i;
         uint64_t want = 0;
         for (uint64_t bit = 0; bit < kWordPages; ++bit) {
           if (fraction >= 1.0 || RefMixPage(salt, wi * kWordPages + bit) < threshold) {
             want |= uint64_t{1} << bit;
           }
         }
-        const uint64_t word = got[wi - first_word];
-        EXPECT_EQ(word, want) << variant.name << " fraction " << fraction << " salt " << salt
-                              << " word " << wi;
-        picked_in_range += static_cast<uint64_t>(std::popcount(word & span));
-        want_in_range += static_cast<uint64_t>(std::popcount(want & span));
-      });
-      EXPECT_EQ(picked_in_range, want_in_range);
+        EXPECT_EQ(got[i], want) << variant.name << " fraction " << fraction << " salt " << salt
+                                << " word " << wi;
+      }
       if (HasFailure()) {
         FAIL() << variant.name << " diverged at fraction " << fraction << " salt " << salt;
       }
