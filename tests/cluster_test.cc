@@ -425,6 +425,121 @@ TEST(ClusterAutoscalerTest, SustainedLoadProducesWarmHits) {
   EXPECT_GT(r.rollup.warm_hits, r.rollup.completed / 2);
 }
 
+// ---------------------------------------------------------------------------
+// ModelHost warm-pool accounting.
+// ---------------------------------------------------------------------------
+
+fwlang::FunctionSource NamedApp(const std::string& name) {
+  fwlang::FunctionSource fn =
+      fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
+  fn.name = name;
+  return fn;
+}
+
+TEST(ModelHostPoolTest, PrepareInvokeDiscardAndDropKeepCounts) {
+  fwsim::Simulation sim(5);
+  ModelHost::Config mc;
+  mc.calibration = TestCalibration();
+  ModelHost host(sim, 0, mc);
+  // Installing a name twice keeps one entry: one pool, one set of counts.
+  ASSERT_TRUE(RunSync(sim, host.Install(NamedApp("app-a"))).ok());
+  ASSERT_TRUE(RunSync(sim, host.Install(NamedApp("app-a"))).ok());
+  ASSERT_TRUE(RunSync(sim, host.Install(NamedApp("app-b"))).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(RunSync(sim, host.PrepareClone("app-a")).ok());
+  }
+  ASSERT_TRUE(RunSync(sim, host.PrepareClone("app-b")).ok());
+  EXPECT_EQ(host.PooledClones("app-a"), 3u);
+  EXPECT_EQ(host.PooledClones("app-b"), 1u);
+  EXPECT_EQ(host.TotalPooledClones(), 4u);
+  EXPECT_EQ(host.LiveVmCount(), 4u);
+
+  // A warm invoke consumes one parked clone; the pool claim is the warm hit.
+  auto warm = RunSync(sim, host.Invoke("app-a", "{}", Duration::Zero()));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_FALSE((*warm).cold);
+  EXPECT_EQ(host.warm_hits(), 1u);
+  EXPECT_EQ(host.PooledClones("app-a"), 2u);
+  EXPECT_EQ(host.TotalPooledClones(), 3u);
+
+  // Discards drain the pool to zero; one more is NotFound and changes nothing.
+  EXPECT_TRUE(host.DiscardClone("app-a").ok());
+  EXPECT_TRUE(host.DiscardClone("app-a").ok());
+  EXPECT_EQ(host.DiscardClone("app-a").code(), fwbase::StatusCode::kNotFound);
+  EXPECT_EQ(host.PooledClones("app-a"), 0u);
+  EXPECT_EQ(host.TotalPooledClones(), 1u);
+
+  // An empty pool serves cold.
+  auto cold = RunSync(sim, host.Invoke("app-a", "{}", Duration::Zero()));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE((*cold).cold);
+  EXPECT_EQ(host.warm_hits(), 1u);
+
+  // Dropping the pool zeroes every count, but the apps stay installed.
+  ASSERT_TRUE(RunSync(sim, host.PrepareClone("app-a")).ok());
+  host.DropWarmPool();
+  EXPECT_EQ(host.PooledClones("app-a"), 0u);
+  EXPECT_EQ(host.PooledClones("app-b"), 0u);
+  EXPECT_EQ(host.TotalPooledClones(), 0u);
+  EXPECT_EQ(host.LiveVmCount(), 0u);
+  EXPECT_EQ(host.DiscardClone("app-b").code(), fwbase::StatusCode::kNotFound);
+  ASSERT_TRUE(RunSync(sim, host.PrepareClone("app-b")).ok());
+  EXPECT_EQ(host.PooledClones("app-b"), 1u);
+  EXPECT_EQ(host.TotalPooledClones(), 1u);
+}
+
+TEST(ModelHostPoolTest, UninstalledNameIsNotFound) {
+  fwsim::Simulation sim(5);
+  ModelHost::Config mc;
+  mc.calibration = TestCalibration();
+  ModelHost host(sim, 0, mc);
+  ASSERT_TRUE(RunSync(sim, host.Install(NamedApp("app-a"))).ok());
+  auto invoked = RunSync(sim, host.Invoke("ghost", "{}", Duration::Zero()));
+  EXPECT_EQ(invoked.status().code(), fwbase::StatusCode::kNotFound);
+  EXPECT_EQ(RunSync(sim, host.PrepareClone("ghost")).code(), fwbase::StatusCode::kNotFound);
+  EXPECT_EQ(host.DiscardClone("ghost").code(), fwbase::StatusCode::kNotFound);
+  EXPECT_EQ(host.PooledClones("ghost"), 0u);
+  EXPECT_EQ(host.TotalPooledClones(), 0u);
+  EXPECT_EQ(host.warm_hits(), 0u);
+  EXPECT_EQ(sim.Now(), fwbase::SimTime::Zero());  // Rejected before any work.
+}
+
+// ---------------------------------------------------------------------------
+// App ids: the interner, and a name no InstallAll installed.
+// ---------------------------------------------------------------------------
+
+TEST(ClusterGhostAppTest, NeverInstalledNameColdBootsThenFailsNotFound) {
+  fwsim::Simulation sim(17);
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  for (int i = 0; i < 2; ++i) {
+    ModelHost::Config mc;
+    mc.calibration = TestCalibration();
+    hosts.push_back(std::make_unique<ModelHost>(sim, i, mc));
+  }
+  Cluster::Config cc;
+  cc.distribution.enabled = true;
+  Cluster cluster(sim, std::move(hosts), cc);
+  ASSERT_TRUE(RunSync(sim, cluster.InstallAll(NamedApp("app-0"))).ok());
+  const uint64_t ghost = cluster.Submit("ghost-app", "{}");
+  const uint64_t real = cluster.Submit("app-0", "{}");
+  cluster.DrainAll();
+
+  // The distribution tier finds no manifest and boots the image from source;
+  // the host then rejects the app it never installed. No retry: NotFound is
+  // the platform's own verdict, not a host failure.
+  const Cluster::Outcome& out = cluster.outcome(ghost);
+  EXPECT_EQ(out.status.code(), fwbase::StatusCode::kNotFound);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.completions, 1u);
+  // One manifest RPC (registry_rpc_latency, 120 us) plus cold_boot_cost.
+  EXPECT_EQ(out.latency.nanos(), 1'500'120'000);
+  EXPECT_TRUE(cluster.outcome(real).status.ok());
+  const Cluster::Rollup rollup = cluster.ComputeRollup();
+  EXPECT_EQ(rollup.distribution.cold_boots, 1u);
+  EXPECT_EQ(rollup.completed, 1u);
+  EXPECT_EQ(rollup.failed, 1u);
+}
+
 
 // ---------------------------------------------------------------------------
 // Failure detector (health.h).
