@@ -62,25 +62,31 @@ RetryBudget::RetryBudget(bool enabled, double deposit_ratio, double burst)
   FW_CHECK(burst >= 1.0);
 }
 
-void RetryBudget::OnAccepted(const std::string& app) {
+double& RetryBudget::Tokens(AppId app) {
+  if (app >= tokens_.size()) {
+    tokens_.resize(static_cast<size_t>(app) + 1, burst_);
+  }
+  return tokens_[app];
+}
+
+void RetryBudget::OnAccepted(AppId app) {
   if (!enabled_) {
     return;
   }
-  auto [it, inserted] = tokens_.emplace(app, burst_);
-  if (!inserted) {
-    it->second = std::min(burst_, it->second + deposit_ratio_);
-  }
+  // A fresh bucket starts full, so its first deposit is capped away.
+  double& tokens = Tokens(app);
+  tokens = std::min(burst_, tokens + deposit_ratio_);
 }
 
-bool RetryBudget::TrySpend(const std::string& app) {
+bool RetryBudget::TrySpend(AppId app) {
   if (!enabled_) {
     return true;
   }
-  auto [it, inserted] = tokens_.emplace(app, burst_);
-  if (it->second < 1.0) {
+  double& tokens = Tokens(app);
+  if (tokens < 1.0) {
     return false;
   }
-  it->second -= 1.0;
+  tokens -= 1.0;
   return true;
 }
 

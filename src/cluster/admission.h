@@ -23,12 +23,11 @@
 #define FIREWORKS_SRC_CLUSTER_ADMISSION_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/base/status.h"
 #include "src/base/units.h"
+#include "src/cluster/app_table.h"
 
 namespace fwcluster {
 
@@ -82,19 +81,20 @@ class RetryBudget {
   RetryBudget(bool enabled, double deposit_ratio, double burst);
 
   // One accepted first attempt of `app`: deposits deposit_ratio tokens.
-  void OnAccepted(const std::string& app);
+  void OnAccepted(AppId app);
 
   // One retry of `app`: spends a token, or returns false when the bucket is
   // empty (the retry must be abandoned).
-  bool TrySpend(const std::string& app);
+  bool TrySpend(AppId app);
 
  private:
+  // The bucket of `app`, growing the table with full buckets on first use.
+  double& Tokens(AppId app);
+
   bool enabled_;
   double deposit_ratio_;
   double burst_;
-  // Ordered map: iteration order never matters here, but determinism rules
-  // in this tree prefer ordered containers throughout.
-  std::map<std::string, double> tokens_;
+  std::vector<double> tokens_;  // Indexed by AppId.
 };
 
 }  // namespace fwcluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "src/base/check.h"
@@ -41,7 +42,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
     : sim_(sim),
       config_(config),
       obs_([this] { return sim_.Now(); }),
-      slo_(config.slo, kSampleInterval, &obs_),
+      slo_(apps_, config.slo, kSampleInterval, &obs_),
       scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()), kVnodesPerHost)),
       health_(std::make_unique<FailureDetector>(static_cast<int>(hosts.size()),
                                                 config.health, sim.Now())),
@@ -83,7 +84,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   invoke_scope_ = obs_.profiler().RegisterScope("cluster.worker.invoke");
   if (config.distribution.enabled) {
     distribution_ = std::make_unique<SnapshotDistribution>(
-        sim, static_cast<int>(hosts.size()), config.distribution, obs_, &injector_);
+        sim, apps_, static_cast<int>(hosts.size()), config.distribution, obs_, &injector_);
   }
   FW_CHECK(config.num_zones >= 1);
   hosts_.reserve(hosts.size());
@@ -127,7 +128,21 @@ Cluster::~Cluster() { Shutdown(); }
 
 void Cluster::Shutdown() { running_ = false; }
 
+AppId Cluster::InternApp(const std::string& name) {
+  const AppId app = apps_.Intern(name);
+  const size_t n = apps_.size();
+  if (spread_arrivals_.size() < n) {
+    spread_arrivals_.resize(n, 0);
+    spread_rate_ewma_.resize(n, 0.0);
+    for (const auto& hs : hosts_) {
+      hs->GrowApps(n);
+    }
+  }
+  return app;
+}
+
 fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
+  const AppId app = InternApp(fn.name);
   for (size_t i = 0; i < hosts_.size(); ++i) {
     if (hosts_[i]->lifecycle == HostLifecycle::kRemoved) {
       continue;  // Decommissioned capacity installs nothing.
@@ -137,7 +152,7 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
       co_return s;
     }
   }
-  installed_.push_back(fn.name);
+  installed_.push_back(app);
   // Retained so a host provisioned later can replay the same installs
   // during its join warm-up.
   installed_sources_.push_back(fn);
@@ -154,8 +169,7 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
       }
     }
     FW_CHECK(!eligible.empty());
-    distribution_->Publish(fn.name,
-                           eligible[HashKey(fn.name) % eligible.size()]);
+    distribution_->Publish(app, eligible[HashKey(fn.name) % eligible.size()]);
   }
   co_return Status::Ok();
 }
@@ -194,7 +208,9 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   Request req;
   const uint64_t id = submitted() + 1;  // Dense: outcomes_ is indexed by id - 1.
   req.id = id;
-  req.fn = fn_name;
+  // A name no InstallAll installed still gets an id: it cold-boots in the
+  // distribution tier and fails NotFound on the host, as any unknown app.
+  req.app = InternApp(fn_name);
   req.args = args;
   req.submitted = sim_.Now();
   if (deadline.nanos() <= 0) {
@@ -204,16 +220,16 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
     req.deadline = req.submitted + deadline;
   }
   outcomes_.emplace_back();
-  outcomes_.back().fn = fn_name;
+  outcomes_.back().app = req.app;
   primary_host_.push_back(-1);
   hedged_.push_back(0);
   // Demand signal for the zone spreader (pure bookkeeping; the loop is
   // gated off in a default config). The fleet planner counts submits off
   // submitted() instead.
-  ++spread_arrivals_[fn_name];
+  ++spread_arrivals_[req.app];
   submitted_->Increment();
   if (config_.hedging) {
-    sim_.Spawn(Hedger(id, fn_name, args, req.submitted, req.deadline));
+    sim_.Spawn(Hedger(id, req.app, args, req.submitted, req.deadline));
   }
   Dispatch(std::move(req));
   return id;
@@ -226,7 +242,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     // Snapshot locality over actual chunk placement: the scheduler prefers
     // hosts that already hold the app's snapshot before forcing a cold pull.
     for (size_t i = 0; i < views.size(); ++i) {
-      views[i].holds_snapshot = distribution_->Holds(static_cast<int>(i), req.fn);
+      views[i].holds_snapshot = distribution_->Holds(static_cast<int>(i), req.app);
     }
   }
   if (exclude_host >= 0 && exclude_host < static_cast<int>(views.size())) {
@@ -244,7 +260,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
       views[exclude_host].alive = false;
     }
   }
-  const int target = scheduler_->Pick(req.fn, views);
+  const int target = scheduler_->Pick(app_name(req.app), views);
   if (target < 0) {
     if (req.hedge) {
       // A hedge copy that cannot be placed is simply abandoned — the primary
@@ -263,7 +279,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.shed", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(target));
-      span.SetAttribute("fn", req.fn);
+      span.SetAttribute("fn", app_name(req.app));
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
     }
     if (req.hedge) {
@@ -274,13 +290,13 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     return;
   }
   if (!req.hedge && req.attempts == 1) {
-    retry_budget_.OnAccepted(req.fn);
+    retry_budget_.OnAccepted(req.app);
   }
   if (!req.hedge) {
     primary_host_[req.id - 1] = target;
   }
   ++hs.inflight;
-  ++hs.arrivals[req.fn];
+  ++hs.arrivals[req.app];
   hs.queue->Send(std::move(req));
 }
 
@@ -291,13 +307,13 @@ void Cluster::RetryRequest(Request req, int failed_host) {
     RecordFailure(req, Status::Unavailable("retry attempts exhausted"));
     return;
   }
-  if (!retry_budget_.TrySpend(req.fn)) {
+  if (!retry_budget_.TrySpend(req.app)) {
     // The app is already burning its budget on failures: abandoning the
     // retry keeps recovery traffic a bounded fraction of offered load
     // instead of a storm.
     retry_budget_denied_->Increment();
-    RecordFailure(req,
-                  Status::ResourceExhausted("retry budget for " + req.fn + " exhausted"));
+    RecordFailure(req, Status::ResourceExhausted("retry budget for " + app_name(req.app) +
+                                                 " exhausted"));
     return;
   }
   Dispatch(std::move(req), failed_host);
@@ -310,7 +326,7 @@ void Cluster::RecordFailure(const Request& req, Status status) {
   out.latency = sim_.Now() - req.submitted;
   ++out.completions;
   failed_->Increment();
-  slo_.Record(req.fn, /*good=*/false);
+  slo_.Record(req.app, /*good=*/false);
 }
 
 void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResult& result,
@@ -334,7 +350,7 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
     recent_latency_next_ = (recent_latency_next_ + 1) % recent_latency_ms_.size();
   }
   startup_ms_.Add(result.startup.millis());
-  slo_.Record(req.fn, /*good=*/out.latency <= config_.slo.target);
+  slo_.Record(req.app, /*good=*/out.latency <= config_.slo.target);
   if (warm_hit) {
     warm_hits_->Increment();
   }
@@ -390,7 +406,7 @@ Duration Cluster::HedgeDelay() const {
   return config_.hedge_min_delay;
 }
 
-fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
+fwsim::Co<void> Cluster::Hedger(uint64_t id, AppId app, std::string args,
                                 fwbase::SimTime submitted, fwbase::SimTime deadline) {
   co_await fwsim::Delay(sim_, HedgeDelay());
   if (!running_ || Terminal(id) || hedged_[id - 1] != 0) {
@@ -401,11 +417,11 @@ fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "cluster.hedge", "cluster");
     span.SetAttribute("request", id);
-    span.SetAttribute("fn", fn);
+    span.SetAttribute("fn", app_name(app));
   }
   Request copy;
   copy.id = id;
-  copy.fn = std::move(fn);
+  copy.app = app;
   copy.args = std::move(args);
   copy.submitted = submitted;  // Latency stays submit→completion.
   copy.deadline = deadline;
@@ -460,13 +476,15 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
           sim_, injector_.SampleDelay(fwfault::FaultKind::kHostSlowdown,
                                       config_.slow_host_mean_delay));
     }
-    if (distribution_ != nullptr) {
+    if (distribution_ != nullptr && !(distribution_->Holds(host_index, req.app) &&
+                                      distribution_->Warm(host_index, req.app))) {
       // Cold host: pull the snapshot through the distribution tier (cache →
       // peer → registry), then REAP working-set warm-up, all inside the
-      // request's service time. Warm holders pass straight through.
-      const Status pulled = co_await distribution_->EnsureSnapshot(host_index, req.fn);
+      // request's service time. Warm holders skip both awaits: each would
+      // return at once and schedule no event.
+      const Status pulled = co_await distribution_->EnsureSnapshot(host_index, req.app);
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
-      co_await distribution_->WarmRestore(host_index, req.fn);
+      co_await distribution_->WarmRestore(host_index, req.app);
     }
     Result<fwcore::InvocationResult> result = Status::Internal("not run");
     // Detached profiler frame: the invocation spans awaits, so it gets
@@ -476,7 +494,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.invoke", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(host_index));
-      span.SetAttribute("fn", req.fn);
+      span.SetAttribute("fn", app_name(req.app));
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
       if (req.hedge) {
         span.SetAttribute("hedge", static_cast<uint64_t>(1));
@@ -485,7 +503,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       if (req.deadline < fwbase::SimTime::Max()) {
         budget = req.deadline - sim_.Now();
       }
-      result = co_await hs.host->Invoke(req.fn, req.args, budget);
+      result = co_await hs.host->Invoke(app_name(req.app), req.args, budget);
     }
     obs_.profiler().Exit(prof_token);
     // Observed dequeue→response time feeds the admission controller's wait
@@ -547,11 +565,11 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Replenish the consumed clone right away (one for one) instead of
       // waiting for the next autoscaler tick; the tick's shrink hysteresis
       // still trims the pool when the app's rate drops.
-      const int pending = static_cast<int>(hs.host->PooledClones(req.fn)) +
-                          hs.preparing[req.fn];
+      const int pending = static_cast<int>(hs.host->PooledClones(app_name(req.app))) +
+                          hs.preparing[req.app];
       if (pending < kMaxPoolPerApp) {
-        ++hs.preparing[req.fn];
-        sim_.Spawn(PrepareOne(host_index, req.fn, hs.epoch));
+        ++hs.preparing[req.app];
+        sim_.Spawn(PrepareOne(host_index, req.app, hs.epoch));
       }
     }
   }
@@ -586,28 +604,28 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
     if (!hs.alive || hs.lifecycle != HostLifecycle::kActive) {
       // Dead hosts have no pool; joining hosts are warmed by JoinWarmup;
       // draining hosts must bleed, not grow.
-      hs.arrivals.clear();
+      std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
       continue;
     }
     if (health_->pressured(host_index)) {
       // Brownout: shed the parked clones (reclaimable memory) before the
       // host OOMs, and skip growth this tick. The scheduler is already
       // steering new work away via the pressured view bit.
-      for (const std::string& app : installed_) {
-        while (hs.host->PooledClones(app) > 0) {
-          if (!hs.host->DiscardClone(app).ok()) {
+      for (const AppId app : installed_) {
+        const std::string& name = app_name(app);
+        while (hs.host->PooledClones(name) > 0) {
+          if (!hs.host->DiscardClone(name).ok()) {
             break;
           }
           brownout_discards_->Increment();
         }
       }
-      hs.arrivals.clear();
+      std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
       continue;
     }
-    for (const std::string& app : installed_) {
-      const auto ait = hs.arrivals.find(app);
-      const double observed =
-          (ait == hs.arrivals.end() ? 0.0 : static_cast<double>(ait->second)) / interval_s;
+    for (const AppId app : installed_) {
+      const std::string& name = app_name(app);
+      const double observed = static_cast<double>(hs.arrivals[app]) / interval_s;
       double& ewma = hs.rate_ewma[app];
       ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
       // Little's law: cover the arrivals that land while a replacement clone
@@ -615,27 +633,27 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
       const int target = std::min(
           kMaxPoolPerApp,
           static_cast<int>(std::ceil(ewma * hs.prepare_seconds_ewma * kAutoscaleSafety)));
-      const int deficit = target - static_cast<int>(hs.host->PooledClones(app)) -
+      const int deficit = target - static_cast<int>(hs.host->PooledClones(name)) -
                           hs.preparing[app];
       for (int k = 0; k < deficit; ++k) {
         ++hs.preparing[app];
         sim_.Spawn(PrepareOne(host_index, app, hs.epoch));
       }
       // Shrink with hysteresis so a borderline target does not flap.
-      while (static_cast<int>(hs.host->PooledClones(app)) > target + 1) {
-        if (!hs.host->DiscardClone(app).ok()) {
+      while (static_cast<int>(hs.host->PooledClones(name)) > target + 1) {
+        if (!hs.host->DiscardClone(name).ok()) {
           break;
         }
       }
     }
-    hs.arrivals.clear();
+    std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
   }
 }
 
-fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t epoch) {
+fwsim::Co<void> Cluster::PrepareOne(int host_index, AppId app, uint64_t epoch) {
   HostState& hs = *hosts_[host_index];
   const fwbase::SimTime t0 = sim_.Now();
-  Status s = co_await hs.host->PrepareClone(app);
+  Status s = co_await hs.host->PrepareClone(app_name(app));
   --hs.preparing[app];
   if (!s.ok()) {
     co_return;
@@ -644,7 +662,7 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t ep
     // The host crashed (or was decommissioned) while this clone was being
     // prepared: discard it rather than parking it on capacity that no longer
     // exists — leaving it would leak the VM past the host's teardown.
-    (void)hs.host->DiscardClone(app);
+    (void)hs.host->DiscardClone(app_name(app));
     co_return;
   }
   hs.prepare_seconds_ewma =
@@ -730,8 +748,8 @@ void Cluster::CrashHost(int host) {
   ++hs.epoch;
   // The parked clones lived in the host's memory.
   hs.host->DropWarmPool();
-  hs.arrivals.clear();
-  hs.rate_ewma.clear();
+  std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
+  std::fill(hs.rate_ewma.begin(), hs.rate_ewma.end(), 0.0);
   host_crashes_->Increment();
 }
 
@@ -835,6 +853,7 @@ int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
   hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
   hs->zone = zone;
   hs->lifecycle = HostLifecycle::kJoining;
+  hs->GrowApps(apps_.size());
   hosts_.push_back(std::move(hs));
   // Grow every per-host control-plane table alongside the host list.
   health_->AddHost(sim_.Now());
@@ -876,23 +895,24 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
   // guest reseed/clock rebase on restore) and park clones, so the host's
   // first dispatched request is a warm hit, not a cold boot.
   for (size_t i = 0; i < installed_.size(); ++i) {
-    const std::string app = installed_[i];
+    const AppId app = installed_[i];
+    const std::string& name = app_name(app);
     if (distribution_ != nullptr) {
       const Status pulled = co_await distribution_->EnsureSnapshot(host_index, app);
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
       co_await distribution_->WarmRestore(host_index, app);
     }
     for (int k = 0; k < kJoinWarmClones; ++k) {
-      if (static_cast<int>(hs.host->PooledClones(app)) >= kMaxPoolPerApp) {
+      if (static_cast<int>(hs.host->PooledClones(name)) >= kMaxPoolPerApp) {
         break;
       }
-      Status s = co_await hs.host->PrepareClone(app);
+      Status s = co_await hs.host->PrepareClone(name);
       if (!s.ok()) {
         break;
       }
       if (hs.epoch != epoch) {
         // Crashed mid-warm-up: the clone did not survive the host's memory.
-        (void)hs.host->DiscardClone(app);
+        (void)hs.host->DiscardClone(name);
       }
     }
   }
@@ -935,12 +955,13 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // before the pool disappears, so its apps stay warm somewhere else.
   if (config_.autoscale) {
     std::vector<HostView> views = Views();
-    for (const std::string& app : installed_) {
-      if (hs.host->PooledClones(app) == 0) {
+    for (const AppId app : installed_) {
+      const std::string& name = app_name(app);
+      if (hs.host->PooledClones(name) == 0) {
         continue;
       }
       int target = -1;
-      for (int t : scheduler_->WarmTargets(app, views, 1)) {
+      for (int t : scheduler_->WarmTargets(name, views, 1)) {
         if (t != host_index && Schedulable(t)) {
           target = t;
           break;
@@ -962,7 +983,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       }
       HostState& ts = *hosts_[target];
       const int pending =
-          static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
+          static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
       if (pending < kMaxPoolPerApp) {
         ++ts.preparing[app];
         sim_.Spawn(PrepareOne(target, app, ts.epoch));
@@ -981,8 +1002,8 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   hs.host->DropWarmPool();
   hs.alive = false;
   hs.lifecycle = HostLifecycle::kRemoved;
-  hs.arrivals.clear();
-  hs.rate_ewma.clear();
+  std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
+  std::fill(hs.rate_ewma.begin(), hs.rate_ewma.end(), 0.0);
   fleet_ledger_.OnRemove(host_index, sim_.Now());
   hosts_decommissioned_->Increment();
   {
@@ -1006,11 +1027,8 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
         alive_zones.emplace(v.zone, true);
       }
     }
-    for (const std::string& app : installed_) {
-      const auto ait = spread_arrivals_.find(app);
-      const double observed =
-          (ait == spread_arrivals_.end() ? 0.0 : static_cast<double>(ait->second)) /
-          interval_s;
+    for (const AppId app : installed_) {
+      const double observed = static_cast<double>(spread_arrivals_[app]) / interval_s;
       double& ewma = spread_rate_ewma_[app];
       ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
       if (alive_zones.size() < 2 || ewma <= 1e-6) {
@@ -1022,20 +1040,21 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
       // plus the next clockwise host in an uncovered zone. The per-host
       // autoscaler sizes the primary's pool; this loop only guarantees the
       // cross-zone replica exists.
-      for (int t : scheduler_->WarmTargets(app, views, 2)) {
+      const std::string& name = app_name(app);
+      for (int t : scheduler_->WarmTargets(name, views, 2)) {
         if (!Schedulable(t)) {
           continue;
         }
         HostState& ts = *hosts_[t];
         const int pending =
-            static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
+            static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
         if (pending < 1) {
           ++ts.preparing[app];
           sim_.Spawn(PrepareOne(t, app, ts.epoch));
         }
       }
     }
-    spread_arrivals_.clear();
+    std::fill(spread_arrivals_.begin(), spread_arrivals_.end(), 0);
   }
 }
 

@@ -53,7 +53,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,6 +61,7 @@
 #include "src/base/status.h"
 #include "src/base/units.h"
 #include "src/cluster/admission.h"
+#include "src/cluster/app_table.h"
 #include "src/cluster/fleet_manager.h"
 #include "src/cluster/health.h"
 #include "src/cluster/host.h"
@@ -217,7 +217,7 @@ class Cluster {
   struct Outcome {
     Outcome() {}
 
-    std::string fn;
+    AppId app = 0;        // Requested app; app_name() gives its name.
     Status status;        // Terminal status of the request.
     int host = -1;        // Host that served the recorded completion.
     int attempts = 1;     // Dispatch attempts (1 = no retry).
@@ -274,6 +274,9 @@ class Cluster {
 
   // Outcome of request `id` (valid once terminal).
   const Outcome& outcome(uint64_t id) const;
+  // Name of an app id carried by an Outcome. The reference stays valid for
+  // the cluster's lifetime.
+  const std::string& app_name(AppId app) const { return apps_.name(app); }
   uint64_t submitted() const { return outcomes_.size(); }
   uint64_t terminal() const { return completed_->value() + failed_->value(); }
   // Reads the cluster.* counters back out of obs().metrics().
@@ -306,7 +309,7 @@ class Cluster {
  private:
   struct Request {
     uint64_t id = 0;
-    std::string fn;
+    AppId app = 0;
     std::string args;
     int attempts = 1;
     fwbase::SimTime submitted;
@@ -330,13 +333,19 @@ class Cluster {
     HostLifecycle lifecycle = HostLifecycle::kActive;
     fwbase::SimTime partitioned_until;
     int64_t inflight = 0;  // Dispatched and not yet terminal.
-    // Autoscaler state: arrivals since the last tick and the rate EWMA,
-    // per app (ordered maps: tick iteration order is part of determinism).
-    std::map<std::string, uint64_t> arrivals;
-    std::map<std::string, double> rate_ewma;
+    // Autoscaler state, indexed by AppId: arrivals since the last tick and
+    // the rate EWMA, per app.
+    std::vector<uint64_t> arrivals;
+    std::vector<double> rate_ewma;
     // Clone preparations currently in flight (so a slow prepare is not
     // double-counted into the next tick's deficit).
-    std::map<std::string, int> preparing;
+    std::vector<int> preparing;
+    // Sizes the per-app tables for `apps` ids; new entries start at zero.
+    void GrowApps(size_t apps) {
+      arrivals.resize(apps, 0);
+      rate_ewma.resize(apps, 0.0);
+      preparing.resize(apps, 0);
+    }
     // EWMA of observed PrepareClone wall time, for the Little's-law target.
     double prepare_seconds_ewma = 0.05;
   };
@@ -345,6 +354,8 @@ class Cluster {
   // transitions happen at observation time, as they would in a control
   // plane polling its detector).
   std::vector<HostView> Views();
+  // Interns `name` and, for a new id, grows every AppId-indexed table.
+  AppId InternApp(const std::string& name);
   // True once the request has a recorded terminal outcome; the losing copy
   // of a hedged pair checks this before recording anything.
   bool Terminal(uint64_t id) const { return outcomes_[id - 1].completions > 0; }
@@ -368,12 +379,12 @@ class Cluster {
   Duration HedgeDelay() const;
   fwsim::Co<void> Worker(int host_index);
   fwsim::Co<void> Heartbeater(int host_index);
-  fwsim::Co<void> Hedger(uint64_t id, std::string fn, std::string args,
+  fwsim::Co<void> Hedger(uint64_t id, AppId app, std::string args,
                          fwbase::SimTime submitted, fwbase::SimTime deadline);
   fwsim::Co<void> Autoscaler(int host_index);
   // One concurrent clone preparation; discards the clone if the host crashed
   // while it was being prepared (its memory is gone).
-  fwsim::Co<void> PrepareOne(int host_index, std::string app, uint64_t epoch);
+  fwsim::Co<void> PrepareOne(int host_index, AppId app, uint64_t epoch);
   fwsim::Co<void> Sampler();
   // Whether host i may take new dispatch (lifecycle kActive; liveness is the
   // detector's call, not this one's).
@@ -400,6 +411,10 @@ class Cluster {
 
   fwsim::Simulation& sim_;
   Config config_;
+  // Every app name the front end has seen, interned at InstallAll and
+  // Submit. Declared before the SLO monitor and distribution tier, which
+  // read names from it.
+  AppTable apps_;
   fwobs::Observability obs_;
   SloMonitor slo_;
   fwobs::ProfScopeId dispatch_scope_ = 0;
@@ -414,7 +429,7 @@ class Cluster {
   // and autoscaler coroutines bind HostState& for their whole lifetime, and
   // push_back only moves the unique_ptrs.
   std::vector<std::unique_ptr<HostState>> hosts_;
-  std::vector<std::string> installed_;  // Install order (autoscaler iteration).
+  std::vector<AppId> installed_;  // Install order (autoscaler iteration).
   // Copies of every installed function, so a host provisioned after
   // InstallAll can run the same install sequence during its join warm-up.
   std::vector<fwlang::FunctionSource> installed_sources_;
@@ -457,9 +472,9 @@ class Cluster {
   uint64_t fleet_tick_mark_ = 0;
   double service_seconds_ewma_ = 0.05;
   // Per-app arrivals since the last ZoneSpreader tick, and the rate EWMAs it
-  // maintains (ordered: iteration order is part of determinism).
-  std::map<std::string, uint64_t> spread_arrivals_;
-  std::map<std::string, double> spread_rate_ewma_;
+  // maintains, indexed by AppId.
+  std::vector<uint64_t> spread_arrivals_;
+  std::vector<double> spread_rate_ewma_;
   std::vector<Outcome> outcomes_;  // Indexed by request id - 1.
   std::vector<int> primary_host_;  // Last host the primary copy went to.
   std::vector<uint8_t> hedged_;    // 1 once a hedge copy was dispatched.

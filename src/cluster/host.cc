@@ -1,5 +1,6 @@
 #include "src/cluster/host.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/check.h"
@@ -88,8 +89,15 @@ Duration ModelHost::Jitter(Duration d) {
   return Duration::Nanos(static_cast<int64_t>(static_cast<double>(d.nanos()) * scale));
 }
 
+const size_t* ModelHost::SlotOf(const std::string& fn_name) const {
+  auto it = slot_of_.find(fn_name);
+  return it == slot_of_.end() ? nullptr : &it->second;
+}
+
 fwsim::Co<Status> ModelHost::Install(const fwlang::FunctionSource& fn) {
-  installed_.insert(fn.name);
+  if (slot_of_.try_emplace(fn.name, parked_.size()).second) {
+    parked_.push_back(0);
+  }
   co_return Status::Ok();
 }
 
@@ -99,20 +107,17 @@ fwsim::Co<Result<fwcore::InvocationResult>> ModelHost::Invoke(const std::string&
   // The calibrated model has no internal retry loop for a deadline to bound;
   // the cluster already sheds requests whose budget cannot be met.
   (void)deadline;
-  if (installed_.count(fn_name) == 0) {
+  const size_t* slot = SlotOf(fn_name);
+  if (slot == nullptr) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
   // Claim a parked clone up front: a burst drains the pool even while its
   // requests are still queueing for vCPUs, as on a real host.
   bool warm = false;
-  auto pit = pool_.find(fn_name);
-  if (pit != pool_.end() && pit->second > 0) {
+  if (parked_[*slot] > 0) {
     warm = true;
-    --pit->second;
+    --parked_[*slot];
     --pooled_total_;
-    if (pit->second == 0) {
-      pool_.erase(pit);
-    }
     ++warm_hits_;
   }
   const fwbase::SimTime t0 = sim_.Now();
@@ -139,31 +144,31 @@ fwsim::Co<Result<fwcore::InvocationResult>> ModelHost::Invoke(const std::string&
 }
 
 fwsim::Co<Status> ModelHost::PrepareClone(const std::string& fn_name) {
-  if (installed_.count(fn_name) == 0) {
+  const size_t* slot = SlotOf(fn_name);
+  if (slot == nullptr) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
+  // An index, not a reference into parked_: installs may grow it meanwhile.
+  const size_t index = *slot;
   co_await fwsim::Delay(sim_, Jitter(config_.calibration.prepare_cost));
-  ++pool_[fn_name];
+  ++parked_[index];
   ++pooled_total_;
   co_return Status::Ok();
 }
 
 Status ModelHost::DiscardClone(const std::string& fn_name) {
-  auto pit = pool_.find(fn_name);
-  if (pit == pool_.end() || pit->second == 0) {
+  const size_t* slot = SlotOf(fn_name);
+  if (slot == nullptr || parked_[*slot] == 0) {
     return Status::NotFound("no parked clone for " + fn_name);
   }
-  --pit->second;
+  --parked_[*slot];
   --pooled_total_;
-  if (pit->second == 0) {
-    pool_.erase(pit);
-  }
   return Status::Ok();
 }
 
 size_t ModelHost::PooledClones(const std::string& fn_name) const {
-  auto pit = pool_.find(fn_name);
-  return pit == pool_.end() ? 0 : pit->second;
+  const size_t* slot = SlotOf(fn_name);
+  return slot == nullptr ? 0 : parked_[*slot];
 }
 
 size_t ModelHost::TotalPooledClones() const { return pooled_total_; }
@@ -178,7 +183,7 @@ size_t ModelHost::LiveVmCount() { return inflight_vms_ + pooled_total_; }
 size_t ModelHost::LiveNetnsCount() { return inflight_vms_ + pooled_total_; }
 
 void ModelHost::DropWarmPool() {
-  pool_.clear();
+  std::fill(parked_.begin(), parked_.end(), 0);
   pooled_total_ = 0;
 }
 

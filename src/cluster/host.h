@@ -21,10 +21,10 @@
 #define FIREWORKS_SRC_CLUSTER_HOST_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/status.h"
@@ -186,13 +186,19 @@ class ModelHost : public ClusterHost {
  private:
   Duration Jitter(Duration d);
 
+  // The installed function's slot in parked_, or nullptr when `fn_name` is
+  // not installed: the one hashed lookup each call makes.
+  const size_t* SlotOf(const std::string& fn_name) const;
+
   int id_;
   fwsim::Simulation& sim_;
   Config config_;
   fwbase::Rng rng_;
   fwsim::Resource cpu_;
-  std::set<std::string> installed_;
-  std::map<std::string, size_t> pool_;  // Parked-clone counts per function.
+  // Installed function name -> slot; a slot exists exactly when the function
+  // is installed (nothing iterates this map).
+  std::unordered_map<std::string, size_t> slot_of_;
+  std::vector<size_t> parked_;  // Parked-clone count per slot.
   size_t pooled_total_ = 0;
   size_t inflight_vms_ = 0;
   uint64_t warm_hits_ = 0;

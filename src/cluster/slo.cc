@@ -17,8 +17,10 @@ size_t BucketsFor(Duration window, Duration tick) {
 
 }  // namespace
 
-SloMonitor::SloMonitor(const SloConfig& config, Duration tick, fwobs::Observability* obs)
-    : config_(config),
+SloMonitor::SloMonitor(const AppTable& apps, const SloConfig& config, Duration tick,
+                       fwobs::Observability* obs)
+    : app_names_(apps),
+      config_(config),
       obs_(obs),
       fast_buckets_(BucketsFor(config.fast_window, tick)),
       slow_buckets_(BucketsFor(config.slow_window, tick)) {
@@ -27,42 +29,42 @@ SloMonitor::SloMonitor(const SloConfig& config, Duration tick, fwobs::Observabil
   slow_buckets_ = std::max(slow_buckets_, fast_buckets_);
 }
 
-void SloMonitor::Record(const std::string& app, bool good) {
-  AppState& state = apps_[app];
-  if (state.ring.empty()) {
-    state.ring.resize(slow_buckets_);
+void SloMonitor::Record(AppId app, bool good) {
+  if (app >= by_id_.size()) {
+    by_id_.resize(static_cast<size_t>(app) + 1, nullptr);
   }
+  if (by_id_[app] == nullptr) {
+    AppState& fresh = apps_[app_names_.name(app)];
+    fresh.ring.resize(slow_buckets_);
+    by_id_[app] = &fresh;
+  }
+  AppState& state = *by_id_[app];
   state.total += 1;
   total_ += 1;
   if (good) {
     state.good += 1;
     good_ += 1;
-  } else {
-    state.ring[head_].bad += 1;
   }
-  state.ring[head_].total += 1;
+  // The open bucket lies in both windows.
+  for (Bucket* b : {&state.ring[head_], &state.fast, &state.slow}) {
+    b->total += 1;
+    b->bad += good ? 0 : 1;
+  }
 }
 
-double SloMonitor::BurnOver(const AppState& state, size_t buckets) const {
-  uint64_t total = 0;
-  uint64_t bad = 0;
-  // Sum the `buckets` most recent buckets, open bucket included.
-  for (size_t k = 0; k < buckets; ++k) {
-    const size_t i = (head_ + state.ring.size() - k) % state.ring.size();
-    total += state.ring[i].total;
-    bad += state.ring[i].bad;
-  }
-  if (total == 0) {
+double SloMonitor::Burn(const Bucket& window) const {
+  if (window.total == 0) {
     return 0.0;
   }
-  const double error_rate = static_cast<double>(bad) / static_cast<double>(total);
+  const double error_rate =
+      static_cast<double>(window.bad) / static_cast<double>(window.total);
   return error_rate / (1.0 - config_.objective);
 }
 
 void SloMonitor::Tick() {
   for (auto& [app, state] : apps_) {
-    state.burn_fast = BurnOver(state, fast_buckets_);
-    state.burn_slow = BurnOver(state, slow_buckets_);
+    state.burn_fast = Burn(state.fast);
+    state.burn_slow = Burn(state.slow);
     // Edge-triggered, with hysteresis on the fast window: the alert fires
     // when both windows burn too hot, and clears once the fast window cools
     // (the slow window alone would hold the alert long after recovery).
@@ -89,18 +91,29 @@ void SloMonitor::Tick() {
       }
     }
     if (obs_ != nullptr) {
-      obs_->metrics().GetGauge("slo.burn.fast", app).Set(state.burn_fast);
-      obs_->metrics().GetGauge("slo.burn.slow", app).Set(state.burn_slow);
-      obs_->metrics()
-          .GetGauge("slo.attainment", app)
-          .Set(state.total == 0
-                   ? 1.0
-                   : static_cast<double>(state.good) / static_cast<double>(state.total));
+      if (state.burn_fast_gauge == nullptr) {
+        state.burn_fast_gauge = &obs_->metrics().GetGauge("slo.burn.fast", app);
+        state.burn_slow_gauge = &obs_->metrics().GetGauge("slo.burn.slow", app);
+        state.attainment_gauge = &obs_->metrics().GetGauge("slo.attainment", app);
+      }
+      state.burn_fast_gauge->Set(state.burn_fast);
+      state.burn_slow_gauge->Set(state.burn_slow);
+      state.attainment_gauge->Set(
+          state.total == 0 ? 1.0
+                           : static_cast<double>(state.good) / static_cast<double>(state.total));
     }
   }
-  // Advance the shared ring head and open a fresh bucket in every app.
+  // Advance the shared ring head and open a fresh bucket in every app: the
+  // oldest fast-window bucket leaves the fast sum, and the bucket reopened
+  // as the head leaves the slow sum (with equal windows they are the same
+  // bucket, leaving both).
+  const size_t fast_oldest = (head_ + slow_buckets_ + 1 - fast_buckets_) % slow_buckets_;
   head_ = (head_ + 1) % slow_buckets_;
   for (auto& [app, state] : apps_) {
+    state.fast.total -= state.ring[fast_oldest].total;
+    state.fast.bad -= state.ring[fast_oldest].bad;
+    state.slow.total -= state.ring[head_].total;
+    state.slow.bad -= state.ring[head_].bad;
     state.ring[head_] = Bucket{};
   }
 }

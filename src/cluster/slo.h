@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/units.h"
+#include "src/cluster/app_table.h"
 #include "src/obs/observability.h"
 
 namespace fwcluster {
@@ -49,12 +50,14 @@ struct SloConfig {
 class SloMonitor {
  public:
   // `tick` is the bucket width: the owner must call Tick() every `tick` of
-  // simulated time (the cluster sampler loop does). `obs` must outlive the
-  // monitor; nullptr disables metric/span emission but keeps the counters.
-  SloMonitor(const SloConfig& config, Duration tick, fwobs::Observability* obs);
+  // simulated time (the cluster sampler loop does). `apps` names the ids
+  // passed to Record(). `apps` and `obs` must outlive the monitor; a null
+  // `obs` disables metric/span emission but keeps the counters.
+  SloMonitor(const AppTable& apps, const SloConfig& config, Duration tick,
+             fwobs::Observability* obs);
 
   // One terminal request outcome. `good` = completed OK within target.
-  void Record(const std::string& app, bool good);
+  void Record(AppId app, bool good);
 
   // Advances the bucket ring, refreshes burn-rate gauges, and fires/clears
   // alerts. Call every `tick` of simulated time.
@@ -100,10 +103,19 @@ class SloMonitor {
     double burn_slow = 0.0;
     // Ring of the last slow_buckets_ ticks; head_ indexes the open bucket.
     std::vector<Bucket> ring;
+    // Running sums of the fast_buckets_ newest buckets and of the whole ring
+    // (the slow window), open bucket included.
+    Bucket fast;
+    Bucket slow;
+    // The app's slo.* gauges, resolved on its first Tick().
+    fwobs::Gauge* burn_fast_gauge = nullptr;
+    fwobs::Gauge* burn_slow_gauge = nullptr;
+    fwobs::Gauge* attainment_gauge = nullptr;
   };
 
-  double BurnOver(const AppState& state, size_t buckets) const;
+  double Burn(const Bucket& window) const;
 
+  const AppTable& app_names_;
   SloConfig config_;
   fwobs::Observability* obs_;
   size_t fast_buckets_;
@@ -112,8 +124,12 @@ class SloMonitor {
   uint64_t total_ = 0;
   uint64_t good_ = 0;
   uint64_t alerts_ = 0;
-  // Ordered map: tick iteration order is part of determinism.
+  // Ordered by name: tick iteration order (span order, gauge and counter
+  // registration) is part of determinism.
   std::map<std::string, AppState> apps_;
+  // AppId -> its entry in apps_ (map nodes never move); null until the
+  // app's first Record().
+  std::vector<AppState*> by_id_;
 };
 
 }  // namespace fwcluster

@@ -15,11 +15,27 @@ using fwstore::LayerKind;
 using fwstore::LayerManifest;
 using fwstore::SnapshotManifest;
 
-SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, int num_hosts,
-                                           const DistributionConfig& config,
+namespace {
+
+bool TestBit(const std::vector<uint8_t>& bits, AppId app) {
+  return app < bits.size() && bits[app] != 0;
+}
+
+void SetBit(std::vector<uint8_t>& bits, AppId app) {
+  if (app >= bits.size()) {
+    bits.resize(static_cast<size_t>(app) + 1, 0);
+  }
+  bits[app] = 1;
+}
+
+}  // namespace
+
+SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, const AppTable& apps,
+                                           int num_hosts, const DistributionConfig& config,
                                            fwobs::Observability& obs,
                                            fwfault::FaultInjector* injector)
     : sim_(sim),
+      apps_(apps),
       config_(config),
       obs_(obs),
       injector_(injector),
@@ -35,9 +51,10 @@ SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, int num_hosts
   }
 }
 
-void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
+void SnapshotDistribution::Publish(AppId app, int seed_host) {
+  const std::string& name = apps_.name(app);
   SnapshotManifest m;
-  m.app = app;
+  m.app = name;
   const uint64_t image_bytes = config_.base_layer_bytes + config_.delta_layer_bytes;
   m.image_bytes = image_bytes;
   if (config_.layered) {
@@ -48,14 +65,14 @@ void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
         fwstore::SyntheticChunks(base.key, config_.base_layer_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(base));
     LayerManifest delta;
-    delta.key = "delta/" + app;
+    delta.key = "delta/" + name;
     delta.kind = LayerKind::kDelta;
     delta.chunks =
         fwstore::SyntheticChunks(delta.key, config_.delta_layer_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(delta));
   } else {
     LayerManifest whole;
-    whole.key = "image/" + app;
+    whole.key = "image/" + name;
     whole.kind = LayerKind::kDelta;
     whole.chunks = fwstore::SyntheticChunks(whole.key, image_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(whole));
@@ -89,19 +106,19 @@ void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
   }
 }
 
-bool SnapshotDistribution::Holds(int host, const std::string& app) const {
-  return holds_[static_cast<size_t>(host)].count(app) > 0;
+bool SnapshotDistribution::Holds(int host, AppId app) const {
+  return TestBit(holds_[static_cast<size_t>(host)], app);
 }
 
-bool SnapshotDistribution::Warm(int host, const std::string& app) const {
-  return warm_[static_cast<size_t>(host)].count(app) > 0;
+bool SnapshotDistribution::Warm(int host, AppId app) const {
+  return TestBit(warm_[static_cast<size_t>(host)], app);
 }
 
-void SnapshotDistribution::AdoptLocal(int host, const std::string& app) {
-  holds_[static_cast<size_t>(host)].insert(app);
+void SnapshotDistribution::AdoptLocal(int host, AppId app) {
+  SetBit(holds_[static_cast<size_t>(host)], app);
   // A locally-produced (or cold-booted) image is page-cache hot: no restore
   // warm-up needed.
-  warm_[static_cast<size_t>(host)].insert(app);
+  SetBit(warm_[static_cast<size_t>(host)], app);
 }
 
 void SnapshotDistribution::OnHostRestart(int host) {
@@ -209,11 +226,11 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
   co_return Status::Unavailable("chunk fetch exhausted retries");
 }
 
-fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::string& app) {
+fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
   if (!config_.enabled) {
     co_return Status::Ok();
   }
-  const std::pair<int, std::string> key{host, app};
+  const std::pair<int, AppId> key{host, app};
   // Coalesce concurrent pulls of the same app on the same host: latecomers
   // wait for the in-flight pull instead of double-fetching.
   while (true) {
@@ -233,7 +250,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
 
   ++stats_.cold_fetches;
   fwobs::ScopedSpan cold(&obs_.tracer(), "registry.cold_fetch", "registry");
-  cold.SetAttribute("app", app);
+  cold.SetAttribute("app", apps_.name(app));
   cold.SetAttribute("host", static_cast<uint64_t>(host));
 
   // --- Manifest ----------------------------------------------------------
@@ -252,7 +269,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
         ++stats_.registry_unreachable;
         continue;
       }
-      auto fetched = registry_.FetchManifest(app);
+      auto fetched = registry_.FetchManifest(apps_.name(app));
       if (fetched.ok()) {
         ++stats_.manifest_fetches;
         manifest = std::move(*fetched);
@@ -303,7 +320,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
     co_await fwsim::Delay(
         sim_, Duration::SecondsF(static_cast<double>(fetched_bytes) /
                                  config_.install_bandwidth_bytes_per_sec));
-    holds_[static_cast<size_t>(host)].insert(app);
+    SetBit(holds_[static_cast<size_t>(host)], app);
   }
 
   inflight_.erase(key);
@@ -311,12 +328,12 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
   co_return Status::Ok();
 }
 
-fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, const std::string& app) {
+fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, AppId app) {
   if (!config_.enabled) {
     co_return;
   }
   if (!Warm(host, app)) {
-    const SnapshotManifest* m = registry_.Peek(app);
+    const SnapshotManifest* m = registry_.Peek(apps_.name(app));
     const uint64_t ws_bytes = m != nullptr ? m->working_set_bytes : 0;
     const uint64_t ws_pages = m != nullptr ? m->working_set_pages() : 0;
     if (config_.working_set_restore && ws_bytes > 0) {
@@ -353,7 +370,7 @@ fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, const std::string& a
       }
       ++stats_.guest_reseeds;
     }
-    warm_[static_cast<size_t>(host)].insert(app);
+    SetBit(warm_[static_cast<size_t>(host)], app);
   }
 }
 

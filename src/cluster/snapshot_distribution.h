@@ -40,6 +40,7 @@
 
 #include "src/base/status.h"
 #include "src/base/units.h"
+#include "src/cluster/app_table.h"
 #include "src/fault/fault.h"
 #include "src/net/fabric.h"
 #include "src/obs/observability.h"
@@ -129,7 +130,9 @@ struct DistributionStats {
 
 class SnapshotDistribution {
  public:
-  SnapshotDistribution(fwsim::Simulation& sim, int num_hosts,
+  // Apps are named by their ids in `apps`, which must outlive the tier; the
+  // names are read only on cold paths (registry manifests, span attributes).
+  SnapshotDistribution(fwsim::Simulation& sim, const AppTable& apps, int num_hosts,
                        const DistributionConfig& config, fwobs::Observability& obs,
                        fwfault::FaultInjector* injector);
 
@@ -137,17 +140,17 @@ class SnapshotDistribution {
   // synthetic working set, and seeds `seed_host` (the host that produced the
   // snapshot) as holding it. The manifest round-trips through its JSON wire
   // format so the production path exercises the codec.
-  void Publish(const std::string& app, int seed_host);
+  void Publish(AppId app, int seed_host);
 
   // Whether `host` holds `app`'s snapshot locally (installed or seeded).
-  bool Holds(int host, const std::string& app) const;
+  bool Holds(int host, AppId app) const;
   // Whether `host` has already warmed `app` (working set prefetched or
   // demand-faulted by a prior first invocation).
-  bool Warm(int host, const std::string& app) const;
+  bool Warm(int host, AppId app) const;
 
   // Marks `host` as holding `app` without any transfer: the publishing host,
   // or a host that just cold-booted the app from source.
-  void AdoptLocal(int host, const std::string& app);
+  void AdoptLocal(int host, AppId app);
 
   // A restarted host keeps its on-disk state (chunk cache, installed images)
   // but lost its page cache: every app needs a fresh working-set restore.
@@ -163,13 +166,13 @@ class SnapshotDistribution {
   // charges cold_boot_cost, adopts locally, and still returns Ok — the error
   // path is unavailability, not failure. Concurrent calls for the same
   // (host, app) coalesce onto one pull.
-  fwsim::Co<fwbase::Status> EnsureSnapshot(int host, const std::string& app);
+  fwsim::Co<fwbase::Status> EnsureSnapshot(int host, AppId app);
 
   // First-invocation warm-up on `host`: REAP working-set prefetch when
   // enabled (sequential read of the manifest's working set), otherwise the
   // equivalent demand-fault cost (one random read per touched page).
   // Subsequent calls for a warm (host, app) are free.
-  fwsim::Co<void> WarmRestore(int host, const std::string& app);
+  fwsim::Co<void> WarmRestore(int host, AppId app);
 
   const DistributionStats& stats() const { return stats_; }
   // vmgenid generation high-water mark for `host` (monotonic, never reset —
@@ -191,22 +194,24 @@ class SnapshotDistribution {
   void InsertChunk(int host, const fwstore::ChunkRef& chunk);
 
   fwsim::Simulation& sim_;
+  const AppTable& apps_;
   DistributionConfig config_;
   fwobs::Observability& obs_;
   fwfault::FaultInjector* injector_;
   fwnet::ClusterFabric fabric_;
   fwstore::SnapshotRegistry registry_;
   std::vector<std::unique_ptr<fwstore::ChunkCache>> caches_;
-  // Which hosts hold which app (installed snapshot images).
-  std::vector<std::set<std::string>> holds_;
-  std::vector<std::set<std::string>> warm_;
+  // Per host, indexed by AppId: 1 when the host holds the app's installed
+  // snapshot image / has warmed it. Grown on demand; a missing id reads 0.
+  std::vector<std::vector<uint8_t>> holds_;
+  std::vector<std::vector<uint8_t>> warm_;
   // Per-host vmgenid counter: one bump per modeled restore (§15).
   std::vector<uint64_t> generations_;
   // digest -> hosts whose cache holds the chunk (peer-fetch index; entries
   // leave when the owning cache evicts).
   std::map<uint64_t, std::set<int>> chunk_holders_;
   // (host, app) pulls in flight: latecomers wait instead of double-fetching.
-  std::map<std::pair<int, std::string>, std::shared_ptr<fwsim::SimEvent>> inflight_;
+  std::map<std::pair<int, AppId>, std::shared_ptr<fwsim::SimEvent>> inflight_;
   DistributionStats stats_;
 };
 

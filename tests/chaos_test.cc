@@ -938,9 +938,10 @@ ZoneOutageRun RunZoneOutageScenario(uint64_t seed, bool inject_outage) {
           << "request " << id << " duplicated request id " << out.request_id
           << " across the zone outage";
     }
-    ++app_total[out.fn];
+    const std::string& app = cluster.app_name(out.app);
+    ++app_total[app];
     if (out.status.ok() && out.latency <= cc.slo.target) {
-      ++app_good[out.fn];
+      ++app_good[app];
     }
   }
   for (const auto& [app, total] : app_total) {

@@ -325,26 +325,28 @@ class DistributionGenerationTest : public fwtest::SimTest {
     return config;
   }
 
+  fwcluster::AppTable apps_;
+  const fwcluster::AppId app0_ = apps_.Intern("app-0");
   fwobs::Observability obs_;
 };
 
 TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) {
-  fwcluster::SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  dist.Publish(app0_, 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, app0_)).ok());
   EXPECT_EQ(dist.Generation(1), 0u);
 
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, app0_));
   EXPECT_EQ(dist.Generation(1), 1u);
   EXPECT_EQ(dist.stats().guest_reseeds, 1u);
 
   // Already warm: no second restore, no second reseed.
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, app0_));
   EXPECT_EQ(dist.Generation(1), 1u);
 
   // A restart forces a re-restore; the counter continues, never resets.
   dist.OnHostRestart(1);
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, app0_));
   EXPECT_EQ(dist.Generation(1), 2u);
   EXPECT_EQ(dist.stats().guest_reseeds, 2u);
   // The untouched host never restored anything.
@@ -354,10 +356,10 @@ TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) 
 TEST_F(DistributionGenerationTest, UniquenessOffChargesNoReseed) {
   fwcluster::DistributionConfig config = SmallConfig();
   config.restore_uniqueness = false;
-  fwcluster::SnapshotDistribution dist(sim_, 2, config, obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  dist.Publish(app0_, 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, app0_)).ok());
+  RunSyncVoid(sim_, dist.WarmRestore(1, app0_));
   EXPECT_EQ(dist.Generation(1), 0u);
   EXPECT_EQ(dist.stats().guest_reseeds, 0u);
 }

@@ -11,6 +11,7 @@
 
 #include "src/base/strings.h"
 #include "src/cluster/admission.h"
+#include "src/cluster/app_table.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/health.h"
 #include "src/cluster/host.h"
@@ -508,6 +509,34 @@ TEST(ModelHostPoolTest, UninstalledNameIsNotFound) {
 // App ids: the interner, and a name no InstallAll installed.
 // ---------------------------------------------------------------------------
 
+TEST(AppTableTest, InterningIsDenseAndIdempotent) {
+  AppTable apps;
+  EXPECT_EQ(apps.size(), 0u);
+  EXPECT_EQ(apps.Intern("app-b"), 0u);
+  EXPECT_EQ(apps.Intern("app-a"), 1u);
+  EXPECT_EQ(apps.Intern("app-b"), 0u);
+  EXPECT_EQ(apps.Intern("app-c"), 2u);
+  EXPECT_EQ(apps.size(), 3u);
+  EXPECT_EQ(apps.name(0), "app-b");
+  EXPECT_EQ(apps.name(1), "app-a");
+  EXPECT_EQ(apps.name(2), "app-c");
+}
+
+TEST(AppTableTest, NameReferenceSurvivesLaterInterns) {
+  AppTable apps;
+  // Longer than the small-string buffer, so a moved string would dangle.
+  const std::string long_name = "an-app-name-well-past-the-small-string-buffer";
+  const std::string& held = apps.name(apps.Intern(long_name));
+  const char* held_data = held.data();
+  for (int i = 0; i < 1000; ++i) {
+    (void)apps.Intern(fwbase::StrFormat("filler-app-%04d-with-a-long-suffix", i));
+  }
+  EXPECT_EQ(apps.size(), 1001u);
+  EXPECT_EQ(held, long_name);
+  EXPECT_EQ(held.data(), held_data);
+  EXPECT_EQ(&apps.name(apps.Intern(long_name)), &held);
+}
+
 TEST(ClusterGhostAppTest, NeverInstalledNameColdBootsThenFailsNotFound) {
   fwsim::Simulation sim(17);
   std::vector<std::unique_ptr<ClusterHost>> hosts;
@@ -682,24 +711,35 @@ TEST(AdmissionControllerTest, DisabledAdmitsEverything) {
 TEST(RetryBudgetTest, ClampsRetriesAndRefillsOnAcceptedWork) {
   // 0.25 is exact in binary, so four deposits make exactly one token.
   RetryBudget budget(true, /*deposit_ratio=*/0.25, /*burst=*/2.0);
+  const AppId app_a = 0;
+  const AppId app_b = 1;
   // Buckets start at burst: two retries fit, the third is denied.
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_FALSE(budget.TrySpend("app-a"));
+  EXPECT_TRUE(budget.TrySpend(app_a));
+  EXPECT_TRUE(budget.TrySpend(app_a));
+  EXPECT_FALSE(budget.TrySpend(app_a));
   // Budgets are per app.
-  EXPECT_TRUE(budget.TrySpend("app-b"));
+  EXPECT_TRUE(budget.TrySpend(app_b));
   // Four accepted first attempts deposit one token.
   for (int i = 0; i < 4; ++i) {
-    budget.OnAccepted("app-a");
+    budget.OnAccepted(app_a);
   }
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_FALSE(budget.TrySpend("app-a"));
+  EXPECT_TRUE(budget.TrySpend(app_a));
+  EXPECT_FALSE(budget.TrySpend(app_a));
+}
+
+TEST(RetryBudgetTest, FirstDepositOnAFreshBucketIsCappedAtBurst) {
+  RetryBudget budget(true, /*deposit_ratio=*/0.5, /*burst=*/2.0);
+  // An id far past every bucket seen so far starts full, like any other.
+  budget.OnAccepted(7);
+  EXPECT_TRUE(budget.TrySpend(7));
+  EXPECT_TRUE(budget.TrySpend(7));
+  EXPECT_FALSE(budget.TrySpend(7));
 }
 
 TEST(RetryBudgetTest, DisabledBudgetAdmitsEveryRetry) {
   RetryBudget budget(false, 0.1, 1.0);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(budget.TrySpend("app-a"));
+    EXPECT_TRUE(budget.TrySpend(0));
   }
 }
 

@@ -5,12 +5,15 @@
 // cluster run must produce the exact outcome digest of an uninstrumented one.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/units.h"
+#include "src/cluster/app_table.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/host.h"
 #include "src/cluster/scheduler.h"
@@ -278,13 +281,14 @@ fwcluster::SloConfig TestSloConfig() {
 }
 
 TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
-  fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
+  fwcluster::AppTable apps;
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
   EXPECT_EQ(slo.Attainment(), 1.0);  // Nothing recorded yet.
   for (int i = 0; i < 9; ++i) {
-    slo.Record("app-a", true);
+    slo.Record(apps.Intern("app-a"), true);
   }
-  slo.Record("app-a", false);
-  slo.Record("app-b", true);
+  slo.Record(apps.Intern("app-a"), false);
+  slo.Record(apps.Intern("app-b"), true);
   EXPECT_DOUBLE_EQ(slo.Attainment(), 10.0 / 11.0);
   EXPECT_DOUBLE_EQ(slo.WorstAttainment(), 0.9);  // app-a, not the fleet mean.
   EXPECT_EQ(slo.total(), 11u);
@@ -292,12 +296,13 @@ TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
 }
 
 TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
-  fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
+  fwcluster::AppTable apps;
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
   // 50% errors, well above the 40% alerting line, sustained long enough to
   // light up the slow window too (16 buckets of 250 ms = 4 s).
   for (int tick = 0; tick < 20; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", false);
+    slo.Record(apps.Intern("app-a"), true);
+    slo.Record(apps.Intern("app-a"), false);
     slo.Tick();
   }
   ASSERT_EQ(slo.Reports().size(), 1u);
@@ -309,8 +314,8 @@ TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
   // Recovery: once the fast window cools below the threshold the alert
   // clears, even while the slow window still remembers the incident.
   for (int tick = 0; tick < 5; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(apps.Intern("app-a"), true);
+    slo.Record(apps.Intern("app-a"), true);
     slo.Tick();
   }
   EXPECT_FALSE(slo.Reports()[0].alerting);
@@ -318,26 +323,27 @@ TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
 }
 
 TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
-  fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
+  fwcluster::AppTable apps;
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
   // Steady good traffic fills both windows first; then one bucket of errors
   // burns the fast window hot (8 bad of 14 in-window = burn 5.7) while the
   // slow window stays diluted (8 of 38 = burn 2.1 < 4) -> no page. This is
   // exactly what the second window buys: a blip with no surrounding traffic
   // (a cold ramp) WOULD page, because then the blip is the whole window.
   for (int tick = 0; tick < 16; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(apps.Intern("app-a"), true);
+    slo.Record(apps.Intern("app-a"), true);
     slo.Tick();
   }
   for (int i = 0; i < 8; ++i) {
-    slo.Record("app-a", false);
+    slo.Record(apps.Intern("app-a"), false);
   }
   slo.Tick();
   EXPECT_GE(slo.Reports()[0].burn_fast, 4.0);
   EXPECT_LT(slo.Reports()[0].burn_slow, 4.0);
   for (int tick = 0; tick < 5; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(apps.Intern("app-a"), true);
+    slo.Record(apps.Intern("app-a"), true);
     slo.Tick();
   }
   EXPECT_EQ(slo.alerts(), 0u);
@@ -345,10 +351,11 @@ TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
 }
 
 TEST(SloMonitorTest, PerAppIsolation) {
-  fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
+  fwcluster::AppTable apps;
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
   for (int tick = 0; tick < 20; ++tick) {
-    slo.Record("victim", false);
-    slo.Record("healthy", true);
+    slo.Record(apps.Intern("victim"), false);
+    slo.Record(apps.Intern("healthy"), true);
     slo.Tick();
   }
   const auto reports = slo.Reports();
@@ -357,6 +364,100 @@ TEST(SloMonitorTest, PerAppIsolation) {
   EXPECT_FALSE(reports[0].alerting);
   EXPECT_TRUE(reports[1].alerting);
   EXPECT_EQ(slo.alerts(), 1u);
+}
+
+// The running window sums against a brute-force recomputation from the full
+// bucket history: seeded random Record/Tick sequences over three window
+// shapes, equal fast and slow windows included. Sums of whole counts are
+// exact, so every burn rate must match bit for bit, and with it every alert
+// edge.
+TEST(SloMonitorTest, RunningWindowSumsMatchBruteForceHistory) {
+  struct Shape {
+    Duration fast;
+    Duration slow;
+    size_t fast_buckets;  // Window / 250 ms tick, rounded up.
+    size_t slow_buckets;
+  };
+  const Shape shapes[] = {
+      {Duration::Seconds(1), Duration::Seconds(4), 4, 16},
+      {Duration::Seconds(5), Duration::Seconds(60), 20, 240},
+      {Duration::Seconds(2), Duration::Seconds(2), 8, 8},
+  };
+  const std::vector<std::string> names = {"app-c", "app-a", "app-d", "app-b"};
+  struct Bucket {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+  };
+  struct Expected {
+    std::vector<Bucket> history;  // One bucket per tick, the open one last.
+    uint64_t alerts = 0;
+    bool alerting = false;
+  };
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(fwbase::StrFormat("fast %lld ms, slow %lld ms, seed %llu",
+                                     static_cast<long long>(shape.fast.millis()),
+                                     static_cast<long long>(shape.slow.millis()),
+                                     static_cast<unsigned long long>(seed)));
+      fwcluster::SloConfig config = TestSloConfig();
+      config.fast_window = shape.fast;
+      config.slow_window = shape.slow;
+      fwcluster::AppTable apps;
+      fwcluster::SloMonitor slo(apps, config, Duration::Millis(250), nullptr);
+      fwbase::Rng rng(seed);
+      const double bad_fraction = rng.UniformDouble(0.0, 0.8);
+      const double tick_chance = rng.UniformDouble(0.05, 0.6);
+      const size_t num_apps = 1 + rng.UniformU64(names.size());
+      std::map<std::string, Expected> expected;
+      size_t ticks = 0;
+      for (int step = 0; step < 2000; ++step) {
+        if (!rng.Chance(tick_chance)) {
+          const std::string& name = names[rng.UniformU64(num_apps)];
+          const bool good = !rng.Chance(bad_fraction);
+          slo.Record(apps.Intern(name), good);
+          Expected& e = expected[name];
+          e.history.resize(ticks + 1);
+          e.history[ticks].total += 1;
+          e.history[ticks].bad += good ? 0 : 1;
+          continue;
+        }
+        slo.Tick();
+        const std::vector<fwcluster::SloMonitor::AppReport> reports = slo.Reports();
+        ASSERT_EQ(reports.size(), expected.size());
+        size_t r = 0;
+        for (auto& [name, e] : expected) {  // Name order, as Reports() promises.
+          e.history.resize(ticks + 1);
+          auto burn = [&e, &config, ticks](size_t buckets) {
+            Bucket sum;
+            for (size_t k = 0; k < buckets && k <= ticks; ++k) {
+              sum.total += e.history[ticks - k].total;
+              sum.bad += e.history[ticks - k].bad;
+            }
+            return sum.total == 0 ? 0.0
+                                  : static_cast<double>(sum.bad) /
+                                        static_cast<double>(sum.total) /
+                                        (1.0 - config.objective);
+          };
+          const double fast = burn(shape.fast_buckets);
+          const double slow = burn(shape.slow_buckets);
+          if (!e.alerting && fast >= config.burn_threshold &&
+              slow >= config.burn_threshold) {
+            e.alerting = true;
+            ++e.alerts;
+          } else if (e.alerting && fast < config.burn_threshold) {
+            e.alerting = false;
+          }
+          const fwcluster::SloMonitor::AppReport& report = reports[r++];
+          ASSERT_EQ(report.app, name);
+          ASSERT_EQ(report.burn_fast, fast) << "tick " << ticks;
+          ASSERT_EQ(report.burn_slow, slow) << "tick " << ticks;
+          ASSERT_EQ(report.alerting, e.alerting) << "tick " << ticks;
+          ASSERT_EQ(report.alerts, e.alerts) << "tick " << ticks;
+        }
+        ++ticks;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

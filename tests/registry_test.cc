@@ -430,41 +430,45 @@ class DistributionTest : public fwtest::SimTest {
     return config;
   }
 
+  // Names the app ids the tier is keyed by.
+  AppId App(const std::string& name) { return apps_.Intern(name); }
+
+  AppTable apps_;
   fwobs::Observability obs_;
 };
 
 TEST_F(DistributionTest, ColdFetchInstallsThenHoldIsFree) {
-  SnapshotDistribution dist(sim_, 4, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
-  EXPECT_TRUE(dist.Holds(0, "app-0"));
-  EXPECT_FALSE(dist.Holds(1, "app-0"));
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
+  EXPECT_TRUE(dist.Holds(0, App("app-0")));
+  EXPECT_FALSE(dist.Holds(1, App("app-0")));
 
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  EXPECT_TRUE(dist.Holds(1, "app-0"));
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  EXPECT_TRUE(dist.Holds(1, App("app-0")));
   EXPECT_GT(sim_.Now(), fwbase::SimTime::Zero());  // The pull cost time.
   EXPECT_EQ(dist.stats().cold_fetches, 1u);
   EXPECT_EQ(dist.stats().manifest_fetches, 1u);
 
   const fwbase::SimTime after_pull = sim_.Now();
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_EQ(sim_.Now(), after_pull);  // Already held: free.
   EXPECT_EQ(dist.stats().cold_fetches, 1u);
 }
 
 TEST_F(DistributionTest, ConcurrentPullsCoalesceOntoOneFetch) {
-  SnapshotDistribution dist(sim_, 4, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
   int done = 0;
   for (int i = 0; i < 3; ++i) {
-    sim_.Spawn([](SnapshotDistribution& d, int* counter) -> fwsim::Co<void> {
-      const fwbase::Status s = co_await d.EnsureSnapshot(1, "app-0");
+    sim_.Spawn([](SnapshotDistribution& d, AppId app, int* counter) -> fwsim::Co<void> {
+      const fwbase::Status s = co_await d.EnsureSnapshot(1, app);
       FW_CHECK(s.ok());
       ++*counter;
-    }(dist, &done));
+    }(dist, App("app-0"), &done));
   }
   sim_.Run();
   EXPECT_EQ(done, 3);
-  EXPECT_TRUE(dist.Holds(1, "app-0"));
+  EXPECT_TRUE(dist.Holds(1, App("app-0")));
   EXPECT_EQ(dist.stats().cold_fetches, 1u);  // One pull, two waiters.
   EXPECT_EQ(dist.stats().coalesced, 2u);
   EXPECT_EQ(dist.stats().manifest_fetches, 1u);
@@ -472,9 +476,9 @@ TEST_F(DistributionTest, ConcurrentPullsCoalesceOntoOneFetch) {
 
 TEST_F(DistributionTest, PeerServesChunksWhenAHolderExists) {
   DistributionConfig config = SmallConfig();
-  SnapshotDistribution dist(sim_, 4, config, obs_, nullptr);
-  dist.Publish("app-0", 0);  // Host 0's cache holds every chunk.
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, "app-0")).ok());
+  SnapshotDistribution dist(sim_, apps_, 4, config, obs_, nullptr);
+  dist.Publish(App("app-0"), 0);  // Host 0's cache holds every chunk.
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, App("app-0"))).ok());
   EXPECT_EQ(dist.stats().bytes_from_registry, 0u);
   EXPECT_EQ(dist.stats().bytes_from_peer, 10ull << 20);
   EXPECT_GT(dist.fabric().peer_transfers(), 0u);
@@ -483,29 +487,29 @@ TEST_F(DistributionTest, PeerServesChunksWhenAHolderExists) {
 TEST_F(DistributionTest, RegistryServesChunksWhenPeerFetchDisabled) {
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, 4, config, obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, "app-0")).ok());
+  SnapshotDistribution dist(sim_, apps_, 4, config, obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, App("app-0"))).ok());
   EXPECT_EQ(dist.stats().bytes_from_peer, 0u);
   EXPECT_EQ(dist.stats().bytes_from_registry, 10ull << 20);
 }
 
 TEST_F(DistributionTest, SharedBaseLayerComesFromCacheOnSecondApp) {
-  SnapshotDistribution dist(sim_, 4, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
-  dist.Publish("app-1", 0);  // Same runtime: identical base layer.
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
+  dist.Publish(App("app-1"), 0);  // Same runtime: identical base layer.
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   const uint64_t peer_after_first = dist.stats().bytes_from_peer;
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-1")).ok());
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-1"))).ok());
   // The 8 MiB base layer dedups against the cache; only the 2 MiB delta moves.
   EXPECT_EQ(dist.stats().bytes_from_cache, 8ull << 20);
   EXPECT_EQ(dist.stats().bytes_from_peer - peer_after_first, 2ull << 20);
 }
 
 TEST_F(DistributionTest, UnpublishedAppDegradesToColdBoot) {
-  SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, nullptr);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "ghost-app")).ok());
-  EXPECT_TRUE(dist.Holds(1, "ghost-app"));  // Booted from source.
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("ghost-app"))).ok());
+  EXPECT_TRUE(dist.Holds(1, App("ghost-app")));  // Booted from source.
   EXPECT_EQ(dist.stats().cold_boots, 1u);
   EXPECT_GE(sim_.Now() - fwbase::SimTime::Zero(), SmallConfig().cold_boot_cost);
 }
@@ -516,10 +520,10 @@ TEST_F(DistributionTest, RegistryDownThroughAllRetriesColdBoots) {
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, 2, config, obs_, &injector);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  EXPECT_TRUE(dist.Holds(1, "app-0"));
+  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, &injector);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  EXPECT_TRUE(dist.Holds(1, App("app-0")));
   EXPECT_EQ(dist.stats().cold_boots, 1u);
   EXPECT_EQ(dist.stats().manifest_fetches, 0u);
   // Every manifest attempt hit the outage; backoff retries were spent.
@@ -535,10 +539,10 @@ TEST_F(DistributionTest, CorruptChunkRetriesAgainstRegistryAndSucceeds) {
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, 2, config, obs_, &injector);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  EXPECT_TRUE(dist.Holds(1, "app-0"));
+  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, &injector);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  EXPECT_TRUE(dist.Holds(1, App("app-0")));
   EXPECT_EQ(dist.stats().cold_boots, 0u);
   EXPECT_EQ(dist.stats().corrupt_chunks, 1u);
   EXPECT_GE(dist.stats().retries, 1u);
@@ -548,9 +552,9 @@ TEST_F(DistributionTest, CorruptPeerChunkFallsBackToRegistry) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kChunkCorruption, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
-  SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, &injector);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, &injector);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   // The first peer transfer was corrupt; that chunk came from the registry
   // instead (ground truth), and the rest kept flowing from the peer.
   EXPECT_EQ(dist.stats().corrupt_chunks, 1u);
@@ -561,44 +565,44 @@ TEST_F(DistributionTest, CorruptPeerChunkFallsBackToRegistry) {
 
 TEST_F(DistributionTest, WorkingSetPrefetchBeatsDemandFaulting) {
   DistributionConfig config = SmallConfig();
-  SnapshotDistribution prefetch(sim_, 2, config, obs_, nullptr);
-  prefetch.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, prefetch.EnsureSnapshot(1, "app-0")).ok());
+  SnapshotDistribution prefetch(sim_, apps_, 2, config, obs_, nullptr);
+  prefetch.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, prefetch.EnsureSnapshot(1, App("app-0"))).ok());
   const fwbase::SimTime before = sim_.Now();
-  RunSyncVoid(sim_, prefetch.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, prefetch.WarmRestore(1, App("app-0")));
   const Duration prefetch_cost = sim_.Now() - before;
   EXPECT_GT(prefetch_cost, Duration::Zero());
   EXPECT_EQ(prefetch.stats().warm_restores, 1u);
-  EXPECT_TRUE(prefetch.Warm(1, "app-0"));
+  EXPECT_TRUE(prefetch.Warm(1, App("app-0")));
 
   // Same image without REAP restore: pay one random read per touched page.
   config.working_set_restore = false;
-  SnapshotDistribution demand(sim_, 2, config, obs_, nullptr);
-  demand.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, demand.EnsureSnapshot(1, "app-0")).ok());
+  SnapshotDistribution demand(sim_, apps_, 2, config, obs_, nullptr);
+  demand.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, demand.EnsureSnapshot(1, App("app-0"))).ok());
   const fwbase::SimTime before_demand = sim_.Now();
-  RunSyncVoid(sim_, demand.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, demand.WarmRestore(1, App("app-0")));
   const Duration demand_cost = sim_.Now() - before_demand;
   EXPECT_EQ(demand.stats().demand_restores, 1u);
   EXPECT_GT(demand_cost, prefetch_cost);
 
   // A warm (host, app) pays nothing on later restores.
   const fwbase::SimTime warm_now = sim_.Now();
-  RunSyncVoid(sim_, prefetch.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, prefetch.WarmRestore(1, App("app-0")));
   EXPECT_EQ(sim_.Now(), warm_now);
 }
 
 TEST_F(DistributionTest, RestartKeepsDiskStateButNeedsRewarm) {
-  SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
-  ASSERT_TRUE(dist.Warm(1, "app-0"));
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
+  ASSERT_TRUE(dist.Warm(1, App("app-0")));
 
   dist.OnHostRestart(1);
-  EXPECT_TRUE(dist.Holds(1, "app-0"));   // Chunks + image survive on disk.
-  EXPECT_FALSE(dist.Warm(1, "app-0"));   // Page cache does not.
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  EXPECT_TRUE(dist.Holds(1, App("app-0")));   // Chunks + image survive on disk.
+  EXPECT_FALSE(dist.Warm(1, App("app-0")));   // Page cache does not.
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(dist.stats().warm_restores, 2u);
 }
 
@@ -606,9 +610,9 @@ TEST_F(DistributionTest, CacheEvictionsRetirePeerIndexEntries) {
   DistributionConfig config = SmallConfig();
   // Budget holds half of one image: pulling forces continuous eviction.
   config.cache_budget_bytes = 5ull << 20;
-  SnapshotDistribution dist(sim_, 2, config, obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_GT(dist.stats().cache_evictions, 0u);
   EXPECT_LE(dist.cache(0).used_bytes(), config.cache_budget_bytes);
   EXPECT_LE(dist.cache(1).used_bytes(), config.cache_budget_bytes);
@@ -616,9 +620,9 @@ TEST_F(DistributionTest, CacheEvictionsRetirePeerIndexEntries) {
 
 TEST_F(DistributionTest, DisabledTierIsInert) {
   DistributionConfig config;  // enabled = false.
-  SnapshotDistribution dist(sim_, 2, config, obs_, nullptr);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(sim_.Now(), fwbase::SimTime::Zero());
   EXPECT_EQ(dist.stats().cold_fetches, 0u);
 }
