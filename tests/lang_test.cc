@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/base/strings.h"
 #include "src/lang/function_ir.h"
 #include "src/lang/guest_process.h"
 #include "src/lang/runtime_model.h"
 #include "src/mem/host_memory.h"
 #include "src/storage/block_device.h"
+#include "src/storage/document_db.h"
 #include "src/storage/filesystem.h"
 #include "tests/test_util.h"
 
@@ -93,7 +97,7 @@ TEST(RuntimeCostsTest, NodeVsPythonShapes) {
 class GuestProcessTest : public fwtest::SimTest {
  protected:
   GuestProcessTest() {
-    env_ = ExecEnv(&fs_, nullptr, nullptr, Duration::Micros(400));
+    env_ = ExecEnv(&fs_, &db_, nullptr, Duration::Micros(400));
   }
 
   GuestProcess::FaultCharger Charger() {
@@ -118,6 +122,7 @@ class GuestProcessTest : public fwtest::SimTest {
   fwmem::HostMemory host_{64_GiB};
   fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
   fwstore::Filesystem fs_{sim_, dev_, fwstore::FsKind::kVirtio};
+  fwstore::DocumentDb db_{sim_, fs_};
   ExecEnv env_;
 };
 
@@ -277,6 +282,131 @@ TEST_F(GuestProcessTest, DeoptStillFasterThanInterpOverall) {
   ExecStats interp_run = RunSync(sim_, interp->CallMethod("main", "sigA"));
   // Same total units (100*10k vs 2*500k): the deopt run must still win.
   EXPECT_LT(deopt_run.compute_time + deopt_run.jit_compile_time, interp_run.compute_time);
+}
+
+// --- Interpreter pin ----------------------------------------------------------
+//
+// Every op kind, with kCalls nested four methods deep (main -> mid -> leaf ->
+// tip) and repeated. Each invocation's ExecStats, the clock and the event
+// count are pinned to the nanosecond, so any change to the interpreter's
+// order of work, its charges or its suspensions shows up here.
+
+FunctionSource EveryOpFn(Language language) {
+  std::vector<MethodDef> methods;
+  methods.emplace_back("tip", std::vector<Op>{Op::Compute(700, 0.8)}, 1 * kKiB);
+  methods.emplace_back(
+      "leaf", std::vector<Op>{Op::Compute(2'000), Op::AllocHeap(24 * kKiB), Op::Call("tip", 2)},
+      3 * kKiB);
+  methods.emplace_back("mid",
+                       std::vector<Op>{Op::Compute(5'000, 0.5), Op::Call("leaf", 3),
+                                       Op::DiskWrite(8 * kKiB, 2)},
+                       2 * kKiB);
+  methods.emplace_back(
+      "main",
+      std::vector<Op>{Op::Compute(10'000), Op::AllocHeap(64 * kKiB), Op::Call("mid", 2),
+                      Op::DiskRead(16 * kKiB, 3), Op::NetSend(1'500), Op::DbPut("docs", 2 * kKiB),
+                      Op::DbGet("docs", "doc-1"), Op::DbScan("docs"), Op::Call("leaf")},
+      4 * kKiB);
+  return FunctionSource("every-op", language, std::move(methods), "main");
+}
+
+fwsim::Co<void> SendOverLink(Simulation& sim, uint64_t bytes) {
+  co_await fwsim::Delay(sim, Duration::Micros(30) + Duration::Nanos(static_cast<int64_t>(bytes)));
+}
+
+std::string Pin(const ExecStats& s, const Simulation& sim) {
+  return fwbase::StrFormat(
+      "total=%lld compute=%lld io=%lld jit=%lld fault=%lld compiles=%llu deopts=%llu "
+      "methods=%llu id=%016llx rand=%016llx mono=%lld now=%lld events=%llu",
+      static_cast<long long>(s.total.nanos()), static_cast<long long>(s.compute_time.nanos()),
+      static_cast<long long>(s.io_time.nanos()),
+      static_cast<long long>(s.jit_compile_time.nanos()),
+      static_cast<long long>(s.fault_time.nanos()), static_cast<unsigned long long>(s.jit_compiles),
+      static_cast<unsigned long long>(s.deopts),
+      static_cast<unsigned long long>(s.methods_executed),
+      static_cast<unsigned long long>(s.request_id),
+      static_cast<unsigned long long>(s.first_random),
+      static_cast<long long>(s.guest_monotonic_ns), static_cast<long long>(sim.Now().nanos()),
+      static_cast<unsigned long long>(sim.events_processed()));
+}
+
+TEST_F(GuestProcessTest, NodeEveryOpPinnedThroughTierUpAndDeopts) {
+  env_.net_send = [this](uint64_t bytes) { return SendOverLink(sim_, bytes); };
+  fwmem::AddressSpace space(host_);
+  const FunctionSource fn = EveryOpFn(Language::kNodeJs);
+  auto process = BootAndLoad(fn, space);
+  // Three "int" calls tier leaf, tip and then mid up; "str" deopts them and
+  // re-profiles; "obj" deopts again and leaves them polymorphic.
+  const std::vector<std::string> sigs = {"int", "int", "int", "str", "str", "obj", "obj"};
+  const std::vector<std::string> want = {
+      "total=14368432 compute=611009 io=3253923 jit=10400000 fault=103500 compiles=2 deopts=0 "
+      "methods=24 id=b79b81041f9e968e rand=3870568eed7129a2 mono=135512000 now=489832432 "
+      "events=97",
+      "total=3767340 compute=425134 io=3255206 jit=0 fault=87000 compiles=0 deopts=0 "
+      "methods=24 id=cf7de1f7ee4df99c rand=457b6233bbe85a0b mono=149880432 now=493599772 "
+      "events=184",
+      "total=8938345 compute=387356 io=3256489 jit=5200000 fault=94500 compiles=1 deopts=0 "
+      "methods=24 id=ce5652f39d840d82 rand=43e735beae210f3c mono=153647772 now=502538117 "
+      "events=273",
+      "total=6062956 compute=648184 io=3257772 jit=1560000 fault=87000 compiles=2 deopts=3 "
+      "methods=24 id=f2068dbeaba8a4b2 rand=7e227c9805decd45 mono=162586117 now=508601073 "
+      "events=367",
+      "total=3771189 compute=425134 io=3259055 jit=0 fault=87000 compiles=0 deopts=0 "
+      "methods=24 id=443694d727dbe80d rand=69fbeef5d6e2c1b3 mono=168649073 now=512372262 "
+      "events=454",
+      "total=16169096 compute=506758 io=3260338 jit=11960000 fault=102000 compiles=3 deopts=2 "
+      "methods=24 id=54792982997ef8f9 rand=09eef8bb114ef506 mono=172420262 now=528541358 "
+      "events=549",
+      "total=4341699 compute=213078 io=3261621 jit=780000 fault=87000 compiles=1 deopts=0 "
+      "methods=24 id=b2d17e58cd190933 rand=d4eff84a93937563 mono=188589358 now=532883057 "
+      "events=638",
+  };
+  ASSERT_EQ(want.size(), sigs.size());
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    const ExecStats stats = RunSync(sim_, process->CallMethod("main", sigs[i]));
+    EXPECT_EQ(Pin(stats, sim_), want[i]) << "invocation " << i;
+  }
+  EXPECT_EQ(process->TierOf("leaf"), ExecTier::kJit);
+  EXPECT_EQ(process->InvocationCount("main"), 7u);
+  EXPECT_EQ(db_.DocCount("docs"), 7u);
+}
+
+TEST_F(GuestProcessTest, PythonEveryOpPinnedWithAnnotatedLeaf) {
+  fwmem::AddressSpace space(host_);
+  FunctionSource fn = EveryOpFn(Language::kPython);
+  for (auto& m : fn.methods) {
+    m.jit_annotated = m.name == "leaf";
+  }
+  auto process = BootAndLoad(fn, space);
+  const std::vector<std::string> sigs = {"int", "int", "str"};
+  const std::vector<std::string> want = {
+      "total=174710553 compute=4593130 io=3302423 jit=165000000 fault=1815000 compiles=1 "
+      "deopts=0 methods=24 id=b79b81041f9e968e rand=3870568eed7129a2 mono=48507500 "
+      "now=327818053 events=95",
+      "total=7983836 compute=4593130 io=3303706 jit=0 fault=87000 compiles=0 deopts=0 "
+      "methods=24 id=cf7de1f7ee4df99c rand=457b6233bbe85a0b mono=223218053 now=335801889 "
+      "events=182",
+      "total=33055119 compute=4593130 io=3304989 jit=24750000 fault=87000 compiles=1 deopts=1 "
+      "methods=24 id=ce5652f39d840d82 rand=43e735beae210f3c mono=231201889 now=368857008 "
+      "events=272",
+  };
+  ASSERT_EQ(want.size(), sigs.size());
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    const ExecStats stats = RunSync(sim_, process->CallMethod("main", sigs[i]));
+    EXPECT_EQ(Pin(stats, sim_), want[i]) << "invocation " << i;
+  }
+  EXPECT_EQ(process->TierOf("leaf"), ExecTier::kJit);
+  EXPECT_EQ(process->TierOf("mid"), ExecTier::kInterpreter);
+}
+
+TEST_F(GuestProcessTest, SelfRecursiveMethodDiesAtDepthLimit) {
+  std::vector<MethodDef> methods;
+  methods.emplace_back("again", std::vector<Op>{Op::Compute(10), Op::Call("again")});
+  const FunctionSource fn("recursive", Language::kNodeJs, std::move(methods), "again");
+  fwmem::AddressSpace space(host_);
+  auto process = BootAndLoad(fn, space);
+  EXPECT_DEATH(RunSync(sim_, process->CallMethod("again", "int")),
+               "method call depth exceeded");
 }
 
 // --- Snapshot clones --------------------------------------------------------
