@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/base/check.h"
 #include "src/base/logging.h"
@@ -153,10 +154,11 @@ void GuestProcess::ResolveSegments() {
   jit_seg_ = space_.FindSegment(kSegJitCode);
 }
 
-fwsim::Co<void> GuestProcess::ChargeFaults(const fwmem::FaultCounts& faults, ExecStats& stats) {
+fwsim::DelayAwaiter GuestProcess::ChargeFaults(const fwmem::FaultCounts& faults,
+                                               ExecStats& stats) {
   const Duration t = fault_charger_(faults);
   stats.fault_time += t;
-  co_await fwsim::Delay(sim_, t);
+  return fwsim::Delay(sim_, t);
 }
 
 fwsim::Co<void> GuestProcess::InstallPackages(const FunctionSource& fn) {
@@ -303,7 +305,7 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
     co_await ChargeFaults(faults, ws_stats);
   }
 
-  ExecStats stats = co_await ExecMethod(*method, type_sig, /*depth=*/0);
+  ExecStats stats = co_await ExecMethod(*method, type_sig);
 
   // Per-invocation GC / cache churn in the runtime heap: writes that diverge
   // per sandbox (hence the per-sandbox salt).
@@ -321,83 +323,147 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
   co_return stats;
 }
 
-fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& method,
-                                              const std::string& type_sig, int depth) {
-  FW_CHECK_MSG(depth < 64, "method call depth exceeded");
-  ExecStats stats;
-  ++stats.methods_executed;
-  MethodState& state = methods_[method.name];
-  ++state.invocations;
+fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
+                                              const std::string& type_sig) {
+  // Calls run on this stack, not as coroutines. The work is done in the order
+  // the recursive form did it, so every Delay is scheduled at the same
+  // instant with the same sequence number. Four frames cover every shipped
+  // app's nesting with one allocation.
+  std::vector<Frame> stack;
+  stack.reserve(4);
+  const MethodDef* entering = &root;
+  for (;;) {
+    if (entering != nullptr) {
+      FW_CHECK_MSG(stack.size() < kMaxCallDepth, "method call depth exceeded");
+      Frame frame(*entering);
+      entering = nullptr;
+      const MethodDef& method = *frame.method;
+      ++frame.stats.methods_executed;
+      MethodState& state = methods_[method.name];
+      ++state.invocations;
 
-  // --- Tiering / de-optimisation decisions --------------------------------
-  if (state.tier == ExecTier::kJit && !state.polymorphic && state.compiled_sig != type_sig) {
-    // The JITted code was specialised for a different type profile (§6):
-    // de-optimise to bytecode, then respecialise for the new signature. After
-    // enough distinct shapes, inline caches make the code polymorphic and
-    // further signatures stop deopting.
-    ++stats.deopts;
-    ++state.deopts;
-    co_await fwsim::Delay(sim_, costs_.deopt_cost);
-    // methods_ is a node-based map: references survive insertion of other
-    // methods, and nothing ever erases an entry.
-    state.tier = ExecTier::kInterpreter;  // fwlint:allow(iterator-invalidation)
-    if (state.deopts >= kPolymorphicThreshold) {
-      state.polymorphic = true;
-    }
-    if (method.jit_annotated) {
-      // Annotated (Numba-style) methods respecialise for the new signature
-      // immediately; V8 re-optimises hot methods just as eagerly.
-      co_await JitCompile(method, state, type_sig, /*reoptimize=*/true, stats);
-    } else {
-      state.invocations = 0;  // Re-profile before tiering up again.
-    }
-  } else if (state.tier == ExecTier::kInterpreter) {
-    const bool annotated_first_call = method.jit_annotated && state.compiles == 0;
-    const bool hot = costs_.auto_jit &&
-                     state.invocations >= static_cast<uint64_t>(costs_.hotness_threshold);
-    if (annotated_first_call || hot) {
-      co_await JitCompile(method, state, type_sig, /*reoptimize=*/state.compiles > 0, stats);
-    }
-  }
+      // --- Tiering / de-optimisation decisions ------------------------------
+      if (state.tier == ExecTier::kJit && !state.polymorphic && state.compiled_sig != type_sig) {
+        // The JITted code was specialised for a different type profile (§6):
+        // de-optimise to bytecode, then respecialise for the new signature.
+        // After enough distinct shapes, inline caches make the code
+        // polymorphic and further signatures stop deopting.
+        ++frame.stats.deopts;
+        ++state.deopts;
+        co_await fwsim::Delay(sim_, costs_.deopt_cost);
+        // methods_ is a node-based map: references survive insertion of other
+        // methods, and nothing ever erases an entry.
+        state.tier = ExecTier::kInterpreter;  // fwlint:allow(iterator-invalidation)
+        if (state.deopts >= kPolymorphicThreshold) {
+          state.polymorphic = true;
+        }
+        if (method.jit_annotated) {
+          // Annotated (Numba-style) methods respecialise for the new signature
+          // immediately; V8 re-optimises hot methods just as eagerly.
+          co_await JitCompile(method, state, type_sig, /*reoptimize=*/true, frame.stats);
+        } else {
+          state.invocations = 0;  // Re-profile before tiering up again.
+        }
+      } else if (state.tier == ExecTier::kInterpreter) {
+        const bool annotated_first_call = method.jit_annotated && state.compiles == 0;
+        const bool hot = costs_.auto_jit &&
+                         state.invocations >= static_cast<uint64_t>(costs_.hotness_threshold);
+        if (annotated_first_call || hot) {
+          co_await JitCompile(method, state, type_sig, /*reoptimize=*/state.compiles > 0,
+                              frame.stats);
+        }
+      }
 
-  // Executing code touches its pages: bytecode when interpreting, machine
-  // code when running JITted (shared on snapshot clones until written).
-  {
-    fwmem::FaultCounts faults;
-    if (state.tier == ExecTier::kJit) {
-      faults += space_.Touch(jit_seg_, state.jit_offset_page, state.jit_pages);
-    } else if (bytecode_bytes_used_ > 0) {
-      faults += space_.TouchBytes(bytecode_seg_, bytecode_bytes_used_);
-    }
-    co_await ChargeFaults(faults, stats);
-  }
+      // Executing code touches its pages: bytecode when interpreting, machine
+      // code when running JITted (shared on snapshot clones until written).
+      fwmem::FaultCounts faults;
+      if (state.tier == ExecTier::kJit) {
+        faults += space_.Touch(jit_seg_, state.jit_offset_page, state.jit_pages);
+      } else if (bytecode_bytes_used_ > 0) {
+        faults += space_.TouchBytes(bytecode_seg_, bytecode_bytes_used_);
+      }
+      co_await ChargeFaults(faults, frame.stats);
 
-  const ExecTier tier = state.tier;
-  const double jit_derate = state.polymorphic ? kPolymorphicDerate : 1.0;
-  for (const Op& op : method.ops) {
-    co_await ExecOp(op, tier, jit_derate, type_sig, stats, depth);
+      frame.tier = state.tier;
+      frame.jit_derate = state.polymorphic ? kPolymorphicDerate : 1.0;
+      stack.push_back(frame);
+    }
+
+    Frame& f = stack.back();
+    if (f.calls_left > 0) {
+      --f.calls_left;
+      entering = f.callee;
+      continue;
+    }
+    if (f.next_op < f.method->ops.size()) {
+      // The ops belong to the loaded FunctionSource, which nothing mutates
+      // while the process runs, and each case reads `op` before its await.
+      const Op& op = f.method->ops[f.next_op++];
+      switch (op.kind) {
+        case OpKind::kCall:
+          f.callee = loaded_fn_->FindMethod(op.target);
+          FW_CHECK_MSG(f.callee != nullptr, ("no method " + op.target).c_str());
+          f.calls_left = op.repeat;
+          break;
+        case OpKind::kCompute:
+          co_await ComputeTime(op, f.tier, f.jit_derate, f.stats);
+          break;
+        case OpKind::kAllocHeap:
+          co_await AllocHeap(op.amount, f.stats);  // fwlint:allow(iterator-invalidation)
+          break;
+        case OpKind::kDiskRead:
+        case OpKind::kDiskWrite:
+        case OpKind::kNetSend:
+        case OpKind::kDbPut:
+        case OpKind::kDbGet:
+        case OpKind::kDbScan:
+          co_await ExecIoOp(op, f.stats);
+          break;
+      }
+      continue;
+    }
+    // The method returned: its stats join its caller's.
+    const ExecStats done = f.stats;
+    stack.pop_back();
+    if (stack.empty()) {
+      co_return done;
+    }
+    stack.back().stats += done;
   }
-  co_return stats;
 }
 
-fwsim::Co<void> GuestProcess::ExecOp(const Op& op, ExecTier tier, double jit_derate,
-                                     const std::string& type_sig, ExecStats& stats,
-                                     int depth) {
-  switch (op.kind) {
-    case OpKind::kCompute: {
-      Duration t = costs_.per_unit_interp * static_cast<int64_t>(op.amount * op.repeat);
-      if (tier == ExecTier::kJit) {
-        // Only the JIT-friendly fraction accelerates (numeric kernels);
-        // the rest behaves interpreter-like (object/string plumbing).
-        // Polymorphic code dispatches through inline caches (derate < 1).
-        t = t * (op.friendliness / (costs_.jit_speedup * jit_derate) +
-                 (1.0 - op.friendliness));
-      }
-      t = t * compute_scale_;
-      stats.compute_time += t;
-      co_await fwsim::Delay(sim_, t);
-      break;
+fwsim::DelayAwaiter GuestProcess::ComputeTime(const Op& op, ExecTier tier, double jit_derate,
+                                              ExecStats& stats) {
+  Duration t = costs_.per_unit_interp * static_cast<int64_t>(op.amount * op.repeat);
+  if (tier == ExecTier::kJit) {
+    // Only the JIT-friendly fraction accelerates (numeric kernels); the rest
+    // behaves interpreter-like (object/string plumbing). Polymorphic code
+    // dispatches through inline caches (derate < 1).
+    t = t * (op.friendliness / (costs_.jit_speedup * jit_derate) + (1.0 - op.friendliness));
+  }
+  t = t * compute_scale_;
+  stats.compute_time += t;
+  return fwsim::Delay(sim_, t);
+}
+
+fwsim::DelayAwaiter GuestProcess::AllocHeap(uint64_t bytes, ExecStats& stats) {
+  const uint64_t seg_pages = space_.SegmentPages(app_heap_seg_);
+  uint64_t pages = PagesFor(bytes);
+  fwmem::FaultCounts faults;
+  while (pages > 0) {
+    if (heap_cursor_pages_ >= seg_pages) {
+      heap_cursor_pages_ = 0;  // The GC recycles the heap.
     }
+    const uint64_t chunk = std::min(pages, seg_pages - heap_cursor_pages_);
+    faults += space_.Dirty(app_heap_seg_, heap_cursor_pages_, chunk);
+    heap_cursor_pages_ += chunk;
+    pages -= chunk;
+  }
+  return ChargeFaults(faults, stats);
+}
+
+fwsim::Co<void> GuestProcess::ExecIoOp(const Op& op, ExecStats& stats) {
+  switch (op.kind) {
     case OpKind::kDiskRead:
     case OpKind::kDiskWrite: {
       FW_CHECK_MSG(env_.fs != nullptr, "disk op without a filesystem");
@@ -453,31 +519,8 @@ fwsim::Co<void> GuestProcess::ExecOp(const Op& op, ExecTier tier, double jit_der
       stats.io_time += sim_.Now() - t0;
       break;
     }
-    case OpKind::kCall: {
-      const MethodDef* callee = loaded_fn_->FindMethod(op.target);
-      FW_CHECK_MSG(callee != nullptr, ("no method " + op.target).c_str());
-      for (uint64_t i = 0; i < op.repeat; ++i) {
-        ExecStats sub = co_await ExecMethod(*callee, type_sig, depth + 1);
-        stats += sub;
-      }
-      break;
-    }
-    case OpKind::kAllocHeap: {
-      const uint64_t seg_pages = space_.SegmentPages(app_heap_seg_);
-      uint64_t pages = PagesFor(op.amount);
-      fwmem::FaultCounts faults;
-      while (pages > 0) {
-        if (heap_cursor_pages_ >= seg_pages) {
-          heap_cursor_pages_ = 0;  // The GC recycles the heap.
-        }
-        const uint64_t chunk = std::min(pages, seg_pages - heap_cursor_pages_);
-        faults += space_.Dirty(app_heap_seg_, heap_cursor_pages_, chunk);
-        heap_cursor_pages_ += chunk;
-        pages -= chunk;
-      }
-      co_await ChargeFaults(faults, stats);
-      break;
-    }
+    default:
+      FW_CHECK_MSG(false, "not an I/O op");
   }
 }
 

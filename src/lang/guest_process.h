@@ -198,6 +198,21 @@ class GuestProcess {
     uint64_t jit_offset_page = 0;
     uint64_t jit_pages = 0;
   };
+  // One method activation on ExecMethod's explicit call stack.
+  struct Frame {
+    explicit Frame(const MethodDef& method) : method(&method) {}
+
+    const MethodDef* method;
+    size_t next_op = 0;
+    // The method the current kCall op calls, and how many calls are left.
+    const MethodDef* callee = nullptr;
+    uint64_t calls_left = 0;
+    ExecTier tier = ExecTier::kInterpreter;
+    double jit_derate = 1.0;
+    ExecStats stats;
+  };
+  // Deepest method nesting ExecMethod runs; a deeper call aborts.
+  static constexpr size_t kMaxCallDepth = 64;
   static constexpr uint32_t kPolymorphicThreshold = 2;
   // Speed retained by polymorphic (IC-dispatched) JITted code.
   static constexpr double kPolymorphicDerate = 0.85;
@@ -217,15 +232,23 @@ class GuestProcess {
   fwmem::SegmentId EnsureSegment(const char* seg_name, uint64_t bytes);
   // Resolves every runtime-managed segment the space already has (clones).
   void ResolveSegments();
-  fwsim::Co<void> ChargeFaults(const fwmem::FaultCounts& faults, ExecStats& stats);
+  // Charges the service time of `faults` to `stats`. Await the result in the
+  // calling expression: the time is computed at the call.
+  fwsim::DelayAwaiter ChargeFaults(const fwmem::FaultCounts& faults, ExecStats& stats);
   // Pays the compile stall for `method` and allocates its machine-code pages.
   // `reoptimize` marks a post-deopt respecialisation (cheaper).
   fwsim::Co<void> JitCompile(const MethodDef& method, MethodState& state,
                              const std::string& type_sig, bool reoptimize, ExecStats& stats);
-  fwsim::Co<ExecStats> ExecMethod(const MethodDef& method, const std::string& type_sig,
-                                  int depth);
-  fwsim::Co<void> ExecOp(const Op& op, ExecTier tier, double jit_derate,
-                         const std::string& type_sig, ExecStats& stats, int depth);
+  // Runs `root` and every method it calls, in one coroutine frame: calls
+  // push and pop Frames on a local stack instead of starting coroutines.
+  fwsim::Co<ExecStats> ExecMethod(const MethodDef& root, const std::string& type_sig);
+  // A kCompute op's execution time, and a kAllocHeap op's fault time; await
+  // each in the calling expression.
+  fwsim::DelayAwaiter ComputeTime(const Op& op, ExecTier tier, double jit_derate,
+                                  ExecStats& stats);
+  fwsim::DelayAwaiter AllocHeap(uint64_t bytes, ExecStats& stats);
+  // The disk, network and database ops, which await devices.
+  fwsim::Co<void> ExecIoOp(const Op& op, ExecStats& stats);
 
   fwsim::Simulation& sim_;
   Language language_;

@@ -19,8 +19,8 @@ fwsim::Co<void> ClusterFabric::RegistryTransfer(uint64_t bytes) {
   registry_bytes_ += bytes;
 }
 
-fwsim::Co<void> ClusterFabric::RegistryRpc() {
-  co_await fwsim::Delay(sim_, config_.registry_rpc_latency);
+fwsim::DelayAwaiter ClusterFabric::RegistryRpc() {
+  return fwsim::Delay(sim_, config_.registry_rpc_latency);
 }
 
 fwsim::Co<void> ClusterFabric::PeerTransfer(uint64_t bytes) {

@@ -44,7 +44,7 @@ class ClusterFabric {
   fwsim::Co<void> RegistryTransfer(uint64_t bytes);
 
   // Metadata-only registry RPC (manifest fetch): latency, no stream slot.
-  fwsim::Co<void> RegistryRpc();
+  fwsim::DelayAwaiter RegistryRpc();
 
   // Charges a rack-local peer transfer of `bytes`.
   fwsim::Co<void> PeerTransfer(uint64_t bytes);

@@ -168,9 +168,4 @@ Duration ContainerEngine::FaultServiceTime(const Container& c,
          config_.cow_fault_cost * static_cast<int64_t>(faults.cow_copies + faults.fresh_writes);
 }
 
-fwsim::Co<void> ContainerEngine::ServiceFaults(const Container& c,
-                                               const fwmem::FaultCounts& faults) {
-  co_await fwsim::Delay(sim_, FaultServiceTime(c, faults));
-}
-
 }  // namespace fwbox

@@ -138,7 +138,6 @@ class ContainerEngine {
   double ComputeScale(ContainerRuntime runtime) const;
 
   fwbase::Duration FaultServiceTime(const Container& c, const fwmem::FaultCounts& faults) const;
-  fwsim::Co<void> ServiceFaults(const Container& c, const fwmem::FaultCounts& faults);
 
   const Config& config() const { return config_; }
   uint64_t containers_created() const { return containers_created_; }

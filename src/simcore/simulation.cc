@@ -1,5 +1,6 @@
 #include "src/simcore/simulation.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/check.h"
@@ -56,14 +57,32 @@ void Simulation::InstallLogTimeSource() {
   fwbase::SetLogTimeSource([this] { return fwobs::FormatSimTime(now_); });
 }
 
+void Simulation::Push(const Event& ev) {
+  queue_.push_back(ev);
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+}
+
+void Simulation::PushCallback(SimTime when, std::function<void()> fn) {
+  uint32_t slot;
+  if (free_callbacks_.empty()) {
+    slot = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  Push(Event{when, next_seq_++, nullptr, slot});
+}
+
 void Simulation::Schedule(Duration delay, std::function<void()> fn) {
   FW_CHECK_MSG(!delay.is_negative(), "cannot schedule in the past");
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
+  PushCallback(now_ + delay, std::move(fn));
 }
 
 void Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
   FW_CHECK_MSG(when >= now_, "cannot schedule in the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  PushCallback(when, std::move(fn));
 }
 
 void Simulation::set_profiler(fwobs::Profiler* profiler) {
@@ -75,10 +94,9 @@ void Simulation::set_profiler(fwobs::Profiler* profiler) {
 }
 
 void Simulation::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
-  Schedule(delay, [this, h] {
-    FW_PROFILE_SCOPE_ID(profiler_, resume_scope_);
-    h.resume();
-  });
+  FW_CHECK_MSG(!delay.is_negative(), "cannot schedule in the past");
+  FW_CHECK(h);
+  Push(Event{now_ + delay, next_seq_++, h, 0});
 }
 
 uint64_t Simulation::Spawn(Co<void> co) {
@@ -109,17 +127,24 @@ bool Simulation::StepOne() {
   if (queue_.empty()) {
     return false;
   }
-  // std::priority_queue::top() is const; the event is copied out. Event
-  // functions are cheap to move once, so pull via const_cast-free copy of the
-  // handle-holding function.
-  Event ev = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+  const Event ev = queue_.back();
+  queue_.pop_back();
   FW_CHECK(ev.when >= now_);
   now_ = ev.when;
   ++events_processed_;
   {
     FW_PROFILE_SCOPE_ID(profiler_, dispatch_scope_);
-    ev.fn();
+    if (ev.h) {
+      FW_PROFILE_SCOPE_ID(profiler_, resume_scope_);
+      ev.h.resume();
+    } else {
+      // Moved out before the call: a callback that schedules callbacks may
+      // grow `callbacks_`, and may take this slot, while it runs.
+      std::function<void()> fn = std::exchange(callbacks_[ev.callback], nullptr);
+      free_callbacks_.push_back(ev.callback);
+      fn();
+    }
   }
   ReclaimDeadRoots();
   return true;
@@ -133,7 +158,7 @@ void Simulation::Run() {
 
 bool Simulation::RunUntil(SimTime t) {
   stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty() && queue_.top().when <= t) {
+  while (!stop_requested_ && !queue_.empty() && queue_.front().when <= t) {
     StepOne();
   }
   if (now_ < t && !stop_requested_) {

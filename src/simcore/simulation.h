@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -56,8 +56,9 @@ class Simulation {
 
   // Runs until the event queue is empty or Stop() is called.
   void Run();
-  // Runs events with timestamp <= `t`; afterwards Now() == t unless the queue
-  // drained earlier or Stop() was called. Returns true if events remain.
+  // Runs events with timestamp <= `t`; afterwards Now() == t (also when the
+  // queue drains first) unless Stop() was called. Returns true if events
+  // remain.
   bool RunUntil(SimTime t);
   bool RunFor(Duration d) { return RunUntil(Now() + d); }
   // Requests the run loop to return after the current event.
@@ -79,11 +80,16 @@ class Simulation {
   fwobs::Profiler* profiler() const { return profiler_; }
 
  private:
+  // A pending event: a suspended coroutine to resume or, when `h` is null, the
+  // slot in `callbacks_` of a plain callback. Trivially copyable, so the heap
+  // moves it with plain copies and allocates nothing per event.
   struct Event {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
+    std::coroutine_handle<> h;
+    uint32_t callback;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) {
@@ -97,6 +103,8 @@ class Simulation {
   struct Root;
   friend struct Root;
 
+  void Push(const Event& ev);
+  void PushCallback(SimTime when, std::function<void()> fn);
   void ReclaimDeadRoots();
   void OnRootDone(uint64_t id);
   void InstallLogTimeSource();
@@ -106,7 +114,15 @@ class Simulation {
   uint64_t next_root_id_ = 1;
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Binary min-heap on (when, seq) driven by std::push_heap/std::pop_heap.
+  // Bounded by the model: each pending event belongs to one suspended
+  // coroutine or one scheduled callback.
+  std::vector<Event> queue_;  // fwlint:allow(unbounded-queue)
+  // Plain callbacks live here, not in the heap; an event carries its slot.
+  // Freed slots are reused, and the vector's destructor releases the
+  // captures of callbacks still pending when the Simulation dies.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint32_t> free_callbacks_;
   // Ordered by root id so teardown destroys frames in spawn order; with an
   // unordered map the destructor's iteration (and any destructor side
   // effects, e.g. logging) would follow hash order. Flagged by

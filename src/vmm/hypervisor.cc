@@ -243,8 +243,9 @@ Duration Hypervisor::FaultServiceTime(const MicroVm& vm,
          config_.cow_fault_cost * static_cast<int64_t>(faults.fresh_writes);
 }
 
-fwsim::Co<void> Hypervisor::ServiceFaults(const MicroVm& vm, const fwmem::FaultCounts& faults) {
-  co_await fwsim::Delay(sim_, FaultServiceTime(vm, faults));
+fwsim::DelayAwaiter Hypervisor::ServiceFaults(const MicroVm& vm,
+                                              const fwmem::FaultCounts& faults) {
+  return fwsim::Delay(sim_, FaultServiceTime(vm, faults));
 }
 
 fwsim::Co<void> Hypervisor::PrefetchWorkingSet(fwmem::SnapshotImage& image,
@@ -260,9 +261,9 @@ fwsim::Co<Result<std::string>> Hypervisor::GuestReadMmds(MicroVm& vm, const std:
   co_return vm.GetMetadata(key);
 }
 
-fwsim::Co<void> Hypervisor::NotifyGenerationChange(MicroVm& vm) {
+fwsim::DelayAwaiter Hypervisor::NotifyGenerationChange(MicroVm& vm) {
   (void)vm;
-  co_await fwsim::Delay(sim_, config_.vmgenid_notify_cost);
+  return fwsim::Delay(sim_, config_.vmgenid_notify_cost);
 }
 
 }  // namespace fwvmm

@@ -149,8 +149,9 @@ class Hypervisor {
 
   // Time to service the given faults against `vm`'s backing image (if any).
   Duration FaultServiceTime(const MicroVm& vm, const fwmem::FaultCounts& faults) const;
-  // Convenience: charge the fault time on the simulation clock.
-  fwsim::Co<void> ServiceFaults(const MicroVm& vm, const fwmem::FaultCounts& faults);
+  // Convenience: charge the fault time on the simulation clock. The time is
+  // computed at the call, so await the result in the calling expression.
+  fwsim::DelayAwaiter ServiceFaults(const MicroVm& vm, const fwmem::FaultCounts& faults);
 
   // REAP-style prefetch: bulk sequential read of the image's recorded working
   // set, after which its pages are cache-warm.
@@ -164,7 +165,7 @@ class Hypervisor {
   // Delivers the vmgenid generation-change notification to `vm` (charges
   // vmgenid_notify_cost). The platform follows up by having the guest
   // process reseed/rebase against vm.generation().
-  fwsim::Co<void> NotifyGenerationChange(MicroVm& vm);
+  fwsim::DelayAwaiter NotifyGenerationChange(MicroVm& vm);
 
   // Fresh host entropy for a guest reseed (the virtio-rng device): an
   // independent deterministic stream forked from the simulation RNG at
