@@ -76,6 +76,7 @@ struct RunResult {
   Cluster::Rollup rollup;
   uint64_t digest = 0;
   double sim_seconds = 0.0;
+  uint64_t events = 0;  // Simulation events over the whole run.
 };
 
 std::vector<std::string> AppNames(int apps) {
@@ -142,6 +143,7 @@ RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
   r.rollup = cluster.ComputeRollup();
   r.digest = cluster.OutcomeDigest();
   r.sim_seconds = sim.Now().seconds();
+  r.events = sim.events_processed();
   if (profile_into != nullptr) {
     profile_into->Merge(cluster.obs().profiler());
   }
@@ -433,6 +435,11 @@ int main(int argc, char** argv) {
                             "higher");
     report.AddGuardedMetric("slo_attainment", head.rollup.slo_attainment, "higher");
     report.AddGuardedMetric("peak_pss_mib", head.rollup.peak_pss_bytes / (1024.0 * 1024.0),
+                            "lower");
+    // An exact cost of the simulator itself: deterministic per seed, so
+    // unchanged code diffs at 0.0% and any growth is real.
+    report.AddGuardedMetric("events_per_inv",
+                            static_cast<double>(head.events) / static_cast<double>(opt.invocations),
                             "lower");
     report.AddMetric("failed", static_cast<double>(head.rollup.failed));
     report.AddMetric("slo_alerts", static_cast<double>(head.rollup.slo_alerts));

@@ -2,6 +2,7 @@
 // and synchronisation primitives.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -237,6 +238,88 @@ TEST(SimEventTest, TriggerOnlyWakesCurrentWaiters) {
   ev.Trigger();
   sim.Run();
   EXPECT_EQ(wakes, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The event queue: resume events (a coroutine handle) beside callbacks (a
+// slot in the Simulation's callback vector).
+// ---------------------------------------------------------------------------
+
+Co<void> WaitThenMark(SimEvent& ev, std::vector<int>& order, int mark) {
+  co_await ev.Wait();
+  order.push_back(mark);
+}
+
+TEST(EventQueueTest, ResumesAndCallbacksAtOneInstantRunInScheduleOrder) {
+  Simulation sim;
+  constexpr int kEvents = 40;
+  std::vector<int> order;
+  std::vector<std::unique_ptr<SimEvent>> wakers;
+  for (int i = 1; i < kEvents; i += 2) {
+    wakers.push_back(std::make_unique<SimEvent>(sim));
+    sim.Spawn(WaitThenMark(*wakers.back(), order, i));
+  }
+  sim.RunFor(1_ms);
+  // At 5 ms one callback schedules, in turn, a callback for each even mark
+  // and the resume of the coroutine holding each odd mark, all at 5 ms.
+  sim.Schedule(4_ms, [&] {
+    for (int i = 0; i < kEvents; ++i) {
+      if (i % 2 == 0) {
+        sim.Schedule(Duration::Zero(), [&order, i] { order.push_back(i); });
+      } else {
+        wakers[i / 2]->Trigger();
+      }
+    }
+  });
+  sim.Run();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kEvents));
+  for (int i = 0; i < kEvents; ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 5_ms);
+}
+
+TEST(EventQueueTest, CallbackThatSchedulesCallbacksKeepsItsCaptures) {
+  Simulation sim;
+  int fired = 0;
+  // Two references: small enough that std::function keeps the closure in the
+  // slot itself. Run in place, the callback would read its captures from the
+  // slot vector's freed storage once the 100 schedules below have grown it
+  // (caught under ASan).
+  sim.Schedule(1_ms, [&sim, &fired] {
+    for (int i = 0; i < 100; ++i) {
+      sim.Schedule(Duration::Micros(i), [&fired] { ++fired; });
+    }
+    fired += 1000;
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 1100);
+}
+
+TEST(EventQueueTest, DestroyingTheSimulationReleasesPendingCallbacks) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulation sim;
+    for (int i = 1; i <= 3; ++i) {
+      sim.Schedule(Duration::Seconds(i), [token] {});
+    }
+    EXPECT_EQ(token.use_count(), 4);
+    sim.RunUntil(SimTime::Zero() + 1_s);
+    EXPECT_EQ(token.use_count(), 3);  // The fired callback let go of its copy.
+    sim.Schedule(5_s, [token] {});   // Reuses the freed slot.
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueTest, RunUntilRunsAResumeEventExactlyAtTheBoundary) {
+  Simulation sim;
+  std::vector<double> marks;
+  sim.Spawn(SleepAndMark(sim, 10_ms, marks));
+  EXPECT_FALSE(sim.RunUntil(SimTime::Zero() + 10_ms));
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_DOUBLE_EQ(marks[0], 0.010);
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 10_ms);
 }
 
 // ---------------------------------------------------------------------------
