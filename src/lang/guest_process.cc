@@ -325,10 +325,11 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
 
 fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
                                               const std::string& type_sig) {
-  // Calls run on this stack, not as coroutines. The work is done in the order
-  // the recursive form did it, so every Delay is scheduled at the same
-  // instant with the same sequence number. Four frames cover every shipped
-  // app's nesting with one allocation.
+  // Each call runs on this stack instead of in a coroutine of its own. Like
+  // awaiting a child Co, entering or leaving a call schedules no event, so
+  // every Delay keeps its instant and its place in the event order
+  // (DESIGN.md §3, "Suspensions"). Four frames hold every shipped app's
+  // nesting in one allocation.
   std::vector<Frame> stack;
   stack.reserve(4);
   const MethodDef* entering = &root;

@@ -335,8 +335,9 @@ TEST_F(GuestProcessTest, NodeEveryOpPinnedThroughTierUpAndDeopts) {
   fwmem::AddressSpace space(host_);
   const FunctionSource fn = EveryOpFn(Language::kNodeJs);
   auto process = BootAndLoad(fn, space);
-  // Three "int" calls tier leaf, tip and then mid up; "str" deopts them and
-  // re-profiles; "obj" deopts again and leaves them polymorphic.
+  // Three "int" calls tier leaf, tip and then mid up; "str" deopts all three
+  // and re-profiles them; "obj" deopts leaf and tip a second time, which
+  // leaves them polymorphic.
   const std::vector<std::string> sigs = {"int", "int", "int", "str", "str", "obj", "obj"};
   const std::vector<std::string> want = {
       "total=14368432 compute=611009 io=3253923 jit=10400000 fault=103500 compiles=2 deopts=0 "
