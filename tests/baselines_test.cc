@@ -365,6 +365,98 @@ TEST_F(IsolateTest, FirstInvocationCreatesIsolate) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned timings: one cold and one warm invocation per baseline platform.
+// ---------------------------------------------------------------------------
+
+// The result's windows in ns, its recovery bookkeeping, and the name and
+// duration of every child of its root span.
+std::string DescribeInvocation(HostEnv& env, const fwcore::InvocationResult& r) {
+  std::string out = "cold=" + std::to_string(r.cold) +
+                    " attempts=" + std::to_string(r.attempts) +
+                    " startup=" + std::to_string(r.startup.nanos()) +
+                    " exec=" + std::to_string(r.exec.nanos()) +
+                    " others=" + std::to_string(r.others.nanos()) +
+                    " total=" + std::to_string(r.total.nanos()) + " |";
+  if (r.root_span == nullptr) {
+    return out + " no root span";
+  }
+  for (const fwobs::Span* child : env.tracer().ChildrenOf(r.root_span->id())) {
+    out += " " + child->name() + "=" + std::to_string(child->duration().nanos());
+  }
+  return out;
+}
+
+template <typename Platform>
+std::unique_ptr<fwcore::ServerlessPlatform> Make(HostEnv& env) {
+  return std::make_unique<Platform>(env);
+}
+
+std::unique_ptr<fwcore::ServerlessPlatform> MakeFirecrackerOsSnapshot(HostEnv& env) {
+  FirecrackerPlatform::Config config;
+  config.mode = FirecrackerMode::kOsSnapshot;
+  return std::make_unique<FirecrackerPlatform>(env, config);
+}
+
+struct PinnedPlatform {
+  const char* name;
+  std::unique_ptr<fwcore::ServerlessPlatform> (*make)(HostEnv&);
+  const char* cold;
+  const char* warm;
+};
+
+// Pins every window of one cold and one warm invocation per baseline
+// platform, and every child span of its root, so that a refactor of the
+// invoke path cannot move an event.
+TEST(BaselinePinnedTimingTest, ColdThenWarmInvocationIsUnchanged) {
+  const PinnedPlatform kPlatforms[] = {
+      {"openwhisk", Make<OpenWhiskPlatform>,
+       "cold=1 attempts=1 startup=971179560 exec=120447533 others=120464 total=1091747557 |"
+       " invoke.startup=971179560 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+       "cold=0 attempts=1 startup=58000000 exec=91639063 others=120464 total=149759527 |"
+       " invoke.startup=58000000 invoke.params=60001 invoke.exec=91639063 invoke.response=60463"},
+      {"gvisor", Make<GvisorPlatform>,
+       "cold=1 attempts=1 startup=1103479560 exec=137053038 others=120464 total=1240653062 |"
+       " invoke.startup=1103479560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+       "cold=0 attempts=1 startup=52300000 exec=104286963 others=120464 total=156707427 |"
+       " invoke.startup=52300000 invoke.params=60001 invoke.exec=104286963 invoke.response=60463"},
+      {"gvisor-snapshot", Make<GvisorSnapshotPlatform>,
+       "cold=1 attempts=1 startup=633300000 exec=140324538 others=120464 total=773745002 |"
+       " invoke.startup=633300000 invoke.params=60001 invoke.exec=140324538 invoke.response=60463",
+       "cold=0 attempts=1 startup=52300000 exec=104286963 others=120464 total=156707427 |"
+       " invoke.startup=52300000 invoke.params=60001 invoke.exec=104286963 invoke.response=60463"},
+      {"firecracker", Make<FirecrackerPlatform>,
+       "cold=1 attempts=1 startup=2488734200 exec=120447533 others=120464 total=2609302197 |"
+       " invoke.startup=2488734200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+       "cold=0 attempts=1 startup=60370000 exec=91639063 others=120464 total=152129527 |"
+       " invoke.startup=60370000 invoke.params=60001 invoke.exec=91639063 invoke.response=60463"},
+      {"firecracker-os-snapshot", MakeFirecrackerOsSnapshot,
+       "cold=1 attempts=1 startup=478098100 exec=120447533 others=120464 total=598666097 |"
+       " invoke.startup=478098100 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+       "cold=0 attempts=1 startup=60370000 exec=91639063 others=120464 total=152129527 |"
+       " invoke.startup=60370000 invoke.params=60001 invoke.exec=91639063 invoke.response=60463"},
+      {"isolate", Make<IsolatePlatform>,
+       "cold=1 attempts=1 startup=145063700 exec=117425933 others=120464 total=262610097 |"
+       " invoke.startup=145063700 invoke.params=60001 invoke.exec=117425933 invoke.response=60463",
+       "cold=0 attempts=1 startup=120000 exec=83351063 others=120464 total=83591527 |"
+       " invoke.startup=120000 invoke.params=60001 invoke.exec=83351063 invoke.response=60463"},
+  };
+  for (const PinnedPlatform& p : kPlatforms) {
+    SCOPED_TRACE(p.name);
+    HostEnv env;
+    env.tracer().Enable();
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    const FunctionSource fn = FactFn();
+    ASSERT_TRUE(RunSync(env.sim(), platform->Install(fn)).ok());
+    auto cold = RunSync(env.sim(), platform->Invoke(fn.name, "{}", InvokeOptions()));
+    ASSERT_TRUE(cold.ok());
+    auto warm = RunSync(env.sim(), platform->Invoke(fn.name, "{}", InvokeOptions()));
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(DescribeInvocation(env, *cold), p.cold);
+    EXPECT_EQ(DescribeInvocation(env, *warm), p.warm);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The paper's headline orderings, across platforms on one host.
 // ---------------------------------------------------------------------------
 
