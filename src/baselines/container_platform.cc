@@ -226,7 +226,9 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
     // : co_await b` (sibling of the aggregate-copy bug, see simcore/coro.h).
     Result<std::unique_ptr<Sandbox>> launched = Status::Internal("unreachable");
     if (params_.checkpoint_starts) {
-      launched = co_await RestoreSandbox(fn, sandbox_name);
+      // installed_ is a node-based map and no code path erases entries, so the
+      // fn reference stays valid across suspensions.
+      launched = co_await RestoreSandbox(fn, sandbox_name);  // fwlint:allow(iterator-invalidation)
       if (!launched.ok()) {
         // Checkpoint path failed (restore crash, corrupted or evicted
         // checkpoint): degrade to a full container launch.

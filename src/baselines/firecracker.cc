@@ -170,7 +170,9 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
   co_await fwsim::Delay(env_.sim(), config_.request_cost);
 
   std::unique_ptr<Sandbox> sandbox;
-  if (fn.warm != nullptr && !options.force_cold) {
+  // installed_ is a node-based map and no code path erases entries, so the
+  // fn reference stays valid across suspensions.
+  if (fn.warm != nullptr && !options.force_cold) {  // fwlint:allow(iterator-invalidation)
     // Warm start: resume the paused sandbox.
     result.cold = false;
     sandbox = std::move(fn.warm);

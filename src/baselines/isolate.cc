@@ -62,7 +62,9 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
   fwobs::ScopedSpan startup_span(&env_.tracer(), "invoke.startup", "invoke");
   co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(120));  // Router.
 
-  if (fn.isolate == nullptr || options.force_cold) {
+  // installed_ is a node-based map and no code path erases entries, so the
+  // fn reference stays valid across suspensions.
+  if (fn.isolate == nullptr || options.force_cold) {  // fwlint:allow(iterator-invalidation)
     if (fn.isolate != nullptr) {
       fn.isolate.reset();
     }

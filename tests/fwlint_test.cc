@@ -1,6 +1,6 @@
 // Fixture-driven tests for fwlint (tools/fwlint/): every check gets at least
-// one positive, one negative, one comment/string decoy (which the old
-// check_determinism.sh grep would have mis-flagged), and one fwlint:allow
+// one positive, one negative, one comment/string decoy (which a plain grep
+// would mis-flag), and one fwlint:allow
 // suppression case. Fixture snippets live in raw strings, which also proves
 // that fwlint scanning *this* file does not trip on them: string contents are
 // not code.
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tools/fwlint/baseline.h"
 #include "tools/fwlint/lexer.h"
 #include "tools/fwlint/parser.h"
 
@@ -969,111 +968,20 @@ TEST(StaleSuppressionCheckTest, EffectiveAllowIsNotStale) {
   EXPECT_TRUE(OfCheck(diags, "use-after-move").empty());
 }
 
-// ---------------------------------------------------------------------------
-// Baseline (parse/serialize/diff/debt report)
-// ---------------------------------------------------------------------------
-
-TEST(BaselineTest, SerializeParseRoundTrip) {
-  const std::vector<Diagnostic> diags = {
-      {"src/a.cc", 10, "use-after-move", "m1"},
-      {"src/a.cc", 20, "use-after-move", "m1"},
-      {"src/b.cc", 5, "iterator-invalidation", "m2"},
-  };
-  const std::string json = fwlint::SerializeBaseline(diags);
-  fwlint::Baseline base;
-  std::string error;
-  ASSERT_TRUE(fwlint::ParseBaseline(json, &base, &error)) << error;
-  ASSERT_EQ(base.entries.size(), 2u);
-  EXPECT_EQ(base.entries[0].file, "src/a.cc");
-  EXPECT_EQ(base.entries[0].count, 2);
-  EXPECT_EQ(base.entries[1].check, "iterator-invalidation");
-  EXPECT_EQ(base.entries[1].count, 1);
-}
-
-TEST(BaselineTest, QuotedBytesRoundTrip) {
-  // The writer quotes control and non-UTF-8 bytes as \u00XX; the reader
-  // decodes them back to the same bytes.
-  const std::string message = std::string("tab\t quote\" ctl\x01 raw\xff pi\xcf\x80");
-  const std::string json =
-      fwlint::SerializeBaseline({{"src/a.cc", 1, "use-after-move", message}});
-  fwlint::Baseline base;
-  std::string error;
-  ASSERT_TRUE(fwlint::ParseBaseline(json, &base, &error)) << error;
-  ASSERT_EQ(base.entries.size(), 1u);
-  EXPECT_EQ(base.entries[0].message, message);
-}
-
-TEST(BaselineTest, MalformedBaselinesAreHardErrors) {
-  const char* kBad[] = {
-      "{ not json",
-      "{\"version\": 2, \"findings\": []}",
-      "{\"findings\": []}",
-      "{\"version\": 1, \"findings\": [{\"file\": \"a\", \"check\": \"b\"}]}",
-      "{\"version\": 1, \"findings\": [{\"file\": \"a\", \"check\": \"b\","
-      " \"count\": 0, \"message\": \"m\"}]}",
-  };
-  for (const char* text : kBad) {
-    fwlint::Baseline base;
-    std::string error;
-    EXPECT_FALSE(fwlint::ParseBaseline(text, &base, &error)) << text;
-    EXPECT_FALSE(error.empty()) << text;
+// A per-line allow is the only way to accept a finding, so no allow may hide
+// the report that an allow on its line is stale.
+TEST(StaleSuppressionCheckTest, CannotItselfBeSuppressed) {
+  for (const std::string allow : {"all", "stale-suppression"}) {
+    SCOPED_TRACE(allow);
+    const auto diags = LintOne("tests/fx.cc", "int Answer() {\n  return 42;  // fwlint:allow(" +
+                                                  allow + ")\n}\n");
+    const auto stale = OfCheck(diags, "stale-suppression");
+    EXPECT_EQ(stale.size(), 1u);
+    for (const Diagnostic& d : stale) {
+      EXPECT_EQ(d.line, 2);
+      EXPECT_NE(d.message.find("fwlint:allow(" + allow + ")"), std::string::npos) << d.message;
+    }
   }
-  fwlint::Baseline base;
-  std::string error;
-  EXPECT_TRUE(fwlint::ParseBaseline("{\"version\": 1, \"findings\": []}", &base, &error));
-  EXPECT_TRUE(base.entries.empty());
-}
-
-TEST(BaselineTest, DiffSplitsFreshCoveredAndFixed) {
-  fwlint::Baseline base;
-  base.entries = {{"src/a.cc", "use-after-move", "m1", 1},
-                  {"src/gone.cc", "iterator-invalidation", "m9", 2}};
-  const std::vector<Diagnostic> diags = {
-      {"src/a.cc", 10, "use-after-move", "m1"},          // covered
-      {"src/a.cc", 30, "use-after-move", "m1"},          // over budget -> fresh
-      {"src/new.cc", 7, "suspend-lifetime", "m3"},       // unknown key -> fresh
-  };
-  const fwlint::BaselineDiff diff = fwlint::DiffAgainstBaseline(diags, base);
-  ASSERT_EQ(diff.fresh.size(), 2u);
-  // Budget is consumed in (file, line) order: the *last* m1 instance is fresh.
-  EXPECT_EQ(diff.fresh[0].line, 30);
-  EXPECT_EQ(diff.fresh[1].file, "src/new.cc");
-  ASSERT_EQ(diff.fixed.size(), 1u);
-  EXPECT_EQ(diff.fixed[0].file, "src/gone.cc");
-  EXPECT_EQ(diff.fixed[0].count, 2);
-}
-
-TEST(BaselineTest, StaleSuppressionIsNeverBaselineable) {
-  const std::vector<Diagnostic> diags = {
-      {"src/a.cc", 3, "stale-suppression", "fwlint:allow(x) matches no finding"}};
-  // Serialisation refuses to record it...
-  const std::string json = fwlint::SerializeBaseline(diags);
-  EXPECT_EQ(json.find("stale-suppression"), std::string::npos);
-  // ...and even a hand-edited baseline entry cannot absorb it.
-  fwlint::Baseline base;
-  base.entries = {{"src/a.cc", "stale-suppression", "fwlint:allow(x) matches no finding", 5}};
-  const fwlint::BaselineDiff diff = fwlint::DiffAgainstBaseline(diags, base);
-  ASSERT_EQ(diff.fresh.size(), 1u);
-  EXPECT_EQ(diff.fresh[0].check, "stale-suppression");
-}
-
-TEST(BaselineTest, DebtReportListsTotalsSitesAndPaidDownEntries) {
-  fwlint::Baseline base;
-  base.entries = {{"src/a.cc", "use-after-move", "m1", 2},
-                  {"src/b.cc", "iterator-invalidation", "m2", 1}};
-  fwlint::BaselineDiff diff;
-  diff.fixed = {{"src/b.cc", "iterator-invalidation", "m2", 1}};
-  const std::vector<fwlint::SuppressionSite> sites = {
-      {"src/c.cc", 12, "determinism", /*stale=*/false},
-      {"src/d.cc", 40, "layering", /*stale=*/true},
-  };
-  const std::string report = fwlint::DebtReport(sites, base, diff);
-  EXPECT_NE(report.find("Baselined findings: 3"), std::string::npos);
-  EXPECT_NE(report.find("use-after-move: 2"), std::string::npos);
-  EXPECT_NE(report.find("src/c.cc:12 allow(determinism)"), std::string::npos);
-  EXPECT_NE(report.find("src/d.cc:40 allow(layering)  [STALE"), std::string::npos);
-  EXPECT_NE(report.find("Paid-down baseline entries"), std::string::npos);
-  EXPECT_NE(report.find("src/b.cc [iterator-invalidation] x1: m2"), std::string::npos);
 }
 
 }  // namespace

@@ -294,39 +294,27 @@ std::vector<Diagnostic> Analyzer::Run(const std::set<std::string>& checks) {
   // whose named check produced nothing on its line is stale — the code it
   // excused has been fixed (or the suppression never matched), and keeping it
   // would silently swallow the next real finding on that line.
-  suppression_sites_.clear();
+  std::vector<Diagnostic> stale;
   for (const File& f : files_) {
     for (const auto& [line, names] : f.lex.suppressions) {
       for (const std::string& name : names) {
-        SuppressionSite site{f.path, line, name, /*stale=*/true};
+        bool matched = false;
         for (const Diagnostic& d : raw) {
-          if (d.file != f.path || d.line != line) {
-            continue;
-          }
-          if (name == "all" || d.check == name) {
-            site.stale = false;
+          if (d.file == f.path && d.line == line && (name == "all" || d.check == name)) {
+            matched = true;
             break;
           }
         }
-        suppression_sites_.push_back(std::move(site));
+        if (!matched) {
+          stale.push_back({f.path, line, "stale-suppression",
+                           "fwlint:allow(" + name +
+                               ") matches no finding on this line; delete it so suppression "
+                               "debt shrinks instead of rotting (or fix the check name)"});
+        }
       }
     }
   }
-  std::sort(suppression_sites_.begin(), suppression_sites_.end(),
-            [](const SuppressionSite& a, const SuppressionSite& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              return a.check < b.check;
-            });
-  for (const SuppressionSite& site : suppression_sites_) {
-    if (!site.stale) {
-      continue;
-    }
-    raw.push_back({site.file, site.line, "stale-suppression",
-                   "fwlint:allow(" + site.check +
-                       ") matches no finding on this line; delete it so suppression "
-                       "debt shrinks instead of rotting (or fix the check name)"});
-  }
+  raw.insert(raw.end(), stale.begin(), stale.end());
 
   // Apply per-line suppressions and the check filter, then sort for stable
   // output. stale-suppression itself is deliberately not suppressible — an

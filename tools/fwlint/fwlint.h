@@ -82,15 +82,6 @@ struct Diagnostic {
   std::string ToString() const;
 };
 
-// One fwlint:allow(<check>) occurrence, with staleness resolved against the
-// most recent Run(). The suppression-debt report serialises these.
-struct SuppressionSite {
-  std::string file;
-  int line = 0;
-  std::string check;  // the suppressed check name (or "all")
-  bool stale = false; // matched no finding of that check on its line
-};
-
 // All check names, in reporting order.
 const std::vector<std::string>& AllChecks();
 
@@ -111,10 +102,6 @@ class Analyzer {
   // sorted by (file, line, check) and already have per-line fwlint:allow()
   // suppressions applied.
   std::vector<Diagnostic> Run(const std::set<std::string>& checks = {});
-
-  // Every fwlint:allow occurrence seen by the most recent Run(), with
-  // staleness resolved. Sorted by (file, line, check).
-  const std::vector<SuppressionSite>& suppression_sites() const { return suppression_sites_; }
 
   // Exposed for tests: the registry of function names declared to return
   // Co<...> across all added files, of variable/member names declared with an
@@ -148,7 +135,6 @@ class Analyzer {
   std::set<std::string> coro_fns_;
   std::set<std::string> unordered_vars_;
   std::set<std::string> detached_fns_;
-  std::vector<SuppressionSite> suppression_sites_;
   bool registry_built_ = false;
 };
 

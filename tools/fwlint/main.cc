@@ -1,25 +1,12 @@
 // fwlint CLI.
 //
-//   fwlint [--root=DIR] [--check=a,b,...] [--list-checks]
-//          [--baseline=FILE] [--write-baseline=FILE] [--debt-report=FILE]
-//          [files...]
+//   fwlint [--root=DIR] [--check=a,b,...] [--list-checks] [files...]
 //
 // With no explicit files, scans src/ bench/ tests/ examples/ under --root
 // (default: current directory) for *.cc *.h *.cpp *.hpp, in sorted order so
 // output is stable. Diagnostics go to stdout as "path:line: [check] message".
-//
-// Modes:
-//   default            exit 0 clean, 1 diagnostics found, 2 usage/IO error
-//   --baseline=FILE    diff against a committed findings baseline; print and
-//                      fail (exit 1) only on *new* findings. Findings the
-//                      baseline already carries are counted but not printed;
-//                      paid-down entries are listed as "fixed". Stale
-//                      fwlint:allow sites always count as new findings.
-//   --write-baseline=F regenerate the baseline from the current findings and
-//                      exit 0 (the gate is meant to be re-armed explicitly)
-//   --debt-report=F    also write a human-readable suppression-debt report
-//                      (baselined totals per check, every fwlint:allow site
-//                      with staleness, paid-down entries)
+// Exits 0 when clean, 1 when any diagnostic is found, 2 on a usage or IO
+// error. A finding is accepted only by a per-line fwlint:allow(<check>).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -29,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/fwlint/baseline.h"
 #include "tools/fwlint/fwlint.h"
 
 namespace {
@@ -49,25 +35,13 @@ std::string Relativize(const fs::path& p, const fs::path& root) {
 }
 
 int Usage(std::ostream& os, int code) {
-  os << "usage: fwlint [--root=DIR] [--check=a,b,...] [--list-checks]\n"
-     << "              [--baseline=FILE] [--write-baseline=FILE] [--debt-report=FILE]\n"
-     << "              [files...]\n"
+  os << "usage: fwlint [--root=DIR] [--check=a,b,...] [--list-checks] [files...]\n"
      << "checks:";
   for (const std::string& c : fwlint::AllChecks()) {
     os << " " << c;
   }
   os << "\n";
   return code;
-}
-
-bool WriteFileOrComplain(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::cerr << "fwlint: cannot write " << path << "\n";
-    return false;
-  }
-  out << content;
-  return true;
 }
 
 }  // namespace
@@ -77,9 +51,6 @@ int main(int argc, char** argv) {
   std::set<std::string> checks;
   bool check_flag_seen = false;
   std::vector<std::string> explicit_files;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string debt_report_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -103,12 +74,6 @@ int main(int argc, char** argv) {
         }
         checks.insert(name);
       }
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
-    } else if (arg.rfind("--debt-report=", 0) == 0) {
-      debt_report_path = arg.substr(14);
     } else if (arg == "--list-checks") {
       for (const std::string& c : fwlint::AllChecks()) {
         std::cout << c << "\n";
@@ -126,28 +91,6 @@ int main(int argc, char** argv) {
   if (check_flag_seen && checks.empty()) {
     std::cerr << "fwlint: --check= given but no check names\n";
     return Usage(std::cerr, 2);
-  }
-  if (!baseline_path.empty() && !checks.empty()) {
-    std::cerr << "fwlint: --baseline diffs the full finding set; drop --check=\n";
-    return 2;
-  }
-
-  // Load the baseline before doing any work: a malformed gate file should
-  // fail fast and loudly, not after a full scan.
-  fwlint::Baseline baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "fwlint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    if (!fwlint::ParseBaseline(buf.str(), &baseline, &error)) {
-      std::cerr << "fwlint: " << baseline_path << ": " << error << "\n";
-      return 2;
-    }
   }
 
   std::vector<fs::path> files;
@@ -188,62 +131,14 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<fwlint::Diagnostic> diags = analyzer.Run(checks);
-
-  if (!write_baseline_path.empty()) {
-    if (!WriteFileOrComplain(write_baseline_path, fwlint::SerializeBaseline(diags))) {
-      return 2;
-    }
-    std::cout << "fwlint: wrote baseline (" << diags.size() << " findings) to "
-              << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (baseline_path.empty()) {
-    for (const fwlint::Diagnostic& d : diags) {
-      std::cout << d.ToString() << "\n";
-    }
-    if (!debt_report_path.empty()) {
-      const fwlint::BaselineDiff empty_diff;
-      if (!WriteFileOrComplain(
-              debt_report_path,
-              fwlint::DebtReport(analyzer.suppression_sites(), baseline, empty_diff))) {
-        return 2;
-      }
-    }
-    if (!diags.empty()) {
-      std::cout << "fwlint: " << diags.size() << " diagnostic"
-                << (diags.size() == 1 ? "" : "s") << " across " << files.size()
-                << " files\n";
-      return 1;
-    }
-    std::cout << "fwlint OK: " << files.size() << " files clean\n";
-    return 0;
-  }
-
-  // Baseline mode: only new findings gate.
-  const fwlint::BaselineDiff diff = fwlint::DiffAgainstBaseline(diags, baseline);
-  if (!debt_report_path.empty()) {
-    if (!WriteFileOrComplain(debt_report_path,
-                             fwlint::DebtReport(analyzer.suppression_sites(), baseline,
-                                                diff))) {
-      return 2;
-    }
-  }
-  for (const fwlint::Diagnostic& d : diff.fresh) {
+  for (const fwlint::Diagnostic& d : diags) {
     std::cout << d.ToString() << "\n";
   }
-  for (const fwlint::BaselineEntry& e : diff.fixed) {
-    std::cout << "fixed (regenerate baseline to drop): " << e.file << " [" << e.check
-              << "] x" << e.count << "\n";
-  }
-  const size_t known = diags.size() - diff.fresh.size();
-  if (!diff.fresh.empty()) {
-    std::cout << "fwlint: " << diff.fresh.size() << " NEW finding"
-              << (diff.fresh.size() == 1 ? "" : "s") << " not in baseline (" << known
-              << " baselined) across " << files.size() << " files\n";
+  if (!diags.empty()) {
+    std::cout << "fwlint: " << diags.size() << " diagnostic" << (diags.size() == 1 ? "" : "s")
+              << " across " << files.size() << " files\n";
     return 1;
   }
-  std::cout << "fwlint OK: no new findings (" << known << " baselined, " << diff.fixed.size()
-            << " fixed) across " << files.size() << " files\n";
+  std::cout << "fwlint OK: " << files.size() << " files clean\n";
   return 0;
 }
