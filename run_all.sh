@@ -9,9 +9,6 @@
 set -e
 cd "$(dirname "$0")"
 
-# Source hygiene: no wall clocks or unseeded RNG outside the blessed files.
-scripts/check_determinism.sh
-
 with_trace_smoke=0
 for arg in "$@"; do
   case "$arg" in
@@ -22,7 +19,17 @@ done
 
 cmake -B build -G Ninja
 cmake --build build
-ctest --test-dir build 2>&1 | tee test_output.txt
+# Lint gate: every fwlint check, zero findings.
+build/tools/fwlint/fwlint --root=.
+# Write the capture first, then fail on ctest's own exit status (a pipe into
+# tee would report tee's).
+ctest_status=0
+ctest --test-dir build > test_output.txt 2>&1 || ctest_status=$?
+cat test_output.txt
+if [ "$ctest_status" -ne 0 ]; then
+  echo "ctest FAILED (exit $ctest_status): see test_output.txt" >&2
+  exit 1
+fi
 : > bench_output.txt
 for b in build/bench/*; do
   if [ -x "$b" ] && [ ! -d "$b" ]; then
