@@ -249,34 +249,7 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
   ++next_instance_;
   root.SetAttribute("cold", result.cold ? "true" : "false");
   startup_span.End();
-  const SimTime t_ready = env_.sim().Now();
-
-  // Arguments delivered to the action (/run POST).
-  fwobs::ScopedSpan params_span(tracer_, "invoke.params", "invoke");
-  co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(60) +
-                                        env_.network().TransferTime(args.size()));
-  params_span.End();
-  const SimTime t_args = env_.sim().Now();
-
-  fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
-  result.exec_stats =
-      co_await sandbox->process->CallMethod(fn.source->entry_method, options.type_sig);
-  exec_span.End();
-  const SimTime t_exec_done = env_.sim().Now();
-
-  fwobs::ScopedSpan response_span(tracer_, "invoke.response", "invoke");
-  co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(60) +
-                                        env_.network().TransferTime(579));
-  response_span.End();
-  const SimTime t_done = env_.sim().Now();
-
-  result.startup = t_ready - t0;
-  result.exec = t_exec_done - t_args;
-  result.others = (t_args - t_ready) + (t_done - t_exec_done);
-  result.total = t_done - t0;
-  // Close at t_done, before the keep-alive pause.
-  root.End();
-  result.root_span = root.get();
+  co_await FinishInvocation(env_, sandbox, *fn.source, args.size(), options, t0, root, result);
 
   if (options.keep_instance) {
     kept_.push_back(std::move(sandbox));

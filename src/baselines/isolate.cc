@@ -92,32 +92,7 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
   }
   root.SetAttribute("cold", result.cold ? "true" : "false");
   startup_span.End();
-  const SimTime t_ready = env_.sim().Now();
-
-  fwobs::ScopedSpan params_span(&env_.tracer(), "invoke.params", "invoke");
-  co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(60) +
-                                        env_.network().TransferTime(args.size()));
-  params_span.End();
-  const SimTime t_args = env_.sim().Now();
-
-  fwobs::ScopedSpan exec_span(&env_.tracer(), "invoke.exec", "invoke");
-  result.exec_stats =
-      co_await fn.isolate->process->CallMethod(fn.source->entry_method, options.type_sig);
-  exec_span.End();
-  const SimTime t_exec_done = env_.sim().Now();
-
-  fwobs::ScopedSpan response_span(&env_.tracer(), "invoke.response", "invoke");
-  co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(60) +
-                                        env_.network().TransferTime(579));
-  response_span.End();
-  const SimTime t_done = env_.sim().Now();
-
-  result.startup = t_ready - t0;
-  result.exec = t_exec_done - t_args;
-  result.others = (t_args - t_ready) + (t_done - t_exec_done);
-  result.total = t_done - t0;
-  root.End();
-  result.root_span = root.get();
+  co_await FinishInvocation(env_, fn.isolate, *fn.source, args.size(), options, t0, root, result);
   co_return result;
 }
 
