@@ -98,7 +98,6 @@ void AddressSpace::AccessWord(uint64_t wi, uint64_t mask, bool write, FaultCount
   const uint64_t zero = zero_.word(wi);
   const uint64_t absent = mask & ~(priv | shared | zero);
   const uint64_t valid = image_ != nullptr ? image_->ValidWord(wi) : 0;
-  const uint64_t page0 = wi * kWordPages;
 
   if (!write) {
     out.already_mapped += Popcount(mask & ~absent);
@@ -110,14 +109,9 @@ void AddressSpace::AccessWord(uint64_t wi, uint64_t mask, bool write, FaultCount
       return;
     }
     const uint64_t from_image = absent & valid;
-    BackingStore& backing = image_->backing();
-    for (uint64_t w = from_image; w != 0; w &= w - 1) {
-      if (backing.IncResident(page0 + static_cast<uint64_t>(std::countr_zero(w)))) {
-        ++out.major_faults;
-      } else {
-        ++out.minor_shared;
-      }
-    }
+    const uint64_t major = image_->backing().IncWord(wi, from_image);
+    out.major_faults += major;
+    out.minor_shared += Popcount(from_image) - major;
     resident_shared_.SetBits(wi, from_image);
     image_touched_.SetBits(wi, from_image);
     // Image-backed space reading a page the image has no content for: shared
@@ -132,10 +126,7 @@ void AddressSpace::AccessWord(uint64_t wi, uint64_t mask, bool write, FaultCount
   const uint64_t cow = mask & shared;
   if (cow != 0) {
     // Copy-on-write: drop the shared reference.
-    BackingStore& backing = image_->backing();
-    for (uint64_t w = cow; w != 0; w &= w - 1) {
-      backing.DecResident(page0 + static_cast<uint64_t>(std::countr_zero(w)));
-    }
+    image_->backing().DecWord(wi, cow);
     resident_shared_.ClearBits(wi, cow);
   }
   zero_.ClearBits(wi, mask & zero);
@@ -228,14 +219,20 @@ std::shared_ptr<SnapshotImage> AddressSpace::TakeSnapshot(const std::string& nam
   return image;
 }
 
+FW_MEM_ISA_CLONES void AddressSpace::DropSharedRefs() {
+  BackingStore& backing = image_->backing();
+  for (uint64_t wi = 0; wi < resident_shared_.num_words(); ++wi) {
+    backing.DecWord(wi, resident_shared_.word(wi));
+  }
+  backing.Settle();
+}
+
 void AddressSpace::Unmap() {
   if (unmapped_) {
     return;
   }
   if (image_ != nullptr) {
-    BackingStore& backing = image_->backing();
-    resident_shared_.ForEachSet([&backing](uint64_t page) { backing.DecResident(page); });
-    backing.Settle();
+    DropSharedRefs();
   }
   host_.FreeFrames(private_.Count());
   resident_shared_.ClearAll();

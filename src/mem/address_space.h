@@ -206,8 +206,9 @@ class AddressSpace {
   void set_guest_identity(const GuestIdentityRecord& identity) { guest_identity_ = identity; }
 
  private:
-  // The two word loops run at the host's ISA: each is compiled once per
-  // x86-64 level with AccessWord and the pick inlined (src/mem/page_pick.h).
+  // The word loops run at the host's ISA: each is compiled once per x86-64
+  // level with AccessWord, the pick and the refcount loops inlined
+  // (src/mem/page_pick.h).
   FaultCounts AccessRange(SegmentId seg, uint64_t first, uint64_t count, bool write);
   FaultCounts AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt, bool write);
   // The fault engine: one read or write of the pages in `mask`, all within
@@ -216,6 +217,9 @@ class AddressSpace {
   // Charges the host once for an access call's frame changes: page-cache
   // frees first, then every allocation.
   void Settle(const FaultCounts& out);
+  // Unmap's half for image pages: drops this space's reference to every
+  // resident shared page, a word at a time, at the host's ISA.
+  void DropSharedRefs();
   void GrowTo(uint64_t pages);
 
   HostMemory& host_;

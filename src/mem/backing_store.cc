@@ -3,7 +3,9 @@
 namespace fwmem {
 
 BackingStore::BackingStore(HostMemory& host, uint64_t num_pages)
-    : host_(host), refs_(num_pages, 0) {}
+    : host_(host),
+      num_pages_(num_pages),
+      refs_((num_pages + kWordPages - 1) / kWordPages * kWordPages, 0) {}
 
 BackingStore::~BackingStore() {
   // All mappings must unmap before the store dies; release whatever remains

@@ -871,6 +871,126 @@ INSTANTIATE_TEST_SUITE_P(Isa, PickVariantTest, ::testing::ValuesIn(PickVariants(
                            return info.param.name;
                          });
 
+// ---------------------------------------------------------------------------
+// The word refcount loops (IncRefsWord / DecRefsWord) at every ISA level, as
+// for the pick above: each variant is compiled here on its own and checked
+// against a per-page reference, on both the sparse set-bit path and the
+// vector loop.
+// ---------------------------------------------------------------------------
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+[[gnu::target("arch=x86-64-v4")]] uint64_t IncRefsV4(uint32_t* refs, uint64_t mask) {
+  return IncRefsWord(refs, mask);
+}
+[[gnu::target("arch=x86-64-v4")]] uint64_t DecRefsV4(uint32_t* refs, uint64_t mask,
+                                                     uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
+[[gnu::target("arch=x86-64-v3")]] uint64_t IncRefsV3(uint32_t* refs, uint64_t mask) {
+  return IncRefsWord(refs, mask);
+}
+[[gnu::target("arch=x86-64-v3")]] uint64_t DecRefsV3(uint32_t* refs, uint64_t mask,
+                                                     uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
+#endif
+uint64_t IncRefsBaseline(uint32_t* refs, uint64_t mask) { return IncRefsWord(refs, mask); }
+uint64_t DecRefsBaseline(uint32_t* refs, uint64_t mask, uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
+
+struct RefsVariant {
+  std::string name;
+  uint64_t (*inc)(uint32_t*, uint64_t);  // nullptr: not compiled on this platform.
+  uint64_t (*dec)(uint32_t*, uint64_t, uint64_t&);
+  bool (*supported)();
+};
+
+std::vector<RefsVariant> RefsVariants() {
+  std::vector<RefsVariant> variants;
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  variants.push_back({"x86_64_v4", IncRefsV4, DecRefsV4,
+                      [] { return __builtin_cpu_supports("x86-64-v4") > 0; }});
+  variants.push_back({"x86_64_v3", IncRefsV3, DecRefsV3,
+                      [] { return __builtin_cpu_supports("x86-64-v3") > 0; }});
+#else
+  variants.push_back({"x86_64_v4", nullptr, nullptr, [] { return false; }});
+  variants.push_back({"x86_64_v3", nullptr, nullptr, [] { return false; }});
+#endif
+  variants.push_back({"baseline", IncRefsBaseline, DecRefsBaseline, [] { return true; }});
+  return variants;
+}
+
+void PrintTo(const RefsVariant& variant, std::ostream* os) { *os << variant.name; }
+
+class RefcountVariantTest : public ::testing::TestWithParam<RefsVariant> {};
+
+TEST_P(RefcountVariantTest, MatchesPerPageReference) {
+  const RefsVariant& variant = GetParam();
+  if (variant.inc == nullptr || !variant.supported()) {
+    GTEST_SKIP() << "refcount variant " << variant.name << " cannot run on this build or CPU";
+  }
+  fwbase::Rng rng(2025);
+  const uint64_t kLow = 0xFFFFFFFFull;
+  // Masks of every shape: empty, one bit (each end of each half), sparse
+  // (the set-bit path), one half only, both halves, full.
+  std::vector<uint64_t> masks = {0, 1, uint64_t{1} << 31, uint64_t{1} << 32, uint64_t{1} << 63,
+                                 kLow, ~kLow, ~uint64_t{0}};
+  for (int i = 0; i < 60; ++i) {
+    uint64_t sparse = 0;
+    for (uint64_t bits = 1 + rng.UniformU64(static_cast<uint64_t>(kSparseWordPages) + 2);
+         bits > 0; --bits) {
+      sparse |= uint64_t{1} << rng.UniformU64(kWordPages);
+    }
+    const uint64_t dense = rng.NextU64();
+    masks.insert(masks.end(), {sparse, dense, dense & kLow, dense & ~kLow, dense | sparse});
+  }
+  // Counts at 0, at 1, small and large, in a random lane-by-lane mix.
+  const uint32_t kCounts[] = {0, 1, 2, 3, 1000, 0x80000000u, 0xFFFFFFFEu};
+  for (const uint64_t inc_mask : masks) {
+    const uint64_t dec_mask = rng.Chance(0.5) ? inc_mask : masks[rng.UniformU64(masks.size())];
+    std::vector<uint32_t> got(kWordPages);
+    for (uint32_t& count : got) {
+      count = kCounts[rng.UniformU64(std::size(kCounts))];
+    }
+    std::vector<uint32_t> want = got;
+
+    uint64_t want_first = 0;
+    for (uint64_t b = 0; b < kWordPages; ++b) {
+      if ((inc_mask >> b) & 1) {
+        want_first += want[b] == 0 ? 1 : 0;
+        ++want[b];
+      }
+    }
+    EXPECT_EQ(variant.inc(got.data(), inc_mask), want_first)
+        << variant.name << " increment of mask " << std::hex << inc_mask;
+    EXPECT_EQ(got, want) << variant.name << " increment of mask " << std::hex << inc_mask;
+
+    uint64_t want_last = 0;
+    uint64_t want_empty = 0;
+    for (uint64_t b = 0; b < kWordPages; ++b) {
+      if ((dec_mask >> b) & 1) {
+        want_last += want[b] == 1 ? 1 : 0;
+        want_empty += want[b] == 0 ? 1 : 0;
+        --want[b];
+      }
+    }
+    uint64_t empty = ~uint64_t{0};
+    EXPECT_EQ(variant.dec(got.data(), dec_mask, empty), want_last)
+        << variant.name << " decrement of mask " << std::hex << dec_mask;
+    EXPECT_EQ(empty, want_empty) << variant.name << " decrement of mask " << std::hex << dec_mask;
+    EXPECT_EQ(got, want) << variant.name << " decrement of mask " << std::hex << dec_mask;
+    if (HasFailure()) {
+      FAIL() << variant.name << " diverged at masks " << std::hex << inc_mask << ", " << dec_mask;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, RefcountVariantTest, ::testing::ValuesIn(RefsVariants()),
+                         [](const ::testing::TestParamInfo<RefsVariant>& info) {
+                           return info.param.name;
+                         });
+
 // Writing an image page this clone alone maps frees its page-cache frame and
 // takes a private one: the host ends where it started, and the peak does not
 // move, exactly as when each page was charged on its own.
