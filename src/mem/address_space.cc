@@ -38,6 +38,26 @@ SnapshotImage::SnapshotImage(HostMemory& host, std::string name,
       valid_(std::move(valid)),
       backing_(host, valid_.size()) {}
 
+const uint64_t* SnapshotImage::TouchPicksFor(uint64_t first_word, uint64_t words,
+                                             uint64_t threshold, uint64_t salt) {
+  for (const TouchPicks& picks : touch_picks_) {
+    if (picks.first_word == first_word && picks.words.size() == words &&
+        picks.threshold == threshold && picks.salt == salt) {
+      return picks.words.data();
+    }
+  }
+  if (touch_picks_.size() == kMaxTouchPicks) {
+    return nullptr;
+  }
+  if (touch_picks_.empty()) {
+    touch_picks_.reserve(kMaxTouchPicks);
+  }
+  TouchPicks& picks = touch_picks_.emplace_back(
+      TouchPicks{first_word, threshold, salt, std::vector<uint64_t>(words)});
+  PickWords(salt, threshold, first_word, words, picks.words.data());
+  return picks.words.data();
+}
+
 AddressSpace::AddressSpace(HostMemory& host)
     : host_(host), resident_shared_(0), private_(0), zero_(0), image_touched_(0) {}
 
@@ -187,14 +207,26 @@ FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, 
   FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());
   const auto& layout = segments_[seg];
   const uint64_t threshold = FractionThreshold(fraction);
+  const uint64_t end = layout.base_page + layout.pages;
+  const uint64_t first_word = layout.base_page / kWordPages;
+  // A touch of a segment inside the image reads the image's memoized picks.
+  // Segments a clone added past the image are its own, and fractions 0 and 1
+  // hash nothing.
+  const uint64_t* memo = nullptr;
+  if (!write && image_ != nullptr && layout.pages > 0 && end <= image_->total_pages() &&
+      threshold != 0 && threshold != UINT64_MAX) {
+    memo = image_->TouchPicksFor(first_word, (end - 1) / kWordPages - first_word + 1, threshold,
+                                 salt);
+  }
   FaultCounts out;
-  ForEachWordIn(layout.base_page, layout.base_page + layout.pages,
-                [&](uint64_t wi, uint64_t span) {
-                  const uint64_t mask = PickWord(salt, threshold, wi) & span;
-                  if (mask != 0) {
-                    AccessWord(wi, mask, write, out);
-                  }
-                });
+  ForEachWordIn(layout.base_page, end, [&](uint64_t wi, uint64_t span) {
+    const uint64_t picked =
+        memo != nullptr ? memo[wi - first_word] : PickWord(salt, threshold, wi);
+    const uint64_t mask = picked & span;
+    if (mask != 0) {
+      AccessWord(wi, mask, write, out);
+    }
+  });
   Settle(out);
   return out;
 }

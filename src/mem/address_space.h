@@ -102,7 +102,30 @@ class SnapshotImage {
   const GuestIdentityRecord& guest_identity() const { return guest_identity_; }
   void set_guest_identity(const GuestIdentityRecord& identity) { guest_identity_ = identity; }
 
+  // Memo of the pages TouchRandomFraction picks on this image's segments
+  // (DESIGN.md §3). A touch picks the hot set every clone of the image
+  // shares, so its per-word picks are hashed once, on the image's first
+  // touch of that key, and read back by every clone after. A key is a word
+  // range, a threshold and a salt. The memo holds at most kMaxTouchPicks
+  // keys; touches of any other key hash their picks per call, so no result
+  // depends on the bound. Not locked: fwmem is single-threaded.
+  static constexpr size_t kMaxTouchPicks = 8;
+  size_t touch_pick_keys() const { return touch_picks_.size(); }
+
  private:
+  friend class AddressSpace;
+
+  struct TouchPicks {
+    uint64_t first_word;
+    uint64_t threshold;
+    uint64_t salt;
+    std::vector<uint64_t> words;  // words[i] = PickWord(salt, threshold, first_word + i)
+  };
+  // The picks of bitmap words [first_word, first_word + words) for the key,
+  // hashed on first use; nullptr when the memo is full and lacks the key.
+  const uint64_t* TouchPicksFor(uint64_t first_word, uint64_t words, uint64_t threshold,
+                                uint64_t salt);
+
   bool cache_warm_ = false;
   std::string name_;
   std::vector<SegmentLayout> segments_;
@@ -110,6 +133,7 @@ class SnapshotImage {
   BackingStore backing_;
   std::shared_ptr<const PageSet> working_set_;
   GuestIdentityRecord guest_identity_;
+  std::vector<TouchPicks> touch_picks_;
 };
 
 // Per-access fault/accounting result; the caller (VMM / runtime) converts the
@@ -172,7 +196,9 @@ class AddressSpace {
   FaultCounts DirtyRandomFraction(SegmentId seg, double fraction, uint64_t salt);
   // Reads a deterministic pseudo-random `fraction` of the segment's pages.
   // Contract: touches pick the hot set that every clone of an image shares
-  // (callers pass program-wide salts), while dirties diverge per clone.
+  // (callers pass program-wide salts), while dirties diverge per clone. So
+  // the picks of a touch of a segment inside the image are hashed once per
+  // image (SnapshotImage's touch-pick memo); dirties always hash.
   FaultCounts TouchRandomFraction(SegmentId seg, double fraction, uint64_t salt);
 
   // Freezes current content (resident ∪ private pages) into an image.

@@ -769,6 +769,71 @@ TEST_P(FaultEngineDifferentialTest, MatchesPerPageReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultEngineDifferentialTest, ::testing::Range<uint64_t>(1, 13));
 
+// Three times more distinct touch keys than the image's pick memo holds,
+// through clones of one image: every access still matches the reference,
+// the memo stops growing at its bound, and dirties, fractions 0 and 1, and
+// segments past the image add no key.
+TEST(FaultEngineTest, TouchPickMemoStopsAtItsBound) {
+  const std::vector<uint64_t> seg_pages = {37, 300, 129};
+  World real;
+  World ref;
+  std::shared_ptr<SnapshotImage> image;
+  {
+    AddressSpace builder(real.host);
+    for (uint64_t pages : seg_pages) {
+      builder.AddSegment("seg", pages * kPageSize);
+    }
+    builder.Dirty(1, 20, 200);
+    builder.Touch(2, 0, 100);
+    image = builder.TakeSnapshot("img");
+  }
+  RefSpace ref_builder(ref.host, nullptr, seg_pages);
+  ref_builder.Access(1, 20, 200, /*write=*/true);
+  ref_builder.Access(2, 0, 100, /*write=*/false);
+  std::shared_ptr<RefImage> ref_image = ref_builder.TakeSnapshot();
+  ref_builder.Unmap();
+
+  constexpr size_t kBound = SnapshotImage::kMaxTouchPicks;
+  // Key k: segment k % 3, a fraction and salt no other key shares.
+  const auto fraction_of = [](uint64_t k) { return 0.05 + 0.03 * static_cast<double>(k); };
+  // A parked clone holds every key's pages, so later clones fault minor.
+  AddressSpace parked(real.host, image);
+  RefSpace ref_parked(ref.host, ref_image, seg_pages);
+  for (int round = 0; round < 2; ++round) {
+    // Round 0 fills the memo and then runs past it; round 1 runs every key
+    // again in a new clone, hits and misses alike.
+    AddressSpace vm(real.host, image);
+    RefSpace ref_vm(ref.host, ref_image, seg_pages);
+    for (uint64_t k = 0; k < 3 * kBound; ++k) {
+      const SegmentId seg = static_cast<SegmentId>(k % seg_pages.size());
+      if (round == 0) {
+        ExpectSameFaults(parked.TouchRandomFraction(seg, fraction_of(k), 100 + k),
+                         ref_parked.Fraction(seg, fraction_of(k), 100 + k, /*write=*/false));
+      }
+      ExpectSameFaults(vm.TouchRandomFraction(seg, fraction_of(k), 100 + k),
+                       ref_vm.Fraction(seg, fraction_of(k), 100 + k, /*write=*/false));
+      EXPECT_EQ(image->touch_pick_keys(), round == 0 ? std::min<size_t>(k + 1, kBound) : kBound);
+    }
+    if (round == 0) {
+      // Keys that never enter the memo, on a full memo: writes, fractions 0
+      // and 1, and a segment past the image.
+      const SegmentId extra = vm.AddSegment("heap", 90 * kPageSize);
+      ref_vm.AddSegment(90);
+      ExpectSameFaults(vm.DirtyRandomFraction(1, 0.3, 7), ref_vm.Fraction(1, 0.3, 7, true));
+      ExpectSameFaults(vm.TouchRandomFraction(2, 0.0, 7), ref_vm.Fraction(2, 0.0, 7, false));
+      ExpectSameFaults(vm.TouchRandomFraction(0, 1.0, 7), ref_vm.Fraction(0, 1.0, 7, false));
+      ExpectSameFaults(vm.TouchRandomFraction(extra, 0.5, 7),
+                       ref_vm.Fraction(extra, 0.5, 7, false));
+      EXPECT_EQ(image->touch_pick_keys(), kBound);
+    }
+    ExpectSameHost(real, ref);
+    ExpectSameSpace(vm, ref_vm);
+    ExpectSameSpace(parked, ref_parked);
+    ExpectSameRefs(*image, *ref_image);
+  }
+  EXPECT_EQ(image->touch_pick_keys(), kBound);
+}
+
 // ---------------------------------------------------------------------------
 // The page pick at every ISA level FW_MEM_ISA_CLONES compiles it for. A CI
 // runner executes only its own CPU's clone through the engine, so each
