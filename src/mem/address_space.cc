@@ -202,6 +202,7 @@ FaultCounts AddressSpace::DirtyBytes(SegmentId seg, uint64_t bytes) {
 
 FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, double fraction,
                                                                  uint64_t salt, bool write) {
+  FW_CHECK(!unmapped_);
   FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
   FW_CHECK(seg < segments_.size());
   FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());

@@ -253,6 +253,29 @@ TEST(AddressSpaceDeathTest, AccessBeyondSegmentAborts) {
   EXPECT_DEATH(space.Touch(seg, 0, 5), "beyond segment");
 }
 
+// After Unmap a space maps nothing more: a random-fraction touch or dirty
+// would take image references and private frames that nothing releases.
+TEST(AddressSpaceDeathTest, RandomFractionTouchAfterUnmapAborts) {
+  HostMemory host(1_GiB);
+  std::shared_ptr<SnapshotImage> image;
+  {
+    AddressSpace builder(host);
+    builder.DirtyBytes(builder.AddSegment("os", 64 * kPageSize), 64 * kPageSize);
+    image = builder.TakeSnapshot("img");
+  }
+  AddressSpace clone(host, image);
+  clone.Unmap();
+  EXPECT_DEATH(clone.TouchRandomFraction(0, 0.5, 7), "unmapped_");
+}
+
+TEST(AddressSpaceDeathTest, RandomFractionDirtyAfterUnmapAborts) {
+  HostMemory host(1_GiB);
+  AddressSpace space(host);
+  const SegmentId seg = space.AddSegment("heap", 64 * kPageSize);
+  space.Unmap();
+  EXPECT_DEATH(space.DirtyRandomFraction(seg, 0.5, 7), "unmapped_");
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot / restore: the CoW sharing paths of §3.3 and Fig. 4.
 // ---------------------------------------------------------------------------
