@@ -161,6 +161,9 @@ fwsim::Co<Status> ContainerPlatform::Prewarm(const std::string& fn_name) {
 
 void ContainerPlatform::StashWarm(InstalledFunction& fn, std::unique_ptr<Sandbox> sandbox,
                                   const std::string& fn_name) {
+  if (fn.warm != nullptr) {
+    DestroySandbox(*fn.warm);
+  }
   fn.warm = std::move(sandbox);
   const uint64_t generation = ++fn.warm_generation;
   if (params_.keep_alive == Duration::Max()) {
@@ -249,7 +252,8 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
   ++next_instance_;
   root.SetAttribute("cold", result.cold ? "true" : "false");
   startup_span.End();
-  co_await FinishInvocation(env_, sandbox, *fn.source, args.size(), options, t0, root, result);
+  co_await FinishInvocation(env_, *sandbox->process, *fn.source, args.size(), options, t0, root,
+                            result);
 
   if (options.keep_instance) {
     kept_.push_back(std::move(sandbox));

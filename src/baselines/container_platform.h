@@ -94,7 +94,8 @@ class ContainerPlatform : public fwcore::ServerlessPlatform {
                                                              const std::string& sandbox_name);
   fwlang::GuestProcess::FaultCharger ChargerFor(fwbox::Container* container);
   void DestroySandbox(Sandbox& sandbox);
-  // Stashes a warm sandbox and (if keep_alive is finite) arms its expiry.
+  // Stashes a warm sandbox, destroying the sandbox it displaces (an
+  // overlapping invocation's), and (if keep_alive is finite) arms its expiry.
   void StashWarm(InstalledFunction& fn, std::unique_ptr<Sandbox> sandbox,
                  const std::string& fn_name);
   std::shared_ptr<fwmem::SnapshotImage> RootfsFor(fwlang::Language language);

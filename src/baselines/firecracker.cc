@@ -150,7 +150,7 @@ fwsim::Co<Status> FirecrackerPlatform::Prewarm(const std::string& fn_name) {
   if (it == installed_.end()) {
     co_return Status::NotFound("function " + fn_name + " removed during prewarm");
   }
-  it->second.warm = *std::move(sandbox);
+  StashWarm(it->second, *std::move(sandbox));
   co_return Status::Ok();
 }
 
@@ -202,7 +202,8 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
   ++next_instance_;
   root.SetAttribute("cold", result.cold ? "true" : "false");
   startup_span.End();
-  co_await FinishInvocation(env_, sandbox, *fn.source, args.size(), options, t0, root, result);
+  co_await FinishInvocation(env_, *sandbox->process, *fn.source, args.size(), options, t0, root,
+                            result);
 
   if (options.keep_instance) {
     if (options.steady_state && config_.mode == FirecrackerMode::kOsSnapshot) {
@@ -219,7 +220,7 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
     // The sandbox stays warm for the next request (§2.2 keep-alive).
     Status paused = co_await hv_.Pause(*sandbox->vm);
     FW_CHECK(paused.ok());
-    fn.warm = std::move(sandbox);
+    StashWarm(fn, std::move(sandbox));
   }
   co_return result;
 }
@@ -229,6 +230,13 @@ void FirecrackerPlatform::DestroySandbox(Sandbox& sandbox) {
     FW_CHECK(hv_.Destroy(*sandbox.vm).ok());
     sandbox.vm = nullptr;
   }
+}
+
+void FirecrackerPlatform::StashWarm(InstalledFunction& fn, std::unique_ptr<Sandbox> sandbox) {
+  if (fn.warm != nullptr) {
+    DestroySandbox(*fn.warm);
+  }
+  fn.warm = std::move(sandbox);
 }
 
 void FirecrackerPlatform::ReleaseInstances() {

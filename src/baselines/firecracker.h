@@ -89,6 +89,9 @@ class FirecrackerPlatform : public fwcore::ServerlessPlatform {
                                                             const std::string& sandbox_name);
   fwlang::GuestProcess::FaultCharger ChargerFor(fwvmm::MicroVm* vm);
   void DestroySandbox(Sandbox& sandbox);
+  // Stashes a paused sandbox as the function's warm one, destroying the
+  // sandbox it displaces (an overlapping invocation's).
+  void StashWarm(InstalledFunction& fn, std::unique_ptr<Sandbox> sandbox);
 
   HostEnv& env_;
   Config config_;

@@ -62,14 +62,13 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
   fwobs::ScopedSpan startup_span(&env_.tracer(), "invoke.startup", "invoke");
   co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(120));  // Router.
 
+  std::shared_ptr<Isolate> isolate;
   // installed_ is a node-based map and no code path erases entries, so the
   // fn reference stays valid across suspensions.
   if (fn.isolate == nullptr || options.force_cold) {  // fwlint:allow(iterator-invalidation)
-    if (fn.isolate != nullptr) {
-      fn.isolate.reset();
-    }
+    fn.isolate.reset();
     result.cold = true;
-    auto isolate = std::make_unique<Isolate>();
+    isolate = std::make_shared<Isolate>();
     isolate->space = std::make_unique<fwmem::AddressSpace>(
         env_.memory(), RuntimeImageFor(fn.source->language));
     isolate->fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
@@ -86,13 +85,15 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
     isolate->process->set_mem_salt(next_instance_++);
     co_await isolate->process->AttachRuntime();
     co_await isolate->process->LoadApplication(*fn.source);
-    fn.isolate = std::move(isolate);
+    fn.isolate = isolate;
   } else {
     result.cold = false;
+    isolate = fn.isolate;
   }
   root.SetAttribute("cold", result.cold ? "true" : "false");
   startup_span.End();
-  co_await FinishInvocation(env_, fn.isolate, *fn.source, args.size(), options, t0, root, result);
+  co_await FinishInvocation(env_, *isolate->process, *fn.source, args.size(), options, t0, root,
+                            result);
   co_return result;
 }
 

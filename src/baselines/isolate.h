@@ -40,7 +40,10 @@ class IsolatePlatform : public fwcore::ServerlessPlatform {
   };
   struct InstalledFunction {
     std::unique_ptr<fwlang::FunctionSource> source;
-    std::unique_ptr<Isolate> isolate;  // Created lazily on first invocation.
+    // Created lazily on first invocation. Every invocation holds the isolate
+    // it runs in, so a replacement (a force_cold start) never destroys a
+    // running isolate: a displaced one goes when its last invocation ends.
+    std::shared_ptr<Isolate> isolate;
   };
 
   std::shared_ptr<fwmem::SnapshotImage> RuntimeImageFor(fwlang::Language language);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/baselines/container_platform.h"
 #include "src/baselines/firecracker.h"
@@ -454,6 +457,122 @@ TEST(BaselinePinnedTimingTest, ColdThenWarmInvocationIsUnchanged) {
     EXPECT_EQ(DescribeInvocation(env, *cold), p.cold);
     EXPECT_EQ(DescribeInvocation(env, *warm), p.warm);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Overlapping invocations of one function.
+// ---------------------------------------------------------------------------
+
+using InvokeSlot = std::shared_ptr<std::optional<fwcore::Result<fwcore::InvocationResult>>>;
+
+// Starts an invocation of `fn_name` on the simulation now, without waiting
+// for it; the returned slot holds its result once it finishes.
+InvokeSlot SpawnInvoke(HostEnv& env, fwcore::ServerlessPlatform& platform,
+                       const std::string& fn_name, const InvokeOptions& options) {
+  auto slot = std::make_shared<std::optional<fwcore::Result<fwcore::InvocationResult>>>();
+  env.sim().Spawn([](fwcore::ServerlessPlatform& p, std::string name, InvokeOptions o,
+                     InvokeSlot out) -> fwsim::Co<void> {
+    out->emplace(co_await p.Invoke(name, "{}", o));
+  }(platform, fn_name, options, slot));
+  return slot;
+}
+
+// Runs the simulation until every slot holds a result.
+void RunUntilDone(HostEnv& env, const std::vector<InvokeSlot>& slots) {
+  const auto done = [&slots] {
+    for (const InvokeSlot& slot : slots) {
+      if (!slot->has_value()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!done() && env.sim().StepOne()) {
+  }
+  ASSERT_TRUE(done()) << "an invocation did not finish";
+}
+
+struct Leftover {
+  uint64_t used_bytes;
+  size_t live_instances;
+};
+
+struct OverlapPlatform {
+  const char* name;
+  std::unique_ptr<fwcore::ServerlessPlatform> (*make)(HostEnv&);
+  size_t (*live)(fwcore::ServerlessPlatform&);  // Live microVMs or containers.
+};
+
+size_t LiveVms(fwcore::ServerlessPlatform& p) {
+  return static_cast<FirecrackerPlatform&>(p).hypervisor().live_vm_count();
+}
+size_t LiveContainers(fwcore::ServerlessPlatform& p) {
+  return static_cast<ContainerPlatform&>(p).engine().live_container_count();
+}
+
+// What `concurrent` invocations of faas-fact started at one instant leave
+// on the host after ReleaseInstances().
+Leftover AfterOverlappingInvocations(const OverlapPlatform& p, int concurrent) {
+  HostEnv env;
+  std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+  const FunctionSource fn = FactFn();
+  EXPECT_TRUE(RunSync(env.sim(), platform->Install(fn)).ok());
+  std::vector<InvokeSlot> slots;
+  for (int i = 0; i < concurrent; ++i) {
+    slots.push_back(SpawnInvoke(env, *platform, fn.name, InvokeOptions()));
+  }
+  RunUntilDone(env, slots);
+  for (const InvokeSlot& slot : slots) {
+    EXPECT_TRUE(slot->has_value() && (*slot)->ok());
+  }
+  platform->ReleaseInstances();
+  return {env.memory().used_bytes(), p.live(*platform)};
+}
+
+// Each overlapping invocation ends by stashing its sandbox as the warm one;
+// the stash it displaces must be destroyed, not leaked.
+TEST(BaselineOverlapTest, OverlappingInvocationsLeaveWhatOneLeaves) {
+  const OverlapPlatform kPlatforms[] = {
+      {"firecracker", Make<FirecrackerPlatform>, LiveVms},
+      {"openwhisk", Make<OpenWhiskPlatform>, LiveContainers},
+      {"gvisor", Make<GvisorPlatform>, LiveContainers},
+  };
+  for (const OverlapPlatform& p : kPlatforms) {
+    SCOPED_TRACE(p.name);
+    const Leftover one = AfterOverlappingInvocations(p, 1);
+    const Leftover two = AfterOverlappingInvocations(p, 2);
+    EXPECT_EQ(two.used_bytes, one.used_bytes);
+    EXPECT_EQ(two.live_instances, one.live_instances);
+    EXPECT_EQ(one.live_instances, 0u);
+  }
+}
+
+// A force_cold start replaces the isolate a warm invocation is still running
+// in; the warm one keeps its isolate until it finishes.
+TEST(BaselineOverlapTest, ForceColdBesideRunningIsolateInvocation) {
+  const auto leftover = [](bool overlap) {
+    HostEnv env;
+    IsolatePlatform platform(env);
+    const FunctionSource fn = FactFn();
+    EXPECT_TRUE(RunSync(env.sim(), platform.Install(fn)).ok());
+    EXPECT_TRUE(RunSync(env.sim(), platform.Invoke(fn.name, "{}", InvokeOptions())).ok());
+    if (overlap) {
+      InvokeOptions cold;
+      cold.force_cold = true;
+      const std::vector<InvokeSlot> slots = {SpawnInvoke(env, platform, fn.name, InvokeOptions()),
+                                             SpawnInvoke(env, platform, fn.name, cold)};
+      RunUntilDone(env, slots);
+      for (const InvokeSlot& slot : slots) {
+        EXPECT_TRUE(slot->has_value() && (*slot)->ok());
+      }
+      EXPECT_FALSE((*slots[0])->value().cold);
+      EXPECT_TRUE((*slots[1])->value().cold);
+    }
+    platform.ReleaseInstances();
+    EXPECT_FALSE(platform.HasIsolate(fn.name));
+    return env.memory().used_bytes();
+  };
+  EXPECT_EQ(leftover(true), leftover(false));
 }
 
 // ---------------------------------------------------------------------------
