@@ -858,9 +858,11 @@ TEST(FaultEngineTest, TouchPickMemoStopsAtItsBound) {
 }
 
 // ---------------------------------------------------------------------------
-// The page pick at every ISA level FW_MEM_ISA_CLONES compiles it for. A CI
-// runner executes only its own CPU's clone through the engine, so each
-// variant is compiled here on its own and checked against RefMixPage.
+// The page pick and the word refcount loops at every ISA level
+// FW_MEM_ISA_CLONES compiles them for. A CI runner executes only its own
+// CPU's clone through the engine, so each variant is compiled here on its own
+// and checked against a reference: RefMixPage for the pick, a per-page count
+// for IncRefsWord / DecRefsWord.
 // ---------------------------------------------------------------------------
 
 // out[i] = PickWord(salt, threshold, first_word + i). Always inlined, so each
@@ -884,41 +886,65 @@ TEST(FaultEngineTest, TouchPickMemoStopsAtItsBound) {
                                                  uint64_t* out) {
   PickRun(salt, threshold, first_word, words, out);
 }
+[[gnu::target("arch=x86-64-v4")]] uint64_t IncRefsV4(uint32_t* refs, uint64_t mask) {
+  return IncRefsWord(refs, mask);
+}
+[[gnu::target("arch=x86-64-v4")]] uint64_t DecRefsV4(uint32_t* refs, uint64_t mask,
+                                                     uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
+[[gnu::target("arch=x86-64-v3")]] uint64_t IncRefsV3(uint32_t* refs, uint64_t mask) {
+  return IncRefsWord(refs, mask);
+}
+[[gnu::target("arch=x86-64-v3")]] uint64_t DecRefsV3(uint32_t* refs, uint64_t mask,
+                                                     uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
 #endif
 void PickRunBaseline(uint64_t salt, uint64_t threshold, uint64_t first_word, uint64_t words,
                      uint64_t* out) {
   PickRun(salt, threshold, first_word, words, out);
 }
+uint64_t IncRefsBaseline(uint32_t* refs, uint64_t mask) { return IncRefsWord(refs, mask); }
+uint64_t DecRefsBaseline(uint32_t* refs, uint64_t mask, uint64_t& empty) {
+  return DecRefsWord(refs, mask, empty);
+}
 
-using PickRunFn = void (*)(uint64_t, uint64_t, uint64_t, uint64_t, uint64_t*);
-
-struct PickVariant {
+struct IsaVariant {
   std::string name;
-  PickRunFn pick;  // nullptr: not compiled on this platform.
+  // nullptr: not compiled on this platform.
+  void (*pick)(uint64_t, uint64_t, uint64_t, uint64_t, uint64_t*);
+  uint64_t (*inc)(uint32_t*, uint64_t);
+  uint64_t (*dec)(uint32_t*, uint64_t, uint64_t&);
   bool (*supported)();
 };
 
-std::vector<PickVariant> PickVariants() {
-  std::vector<PickVariant> variants;
+std::vector<IsaVariant> IsaVariants() {
+  std::vector<IsaVariant> variants;
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-  variants.push_back(
-      {"x86_64_v4", PickRunV4, [] { return __builtin_cpu_supports("x86-64-v4") > 0; }});
-  variants.push_back(
-      {"x86_64_v3", PickRunV3, [] { return __builtin_cpu_supports("x86-64-v3") > 0; }});
+  variants.push_back({"x86_64_v4", PickRunV4, IncRefsV4, DecRefsV4,
+                      [] { return __builtin_cpu_supports("x86-64-v4") > 0; }});
+  variants.push_back({"x86_64_v3", PickRunV3, IncRefsV3, DecRefsV3,
+                      [] { return __builtin_cpu_supports("x86-64-v3") > 0; }});
 #else
-  variants.push_back({"x86_64_v4", nullptr, [] { return false; }});
-  variants.push_back({"x86_64_v3", nullptr, [] { return false; }});
+  variants.push_back({"x86_64_v4", nullptr, nullptr, nullptr, [] { return false; }});
+  variants.push_back({"x86_64_v3", nullptr, nullptr, nullptr, [] { return false; }});
 #endif
-  variants.push_back({"baseline", PickRunBaseline, [] { return true; }});
+  variants.push_back(
+      {"baseline", PickRunBaseline, IncRefsBaseline, DecRefsBaseline, [] { return true; }});
   return variants;
 }
 
-void PrintTo(const PickVariant& variant, std::ostream* os) { *os << variant.name; }
+void PrintTo(const IsaVariant& variant, std::ostream* os) { *os << variant.name; }
 
-class PickVariantTest : public ::testing::TestWithParam<PickVariant> {};
+std::string IsaVariantName(const ::testing::TestParamInfo<IsaVariant>& info) {
+  return info.param.name;
+}
+
+class PickVariantTest : public ::testing::TestWithParam<IsaVariant> {};
 
 TEST_P(PickVariantTest, MatchesReferenceHash) {
-  const PickVariant& variant = GetParam();
+  const IsaVariant& variant = GetParam();
   if (variant.pick == nullptr || !variant.supported()) {
     GTEST_SKIP() << "pick variant " << variant.name << " cannot run on this build or CPU";
   }
@@ -954,67 +980,13 @@ TEST_P(PickVariantTest, MatchesReferenceHash) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Isa, PickVariantTest, ::testing::ValuesIn(PickVariants()),
-                         [](const ::testing::TestParamInfo<PickVariant>& info) {
-                           return info.param.name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Isa, PickVariantTest, ::testing::ValuesIn(IsaVariants()),
+                         IsaVariantName);
 
-// ---------------------------------------------------------------------------
-// The word refcount loops (IncRefsWord / DecRefsWord) at every ISA level, as
-// for the pick above: each variant is compiled here on its own and checked
-// against a per-page reference, on both the sparse set-bit path and the
-// vector loop.
-// ---------------------------------------------------------------------------
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-[[gnu::target("arch=x86-64-v4")]] uint64_t IncRefsV4(uint32_t* refs, uint64_t mask) {
-  return IncRefsWord(refs, mask);
-}
-[[gnu::target("arch=x86-64-v4")]] uint64_t DecRefsV4(uint32_t* refs, uint64_t mask,
-                                                     uint64_t& empty) {
-  return DecRefsWord(refs, mask, empty);
-}
-[[gnu::target("arch=x86-64-v3")]] uint64_t IncRefsV3(uint32_t* refs, uint64_t mask) {
-  return IncRefsWord(refs, mask);
-}
-[[gnu::target("arch=x86-64-v3")]] uint64_t DecRefsV3(uint32_t* refs, uint64_t mask,
-                                                     uint64_t& empty) {
-  return DecRefsWord(refs, mask, empty);
-}
-#endif
-uint64_t IncRefsBaseline(uint32_t* refs, uint64_t mask) { return IncRefsWord(refs, mask); }
-uint64_t DecRefsBaseline(uint32_t* refs, uint64_t mask, uint64_t& empty) {
-  return DecRefsWord(refs, mask, empty);
-}
-
-struct RefsVariant {
-  std::string name;
-  uint64_t (*inc)(uint32_t*, uint64_t);  // nullptr: not compiled on this platform.
-  uint64_t (*dec)(uint32_t*, uint64_t, uint64_t&);
-  bool (*supported)();
-};
-
-std::vector<RefsVariant> RefsVariants() {
-  std::vector<RefsVariant> variants;
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-  variants.push_back({"x86_64_v4", IncRefsV4, DecRefsV4,
-                      [] { return __builtin_cpu_supports("x86-64-v4") > 0; }});
-  variants.push_back({"x86_64_v3", IncRefsV3, DecRefsV3,
-                      [] { return __builtin_cpu_supports("x86-64-v3") > 0; }});
-#else
-  variants.push_back({"x86_64_v4", nullptr, nullptr, [] { return false; }});
-  variants.push_back({"x86_64_v3", nullptr, nullptr, [] { return false; }});
-#endif
-  variants.push_back({"baseline", IncRefsBaseline, DecRefsBaseline, [] { return true; }});
-  return variants;
-}
-
-void PrintTo(const RefsVariant& variant, std::ostream* os) { *os << variant.name; }
-
-class RefcountVariantTest : public ::testing::TestWithParam<RefsVariant> {};
+class RefcountVariantTest : public ::testing::TestWithParam<IsaVariant> {};
 
 TEST_P(RefcountVariantTest, MatchesPerPageReference) {
-  const RefsVariant& variant = GetParam();
+  const IsaVariant& variant = GetParam();
   if (variant.inc == nullptr || !variant.supported()) {
     GTEST_SKIP() << "refcount variant " << variant.name << " cannot run on this build or CPU";
   }
@@ -1074,10 +1046,8 @@ TEST_P(RefcountVariantTest, MatchesPerPageReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Isa, RefcountVariantTest, ::testing::ValuesIn(RefsVariants()),
-                         [](const ::testing::TestParamInfo<RefsVariant>& info) {
-                           return info.param.name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Isa, RefcountVariantTest, ::testing::ValuesIn(IsaVariants()),
+                         IsaVariantName);
 
 // Writing an image page this clone alone maps frees its page-cache frame and
 // takes a private one: the host ends where it started, and the peak does not
