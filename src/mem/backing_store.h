@@ -34,15 +34,15 @@ alignas(64) inline constexpr std::array<uint32_t, 32> kLaneBits = [] {
   return bits;
 }();
 
-// Words with at most this many pages in the mask change their counts one
-// set bit at a time instead (the 2-4% guest-OS picks average ~2.5 a word).
+// A mask with at most this many pages is sparse: its counts change one set
+// bit at a time (the 2-4% guest-OS picks average ~2.5 pages a word).
 inline constexpr int kSparseWordPages = 8;
 
 // The reference counts of one bitmap word, refs[0..63], changed by one for
-// each page in `mask` (page 64 wi + b in bit b, see kWordPages). Each is a
-// branch-free fixed-trip loop over the uint32_t counts, one 32-lane half at
-// a time, which GCC vectorizes. Always inlined, so each compiles at the ISA
-// of its caller (FW_MEM_ISA_CLONES, src/mem/page_pick.h).
+// each page in `mask` (page 64 wi + b in bit b, see kWordPages). A dense
+// mask runs a branch-free fixed-trip loop over the uint32_t counts, one
+// 32-lane half at a time, which GCC vectorizes. Always inlined, so each
+// compiles at the ISA of its caller (FW_MEM_ISA_CLONES, src/mem/page_pick.h).
 //
 // IncRefsWord returns how many counts in `mask` were 0 before.
 [[gnu::always_inline]] inline uint64_t IncRefsWord(uint32_t* refs, uint64_t mask) {
