@@ -547,6 +547,21 @@ TEST(BaselineOverlapTest, OverlappingInvocationsLeaveWhatOneLeaves) {
   }
 }
 
+// Starts a warm and a force_cold invocation of `fn_name` at one instant and
+// runs both to completion.
+void InvokeWarmBesideForceCold(HostEnv& env, IsolatePlatform& platform,
+                               const std::string& fn_name) {
+  InvokeOptions cold;
+  cold.force_cold = true;
+  const std::vector<InvokeSlot> slots = {SpawnInvoke(env, platform, fn_name, InvokeOptions()),
+                                         SpawnInvoke(env, platform, fn_name, cold)};
+  RunUntilDone(env, slots);
+  ASSERT_TRUE(slots[0]->has_value() && (*slots[0])->ok());
+  ASSERT_TRUE(slots[1]->has_value() && (*slots[1])->ok());
+  EXPECT_FALSE((*slots[0])->value().cold);
+  EXPECT_TRUE((*slots[1])->value().cold);
+}
+
 // A force_cold start replaces the isolate a warm invocation is still running
 // in; the warm one keeps its isolate until it finishes.
 TEST(BaselineOverlapTest, ForceColdBesideRunningIsolateInvocation) {
@@ -557,16 +572,7 @@ TEST(BaselineOverlapTest, ForceColdBesideRunningIsolateInvocation) {
     EXPECT_TRUE(RunSync(env.sim(), platform.Install(fn)).ok());
     EXPECT_TRUE(RunSync(env.sim(), platform.Invoke(fn.name, "{}", InvokeOptions())).ok());
     if (overlap) {
-      InvokeOptions cold;
-      cold.force_cold = true;
-      const std::vector<InvokeSlot> slots = {SpawnInvoke(env, platform, fn.name, InvokeOptions()),
-                                             SpawnInvoke(env, platform, fn.name, cold)};
-      RunUntilDone(env, slots);
-      for (const InvokeSlot& slot : slots) {
-        EXPECT_TRUE(slot->has_value() && (*slot)->ok());
-      }
-      EXPECT_FALSE((*slots[0])->value().cold);
-      EXPECT_TRUE((*slots[1])->value().cold);
+      InvokeWarmBesideForceCold(env, platform, fn.name);
     }
     platform.ReleaseInstances();
     EXPECT_FALSE(platform.HasIsolate(fn.name));
