@@ -20,15 +20,13 @@
 // Flags:
 //   --invocations=N  restore+invoke pairs per path per mode  (default 300)
 //   --seed=S         simulation seed                         (default 42)
-//   --smoke          reduced scale for CI
-//   --no-selfcheck   skip the determinism re-run
-//   --json=FILE      write machine-readable results
+//   --smoke          reduced scale for CI (60 invocations; an explicit
+//                    --invocations wins in either order)
 //   --report=FILE    write one fwbench/1 report (scripts/bench_trend.py input)
-#include <chrono>  // host wall time for the report
+//
+// A malformed or out-of-range value exits 2 with a message naming the flag.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -54,8 +52,6 @@ struct Options {
   Options() {}
   int invocations = 300;
   uint64_t seed = 42;
-  bool selfcheck = true;
-  std::string json_path;
   std::string report_path;
 };
 
@@ -131,81 +127,28 @@ ModeResult RunMode(bool uniqueness, const Options& opt) {
   return r;
 }
 
-void WriteJson(const std::string& path, const Options& opt, const ModeResult& off,
-               const ModeResult& on, double overhead_pct, bool selfcheck_ran,
-               bool selfcheck_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  const auto mode_json = [f](const char* label, const ModeResult& m) {
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"invocations\": %" PRIu64
-                 ", \"warm_restore_mean_ms\": %.4f, \"invoke_startup_mean_ms\": %.4f, "
-                 "\"distinct_ids\": %" PRIu64 ", \"duplicate_ids\": %" PRIu64
-                 ", \"reseeds\": %" PRIu64 ", \"digest\": \"%016" PRIx64 "\"}",
-                 label, m.invocations, m.warm_restore_ms.mean(), m.invoke_startup_ms.mean(),
-                 m.distinct_ids, m.duplicate_ids, m.reseeds, m.digest);
-  };
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"config\": {\"invocations\": %d, \"seed\": %" PRIu64 "},\n",
-               opt.invocations, opt.seed);
-  std::fprintf(f, "  \"runs\": [\n");
-  mode_json("uniqueness-off", off);
-  std::fprintf(f, ",\n");
-  mode_json("uniqueness-on", on);
-  std::fprintf(f, "\n  ],\n");
-  std::fprintf(f, "  \"uniqueness_overhead_pct\": %.4f,\n", overhead_pct);
-  std::fprintf(f, "  \"selfcheck\": {\"ran\": %s, \"bit_identical\": %s}\n",
-               selfcheck_ran ? "true" : "false", selfcheck_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-Options ParseFlags(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--invocations=", 14) == 0) {
-      opt.invocations = std::atoi(arg + 14);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<uint64_t>(std::strtoull(arg + 7, nullptr, 10));
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      opt.invocations = 60;
-    } else if (std::strcmp(arg, "--no-selfcheck") == 0) {
-      opt.selfcheck = false;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opt.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      opt.report_path = arg + 9;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg);
-      std::exit(2);
-    }
-  }
-  if (opt.invocations < 2) {
-    std::fprintf(stderr, "need --invocations >= 2 to observe a collision\n");
-    std::exit(2);
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = ParseFlags(argc, argv);
+  Options opt;
+  const fwbase::Status parsed = fwbench::ParseFlags(
+      argc, argv,
+      {fwbench::IntFlag("--invocations", &opt.invocations, 2),  // A collision needs two.
+       fwbench::U64Flag("--seed", &opt.seed, 0),
+       fwbench::SwitchFlag("--smoke", [&opt] { opt.invocations = 60; }),
+       fwbench::PathFlag("--report", &opt.report_path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
 
   std::printf("clone_uniqueness: %d invocations per path per mode, seed %" PRIu64 "\n\n",
               opt.invocations, opt.seed);
 
-  const auto wall_start =  // host time; report-only
-      std::chrono::steady_clock::now();  // fwlint:allow(determinism)
+  const fwbench::WallTimer wall;
   const ModeResult off = RunMode(/*uniqueness=*/false, opt);
   const ModeResult on = RunMode(/*uniqueness=*/true, opt);
-  const double wall_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - wall_start).count();  // fwlint:allow(determinism)
+  const double wall_seconds = wall.Seconds();
 
   const double overhead_pct =
       off.warm_restore_ms.mean() > 0.0
@@ -253,21 +196,9 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  bool identical = false;
-  if (opt.selfcheck) {
-    const ModeResult again = RunMode(/*uniqueness=*/true, opt);
-    identical = again.digest == on.digest;
-    std::printf("determinism: two seed-%" PRIu64 " uniqueness-on runs are %s (digest "
-                "%016" PRIx64 ")\n",
-                opt.seed, identical ? "bit-identical" : "DIFFERENT", on.digest);
-    if (!identical) {
-      std::fprintf(stderr, "determinism self-check FAILED\n");
-      ok = false;
-    }
-  }
-
-  if (!opt.json_path.empty()) {
-    WriteJson(opt.json_path, opt, off, on, overhead_pct, opt.selfcheck, identical);
+  const auto replay = [&] { return RunMode(/*uniqueness=*/true, opt).digest; };
+  if (!fwbench::ReplayIsBitIdentical(opt.seed, "uniqueness-on runs", on.digest, replay)) {
+    ok = false;
   }
 
   if (!opt.report_path.empty()) {

@@ -1,13 +1,20 @@
 #include "bench/common.h"
 
+#include <algorithm>
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/strings.h"
 #include "src/fault/fault.h"
 #include "src/obs/export.h"
+#include "src/workloads/faasdom.h"
 
 namespace fwbench {
 
@@ -29,6 +36,22 @@ HostEnv::Config EnvConfig() {
   return config;
 }
 
+// A whole decimal number in [min, max of T]: no sign for unsigned T, no
+// blanks, no trailing characters.
+template <typename T>
+fwbase::Status ParseWhole(const std::string& value, T min, T* out) {
+  T x = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, x);
+  if (ec != std::errc() || ptr != end || x < min) {
+    return fwbase::Status::InvalidArgument(
+        StrFormat("want a whole number in [%s, %s]", std::to_string(min).c_str(),
+                  std::to_string(std::numeric_limits<T>::max()).c_str()));
+  }
+  *out = x;
+  return fwbase::Status::Ok();
+}
+
 // One merged-trace process per measured run (each run is a fresh HostEnv whose
 // sim clock starts at t=0, so they must not share a pid timeline).
 void CollectTrace(const std::string& label, HostEnv& env) {
@@ -39,28 +62,102 @@ void CollectTrace(const std::string& label, HostEnv& env) {
 
 }  // namespace
 
-void InitBenchmark(int argc, char** argv) {
+Flag IntFlag(std::string name, int* out, int min) {
+  return {std::move(name), [out, min](const std::string& value) {
+            return ParseWhole(value, min, out);
+          }, nullptr};
+}
+
+Flag U64Flag(std::string name, uint64_t* out, uint64_t min) {
+  return {std::move(name), [out, min](const std::string& value) {
+            return ParseWhole(value, min, out);
+          }, nullptr};
+}
+
+Flag DoubleFlag(std::string name, double* out, bool zero_ok) {
+  return {std::move(name), [out, zero_ok](const std::string& value) {
+            double x = 0.0;
+            const char* end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, x);
+            if (ec != std::errc() || ptr != end || !std::isfinite(x) ||
+                (zero_ok ? x < 0.0 : x <= 0.0)) {
+              return fwbase::Status::InvalidArgument(
+                  zero_ok ? "want a finite number >= 0" : "want a finite number > 0");
+            }
+            *out = x;
+            return fwbase::Status::Ok();
+          }, nullptr};
+}
+
+Flag PathFlag(std::string name, std::string* out) {
+  return {std::move(name), [out](const std::string& value) {
+            if (value.empty()) {
+              return fwbase::Status::InvalidArgument("want a file path");
+            }
+            *out = value;
+            return fwbase::Status::Ok();
+          }, nullptr};
+}
+
+Flag SwitchFlag(std::string name, std::function<void()> on) {
+  return {std::move(name), nullptr, std::move(on)};
+}
+
+fwbase::Status ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flags) {
+  // (flag, value) for each `--name=value`, applied once every switch has run.
+  std::vector<std::pair<const Flag*, std::string>> values;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace=", 8) == 0) {
-      g_trace_path = arg + 8;
-      if (g_trace_path.empty()) {
-        std::fprintf(stderr, "--trace needs a file path\n");
-        std::exit(2);
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto it =
+        std::find_if(flags.begin(), flags.end(), [&name](const Flag& f) { return f.name == name; });
+    if (it == flags.end()) {
+      std::string known;
+      for (const Flag& f : flags) {
+        known += StrFormat(" %s%s", f.name.c_str(), f.set ? "=" : "");
       }
-    } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-      auto plan = fwfault::FaultPlan::Parse(arg + 9);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "bad --faults spec: %s\n",
-                     plan.status().ToString().c_str());
-        std::exit(2);
-      }
-      g_fault_plan = *plan;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (supported: --trace=<file>, --faults=<spec>)\n", arg);
-      std::exit(2);
+      return fwbase::Status::InvalidArgument(
+          StrFormat("unknown flag %s (flags:%s)", arg.c_str(), known.c_str()));
     }
+    if (it->on) {
+      if (eq != std::string::npos) {
+        return fwbase::Status::InvalidArgument(StrFormat("%s takes no value", arg.c_str()));
+      }
+      it->on();
+    } else if (eq == std::string::npos) {
+      return fwbase::Status::InvalidArgument(StrFormat("%s needs a value", arg.c_str()));
+    } else {
+      values.emplace_back(&*it, arg.substr(eq + 1));
+    }
+  }
+  for (const auto& [flag, value] : values) {
+    const fwbase::Status s = flag->set(value);
+    if (!s.ok()) {
+      return fwbase::Status::InvalidArgument(
+          StrFormat("%s=%s: %s", flag->name.c_str(), value.c_str(), s.message().c_str()));
+    }
+  }
+  return fwbase::Status::Ok();
+}
+
+void InitBenchmark(int argc, char** argv) {
+  const fwbase::Status parsed = ParseFlags(
+      argc, argv,
+      {PathFlag("--trace", &g_trace_path),
+       {"--faults",
+        [](const std::string& spec) {
+          auto plan = fwfault::FaultPlan::Parse(spec);
+          if (!plan.ok()) {
+            return plan.status();
+          }
+          g_fault_plan = *plan;
+          return fwbase::Status::Ok();
+        },
+        nullptr}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    std::exit(2);
   }
 }
 
@@ -70,14 +167,7 @@ void FinishBenchmark() {
   if (g_trace_path.empty()) {
     return;
   }
-  std::FILE* f = std::fopen(g_trace_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open trace file %s\n", g_trace_path.c_str());
-    std::exit(1);
-  }
-  const std::string json = g_trace_builder.ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  WriteFileOrDie(g_trace_path, g_trace_builder.ToJson());
   std::printf("\nwrote %zu trace events to %s (open in chrome://tracing or Perfetto)\n",
               g_trace_builder.event_count(), g_trace_path.c_str());
 }
@@ -165,6 +255,86 @@ InvocationResult MeasureWarm(PlatformKind kind, const fwlang::FunctionSource& fn
 
 namespace {
 
+// The function every cluster scenario calibrates with and installs per app.
+fwlang::FunctionSource ScenarioFunction() {
+  return fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
+}
+
+fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+                          fwwork::LoadGenConfig load, uint64_t count,
+                          std::vector<std::string> app_names) {
+  fwwork::LoadGen gen(load);
+  const fwbase::SimTime start = sim.Now();
+  for (uint64_t i = 0; i < count; ++i) {
+    const fwwork::Arrival a = gen.Next();
+    const fwbase::SimTime due = start + a.offset;
+    if (due > sim.Now()) {
+      co_await fwsim::Delay(sim, due - sim.Now());
+    }
+    (void)cluster.Submit(app_names[a.app], "payload");
+  }
+}
+
+// Host nanoseconds on a monotonic clock with an arbitrary epoch.
+int64_t HostNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())  // fwlint:allow(determinism)
+      .count();
+}
+
+}  // namespace
+
+fwcluster::HostCalibration Calibrate(PlatformKind kind, uint64_t seed) {
+  fwcluster::CalibrationOptions options;
+  options.seed = seed;
+  return fwcluster::CalibratePlatform(
+      [kind](HostEnv& env) { return MakePlatform(kind, env); }, ScenarioFunction(), options);
+}
+
+void RunLoad(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+             const fwwork::LoadGenConfig& load, uint64_t count) {
+  std::vector<std::string> app_names;
+  app_names.reserve(load.num_apps);
+  for (int i = 0; i < load.num_apps; ++i) {
+    fwlang::FunctionSource fn = ScenarioFunction();
+    fn.name = StrFormat("app-%03d", i);
+    const fwbase::Status s = fwsim::RunSync(sim, cluster.InstallAll(fn));
+    FW_CHECK_MSG(s.ok(), s.ToString().c_str());
+    app_names.push_back(fn.name);
+  }
+  sim.Spawn(DriveLoad(sim, cluster, load, count, std::move(app_names)));
+  cluster.Drain(count);
+}
+
+bool ReplayIsBitIdentical(uint64_t seed, const std::string& runs, uint64_t digest,
+                          const std::function<uint64_t()>& replay) {
+  const bool identical = replay() == digest;
+  std::printf("determinism: two seed-%llu %s are %s (digest %016llx)\n",
+              static_cast<unsigned long long>(seed), runs.c_str(),
+              identical ? "bit-identical" : "DIFFERENT",
+              static_cast<unsigned long long>(digest));
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: same-seed replay of %s diverged\n", runs.c_str());
+  }
+  return identical;
+}
+
+WallTimer::WallTimer() : start_ns_(HostNanos()) {}
+
+double WallTimer::Seconds() const { return static_cast<double>(HostNanos() - start_ns_) / 1e9; }
+
+void WriteFileOrDie(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  const bool written = f != nullptr &&
+                       std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  if (f == nullptr || std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+}
+
+namespace {
+
 std::string JsonNum(double value) {
   // %.10g round-trips every value a bench reports and renders integers bare.
   return StrFormat("%.10g", value);
@@ -248,14 +418,7 @@ std::string BenchReport::ToJson() const {
 }
 
 void BenchReport::WriteTo(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open report file %s\n", path.c_str());
-    std::exit(1);
-  }
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  WriteFileOrDie(path, ToJson());
   std::printf("\nwrote %s report to %s (schema fwbench/1)\n", scenario_.c_str(), path.c_str());
 }
 

@@ -1,21 +1,28 @@
-// Shared support for the benchmark binaries: platform factory, cold/warm
-// measurement helpers, and plain-text table rendering that mirrors the rows
-// and series the paper's tables and figures report.
+// Shared support for the benchmark binaries: platform factory, flag parsing,
+// cold/warm measurement helpers, the cluster scenarios' calibration probe,
+// load driver and replay check, the fwbench/1 report, and plain-text table
+// rendering that mirrors the rows and series the paper's tables and figures
+// report.
 #ifndef FIREWORKS_BENCH_COMMON_H_
 #define FIREWORKS_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/baselines/container_platform.h"
 #include "src/baselines/firecracker.h"
 #include "src/baselines/isolate.h"
+#include "src/cluster/calibrate.h"
+#include "src/cluster/cluster.h"
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
 #include "src/simcore/run_sync.h"
+#include "src/workloads/loadgen.h"
 
 namespace fwbench {
 
@@ -42,16 +49,41 @@ std::unique_ptr<ServerlessPlatform> MakePlatform(PlatformKind kind, HostEnv& env
 bool AlwaysWarm(PlatformKind kind);
 
 // ---------------------------------------------------------------------------
-// Flags: --trace=<file>, --faults=<spec>.
+// Flags.
 // ---------------------------------------------------------------------------
 
-// Parses bench flags. With --trace=<file>, MeasureCold/MeasureWarm run with
-// tracing enabled and accumulate each run's spans as one merged Chrome trace.
-// With --faults=<spec> (fwfault::FaultPlan::Parse syntax, e.g.
-// "vm_crash_on_resume=0.05,broker_drop_message=0.1"; default off), every
-// measured HostEnv runs under that fault plan, exercising the recovery paths
-// under the same deterministic clock the benches already use. "--faults=none"
-// is byte-identical to omitting the flag.
+// One row of a bench's flag table: `--name=value` when `set` is given (it
+// returns what is wrong with a bad value), a bare `--name` switch when `on` is.
+struct Flag {
+  std::string name;  // With the leading "--".
+  std::function<fwbase::Status(const std::string& value)> set;
+  std::function<void()> on;
+};
+
+// `--name=N` for a whole decimal N >= `min` that fits the field.
+Flag IntFlag(std::string name, int* out, int min);
+Flag U64Flag(std::string name, uint64_t* out, uint64_t min);
+// `--name=X` for a finite X > 0, or X >= 0 when `zero_ok`.
+Flag DoubleFlag(std::string name, double* out, bool zero_ok = false);
+// `--name=FILE` for a non-empty path.
+Flag PathFlag(std::string name, std::string* out);
+Flag SwitchFlag(std::string name, std::function<void()> on);
+
+// Applies argv[1..] to `flags`: every switch first, then each `--name=value`
+// in order, so a switch that picks reduced defaults (--smoke) never overrides
+// an explicit value, whichever comes first. Returns InvalidArgument naming the
+// argument for an unknown flag, a switch given a value, a value flag without
+// one, or a value its `set` rejects. Callers print the message and exit 2.
+fwbase::Status ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flags);
+
+// The figure benches' flags: --trace=<file>, --faults=<spec>. With --trace,
+// MeasureCold/MeasureWarm run with tracing enabled and accumulate each run's
+// spans as one merged Chrome trace. With --faults (fwfault::FaultPlan::Parse
+// syntax, e.g. "vm_crash_on_resume=0.05,broker_drop_message=0.1"; default
+// off), every measured HostEnv runs under that fault plan, exercising the
+// recovery paths under the same deterministic clock the benches already use.
+// "--faults=none" is byte-identical to omitting the flag. Exits 2 on a bad
+// flag.
 void InitBenchmark(int argc, char** argv);
 // Writes the accumulated trace (if --trace was given) and reports the path.
 void FinishBenchmark();
@@ -64,6 +96,41 @@ InvocationResult MeasureCold(PlatformKind kind, const fwlang::FunctionSource& fn
 // invocation.
 InvocationResult MeasureWarm(PlatformKind kind, const fwlang::FunctionSource& fn,
                              const std::string& type_sig = "default");
+
+// ---------------------------------------------------------------------------
+// Scenario benches: what the cluster benches and clone_uniqueness share.
+// ---------------------------------------------------------------------------
+
+// A ModelHost calibration for `kind` from full-fidelity probe runs of the
+// function RunLoad installs (src/cluster/calibrate).
+fwcluster::HostCalibration Calibrate(PlatformKind kind, uint64_t seed);
+
+// Installs the FaaSdom net-latency Node.js function as apps "app-000", ...
+// (load.num_apps of them) on every host, submits `count` arrivals from `load`
+// at their offsets, and returns once each has a terminal outcome.
+void RunLoad(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+             const fwwork::LoadGenConfig& load, uint64_t count);
+
+// The same-seed replay check: `replay` reruns the configuration whose first
+// run produced `digest` and returns the rerun's digest. Prints
+// "determinism: two seed-<seed> <runs> are bit-identical (digest ...)", or
+// DIFFERENT plus a FAIL line on stderr, and returns whether they match.
+bool ReplayIsBitIdentical(uint64_t seed, const std::string& runs, uint64_t digest,
+                          const std::function<uint64_t()>& replay);
+
+// Host wall time since construction: the `wall_seconds` a report records but
+// never guards. No simulated result may depend on it.
+class WallTimer {
+ public:
+  WallTimer();
+  double Seconds() const;
+
+ private:
+  int64_t start_ns_;
+};
+
+// Writes `content` to `path`; on failure prints the path and exits 1.
+void WriteFileOrDie(const std::string& path, const std::string& content);
 
 // ---------------------------------------------------------------------------
 // Normalized bench result schema ("fwbench/1").

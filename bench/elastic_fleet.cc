@@ -27,29 +27,25 @@
 //   --rate=R         mean cluster arrival rate, req/s    (default 1200)
 //   --apps=K         Zipf-distributed app population     (default 16)
 //   --seed=S         simulation + load seed              (default 42)
-//   --smoke          reduced scale for CI
-//   --no-selfcheck   skip the determinism re-run
-//   --json=FILE      write machine-readable results
+//   --smoke          reduced scale for CI (36k invocations, 600 req/s, 8 apps,
+//                    a shorter day; explicit flags win in either order)
 //   --report=FILE    write one fwbench/1 report (scripts/bench_trend.py input)
+//
+// A malformed or out-of-range value exits 2 with a message naming the flag.
 #include <algorithm>
-#include <chrono>  // host wall time for the report
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/strings.h"
-#include "src/cluster/calibrate.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet_manager.h"
 #include "src/cluster/host.h"
 #include "src/cluster/scheduler.h"
-#include "src/workloads/faasdom.h"
 #include "src/workloads/loadgen.h"
 
 namespace {
@@ -69,8 +65,6 @@ struct Options {
   int apps = 16;
   uint64_t seed = 42;
   bool smoke = false;
-  bool selfcheck = true;
-  std::string json_path;
   std::string report_path;
 };
 
@@ -79,9 +73,7 @@ struct RunResult {
   std::string label;
   Cluster::Rollup rollup;
   uint64_t digest = 0;
-  double sim_seconds = 0.0;
   int hosts_provisioned = 0;  // Initial fleet size.
-  int hosts_final = 0;        // Active hosts at the end of the run.
 };
 
 // The shared autoscaling policy: both variants size hosts with this config —
@@ -123,30 +115,6 @@ fwwork::LoadGenConfig MakeTrace(const Options& opt) {
 
 double PeakRate(const fwwork::LoadGenConfig& lg) {
   return lg.rate_per_sec * (1.0 + lg.diurnal_amplitude) * lg.flash_multiplier;
-}
-
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
 }
 
 RunResult RunFleet(bool elastic, const HostCalibration& calibration,
@@ -192,27 +160,14 @@ RunResult RunFleet(bool elastic, const HostCalibration& calibration,
     };
   }
   Cluster cluster(sim, std::move(hosts), config);
-
-  const std::vector<std::string> app_names = AppNames(opt.apps);
-  for (const std::string& name : app_names) {
-    fwlang::FunctionSource fn =
-        fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
-    fn.name = name;
-    const fwbase::Status s = fwsim::RunSync(sim, cluster.InstallAll(fn));
-    FW_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-
-  sim.Spawn(DriveLoad(sim, cluster, lg, opt.invocations, app_names));
-  cluster.Drain(opt.invocations);
+  fwbench::RunLoad(sim, cluster, lg, opt.invocations);
   sim.Run();  // Let in-flight joins/drains and clone prepares settle.
 
   RunResult r;
   r.label = elastic ? "elastic" : "static";
   r.rollup = cluster.ComputeRollup();
   r.digest = cluster.OutcomeDigest();
-  r.sim_seconds = sim.Now().seconds();
   r.hosts_provisioned = initial_hosts;
-  r.hosts_final = cluster.active_hosts();
   return r;
 }
 
@@ -237,93 +192,28 @@ std::vector<std::string> ResultRow(const RunResult& r) {
           fwbase::StrFormat("%.2f", HostSecondsPer1k(r))};
 }
 
-void WriteJson(const std::string& path, const Options& opt,
-               const std::vector<RunResult>& results, double savings_pct,
-               bool selfcheck_ran, bool selfcheck_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"config\": {\"invocations\": %" PRIu64
-               ", \"rate_per_sec\": %.1f, \"apps\": %d, \"seed\": %" PRIu64 "},\n",
-               opt.invocations, opt.rate, opt.apps, opt.seed);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    const auto& s = r.rollup.latency_ms;
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"completed\": %" PRIu64
-                 ", \"slo_attainment\": %.6f, \"mean_ms\": %.4f, \"p99_ms\": %.4f, "
-                 "\"hosts_initial\": %d, \"hosts_added\": %" PRIu64
-                 ", \"hosts_removed\": %" PRIu64 ", \"host_hours\": %.6f, "
-                 "\"host_seconds_per_1k\": %.4f, \"sim_seconds\": %.3f, "
-                 "\"digest\": \"%016" PRIx64 "\"}%s\n",
-                 r.label.c_str(), r.rollup.completed, r.rollup.slo_attainment, s.mean(),
-                 s.Percentile(99.0), r.hosts_provisioned, r.rollup.hosts_added,
-                 r.rollup.hosts_removed, r.rollup.host_hours, HostSecondsPer1k(r),
-                 r.sim_seconds, r.digest, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"savings_pct\": %.2f,\n", savings_pct);
-  std::fprintf(f, "  \"selfcheck\": {\"ran\": %s, \"bit_identical\": %s}\n",
-               selfcheck_ran ? "true" : "false", selfcheck_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-uint64_t ParseU64(const char* s) { return static_cast<uint64_t>(std::strtoull(s, nullptr, 10)); }
-
-Options ParseFlags(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--invocations=", 14) == 0) {
-      opt.invocations = ParseU64(arg + 14);
-    } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-      opt.rate = std::atof(arg + 7);
-    } else if (std::strncmp(arg, "--apps=", 7) == 0) {
-      opt.apps = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = ParseU64(arg + 7);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      opt.smoke = true;
-      opt.invocations = 36000;
-      opt.rate = 600.0;
-      opt.apps = 8;
-    } else if (std::strcmp(arg, "--no-selfcheck") == 0) {
-      opt.selfcheck = false;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opt.json_path = arg + 7;
-      if (opt.json_path.empty()) {
-        std::fprintf(stderr, "empty --json= path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      opt.report_path = arg + 9;
-      if (opt.report_path.empty()) {
-        std::fprintf(stderr, "empty --report= path\n");
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg);
-      std::exit(2);
-    }
-  }
-  if (opt.invocations < 1 || opt.apps < 1 || opt.rate <= 0.0) {
-    std::fprintf(stderr, "bad flag values\n");
-    std::exit(2);
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = ParseFlags(argc, argv);
+  Options opt;
+  const fwbase::Status parsed = fwbench::ParseFlags(
+      argc, argv,
+      {fwbench::U64Flag("--invocations", &opt.invocations, 1),
+       fwbench::DoubleFlag("--rate", &opt.rate),
+       fwbench::IntFlag("--apps", &opt.apps, 1),
+       fwbench::U64Flag("--seed", &opt.seed, 0),
+       fwbench::SwitchFlag("--smoke",
+                           [&opt] {
+                             opt.smoke = true;
+                             opt.invocations = 36000;
+                             opt.rate = 600.0;
+                             opt.apps = 8;
+                           }),
+       fwbench::PathFlag("--report", &opt.report_path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
 
   std::printf("elastic_fleet: %" PRIu64 " invocations, %.0f req/s mean "
               "(diurnal+flash peak %.0f req/s), %d apps, seed %" PRIu64 "\n\n",
@@ -331,23 +221,13 @@ int main(int argc, char** argv) {
 
   // One full-fidelity calibration probe shared by both fleets: the variants
   // differ only in how many hosts are provisioned and when.
-  fwcluster::CalibrationOptions copt;
-  copt.seed = opt.seed;
-  const fwlang::FunctionSource probe_fn =
-      fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
-  const HostCalibration cal = fwcluster::CalibratePlatform(
-      [](fwcore::HostEnv& env) {
-        return fwbench::MakePlatform(fwbench::PlatformKind::kFireworks, env);
-      },
-      probe_fn, copt);
+  const HostCalibration cal = fwbench::Calibrate(fwbench::PlatformKind::kFireworks, opt.seed);
 
-  const auto wall_start =  // host time; report-only
-      std::chrono::steady_clock::now();  // fwlint:allow(determinism)
+  const fwbench::WallTimer wall;
   std::vector<RunResult> results;
   results.push_back(RunFleet(/*elastic=*/false, cal, opt));
   results.push_back(RunFleet(/*elastic=*/true, cal, opt));
-  const double wall_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - wall_start).count();  // fwlint:allow(determinism)
+  const double wall_seconds = wall.Seconds();
 
   const RunResult& stat = results[0];
   const RunResult& elastic = results[1];
@@ -399,22 +279,10 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // Determinism self-check: fleet growth must replay bit-identically.
-  bool identical = false;
-  if (opt.selfcheck) {
-    const RunResult again = RunFleet(/*elastic=*/true, cal, opt);
-    identical = again.digest == elastic.digest;
-    std::printf("determinism: two seed-%" PRIu64 " elastic runs are %s "
-                "(digest %016" PRIx64 ")\n",
-                opt.seed, identical ? "bit-identical" : "DIFFERENT", elastic.digest);
-    if (!identical) {
-      std::fprintf(stderr, "determinism self-check FAILED\n");
-      ok = false;
-    }
-  }
-
-  if (!opt.json_path.empty()) {
-    WriteJson(opt.json_path, opt, results, savings_pct, opt.selfcheck, identical);
+  // Fleet growth must replay bit-identically.
+  const auto replay = [&] { return RunFleet(/*elastic=*/true, cal, opt).digest; };
+  if (!fwbench::ReplayIsBitIdentical(opt.seed, "elastic runs", elastic.digest, replay)) {
+    ok = false;
   }
 
   if (!opt.report_path.empty()) {

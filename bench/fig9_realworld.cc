@@ -10,10 +10,9 @@
 //
 // Flags:
 //   --report=FILE   write one fwbench/1 report (scripts/bench_trend.py input)
-#include <chrono>  // host wall time for the report
+//
+// An unknown flag or an empty path exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,22 +169,14 @@ void AddPanelMetrics(BenchReport& report, const char* name, const PanelResult& r
 
 int main(int argc, char** argv) {
   std::string report_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--report=", 9) == 0) {
-      report_path = arg + 9;
-      if (report_path.empty()) {
-        std::fprintf(stderr, "empty --report= path\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s (supported: --report=<file>)\n", arg);
-      return 2;
-    }
+  const fwbase::Status parsed =
+      fwbench::ParseFlags(argc, argv, {fwbench::PathFlag("--report", &report_path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
   }
 
-  const auto wall_start =  // host time; report-only
-      std::chrono::steady_clock::now();  // fwlint:allow(determinism)
+  const fwbench::WallTimer wall;
   std::printf("=== Figure 9: real-world ServerlessBench applications "
               "(Fireworks vs OpenWhisk) ===\n");
   const fwbench::PanelResult alexa =
@@ -194,13 +185,11 @@ int main(int argc, char** argv) {
       fwbench::RunFigurePanel('b', fwwork::MakeDataAnalysis());
 
   if (!report_path.empty()) {
-    const double wall_seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - wall_start).count();  // fwlint:allow(determinism)
     fwbench::BenchReport report("fig9_realworld");
     report.AddConfig("apps", "alexa,data_analysis");
     fwbench::AddPanelMetrics(report, "alexa", alexa);
     fwbench::AddPanelMetrics(report, "analysis", analysis);
-    report.AddMetric("wall_seconds", wall_seconds);  // host-dependent: never guarded
+    report.AddMetric("wall_seconds", wall.Seconds());  // host-dependent: never guarded
     report.WriteTo(report_path);
   }
   return 0;

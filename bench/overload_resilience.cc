@@ -20,18 +20,19 @@
 // hedging cutting P99.9 with zero duplicate completions.
 //
 // The bench exits non-zero if any of those acceptance properties fails, or
-// if the same-seed determinism self-check diverges.
+// if the same-seed replay diverges.
 //
 // Flags:
 //   --hosts=N        simulated hosts                       (default 8)
 //   --duration=S     measured window per leg, seconds      (default 8)
-//   --warmup=S       unmeasured lead-in, seconds           (default 2)
+//   --warmup=S       unmeasured lead-in, seconds           (default 4)
 //   --apps=K         app population                        (default 16)
 //   --seed=S         simulation + load seed                (default 42)
-//   --smoke          reduced scale for CI (4 hosts, 2.5 s window)
-//   --no-selfcheck   skip the determinism re-run
-//   --json=FILE      write machine-readable results
+//   --smoke          reduced scale for CI (4 hosts, 2.5 s window; explicit
+//                    flags win in either order)
 //   --report=FILE    write one fwbench/1 report (scripts/bench_trend.py input)
+//
+// A malformed or out-of-range value exits 2 with a message naming the flag.
 //
 // Every leg also runs the cluster SLO monitor with the objective aligned to
 // the patience window, so the table reports per-leg attainment and how many
@@ -39,12 +40,9 @@
 // (warmup included): the cold-start ramp costs every leg a few points and
 // typically one burn-rate alert per app, and overload then drives the real
 // separation — in-capacity legs hold high attainment, saturated legs crater.
-#include <chrono>  // host wall time for the report
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +54,6 @@
 #include "src/cluster/host.h"
 #include "src/cluster/scheduler.h"
 #include "src/fault/fault.h"
-#include "src/workloads/faasdom.h"
 #include "src/workloads/loadgen.h"
 
 namespace {
@@ -85,8 +82,6 @@ struct Options {
   double warmup_sec = 4.0;
   int apps = 16;
   uint64_t seed = 42;
-  bool selfcheck = true;
-  std::string json_path;
   std::string report_path;
 
   double capacity_rps() const {
@@ -105,7 +100,6 @@ struct LegResult {
   uint64_t within_patience = 0;  // Completed with latency <= kPatience.
   uint64_t duplicates = 0;       // Requests with >1 recorded completion.
   uint64_t digest = 0;
-  double sim_seconds = 0.0;
 
   double goodput_rps(const Options& opt) const {
     return static_cast<double>(within_patience) / opt.duration_sec;
@@ -131,30 +125,6 @@ HostCalibration BenchCalibration() {
   cal.instance_pss_bytes = 50e6;
   cal.pooled_clone_pss_bytes = 6e6;
   return cal;
-}
-
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
 }
 
 LegResult RunLeg(const std::string& label, const Options& opt, double multiplier,
@@ -189,15 +159,6 @@ LegResult RunLeg(const std::string& label, const Options& opt, double multiplier
   config.fault_seed = opt.seed * 0x9E3779B97F4A7C15ull + 1;
   Cluster cluster(sim, std::move(hosts), config);
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
-  for (const std::string& name : app_names) {
-    fwlang::FunctionSource fn =
-        fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
-    fn.name = name;
-    const fwbase::Status s = fwsim::RunSync(sim, cluster.InstallAll(fn));
-    FW_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-
   const double rate = multiplier * opt.capacity_rps();
   const uint64_t warmup = static_cast<uint64_t>(rate * opt.warmup_sec);
   const uint64_t invocations = static_cast<uint64_t>(rate * opt.duration_sec);
@@ -206,8 +167,7 @@ LegResult RunLeg(const std::string& label, const Options& opt, double multiplier
   lg.rate_per_sec = rate;
   lg.num_apps = opt.apps;
   lg.seed = opt.seed;
-  sim.Spawn(DriveLoad(sim, cluster, lg, warmup + invocations, app_names));
-  cluster.Drain(warmup + invocations);
+  fwbench::RunLoad(sim, cluster, lg, warmup + invocations);
   sim.Run();  // Drain surplus hedge copies through their discard path.
 
   LegResult r;
@@ -231,7 +191,6 @@ LegResult RunLeg(const std::string& label, const Options& opt, double multiplier
     }
   }
   r.digest = cluster.OutcomeDigest();
-  r.sim_seconds = sim.Now().seconds();
   return r;
 }
 
@@ -251,102 +210,27 @@ std::vector<std::string> ResultRow(const Options& opt, const LegResult& r) {
           fwbase::StrFormat("%" PRIu64, r.rollup.slo_alerts)};
 }
 
-void WriteJson(const std::string& path, const Options& opt,
-               const std::vector<LegResult>& results, bool accepted,
-               bool selfcheck_ran, bool selfcheck_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"config\": {\"hosts\": %d, \"workers_per_host\": %d, "
-               "\"capacity_rps\": %.0f, \"patience_ms\": %.0f, \"duration_sec\": %.2f, "
-               "\"warmup_sec\": %.2f, "
-               "\"apps\": %d, \"seed\": %" PRIu64 "},\n",
-               opt.hosts, kWorkersPerHost, opt.capacity_rps(), kPatience.millis(),
-               opt.duration_sec, opt.warmup_sec, opt.apps, opt.seed);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const LegResult& r = results[i];
-    const auto& s = r.latency_ms;
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"multiplier\": %.2f, \"offered\": %" PRIu64
-        ", \"completed\": %" PRIu64 ", \"failed\": %" PRIu64 ", \"shed\": %" PRIu64
-        ", \"expired\": %" PRIu64 ", \"retry_budget_denied\": %" PRIu64
-        ", \"hedges\": %" PRIu64 ", \"hedge_wins\": %" PRIu64
-        ", \"goodput_rps\": %.1f, \"goodput_frac\": %.4f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f, \"p999_ms\": %.4f, \"duplicates\": %" PRIu64
-        ", \"slo_attainment\": %.4f, \"slo_worst_attainment\": %.4f, "
-        "\"slo_alerts\": %" PRIu64
-        ", \"sim_seconds\": %.3f, \"digest\": \"%016" PRIx64 "\"}%s\n",
-        r.label.c_str(), r.multiplier, r.offered, r.rollup.completed, r.rollup.failed,
-        r.rollup.shed, r.rollup.expired, r.rollup.retry_budget_denied, r.rollup.hedges,
-        r.rollup.hedge_wins, r.goodput_rps(opt), r.goodput_frac(), s.Percentile(50.0),
-        s.Percentile(99.0), s.Percentile(99.9), r.duplicates, r.rollup.slo_attainment,
-        r.rollup.slo_worst_attainment, r.rollup.slo_alerts, r.sim_seconds, r.digest,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"accepted\": %s,\n", accepted ? "true" : "false");
-  std::fprintf(f, "  \"selfcheck\": {\"ran\": %s, \"bit_identical\": %s}\n",
-               selfcheck_ran ? "true" : "false", selfcheck_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-uint64_t ParseU64(const char* s) { return static_cast<uint64_t>(std::strtoull(s, nullptr, 10)); }
-
-Options ParseFlags(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--hosts=", 8) == 0) {
-      opt.hosts = std::atoi(arg + 8);
-    } else if (std::strncmp(arg, "--duration=", 11) == 0) {
-      opt.duration_sec = std::atof(arg + 11);
-    } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-      opt.warmup_sec = std::atof(arg + 9);
-    } else if (std::strncmp(arg, "--apps=", 7) == 0) {
-      opt.apps = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = ParseU64(arg + 7);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      opt.hosts = 4;
-      opt.duration_sec = 2.5;
-    } else if (std::strcmp(arg, "--no-selfcheck") == 0) {
-      opt.selfcheck = false;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opt.json_path = arg + 7;
-      if (opt.json_path.empty()) {
-        std::fprintf(stderr, "empty --json= path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      opt.report_path = arg + 9;
-      if (opt.report_path.empty()) {
-        std::fprintf(stderr, "empty --report= path\n");
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg);
-      std::exit(2);
-    }
-  }
-  if (opt.hosts < 1 || opt.duration_sec <= 0.0 || opt.warmup_sec < 0.0 || opt.apps < 1) {
-    std::fprintf(stderr, "bad flag values\n");
-    std::exit(2);
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = ParseFlags(argc, argv);
+  Options opt;
+  const fwbase::Status parsed = fwbench::ParseFlags(
+      argc, argv,
+      {fwbench::IntFlag("--hosts", &opt.hosts, 1),
+       fwbench::DoubleFlag("--duration", &opt.duration_sec),
+       fwbench::DoubleFlag("--warmup", &opt.warmup_sec, /*zero_ok=*/true),
+       fwbench::IntFlag("--apps", &opt.apps, 1),
+       fwbench::U64Flag("--seed", &opt.seed, 0),
+       fwbench::SwitchFlag("--smoke",
+                           [&opt] {
+                             opt.hosts = 4;
+                             opt.duration_sec = 2.5;
+                           }),
+       fwbench::PathFlag("--report", &opt.report_path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   const fwfault::FaultPlan no_faults;
 
   std::printf("overload_resilience: %d hosts x %d workers, capacity %.0f req/s, "
@@ -354,8 +238,7 @@ int main(int argc, char** argv) {
               opt.hosts, kWorkersPerHost, opt.capacity_rps(), kPatience.millis(),
               opt.duration_sec, opt.seed);
 
-  const auto wall_start =  // host time; report-only
-      std::chrono::steady_clock::now();  // fwlint:allow(determinism)
+  const fwbench::WallTimer wall;
   const std::vector<double> multipliers = {0.5, 0.8, 1.0, 1.25, 1.5, 2.0};
   std::vector<LegResult> results;
   for (const bool overload_control : {true, false}) {
@@ -396,19 +279,22 @@ int main(int argc, char** argv) {
   // --- Acceptance ----------------------------------------------------------
   bool accepted = true;
   double peak_goodput = 0.0;
+  const LegResult* admission_1x = nullptr;
   const LegResult* admission_2x = nullptr;
   const LegResult* control_2x = nullptr;
   for (const LegResult& r : results) {
     if (r.label == "admission") {
       peak_goodput = std::max(peak_goodput, r.goodput_rps(opt));
-      if (r.multiplier == 2.0) {
+      if (r.multiplier == 1.0) {
+        admission_1x = &r;
+      } else if (r.multiplier == 2.0) {
         admission_2x = &r;
       }
     } else if (r.label == "control" && r.multiplier == 2.0) {
       control_2x = &r;
     }
   }
-  FW_CHECK(admission_2x != nullptr && control_2x != nullptr);
+  FW_CHECK(admission_1x != nullptr && admission_2x != nullptr && control_2x != nullptr);
   const double admission_2x_frac = admission_2x->goodput_rps(opt) / peak_goodput;
   const double control_2x_frac = control_2x->goodput_rps(opt) / peak_goodput;
   std::printf("admission goodput at 2.0x: %.0f req/s = %.0f%% of peak (%.0f req/s)\n",
@@ -443,43 +329,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Determinism self-check: the admission leg at 1.0x again, same seed.
-  bool identical = false;
-  if (opt.selfcheck) {
-    const LegResult again =
-        RunLeg("admission", opt, 1.0, /*overload_control=*/true, /*hedging=*/false,
-               no_faults);
-    const LegResult* first = nullptr;
-    for (const LegResult& r : results) {
-      if (r.label == "admission" && r.multiplier == 1.0) {
-        first = &r;
-      }
-    }
-    FW_CHECK(first != nullptr);
-    identical = again.digest == first->digest;
-    std::printf("determinism: two seed-%" PRIu64
-                " admission runs at 1.0x are %s (digest %016" PRIx64 ")\n",
-                opt.seed, identical ? "bit-identical" : "DIFFERENT", first->digest);
-    if (!identical) {
-      std::fprintf(stderr, "determinism self-check FAILED\n");
-      accepted = false;
-    }
-  }
-
-  if (!opt.json_path.empty()) {
-    WriteJson(opt.json_path, opt, results, accepted, opt.selfcheck, identical);
+  // The admission leg at 1.0x again, same seed.
+  const auto replay = [&] {
+    return RunLeg("admission", opt, 1.0, /*overload_control=*/true, /*hedging=*/false, no_faults)
+        .digest;
+  };
+  if (!fwbench::ReplayIsBitIdentical(opt.seed, "admission runs at 1.0x", admission_1x->digest,
+                                     replay)) {
+    accepted = false;
   }
 
   if (!opt.report_path.empty()) {
-    const double wall_seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - wall_start).count();  // fwlint:allow(determinism)
-    const LegResult* admission_1x = nullptr;
-    for (const LegResult& r : results) {
-      if (r.label == "admission" && r.multiplier == 1.0) {
-        admission_1x = &r;
-      }
-    }
-    FW_CHECK(admission_1x != nullptr);
     fwbench::BenchReport report("overload_resilience");
     report.AddConfig("hosts", opt.hosts);
     report.AddConfig("workers_per_host", kWorkersPerHost);
@@ -503,7 +363,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(control_2x->rollup.slo_alerts));
     report.AddMetric("nohedge_p999_ms", p999_off);
     report.AddMetric("accepted", accepted ? 1.0 : 0.0);
-    report.AddMetric("wall_seconds", wall_seconds);  // host-dependent: never guarded
+    report.AddMetric("wall_seconds", wall.Seconds());  // host-dependent: never guarded
     report.SetDigest(admission_1x->digest);
     report.WriteTo(opt.report_path);
   }

@@ -26,25 +26,21 @@
 //   --rate=R         mean cluster arrival rate, req/s    (default 1000)
 //   --apps=K         Zipf-distributed app population     (default 24)
 //   --seed=S         simulation + load seed              (default 42)
-//   --smoke          reduced scale for CI
-//   --no-selfcheck   skip the determinism re-run
-//   --json=FILE      write machine-readable results
+//   --smoke          reduced scale for CI (4 hosts, 600 invocations, 300
+//                    req/s, 8 apps; explicit flags win in either order)
 //   --report=FILE    write one fwbench/1 report (scripts/bench_trend.py input)
-#include <chrono>  // host wall time for the report
+//
+// A malformed or out-of-range value exits 2 with a message naming the flag.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/strings.h"
-#include "src/cluster/calibrate.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/host.h"
 #include "src/cluster/scheduler.h"
-#include "src/workloads/faasdom.h"
 #include "src/workloads/loadgen.h"
 
 namespace {
@@ -63,8 +59,6 @@ struct Options {
   double rate = 1000.0;
   int apps = 24;
   uint64_t seed = 42;
-  bool selfcheck = true;
-  std::string json_path;
   std::string report_path;
 };
 
@@ -121,30 +115,6 @@ std::vector<Variant> MakeVariants() {
   return variants;
 }
 
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
-}
-
 RunResult RunVariant(const Variant& variant, const HostCalibration& calibration,
                      const Options& opt) {
   fwsim::Simulation sim(opt.seed);
@@ -160,22 +130,12 @@ RunResult RunVariant(const Variant& variant, const HostCalibration& calibration,
   config.distribution = variant.dist;
   Cluster cluster(sim, std::move(hosts), config);
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
-  for (const std::string& name : app_names) {
-    fwlang::FunctionSource fn =
-        fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
-    fn.name = name;
-    const fwbase::Status s = fwsim::RunSync(sim, cluster.InstallAll(fn));
-    FW_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-
   fwwork::LoadGenConfig lg;
   lg.arrival = fwwork::ArrivalProcess::kPoisson;
   lg.rate_per_sec = opt.rate;
   lg.num_apps = opt.apps;
   lg.seed = opt.seed;  // Same seed for every variant: identical workload.
-  sim.Spawn(DriveLoad(sim, cluster, lg, opt.invocations, app_names));
-  cluster.Drain(opt.invocations);
+  fwbench::RunLoad(sim, cluster, lg, opt.invocations);
 
   RunResult r;
   r.label = variant.label;
@@ -200,97 +160,29 @@ std::vector<std::string> ResultRow(const RunResult& r) {
           fwbase::StrFormat("%" PRIu64, d.demand_restores)};
 }
 
-void WriteJson(const std::string& path, const Options& opt,
-               const std::vector<RunResult>& results, bool selfcheck_ran,
-               bool selfcheck_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"config\": {\"hosts\": %d, \"invocations\": %" PRIu64
-               ", \"rate_per_sec\": %.1f, \"apps\": %d, \"seed\": %" PRIu64 "},\n",
-               opt.hosts, opt.invocations, opt.rate, opt.apps, opt.seed);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    const auto& s = r.rollup.latency_ms;
-    const DistributionStats& d = r.rollup.distribution;
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"completed\": %" PRIu64 ", \"mean_ms\": %.4f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"cold_fetches\": %" PRIu64
-                 ", \"coalesced\": %" PRIu64 ", \"bytes_from_registry\": %" PRIu64
-                 ", \"bytes_from_peer\": %" PRIu64 ", \"bytes_from_cache\": %" PRIu64
-                 ", \"warm_restores\": %" PRIu64 ", \"demand_restores\": %" PRIu64
-                 ", \"cache_evictions\": %" PRIu64 ", \"sim_seconds\": %.3f, "
-                 "\"digest\": \"%016" PRIx64 "\"}%s\n",
-                 r.label.c_str(), r.rollup.completed, s.mean(), s.Percentile(50.0),
-                 s.Percentile(99.0), d.cold_fetches, d.coalesced, d.bytes_from_registry,
-                 d.bytes_from_peer, d.bytes_from_cache, d.warm_restores, d.demand_restores,
-                 d.cache_evictions, r.sim_seconds, r.digest,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"selfcheck\": {\"ran\": %s, \"bit_identical\": %s}\n",
-               selfcheck_ran ? "true" : "false", selfcheck_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-uint64_t ParseU64(const char* s) { return static_cast<uint64_t>(std::strtoull(s, nullptr, 10)); }
-
-Options ParseFlags(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--hosts=", 8) == 0) {
-      opt.hosts = std::atoi(arg + 8);
-    } else if (std::strncmp(arg, "--invocations=", 14) == 0) {
-      opt.invocations = ParseU64(arg + 14);
-    } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-      opt.rate = std::atof(arg + 7);
-    } else if (std::strncmp(arg, "--apps=", 7) == 0) {
-      opt.apps = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = ParseU64(arg + 7);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      opt.hosts = 4;
-      opt.invocations = 600;
-      opt.rate = 300.0;
-      opt.apps = 8;
-    } else if (std::strcmp(arg, "--no-selfcheck") == 0) {
-      opt.selfcheck = false;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opt.json_path = arg + 7;
-      if (opt.json_path.empty()) {
-        std::fprintf(stderr, "empty --json= path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      opt.report_path = arg + 9;
-      if (opt.report_path.empty()) {
-        std::fprintf(stderr, "empty --report= path\n");
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg);
-      std::exit(2);
-    }
-  }
-  if (opt.hosts < 2 || opt.invocations < 1 || opt.apps < 1 || opt.rate <= 0.0) {
-    std::fprintf(stderr, "bad flag values (need >= 2 hosts for peer fetch)\n");
-    std::exit(2);
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = ParseFlags(argc, argv);
+  Options opt;
+  const fwbase::Status parsed = fwbench::ParseFlags(
+      argc, argv,
+      {fwbench::IntFlag("--hosts", &opt.hosts, 2),  // Peer fetch needs a second host.
+       fwbench::U64Flag("--invocations", &opt.invocations, 1),
+       fwbench::DoubleFlag("--rate", &opt.rate),
+       fwbench::IntFlag("--apps", &opt.apps, 1),
+       fwbench::U64Flag("--seed", &opt.seed, 0),
+       fwbench::SwitchFlag("--smoke",
+                           [&opt] {
+                             opt.hosts = 4;
+                             opt.invocations = 600;
+                             opt.rate = 300.0;
+                             opt.apps = 8;
+                           }),
+       fwbench::PathFlag("--report", &opt.report_path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
 
   std::printf("registry_cold_start: %d hosts, %" PRIu64 " invocations, %.0f req/s, "
               "%d apps, seed %" PRIu64 "\n\n",
@@ -298,25 +190,15 @@ int main(int argc, char** argv) {
 
   // One full-fidelity calibration probe shared by every variant: the sweep
   // varies only the distribution tier, never the host model.
-  fwcluster::CalibrationOptions copt;
-  copt.seed = opt.seed;
-  const fwlang::FunctionSource probe_fn =
-      fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
-  const HostCalibration cal = fwcluster::CalibratePlatform(
-      [](fwcore::HostEnv& env) {
-        return fwbench::MakePlatform(fwbench::PlatformKind::kFireworks, env);
-      },
-      probe_fn, copt);
+  const HostCalibration cal = fwbench::Calibrate(fwbench::PlatformKind::kFireworks, opt.seed);
 
-  const auto wall_start =  // host time; report-only
-      std::chrono::steady_clock::now();  // fwlint:allow(determinism)
+  const fwbench::WallTimer wall;
   const std::vector<Variant> variants = MakeVariants();
   std::vector<RunResult> results;
   for (const Variant& v : variants) {
     results.push_back(RunVariant(v, cal, opt));
   }
-  const double wall_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - wall_start).count();  // fwlint:allow(determinism)
+  const double wall_seconds = wall.Seconds();
 
   fwbench::Table table(
       fwbase::StrFormat("cold-host snapshot distribution (%" PRIu64 " invocations, %d hosts, "
@@ -362,27 +244,15 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // Determinism self-check: the full configuration again, same seed.
-  bool identical = false;
-  if (opt.selfcheck) {
-    const RunResult again = RunVariant(variants[4], cal, opt);
-    identical = again.digest == full.digest;
-    std::printf("determinism: two seed-%" PRIu64 " runs of %s are %s (digest %016" PRIx64
-                ")\n", opt.seed, full.label.c_str(),
-                identical ? "bit-identical" : "DIFFERENT", full.digest);
-    if (!identical) {
-      std::fprintf(stderr, "determinism self-check FAILED\n");
-      ok = false;
-    }
-  }
-
-  if (!opt.json_path.empty()) {
-    WriteJson(opt.json_path, opt, results, opt.selfcheck, identical);
+  // The full configuration again, same seed.
+  const auto replay = [&] { return RunVariant(variants[4], cal, opt).digest; };
+  if (!fwbench::ReplayIsBitIdentical(opt.seed, "runs of " + full.label, full.digest, replay)) {
+    ok = false;
   }
 
   if (!opt.report_path.empty()) {
     // The full sweep configuration (+working-set, round-robin) gates the
-    // trajectory; the locality-scheduler row rides along in --json only.
+    // trajectory; the other rows are in the printed table only.
     const auto& lat = full.rollup.latency_ms;
     const DistributionStats& d = full.rollup.distribution;
     fwbench::BenchReport report("registry_cold_start");
