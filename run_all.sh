@@ -51,17 +51,21 @@ if ! cmp -s build/fig6_default.txt build/fig6_faults_none.txt; then
 fi
 echo "fault-off check OK: --faults=none is byte-identical to the default"
 
-# Perf trajectory: regenerate the three guarded fwbench/1 reports at CI scale
+# Perf trajectory: regenerate all six guarded fwbench/1 reports at CI scale
 # and check them against the committed trajectory (>10% guarded regression
 # fails; unchanged code diffs at exactly 0%).
 python3 scripts/bench_trend.py selftest
 build/bench/cluster_scale --smoke --no-baselines \
   --report=build/cluster_scale_report.json --profile=build/cluster_scale_profile > /dev/null
 build/bench/fig9_realworld --report=build/fig9_report.json > /dev/null
+build/bench/registry_cold_start --smoke --report=build/registry_report.json > /dev/null
+build/bench/clone_uniqueness --smoke --report=build/clone_uniqueness_report.json > /dev/null
+build/bench/elastic_fleet --smoke --report=build/elastic_fleet_report.json > /dev/null
 build/bench/overload_resilience --smoke --report=build/overload_report.json > /dev/null
 cp BENCH_trajectory.json build/trend_check.json
 python3 scripts/bench_trend.py append --trajectory=build/trend_check.json --label=run_all \
-  build/cluster_scale_report.json build/fig9_report.json build/overload_report.json
+  build/cluster_scale_report.json build/fig9_report.json build/registry_report.json \
+  build/clone_uniqueness_report.json build/elastic_fleet_report.json build/overload_report.json
 python3 scripts/bench_trend.py check --trajectory=build/trend_check.json
 echo "perf trajectory OK (profile in build/cluster_scale_profile.topn.txt)"
 
