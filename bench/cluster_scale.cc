@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
         [&opt](const std::string& name) {
           const auto arrival = fwwork::ParseArrivalProcess(name);
           if (!arrival.has_value()) {
-            return fwbase::Status::InvalidArgument("want poisson, bursty, diurnal or diurnal-flash");
+            return fwbase::Status::InvalidArgument(
+                "want poisson, bursty, diurnal or diurnal-flash");
           }
           opt.arrival = *arrival;
           return fwbase::Status::Ok();
@@ -158,11 +159,11 @@ int main(int argc, char** argv) {
         nullptr},
        {"--policy",
         [&opt](const std::string& name) {
-          const auto policy = fwcluster::ParseSchedulerPolicy(name);
           if (name == "all") {
             opt.policies = fwcluster::AllSchedulerPolicies();
             return fwbase::Status::Ok();
           }
+          const auto policy = fwcluster::ParseSchedulerPolicy(name);
           if (!policy.has_value()) {
             return fwbase::Status::InvalidArgument(
                 "want round-robin, least-loaded, snapshot-locality or all");
