@@ -6,6 +6,7 @@
 #ifndef FIREWORKS_SRC_BASE_STATUS_H_
 #define FIREWORKS_SRC_BASE_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -29,10 +30,27 @@ enum class StatusCode {
 
 const char* StatusCodeName(StatusCode code);
 
+// A code and an optional message. The message lives behind a pointer that is
+// null when empty, so a Status is 16 bytes and an OK or message-less status
+// allocates nothing; a copy deep-copies the message, and a moved-from Status
+// keeps its code with an empty message.
 class [[nodiscard]] Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
-  Status(StatusCode code, std::string message) : code_(code), message_(std::move(message)) {}
+  Status() = default;
+  Status(StatusCode code, std::string message)
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_unique<const std::string>(std::move(message))) {}
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_ == nullptr ? nullptr
+                                           : std::make_unique<const std::string>(*other.message_)) {}
+  Status& operator=(const Status& other) {
+    *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status Ok() { return Status(); }
   static Status NotFound(std::string m) { return Status(StatusCode::kNotFound, std::move(m)); }
@@ -59,19 +77,23 @@ class [[nodiscard]] Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    static const std::string kEmpty;
+    return message_ != nullptr ? *message_ : kEmpty;
+  }
 
   std::string ToString() const {
     if (ok()) {
       return "OK";
     }
-    return std::string(StatusCodeName(code_)) + ": " + message_;
+    return std::string(StatusCodeName(code_)) + ": " + message();
   }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  StatusCode code_ = StatusCode::kOk;
+  std::unique_ptr<const std::string> message_;  // Null when empty.
 };
+static_assert(sizeof(fwbase::Status) == 16);
 
 // Result<T> holds either a value or an error Status. Accessing the value of an
 // error result is a programming error (FW_CHECK).

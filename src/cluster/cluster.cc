@@ -219,10 +219,10 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   if (deadline.nanos() > 0) {
     req.deadline = req.submitted + deadline;
   }
-  outcomes_.emplace_back();
-  outcomes_.back().app = req.app;
-  primary_host_.push_back(-1);
-  hedged_.push_back(0);
+  outcomes_.Append().app = req.app;
+  if (config_.hedging) {
+    primary_host_.push_back(-1);
+  }
   // Demand signal for the zone spreader (pure bookkeeping; the loop is
   // gated off in a default config). The fleet planner counts submits off
   // submitted() instead.
@@ -292,7 +292,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
   if (!req.hedge && req.attempts == 1) {
     retry_budget_.OnAccepted(req.app);
   }
-  if (!req.hedge) {
+  if (config_.hedging && !req.hedge) {
     primary_host_[req.id - 1] = target;
   }
   ++hs.inflight;
@@ -322,7 +322,7 @@ void Cluster::RetryRequest(Request req, int failed_host) {
 void Cluster::RecordFailure(const Request& req, Status status) {
   Outcome& out = outcomes_[req.id - 1];
   out.status = std::move(status);
-  out.attempts = req.attempts;
+  out.attempts = static_cast<uint8_t>(req.attempts);
   out.latency = sim_.Now() - req.submitted;
   ++out.completions;
   failed_->Increment();
@@ -334,7 +334,7 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
   Outcome& out = outcomes_[req.id - 1];
   out.status = Status::Ok();
   out.host = host_index;
-  out.attempts = req.attempts;
+  out.attempts = static_cast<uint8_t>(req.attempts);
   out.latency = sim_.Now() - req.submitted;
   out.startup = result.startup;
   out.exec = result.exec;
@@ -409,10 +409,11 @@ Duration Cluster::HedgeDelay() const {
 fwsim::Co<void> Cluster::Hedger(uint64_t id, AppId app, std::string args,
                                 fwbase::SimTime submitted, fwbase::SimTime deadline) {
   co_await fwsim::Delay(sim_, HedgeDelay());
-  if (!running_ || Terminal(id) || hedged_[id - 1] != 0) {
+  // Submit spawns one Hedger per request, so this is the request's only
+  // hedge.
+  if (!running_ || Terminal(id)) {
     co_return;
   }
-  hedged_[id - 1] = 1;
   hedges_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "cluster.hedge", "cluster");
@@ -486,25 +487,24 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
       co_await distribution_->WarmRestore(host_index, req.app);
     }
-    Result<fwcore::InvocationResult> result = Status::Internal("not run");
     // Detached profiler frame: the invocation spans awaits, so it gets
     // sim-time attribution only and never parents interleaved event scopes.
     const uint64_t prof_token =
         obs_.profiler().enabled() ? obs_.profiler().EnterDetached(invoke_scope_) : 0;
-    {
-      fwobs::ScopedSpan span(&obs_.tracer(), "cluster.invoke", "cluster");
-      span.SetAttribute("host", static_cast<uint64_t>(host_index));
-      span.SetAttribute("fn", app_name(req.app));
-      span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
-      if (req.hedge) {
-        span.SetAttribute("hedge", static_cast<uint64_t>(1));
-      }
-      Duration budget = Duration::Zero();  // Zero = platform default timeout.
-      if (req.deadline < fwbase::SimTime::Max()) {
-        budget = req.deadline - sim_.Now();
-      }
-      result = co_await hs.host->Invoke(app_name(req.app), req.args, budget);
+    fwobs::ScopedSpan span(&obs_.tracer(), "cluster.invoke", "cluster");
+    span.SetAttribute("host", static_cast<uint64_t>(host_index));
+    span.SetAttribute("fn", app_name(req.app));
+    span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
+    if (req.hedge) {
+      span.SetAttribute("hedge", static_cast<uint64_t>(1));
     }
+    Duration budget = Duration::Zero();  // Zero = platform default timeout.
+    if (req.deadline < fwbase::SimTime::Max()) {
+      budget = req.deadline - sim_.Now();
+    }
+    const Result<fwcore::InvocationResult> result =
+        co_await hs.host->Invoke(app_name(req.app), req.args, budget);
+    span.End();
     obs_.profiler().Exit(prof_token);
     // Observed dequeue→response time feeds the admission controller's wait
     // estimate (failures included: they hold the worker just the same).

@@ -214,21 +214,24 @@ class Cluster {
   double HostHours() const;
 
   // --- Results -------------------------------------------------------------
+  // One per request for the cluster's lifetime, so fields are ordered by
+  // size and pack into 64 bytes, pinned below the class (DESIGN.md §10,
+  // "Per-request state").
   struct Outcome {
     Outcome() {}
 
-    AppId app = 0;        // Requested app; app_name() gives its name.
-    Status status;        // Terminal status of the request.
-    int host = -1;        // Host that served the recorded completion.
-    int attempts = 1;     // Dispatch attempts (1 = no retry).
-    Duration latency;     // Submit → recorded completion.
+    Status status;     // Terminal status of the request.
+    Duration latency;  // Submit → recorded completion.
     Duration startup;
     Duration exec;
-    bool warm_hit = false;
     // Guest-minted request id (DESIGN.md §15). 0 when the host model does not
     // run a real guest (ModelHost fabricates results without exec stats).
     uint64_t request_id = 0;
-    uint64_t completions = 0;  // Recorded completions; exactly-once ⇒ 1.
+    AppId app = 0;             // Requested app; app_name() gives its name.
+    int host = -1;             // Host that served the recorded completion.
+    uint32_t completions = 0;  // Recorded completions; exactly-once ⇒ 1.
+    uint8_t attempts = 1;      // Dispatch attempts (1 = no retry), <= kMaxAttempts.
+    bool warm_hit = false;
   };
 
   struct Rollup {
@@ -272,7 +275,8 @@ class Cluster {
     DistributionStats distribution;
   };
 
-  // Outcome of request `id` (valid once terminal).
+  // Outcome of request `id` (valid once terminal). The reference stays valid
+  // across later Submits, for the cluster's lifetime.
   const Outcome& outcome(uint64_t id) const;
   // Name of an app id carried by an Outcome. The reference stays valid for
   // the cluster's lifetime.
@@ -307,6 +311,26 @@ class Cluster {
   const SnapshotDistribution* distribution() const { return distribution_.get(); }
 
  private:
+  // Append-only Outcome records in fixed chunks that never move: growth
+  // copies no record, and a reference survives later appends.
+  class OutcomeLedger {
+   public:
+    uint64_t size() const { return size_; }
+    Outcome& operator[](uint64_t i) { return chunks_[i / kChunk][i % kChunk]; }
+    const Outcome& operator[](uint64_t i) const { return chunks_[i / kChunk][i % kChunk]; }
+    Outcome& Append() {
+      if (size_ % kChunk == 0) {
+        chunks_.push_back(std::make_unique<Outcome[]>(kChunk));
+      }
+      return (*this)[size_++];
+    }
+
+   private:
+    static constexpr uint64_t kChunk = 4096;
+    std::vector<std::unique_ptr<Outcome[]>> chunks_;
+    uint64_t size_ = 0;
+  };
+
   struct Request {
     uint64_t id = 0;
     AppId app = 0;
@@ -475,9 +499,10 @@ class Cluster {
   // maintains, indexed by AppId.
   std::vector<uint64_t> spread_arrivals_;
   std::vector<double> spread_rate_ewma_;
-  std::vector<Outcome> outcomes_;  // Indexed by request id - 1.
-  std::vector<int> primary_host_;  // Last host the primary copy went to.
-  std::vector<uint8_t> hedged_;    // 1 once a hedge copy was dispatched.
+  OutcomeLedger outcomes_;  // Indexed by request id - 1.
+  // Last host each request's primary copy went to, indexed by request id - 1;
+  // only hedging reads it, so it stays empty with hedging off.
+  std::vector<int> primary_host_;
   // Ring of the most recent completed latencies, feeding HedgeDelay(). The
   // hedge trigger must track the *current* tail: a cumulative quantile stays
   // poisoned by a past overload episode long after the fleet recovers,
@@ -489,6 +514,8 @@ class Cluster {
   double peak_pss_bytes_ = 0.0;
   uint64_t peak_live_vms_ = 0;
 };
+
+static_assert(sizeof(Cluster::Outcome) == 64);
 
 }  // namespace fwcluster
 

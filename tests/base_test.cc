@@ -102,6 +102,48 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_NE(s.ToString().find("NOT_FOUND"), std::string::npos);
 }
 
+TEST(StatusTest, CopiedErrorKeepsCodeAndMessageOnBothSides) {
+  const Status original = Status::Unavailable("host 3 is draining");
+  Status copy = original;
+  EXPECT_EQ(copy.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(copy.message(), "host 3 is draining");
+  EXPECT_EQ(original.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(original.message(), "host 3 is draining");
+  // The copy owns its message: overwriting it leaves the original intact.
+  Status assigned;
+  assigned = copy;
+  copy = Status::Ok();
+  EXPECT_TRUE(copy.message().empty());
+  EXPECT_EQ(assigned.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(assigned.message(), "host 3 is draining");
+  EXPECT_EQ(original.message(), "host 3 is draining");
+}
+
+TEST(StatusTest, MovedFromErrorKeepsCodeWithEmptyMessage) {
+  Status from = Status::DataLoss("chunk checksum mismatch");
+  const Status to = std::move(from);
+  EXPECT_EQ(to.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(to.message(), "chunk checksum mismatch");
+  // Reading the moved-from status is the point of this test.
+  EXPECT_EQ(from.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(from.message().empty());
+}
+
+TEST(StatusTest, OkCodeWithEmptyMessageIsOk) {
+  const Status s(StatusCode::kOk, "");
+  EXPECT_TRUE(s.ok());
+  EXPECT_TRUE(s.message().empty());
+  EXPECT_EQ(s.ToString(), "OK");
+}
+
+TEST(StatusTest, ResultFromMovedErrorReportsIt) {
+  Status error = Status::ResourceExhausted("queue full at host 2");
+  const Result<int> r = std::move(error);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().message(), "queue full at host 2");
+}
+
 TEST(ResultTest, HoldsValue) {
   Result<int> r = 7;
   ASSERT_TRUE(r.ok());

@@ -537,6 +537,47 @@ TEST(AppTableTest, NameReferenceSurvivesLaterInterns) {
   EXPECT_EQ(&apps.name(apps.Intern(long_name)), &held);
 }
 
+TEST(ClusterOutcomeLedgerTest, OutcomesSurviveLaterSubmitsPastAChunk) {
+  fwsim::Simulation sim(23);
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  for (int i = 0; i < 2; ++i) {
+    ModelHost::Config mc;
+    mc.calibration = TestCalibration();
+    hosts.push_back(std::make_unique<ModelHost>(sim, i, mc));
+  }
+  Cluster cluster(sim, std::move(hosts), Cluster::Config());
+  ASSERT_TRUE(RunSync(sim, cluster.InstallAll(NamedApp("app-0"))).ok());
+  ASSERT_EQ(cluster.Submit("app-0", "{}"), 1u);
+  // Held across every later Submit: the ledger must never move a record.
+  const Cluster::Outcome& first = cluster.outcome(1);
+
+  // The ledger grows in 4096-record chunks; go past the first one, at a
+  // rate the two hosts serve without queueing or shedding.
+  constexpr uint64_t kRequests = 4096 + 64;
+  fwwork::LoadGenConfig lg;
+  lg.rate_per_sec = 1000.0;
+  lg.num_apps = 1;
+  lg.seed = 23;
+  fwwork::LoadGen gen(lg);
+  sim.Spawn(DriveArrivals(sim, cluster, gen, static_cast<int>(kRequests - 1)));
+  cluster.Drain(kRequests);
+  ASSERT_EQ(cluster.submitted(), kRequests);
+
+  EXPECT_EQ(&first, &cluster.outcome(1));
+  EXPECT_TRUE(first.status.ok());
+  EXPECT_EQ(first.completions, 1u);
+  EXPECT_GE(first.host, 0);
+  for (uint64_t id : {uint64_t{4095}, uint64_t{4096}, uint64_t{4097}, kRequests}) {
+    const Cluster::Outcome& out = cluster.outcome(id);
+    EXPECT_TRUE(out.status.ok()) << id << " " << out.status.ToString();
+    EXPECT_EQ(out.completions, 1u) << id;
+    EXPECT_EQ(out.attempts, 1) << id;
+    EXPECT_GE(out.host, 0) << id;
+    EXPECT_GT(out.latency.nanos(), 0) << id;
+    EXPECT_EQ(cluster.app_name(out.app), "app-0") << id;
+  }
+}
+
 TEST(ClusterGhostAppTest, NeverInstalledNameColdBootsThenFailsNotFound) {
   fwsim::Simulation sim(17);
   std::vector<std::unique_ptr<ClusterHost>> hosts;
