@@ -218,6 +218,32 @@ fwsim::Co<void> GuestProcess::LoadApplication(const FunctionSource& fn) {
   app_heap_seg_ = EnsureSegment(kSegAppHeap, costs_.app_heap_capacity_bytes);
   co_await ChargeFaults(faults, stats);
   loaded_fn_ = &fn;
+  methods_.assign(fn.methods.size(), MethodState());
+  auto call_targets = std::make_shared<std::vector<std::vector<uint32_t>>>();
+  call_targets->reserve(fn.methods.size());
+  for (const MethodDef& method : fn.methods) {
+    std::vector<uint32_t>& targets = call_targets->emplace_back(method.ops.size(), kNoMethod);
+    for (size_t i = 0; i < method.ops.size(); ++i) {
+      const MethodDef* callee = method.ops[i].kind == OpKind::kCall
+                                    ? fn.FindMethod(method.ops[i].target)
+                                    : nullptr;
+      if (callee != nullptr) {
+        targets[i] = IndexOf(*callee);
+      }
+    }
+  }
+  call_targets_ = std::move(call_targets);
+}
+
+uint32_t GuestProcess::IndexOf(const MethodDef& method) const {
+  const auto index = static_cast<size_t>(&method - loaded_fn_->methods.data());
+  FW_CHECK(index < loaded_fn_->methods.size());
+  return static_cast<uint32_t>(index);
+}
+
+const GuestProcess::MethodState* GuestProcess::StateOf(const std::string& method_name) const {
+  const MethodDef* method = loaded_fn_ == nullptr ? nullptr : loaded_fn_->FindMethod(method_name);
+  return method == nullptr ? nullptr : &methods_[IndexOf(*method)];
 }
 
 fwsim::Co<void> GuestProcess::JitCompile(const MethodDef& method, MethodState& state,
@@ -305,7 +331,7 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
     co_await ChargeFaults(faults, ws_stats);
   }
 
-  ExecStats stats = co_await ExecMethod(*method, type_sig);
+  ExecStats stats = co_await ExecMethod(IndexOf(*method), type_sig);
 
   // Per-invocation GC / cache churn in the runtime heap: writes that diverge
   // per sandbox (hence the per-sandbox salt).
@@ -323,8 +349,7 @@ fwsim::Co<ExecStats> GuestProcess::CallMethod(const std::string& method_name,
   co_return stats;
 }
 
-fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
-                                              const std::string& type_sig) {
+fwsim::Co<ExecStats> GuestProcess::ExecMethod(uint32_t root, const std::string& type_sig) {
   // Each call runs on this stack instead of in a coroutine of its own. Like
   // awaiting a child Co, entering or leaving a call schedules no event, so
   // every Delay keeps its instant and its place in the event order
@@ -332,15 +357,15 @@ fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
   // nesting in one allocation.
   std::vector<Frame> stack;
   stack.reserve(4);
-  const MethodDef* entering = &root;
+  uint32_t entering = root;
   for (;;) {
-    if (entering != nullptr) {
+    if (entering != kNoMethod) {
       FW_CHECK_MSG(stack.size() < kMaxCallDepth, "method call depth exceeded");
-      Frame frame(*entering);
-      entering = nullptr;
+      Frame frame(loaded_fn_->methods[entering], entering);
+      entering = kNoMethod;
       const MethodDef& method = *frame.method;
       ++frame.stats.methods_executed;
-      MethodState& state = methods_[method.name];
+      MethodState& state = methods_[frame.index];
       ++state.invocations;
 
       // --- Tiering / de-optimisation decisions ------------------------------
@@ -352,8 +377,8 @@ fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
         ++frame.stats.deopts;
         ++state.deopts;
         co_await fwsim::Delay(sim_, costs_.deopt_cost);
-        // methods_ is a node-based map: references survive insertion of other
-        // methods, and nothing ever erases an entry.
+        // methods_ is sized once when the application loads and never
+        // resized, so references into it survive every suspension.
         state.tier = ExecTier::kInterpreter;  // fwlint:allow(iterator-invalidation)
         if (state.deopts >= kPolymorphicThreshold) {
           state.polymorphic = true;
@@ -402,8 +427,8 @@ fwsim::Co<ExecStats> GuestProcess::ExecMethod(const MethodDef& root,
       const Op& op = f.method->ops[f.next_op++];
       switch (op.kind) {
         case OpKind::kCall:
-          f.callee = loaded_fn_->FindMethod(op.target);
-          FW_CHECK_MSG(f.callee != nullptr, ("no method " + op.target).c_str());
+          f.callee = (*call_targets_)[f.index][f.next_op - 1];
+          FW_CHECK_MSG(f.callee != kNoMethod, ("no method " + op.target).c_str());
           f.calls_left = op.repeat;
           break;
         case OpKind::kCompute:
@@ -531,6 +556,7 @@ GuestProcess::State GuestProcess::ExtractState() const {
   state.language = language_;
   state.loaded_fn = loaded_fn_;
   state.methods = methods_;
+  state.call_targets = call_targets_;
   state.jit_code_bytes_used = jit_code_bytes_used_;
   state.bytecode_bytes_used = bytecode_bytes_used_;
   state.jit_alloc_cursor_pages = jit_alloc_cursor_pages_;
@@ -547,6 +573,7 @@ std::unique_ptr<GuestProcess> GuestProcess::FromState(const State& state,
   clone->runtime_booted_ = true;
   clone->loaded_fn_ = state.loaded_fn;
   clone->methods_ = state.methods;
+  clone->call_targets_ = state.call_targets;
   clone->jit_code_bytes_used_ = state.jit_code_bytes_used;
   clone->bytecode_bytes_used_ = state.bytecode_bytes_used;
   clone->jit_alloc_cursor_pages_ = state.jit_alloc_cursor_pages;
@@ -575,13 +602,13 @@ std::unique_ptr<GuestProcess> GuestProcess::CloneFor(fwmem::AddressSpace& clone_
 }
 
 ExecTier GuestProcess::TierOf(const std::string& method_name) const {
-  auto it = methods_.find(method_name);
-  return it == methods_.end() ? ExecTier::kInterpreter : it->second.tier;
+  const MethodState* state = StateOf(method_name);
+  return state == nullptr ? ExecTier::kInterpreter : state->tier;
 }
 
 uint64_t GuestProcess::InvocationCount(const std::string& method_name) const {
-  auto it = methods_.find(method_name);
-  return it == methods_.end() ? 0 : it->second.invocations;
+  const MethodState* state = StateOf(method_name);
+  return state == nullptr ? 0 : state->invocations;
 }
 
 }  // namespace fwlang

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/lang/function_ir.h"
@@ -198,14 +198,17 @@ class GuestProcess {
     uint64_t jit_offset_page = 0;
     uint64_t jit_pages = 0;
   };
+  // Methods are named by their index in the loaded FunctionSource.
+  static constexpr uint32_t kNoMethod = UINT32_MAX;
   // One method activation on ExecMethod's explicit call stack.
   struct Frame {
-    explicit Frame(const MethodDef& method) : method(&method) {}
+    Frame(const MethodDef& method, uint32_t index) : method(&method), index(index) {}
 
     const MethodDef* method;
+    uint32_t index;
     size_t next_op = 0;
     // The method the current kCall op calls, and how many calls are left.
-    const MethodDef* callee = nullptr;
+    uint32_t callee = kNoMethod;
     uint64_t calls_left = 0;
     ExecTier tier = ExecTier::kInterpreter;
     double jit_derate = 1.0;
@@ -239,9 +242,15 @@ class GuestProcess {
   // `reoptimize` marks a post-deopt respecialisation (cheaper).
   fwsim::Co<void> JitCompile(const MethodDef& method, MethodState& state,
                              const std::string& type_sig, bool reoptimize, ExecStats& stats);
-  // Runs `root` and every method it calls, in one coroutine frame: calls
-  // push and pop Frames on a local stack instead of starting coroutines.
-  fwsim::Co<ExecStats> ExecMethod(const MethodDef& root, const std::string& type_sig);
+  // Index of `method`, which must belong to the loaded FunctionSource.
+  uint32_t IndexOf(const MethodDef& method) const;
+  // The state of the method FindMethod(method_name) returns; nullptr when no
+  // application is loaded or it has no such method.
+  const MethodState* StateOf(const std::string& method_name) const;
+  // Runs method `root` and every method it calls, in one coroutine frame:
+  // calls push and pop Frames on a local stack instead of starting
+  // coroutines.
+  fwsim::Co<ExecStats> ExecMethod(uint32_t root, const std::string& type_sig);
   // A kCompute op's execution time, and a kAllocHeap op's fault time; await
   // each in the calling expression.
   fwsim::DelayAwaiter ComputeTime(const Op& op, ExecTier tier, double jit_derate,
@@ -260,7 +269,14 @@ class GuestProcess {
 
   bool runtime_booted_ = false;
   const FunctionSource* loaded_fn_ = nullptr;
-  std::map<std::string, MethodState> methods_;
+  // Per-method state, indexed like loaded_fn_->methods and sized once when
+  // the application loads. Only FindMethod's pick of duplicate-named methods
+  // is ever entered, so duplicates share its state.
+  std::vector<MethodState> methods_;
+  // For each method of loaded_fn_, the index of the method each op calls:
+  // kNoMethod for an op that is not a kCall or names no method. Resolved once
+  // by LoadApplication; clones share it.
+  std::shared_ptr<const std::vector<std::vector<uint32_t>>> call_targets_;
   uint64_t jit_code_bytes_used_ = 0;
   uint64_t bytecode_bytes_used_ = 0;
   // Set on clones: Numba relocation dirt still owed on first execution.
@@ -294,7 +310,8 @@ class GuestProcess::State {
 
   Language language = Language::kNodeJs;
   const FunctionSource* loaded_fn = nullptr;
-  std::map<std::string, MethodState> methods;
+  std::vector<MethodState> methods;
+  std::shared_ptr<const std::vector<std::vector<uint32_t>>> call_targets;
   uint64_t jit_code_bytes_used = 0;
   uint64_t bytecode_bytes_used = 0;
   uint64_t jit_alloc_cursor_pages = 0;
