@@ -33,7 +33,13 @@ fwbench::InvocationResult RunOnce(bool cold_cache, bool prefetch) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   std::printf("=== Ablation (§7): REAP-style working-set prefetch on snapshot restore ===\n");
   Table table("faas-fact-nodejs invocation with the snapshot file warm vs cold",

@@ -96,7 +96,13 @@ PolicyResult RunPolicy(SnapshotStore::EvictionPolicy policy, int functions, int 
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using fwbench::Table;
   std::printf("=== Ablation (§6): snapshot-store capacity with eviction policies ===\n");
   std::printf("60 installed functions x ~220 MiB snapshots, Zipf-skewed invocations,\n"

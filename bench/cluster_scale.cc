@@ -303,6 +303,7 @@ int main(int argc, char** argv) {
     report.AddMetric("slo_alerts", static_cast<double>(head.rollup.slo_alerts));
     report.AddMetric("sim_seconds", head.sim_seconds);
     report.AddMetric("wall_seconds", wall_seconds);  // host-dependent: never guarded
+    report.AddMetric("peak_rss_mib", fwbench::PeakRssMib());  // Likewise.
     report.SetDigest(head.digest);
     report.WriteTo(opt.report_path);
   }

@@ -10,6 +10,8 @@
 #include <limits>
 #include <utility>
 
+#include <sys/resource.h>
+
 #include "src/base/check.h"
 #include "src/base/strings.h"
 #include "src/fault/fault.h"
@@ -117,8 +119,8 @@ fwbase::Status ParseFlags(int argc, const char* const* argv, const std::vector<F
       for (const Flag& f : flags) {
         known += StrFormat(" %s%s", f.name.c_str(), f.set ? "=" : "");
       }
-      return fwbase::Status::InvalidArgument(
-          StrFormat("unknown flag %s (flags:%s)", arg.c_str(), known.c_str()));
+      return fwbase::Status::InvalidArgument(StrFormat(
+          "unknown flag %s (flags:%s)", arg.c_str(), known.empty() ? " none" : known.c_str()));
     }
     if (it->on) {
       if (eq != std::string::npos) {
@@ -322,6 +324,12 @@ bool ReplayIsBitIdentical(uint64_t seed, const std::string& runs, uint64_t diges
 WallTimer::WallTimer() : start_ns_(HostNanos()) {}
 
 double WallTimer::Seconds() const { return static_cast<double>(HostNanos() - start_ns_) / 1e9; }
+
+double PeakRssMib() {
+  rusage usage{};
+  FW_CHECK(getrusage(RUSAGE_SELF, &usage) == 0);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB.
+}
 
 void WriteFileOrDie(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");

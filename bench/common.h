@@ -129,6 +129,11 @@ class WallTimer {
   int64_t start_ns_;
 };
 
+// This process's peak resident set so far, in MiB (getrusage's ru_maxrss):
+// the `peak_rss_mib` a report records but never guards. It depends on the
+// host and its allocator; no simulated result may depend on it.
+double PeakRssMib();
+
 // Writes `content` to `path`; on failure prints the path and exits 1.
 void WriteFileOrDie(const std::string& path, const std::string& content);
 

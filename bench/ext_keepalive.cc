@@ -107,7 +107,13 @@ TraceResult RunTrace(bool fireworks, int functions, double rate_per_sec, Duratio
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   std::printf("=== Extension: 30-minute Zipf trace over 30 functions "
               "(1 req/s, 10-min keep-alive) ===\n");

@@ -54,7 +54,13 @@ BurstResult RunBurst(fwbench::PlatformKind kind, int requests, double rate_per_s
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   using fwbase::StrFormat;
   std::printf("=== Extension: burst throughput through the frontend "

@@ -69,7 +69,13 @@ SeriesResult RunSeries(PlatformKind kind, int report_every, int hard_cap) {
 }  // namespace
 }  // namespace fwbench
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   std::printf("=== Figure 10: memory usage vs number of microVMs (faas-fact, Node.js) ===\n");
   std::printf("host: 128 GiB, swap threshold at 60%% (76.8 GiB), long-running instances\n");

@@ -35,7 +35,13 @@ double PerVmPssMiB(PlatformKind kind, const fwlang::FunctionSource& fn, int vms)
 }  // namespace
 }  // namespace fwbench
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   using fwbase::StrFormat;
   constexpr int kVms = 10;

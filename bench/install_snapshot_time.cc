@@ -12,7 +12,13 @@
 #include "src/workloads/faasdom.h"
 #include "src/workloads/serverlessbench.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   using fwbase::StrFormat;
 

@@ -79,7 +79,13 @@ double MeasurePssPerSandbox(PlatformKind kind, int count) {
 }  // namespace
 }  // namespace fwbench
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   std::printf("=== Table 1: design comparison of serverless platforms ===\n");
   std::printf("(performance measured on faas-netlatency-nodejs; memory as per-sandbox PSS of\n"

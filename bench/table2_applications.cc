@@ -26,7 +26,13 @@ const char* DescriptionOf(fwwork::FaasdomBench bench) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: any argument is a usage error.
+  const fwbase::Status parsed = fwbench::ParseFlags(argc, argv, {});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
   using namespace fwbench;
   using fwbase::StrFormat;
   std::printf("=== Table 2: tested serverless applications ===\n");
