@@ -17,7 +17,9 @@ for arg in "$@"; do
   esac
 done
 
-cmake -B build -G Ninja
+# No -G: CMake reuses the generator build/ was configured with, or picks the
+# default for a fresh directory.
+cmake -B build
 cmake --build build
 # Lint gate: every fwlint check, zero findings.
 build/tools/fwlint/fwlint --root=.

@@ -39,7 +39,7 @@ std::shared_ptr<fwmem::SnapshotImage> ContainerPlatform::RootfsFor(fwlang::Langu
 
 fwlang::GuestProcess::FaultCharger ContainerPlatform::ChargerFor(Container* container) {
   return [this, container](const fwmem::FaultCounts& faults) {
-    return engine_.FaultServiceTime(*container, faults);
+    return fwmem::FaultServiceTime(container->address_space(), faults);
   };
 }
 
@@ -53,7 +53,7 @@ fwsim::Co<Result<InstallResult>> ContainerPlatform::Install(const fwlang::Functi
   // Building the action image resolves the rootfs layers and bakes the
   // dependency payload in, so cold starts only pay boot + load.
   RootfsFor(fn.language);
-  co_await fwsim::Delay(env_.sim(), params_.engine_config.image_resolve_cost);
+  co_await fwsim::Delay(env_.sim(), fwbox::ContainerEngine::kImageResolveCost);
   if (fn.package_bytes > 0) {
     const double mib = static_cast<double>(fn.package_bytes) / static_cast<double>(fwbase::kMiB);
     co_await fwsim::Delay(env_.sim(),

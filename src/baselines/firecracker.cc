@@ -13,12 +13,19 @@ using fwlang::ExecEnv;
 using fwlang::GuestProcess;
 using fwvmm::MicroVm;
 
+namespace {
+
+// A sandbox manager is driven directly; minimal per-request handling.
+constexpr Duration kRequestCost = Duration::Micros(250);
+
+}  // namespace
+
 FirecrackerPlatform::FirecrackerPlatform(HostEnv& env) : FirecrackerPlatform(env, Config()) {}
 
 FirecrackerPlatform::FirecrackerPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store(), config.hv_config),
+      hv_(env.sim(), env.memory(), env.snapshot_store()),
       tracer_(&env.tracer()) {
   hv_.set_observability(&env.obs());
   hv_.set_fault_injector(&env.fault_injector());
@@ -53,7 +60,7 @@ fwsim::Co<Result<InstallResult>> FirecrackerPlatform::Install(
 
   if (config_.mode == FirecrackerMode::kOsSnapshot) {
     // Snapshot right after the guest OS finishes booting (§5.5).
-    MicroVm* vm = co_await hv_.CreateMicroVm("fcos-install-" + fn.name, config_.vm_config);
+    MicroVm* vm = co_await hv_.CreateMicroVm("fcos-install-" + fn.name);
     Status booted = co_await hv_.BootGuestOs(*vm);
     if (!booted.ok()) {
       FW_CHECK(hv_.Destroy(*vm).ok());
@@ -86,25 +93,25 @@ FirecrackerPlatform::LaunchSandbox(const InstalledFunction& fn,
     auto restored = co_await hv_.RestoreMicroVm("fcos-" + fn.source->name, sandbox_name);
     if (restored.ok()) {
       sandbox->vm = *restored;
-      // Post-restore guest-kernel activity.
+      // Post-restore guest-kernel activity, as in Fireworks.
       auto& space = sandbox->vm->address_space();
       const fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
           space, space.SegmentByName(fwvmm::kSegGuestKernel),
-          space.SegmentByName(fwvmm::kSegGuestOs), config_.guest_os_resume_touch_fraction,
-          config_.guest_os_resume_dirty_fraction, 3000 + next_instance_, 4000 + next_instance_);
+          space.SegmentByName(fwvmm::kSegGuestOs), fwvmm::kGuestOsResumeTouchFraction,
+          fwvmm::kGuestOsResumeDirtyFraction, 3000 + next_instance_, 4000 + next_instance_);
       co_await hv_.ServiceFaults(*sandbox->vm, faults);
     } else {
       // Snapshot path failed (restore crash, corrupted or evicted image):
       // degrade to a full guest-OS boot.
       env_.metrics().GetCounter("fc.coldboot_fallback.count").Increment();
-      sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, config_.vm_config);
+      sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name);
       Status booted = co_await hv_.BootGuestOs(*sandbox->vm);
       if (!booted.ok()) {
         co_return booted;
       }
     }
   } else {
-    sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, config_.vm_config);
+    sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name);
     Status booted = co_await hv_.BootGuestOs(*sandbox->vm);
     if (!booted.ok()) {
       co_return booted;
@@ -167,7 +174,7 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
   fwobs::ScopedSpan root(tracer_, "firecracker.invoke", "invoke");
   root.SetAttribute("function", fn_name);
   fwobs::ScopedSpan startup_span(tracer_, "invoke.startup", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.request_cost);
+  co_await fwsim::Delay(env_.sim(), kRequestCost);
 
   std::unique_ptr<Sandbox> sandbox;
   // installed_ is a node-based map and no code path erases entries, so the
@@ -211,8 +218,8 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
       auto& space = sandbox->vm->address_space();
       const fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
           space, space.SegmentByName(fwvmm::kSegGuestKernel),
-          space.SegmentByName(fwvmm::kSegGuestOs), config_.guest_os_steady_touch_fraction,
-          config_.guest_os_steady_dirty_fraction, 5000 + next_instance_, 6000 + next_instance_);
+          space.SegmentByName(fwvmm::kSegGuestOs), fwvmm::kGuestOsSteadyTouchFraction,
+          fwvmm::kGuestOsSteadyDirtyFraction, 5000 + next_instance_, 6000 + next_instance_);
       co_await hv_.ServiceFaults(*sandbox->vm, faults);
     }
     kept_.push_back(std::move(sandbox));

@@ -38,17 +38,7 @@ class FirecrackerPlatform : public fwcore::ServerlessPlatform {
   struct Config {
     Config() {}
 
-    // A sandbox manager is driven directly; minimal per-request handling.
-    Duration request_cost = Duration::Micros(250);
     FirecrackerMode mode = FirecrackerMode::kNoSnapshot;
-    // Post-restore guest-kernel activity (kOsSnapshot restores), split into
-    // the resume critical path and long-lived steady state as in Fireworks.
-    double guest_os_resume_touch_fraction = 0.04;
-    double guest_os_resume_dirty_fraction = 0.02;
-    double guest_os_steady_touch_fraction = 0.80;
-    double guest_os_steady_dirty_fraction = 0.62;
-    fwvmm::MicroVmConfig vm_config;
-    fwvmm::Hypervisor::Config hv_config;
   };
 
   explicit FirecrackerPlatform(HostEnv& env);

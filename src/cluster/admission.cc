@@ -7,13 +7,21 @@
 
 namespace fwcluster {
 
+namespace {
+
+// EWMA weight for observed per-invocation service times.
+constexpr double kServiceEwmaAlpha = 0.2;
+// Service-time prior before any completion has been observed.
+constexpr Duration kInitialServiceEstimate = Duration::Millis(5);
+
+}  // namespace
+
 AdmissionController::AdmissionController(int num_hosts, int workers_per_host,
                                          const AdmissionConfig& config)
     : config_(config), workers_per_host_(workers_per_host) {
   FW_CHECK(num_hosts > 0);
   FW_CHECK(workers_per_host > 0);
-  service_ewma_seconds_.assign(static_cast<size_t>(num_hosts),
-                               config.initial_service_estimate.seconds());
+  service_ewma_seconds_.assign(static_cast<size_t>(num_hosts), kInitialServiceEstimate.seconds());
 }
 
 Status AdmissionController::Admit(int host, int64_t queue_depth, SimTime now,
@@ -38,13 +46,12 @@ Status AdmissionController::Admit(int host, int64_t queue_depth, SimTime now,
 }
 
 void AdmissionController::AddHost() {
-  service_ewma_seconds_.push_back(config_.initial_service_estimate.seconds());
+  service_ewma_seconds_.push_back(kInitialServiceEstimate.seconds());
 }
 
 void AdmissionController::RecordService(int host, Duration service) {
   double& ewma = service_ewma_seconds_[static_cast<size_t>(host)];
-  ewma = config_.service_ewma_alpha * service.seconds() +
-         (1.0 - config_.service_ewma_alpha) * ewma;
+  ewma = kServiceEwmaAlpha * service.seconds() + (1.0 - kServiceEwmaAlpha) * ewma;
 }
 
 Duration AdmissionController::EstimatedWait(int host, int64_t queue_depth) const {

@@ -44,10 +44,6 @@ struct AdmissionConfig {
   // Deadline stamped on submits that do not carry one. Zero = no deadline:
   // requests then only shed on the hard cap, never on estimated wait.
   Duration default_deadline = Duration::Zero();
-  // EWMA weight for observed per-invocation service times.
-  double service_ewma_alpha = 0.2;
-  // Service-time prior before any completion has been observed.
-  Duration initial_service_estimate = Duration::Millis(5);
 };
 
 class AdmissionController {
@@ -64,7 +60,7 @@ class AdmissionController {
   void RecordService(int host, Duration service);
 
   // Grows the controller by one host (elastic fleet join); the new host's
-  // service EWMA starts at the configured prior.
+  // service EWMA starts at the prior.
   void AddHost();
 
   Duration EstimatedWait(int host, int64_t queue_depth) const;

@@ -10,6 +10,10 @@ namespace fwcluster {
 
 namespace {
 
+// Invocations per path; the calibration takes means over these.
+constexpr int kProbes = 5;
+static_assert(kProbes > 0);
+
 struct PhaseSums {
   PhaseSums() {}
   Duration startup;
@@ -29,8 +33,7 @@ struct PhaseSums {
 };
 
 fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& platform,
-                            const fwlang::FunctionSource& fn, int probes,
-                            HostCalibration& cal) {
+                            const fwlang::FunctionSource& fn, HostCalibration& cal) {
   auto installed = co_await platform.Install(fn);
   if (!installed.ok()) {
     co_return installed.status();
@@ -41,7 +44,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
   fwcore::InvokeOptions cold_options;
   cold_options.force_cold = fireworks == nullptr;
   PhaseSums cold;
-  for (int i = 0; i < probes; ++i) {
+  for (int i = 0; i < kProbes; ++i) {
     auto r = co_await platform.Invoke(fn.name, "probe", cold_options);
     if (!r.ok()) {
       co_return r.status();
@@ -66,7 +69,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
   PhaseSums warm;
   if (fireworks != nullptr) {
     Duration prepare_total;
-    for (int i = 0; i < probes; ++i) {
+    for (int i = 0; i < kProbes; ++i) {
       const fwbase::SimTime t0 = sim.Now();
       auto prepared = co_await fireworks->PrepareClone(fn.name);
       if (!prepared.ok()) {
@@ -79,7 +82,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
       }
       warm.Add(*r);
     }
-    cal.prepare_cost = Duration::Nanos(prepare_total.nanos() / probes);
+    cal.prepare_cost = Duration::Nanos(prepare_total.nanos() / kProbes);
     // Marginal PSS of one parked clone.
     auto prepared = co_await fireworks->PrepareClone(fn.name);
     if (!prepared.ok()) {
@@ -98,7 +101,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
       co_return prewarmed;
     }
     cal.prepare_cost = sim.Now() - t0;
-    for (int i = 0; i < probes; ++i) {
+    for (int i = 0; i < kProbes; ++i) {
       auto r = co_await platform.Invoke(fn.name, "probe", fwcore::InvokeOptions());
       if (!r.ok()) {
         co_return r.status();
@@ -119,13 +122,12 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
 HostCalibration CalibratePlatform(const PlatformFactory& factory,
                                   const fwlang::FunctionSource& fn,
                                   const CalibrationOptions& options) {
-  FW_CHECK(options.probes > 0);
   fwsim::Simulation sim(options.seed);
   fwcore::HostEnv::Config env_config;
   fwcore::HostEnv env(sim, env_config);
   std::unique_ptr<fwcore::ServerlessPlatform> platform = factory(env);
   HostCalibration cal;
-  Status s = fwsim::RunSync(sim, RunProbes(sim, *platform, fn, options.probes, cal));
+  Status s = fwsim::RunSync(sim, RunProbes(sim, *platform, fn, cal));
   FW_CHECK_MSG(s.ok(), ("calibration probe failed: " + s.ToString()).c_str());
   return cal;
 }

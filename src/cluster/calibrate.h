@@ -28,7 +28,6 @@ using PlatformFactory =
 struct CalibrationOptions {
   CalibrationOptions() {}
 
-  int probes = 5;      // Invocations per path (means are taken over these).
   uint64_t seed = 42;  // Seed of the scratch probe simulation.
 };
 

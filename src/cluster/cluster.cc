@@ -343,11 +343,18 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
   ++out.completions;
   completed_->Increment();
   latency_ms_.Add(out.latency.millis());
-  if (recent_latency_ms_.size() < kHedgeWindow) {
-    recent_latency_ms_.push_back(out.latency.millis());
-  } else {
-    recent_latency_ms_[recent_latency_next_] = out.latency.millis();
-    recent_latency_next_ = (recent_latency_next_ + 1) % recent_latency_ms_.size();
+  if (config_.hedging) {
+    const double ms = out.latency.millis();
+    std::vector<double>& sorted = recent_latency_sorted_ms_;
+    if (recent_latency_ms_.size() < kHedgeWindow) {
+      recent_latency_ms_.push_back(ms);
+    } else {
+      double& leaving = recent_latency_ms_[recent_latency_next_];
+      sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), leaving));
+      leaving = ms;
+      recent_latency_next_ = (recent_latency_next_ + 1) % kHedgeWindow;
+    }
+    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), ms), ms);
   }
   startup_ms_.Add(result.startup.millis());
   slo_.Record(req.app, /*good=*/out.latency <= config_.slo.target);
@@ -390,14 +397,12 @@ double Cluster::PssFraction(int host_index) const {
 }
 
 Duration Cluster::HedgeDelay() const {
-  if (recent_latency_ms_.size() >= kHedgeMinSamples) {
-    // Nearest-rank quantile over the recent-latency ring (order within the
-    // ring is irrelevant to a quantile).
-    std::vector<double> window = recent_latency_ms_;
+  const std::vector<double>& window = recent_latency_sorted_ms_;
+  if (window.size() >= kHedgeMinSamples) {
+    // Nearest-rank quantile over the sorted copy of the recent-latency ring.
     const size_t rank = std::min(
         window.size() - 1,
         static_cast<size_t>(kHedgeQuantile / 100.0 * static_cast<double>(window.size())));
-    std::nth_element(window.begin(), window.begin() + rank, window.end());
     const Duration observed = Duration::MillisF(window[rank]);
     if (observed > config_.hedge_min_delay) {
       return observed;
@@ -670,11 +675,24 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, AppId app, uint64_t epoch) {
 }
 
 fwsim::Co<void> Cluster::Sampler() {
-  while (running_) {
-    co_await fwsim::Delay(sim_, kSampleInterval);
-    if (!running_) {
-      break;
-    }
+  co_await fwsim::Delay(sim_, kSampleInterval);
+  if (!running_) {
+    co_return;
+  }
+  // Resolved at the first tick, not at construction: a run that ends before
+  // it dumps no gauge lines.
+  fwobs::MetricsRegistry& metrics = obs_.metrics();
+  fwobs::Gauge& pss_gauge = metrics.GetGauge("cluster.pss_bytes");
+  fwobs::Gauge& live_vms_gauge = metrics.GetGauge("cluster.live_vms");
+  // Fleet-wide rollup gauges: per-host state aggregated at the front end, so
+  // one scrape of the cluster registry describes the whole fleet.
+  fwobs::Gauge& hosts_alive_gauge = metrics.GetGauge("fleet.hosts.alive");
+  fwobs::Gauge& hosts_active_gauge = metrics.GetGauge("fleet.hosts.active");
+  fwobs::Gauge& zones_alive_gauge = metrics.GetGauge("fleet.zones.alive");
+  fwobs::Gauge& queue_depth_gauge = metrics.GetGauge("fleet.queue.depth");
+  fwobs::Gauge& inflight_gauge = metrics.GetGauge("fleet.inflight");
+  fwobs::Gauge& warm_hits_gauge = metrics.GetGauge("fleet.warm_hits");
+  do {
     double pss = 0.0;
     uint64_t vms = 0;
     uint64_t alive = 0;
@@ -691,18 +709,17 @@ fwsim::Co<void> Cluster::Sampler() {
     }
     peak_pss_bytes_ = std::max(peak_pss_bytes_, pss);
     peak_live_vms_ = std::max(peak_live_vms_, vms);
-    obs_.metrics().GetGauge("cluster.pss_bytes").Set(pss);
-    obs_.metrics().GetGauge("cluster.live_vms").Set(static_cast<double>(vms));
-    // Fleet-wide rollup gauges: per-host state aggregated at the front end,
-    // so one scrape of the cluster registry describes the whole fleet.
-    obs_.metrics().GetGauge("fleet.hosts.alive").Set(static_cast<double>(alive));
-    obs_.metrics().GetGauge("fleet.hosts.active").Set(static_cast<double>(active_hosts()));
-    obs_.metrics().GetGauge("fleet.zones.alive").Set(static_cast<double>(zones_alive()));
-    obs_.metrics().GetGauge("fleet.queue.depth").Set(static_cast<double>(queued));
-    obs_.metrics().GetGauge("fleet.inflight").Set(static_cast<double>(inflight));
-    obs_.metrics().GetGauge("fleet.warm_hits").Set(static_cast<double>(warm_hits));
+    pss_gauge.Set(pss);
+    live_vms_gauge.Set(static_cast<double>(vms));
+    hosts_alive_gauge.Set(static_cast<double>(alive));
+    hosts_active_gauge.Set(static_cast<double>(active_hosts()));
+    zones_alive_gauge.Set(static_cast<double>(zones_alive()));
+    queue_depth_gauge.Set(static_cast<double>(queued));
+    inflight_gauge.Set(static_cast<double>(inflight));
+    warm_hits_gauge.Set(static_cast<double>(warm_hits));
     slo_.Tick();
-  }
+    co_await fwsim::Delay(sim_, kSampleInterval);
+  } while (running_);
 }
 
 void Cluster::Drain(uint64_t until_terminal) {

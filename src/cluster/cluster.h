@@ -506,8 +506,12 @@ class Cluster {
   // Ring of the most recent completed latencies, feeding HedgeDelay(). The
   // hedge trigger must track the *current* tail: a cumulative quantile stays
   // poisoned by a past overload episode long after the fleet recovers,
-  // pinning the delay above any real straggler so hedges never fire.
+  // pinning the delay above any real straggler so hedges never fire. The
+  // ring says which value leaves the window; the sorted copy of it is what
+  // HedgeDelay() reads the quantile from. Only hedging reads either, so both
+  // stay empty with hedging off.
   std::vector<double> recent_latency_ms_;
+  std::vector<double> recent_latency_sorted_ms_;
   size_t recent_latency_next_ = 0;
   fwbase::SampleStats latency_ms_;
   fwbase::SampleStats startup_ms_;

@@ -7,13 +7,17 @@ namespace fwcluster {
 namespace {
 // log10(e): converts the exponential-model hazard Δt/mean into a phi value.
 constexpr double kLog10E = 0.4342944819032518;
+// EWMA weight for observed heartbeat intervals.
+constexpr double kIntervalEwmaAlpha = 0.2;
 }  // namespace
+
+static_assert(FailureDetector::kPhiSuspect > 0.0 &&
+              FailureDetector::kPhiDead >= FailureDetector::kPhiSuspect);
 
 FailureDetector::FailureDetector(int num_hosts, const HealthConfig& config, SimTime now)
     : config_(config) {
   FW_CHECK(num_hosts > 0);
   FW_CHECK(config.heartbeat_interval.nanos() > 0);
-  FW_CHECK(config.phi_suspect > 0.0 && config.phi_dead >= config.phi_suspect);
   records_.resize(static_cast<size_t>(num_hosts));
   for (HostRecord& r : records_) {
     r.last_heartbeat = now;
@@ -30,8 +34,8 @@ HealthTransition FailureDetector::Heartbeat(int host, SimTime now, double pss_fr
     // mean would desensitize the detector right after every recovery.
     const double observed = (now - r.last_heartbeat).seconds();
     if (observed > 0.0) {
-      r.mean_interval_seconds = config_.interval_ewma_alpha * observed +
-                                (1.0 - config_.interval_ewma_alpha) * r.mean_interval_seconds;
+      r.mean_interval_seconds =
+          kIntervalEwmaAlpha * observed + (1.0 - kIntervalEwmaAlpha) * r.mean_interval_seconds;
     }
   }
   r.last_heartbeat = now;
@@ -47,11 +51,11 @@ HealthTransition FailureDetector::Evaluate(int host, SimTime now) {
     return HealthTransition::kNone;  // Only a heartbeat resurrects.
   }
   const double phi = Phi(host, now);
-  if (phi >= config_.phi_dead) {
+  if (phi >= kPhiDead) {
     r.state = HealthState::kDead;
     return HealthTransition::kDied;
   }
-  if (phi >= config_.phi_suspect && r.state == HealthState::kAlive) {
+  if (phi >= kPhiSuspect && r.state == HealthState::kAlive) {
     r.state = HealthState::kSuspect;
     return HealthTransition::kSuspected;
   }

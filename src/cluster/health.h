@@ -5,7 +5,7 @@
 // heartbeats and data-path errors. This module turns that evidence into a
 // per-host health state machine:
 //
-//        heartbeat                 phi >= phi_suspect        phi >= phi_dead
+//        heartbeat                 phi >= kPhiSuspect        phi >= kPhiDead
 //   ┌───────────────┐            ┌──────────────────┐      ┌───────────────┐
 //   │               ▼            │                  ▼      │               ▼
 //   │            ALIVE ──────────┘               SUSPECT ──┘             DEAD
@@ -61,12 +61,6 @@ struct HealthConfig {
 
   // Cadence at which hosts report liveness + memory pressure.
   Duration heartbeat_interval = Duration::Millis(100);
-  // phi thresholds (exponential model: phi = log10(e) · Δt / mean_interval).
-  // With a steady mean m, suspicion starts at ≈ 4.6·m and death at ≈ 18.4·m.
-  double phi_suspect = 2.0;
-  double phi_dead = 8.0;
-  // EWMA weight for observed heartbeat intervals.
-  double interval_ewma_alpha = 0.2;
   // PSS fraction of host memory at which the host counts as pressured
   // (brownout threshold).
   double pressure_fraction = 0.9;
@@ -74,6 +68,11 @@ struct HealthConfig {
 
 class FailureDetector {
  public:
+  // phi thresholds (exponential model: phi = log10(e) · Δt / mean_interval).
+  // With a steady mean m, suspicion starts at ≈ 4.6·m and death at ≈ 18.4·m.
+  static constexpr double kPhiSuspect = 2.0;
+  static constexpr double kPhiDead = 8.0;
+
   // All hosts start kAlive with last-heartbeat = `now` and mean interval =
   // heartbeat_interval (startup grace: nobody is suspect before real
   // evidence accrues).

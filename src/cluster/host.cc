@@ -13,8 +13,8 @@ namespace fwcluster {
 
 FullHost::FullHost(fwsim::Simulation& sim, int id, const Config& config)
     : id_(id),
-      memory_bytes_(static_cast<double>(config.env.memory_bytes)),
       env_(sim, config.env),
+      memory_bytes_(static_cast<double>(env_.memory().total_bytes())),
       platform_(env_, config.fw) {}
 
 fwsim::Co<Status> FullHost::Install(const fwlang::FunctionSource& fn) {

@@ -117,8 +117,8 @@ class FullHost : public ClusterHost {
 
  private:
   int id_;
-  double memory_bytes_;  // Physical capacity (from the HostEnv config).
   fwcore::HostEnv env_;  // Borrows the cluster's shared Simulation.
+  double memory_bytes_;  // Physical capacity of env_'s memory.
   fwcore::FireworksPlatform platform_;
   uint64_t warm_hits_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/base/check.h"
+#include "src/lang/runtime_model.h"
 #include "src/storage/chunker.h"
 #include "src/storage/manifest.h"
 
@@ -16,6 +17,21 @@ using fwstore::LayerManifest;
 using fwstore::SnapshotManifest;
 
 namespace {
+
+// The runtime every app's base layer holds.
+constexpr fwlang::Language kBaseRuntime = fwlang::Language::kNodeJs;
+// Synthetic REAP working set: the fraction of the image the recording
+// invocation touched.
+constexpr double kWorkingSetFraction = 0.35;
+constexpr Duration kRetryBackoff = Duration::Millis(5);
+// Local install: writing fetched chunks into the host snapshot store.
+constexpr double kInstallBandwidthBytesPerSec = 2.0e9;
+// Working-set restore cost model: sequential prefetch bandwidth vs the
+// per-page random read a demand fault pays when the set is not prefetched.
+constexpr double kPrefetchBandwidthBytesPerSec = 2.0e9;
+constexpr Duration kDemandFaultRead = Duration::Micros(12);
+
+static_assert(SnapshotDistribution::kMaxFetchAttempts >= 1);
 
 bool TestBit(const std::vector<uint8_t>& bits, AppId app) {
   return app < bits.size() && bits[app] != 0;
@@ -39,13 +55,12 @@ SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, const AppTabl
       config_(config),
       obs_(obs),
       injector_(injector),
-      fabric_(sim, config.fabric),
+      fabric_(sim),
       holds_(static_cast<size_t>(num_hosts)),
       warm_(static_cast<size_t>(num_hosts)),
       generations_(static_cast<size_t>(num_hosts), 0) {
   FW_CHECK(num_hosts > 0);
   FW_CHECK(config.chunk_bytes > 0);
-  FW_CHECK(config.max_fetch_attempts >= 1);
   for (int h = 0; h < num_hosts; ++h) {
     caches_.push_back(std::make_unique<fwstore::ChunkCache>(config.cache_budget_bytes));
   }
@@ -59,7 +74,7 @@ void SnapshotDistribution::Publish(AppId app, int seed_host) {
   m.image_bytes = image_bytes;
   if (config_.layered) {
     LayerManifest base;
-    base.key = "base/" + config_.base_runtime;
+    base.key = std::string("base/") + fwlang::LanguageName(kBaseRuntime);
     base.kind = LayerKind::kBase;
     base.chunks =
         fwstore::SyntheticChunks(base.key, config_.base_layer_bytes, config_.chunk_bytes);
@@ -81,8 +96,7 @@ void SnapshotDistribution::Publish(AppId app, int seed_host) {
   // fraction of the image, as one dense range from the start (snapshot files
   // are laid out restore-order-first).
   const uint64_t ws_pages = static_cast<uint64_t>(
-      config_.working_set_fraction *
-      static_cast<double>(fwbase::PagesFor(image_bytes)));
+      kWorkingSetFraction * static_cast<double>(fwbase::PagesFor(image_bytes)));
   if (ws_pages > 0) {
     m.working_set.push_back(fwstore::PageRange{0, ws_pages});
     m.working_set_bytes = ws_pages * fwbase::kPageSize;
@@ -199,10 +213,10 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
   }
 
   // 3. The registry, with bounded deterministic-backoff retries.
-  for (int attempt = 1; attempt <= config_.max_fetch_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxFetchAttempts; ++attempt) {
     if (attempt > 1) {
       ++stats_.retries;
-      co_await fwsim::Delay(sim_, config_.retry_backoff * static_cast<double>(1ull << (attempt - 2)));
+      co_await fwsim::Delay(sim_, kRetryBackoff * static_cast<double>(1ull << (attempt - 2)));
     }
     if (TripFault(fwfault::FaultKind::kRegistryUnreachable)) {
       ++stats_.registry_unreachable;
@@ -258,11 +272,10 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
   bool have_manifest = false;
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "registry.fetch_manifest", "registry");
-    for (int attempt = 1; attempt <= config_.max_fetch_attempts; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxFetchAttempts; ++attempt) {
       if (attempt > 1) {
         ++stats_.retries;
-        co_await fwsim::Delay(
-            sim_, config_.retry_backoff * static_cast<double>(1ull << (attempt - 2)));
+        co_await fwsim::Delay(sim_, kRetryBackoff * static_cast<double>(1ull << (attempt - 2)));
       }
       co_await fabric_.RegistryRpc();
       if (TripFault(fwfault::FaultKind::kRegistryUnreachable)) {
@@ -317,9 +330,8 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
     // Install: write the newly fetched chunks into the local snapshot store
     // (cached chunks reflink in for free).
     fwobs::ScopedSpan span(&obs_.tracer(), "registry.install", "registry");
-    co_await fwsim::Delay(
-        sim_, Duration::SecondsF(static_cast<double>(fetched_bytes) /
-                                 config_.install_bandwidth_bytes_per_sec));
+    co_await fwsim::Delay(sim_, Duration::SecondsF(static_cast<double>(fetched_bytes) /
+                                                   kInstallBandwidthBytesPerSec));
     SetBit(holds_[static_cast<size_t>(host)], app);
   }
 
@@ -340,16 +352,15 @@ fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, AppId app) {
       // REAP restore: one bulk sequential read of exactly the recorded set.
       fwobs::ScopedSpan span(&obs_.tracer(), "registry.workingset_prefetch", "registry");
       span.SetAttribute("bytes", ws_bytes);
-      co_await fwsim::Delay(
-          sim_, Duration::SecondsF(static_cast<double>(ws_bytes) /
-                                   config_.prefetch_bandwidth_bytes_per_sec));
+      co_await fwsim::Delay(sim_, Duration::SecondsF(static_cast<double>(ws_bytes) /
+                                                     kPrefetchBandwidthBytesPerSec));
       ++stats_.warm_restores;
     } else if (ws_pages > 0) {
       // No prefetch: the first invocation demand-faults every touched page,
       // one random read at a time.
       fwobs::ScopedSpan span(&obs_.tracer(), "registry.demand_faults", "registry");
       span.SetAttribute("pages", ws_pages);
-      co_await fwsim::Delay(sim_, config_.demand_fault_read * static_cast<double>(ws_pages));
+      co_await fwsim::Delay(sim_, kDemandFaultRead * static_cast<double>(ws_pages));
       ++stats_.demand_restores;
     }
     if (config_.restore_uniqueness) {
@@ -359,14 +370,15 @@ fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, AppId app) {
       // serves traffic. Charged once per actual restore — a warm (host, app)
       // keeps its already-reseeded resident instance and pays nothing.
       const uint64_t generation = ++generations_[static_cast<size_t>(host)];
+      const fwlang::RuntimeCosts costs = fwlang::RuntimeCosts::For(kBaseRuntime);
       {
         fwobs::ScopedSpan span(&obs_.tracer(), "registry.guest_reseed", "registry");
         span.SetAttribute("generation", generation);
-        co_await fwsim::Delay(sim_, config_.guest_reseed_cost);
+        co_await fwsim::Delay(sim_, costs.vmgenid_reseed_cost);
       }
       {
         fwobs::ScopedSpan span(&obs_.tracer(), "registry.clock_rebase", "registry");
-        co_await fwsim::Delay(sim_, config_.clock_rebase_cost);
+        co_await fwsim::Delay(sim_, costs.clock_rebase_cost);
       }
       ++stats_.guest_reseeds;
     }

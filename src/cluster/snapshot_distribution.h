@@ -58,10 +58,9 @@ struct DistributionConfig {
   bool enabled = false;
 
   // Layered images: one base runtime layer shared by every app on the same
-  // runtime plus a small per-app post-JIT delta. When false, each app
-  // publishes a single monolithic layer of base+delta bytes.
+  // runtime (Node.js) plus a small per-app post-JIT delta. When false, each
+  // app publishes a single monolithic layer of base+delta bytes.
   bool layered = true;
-  std::string base_runtime = "nodejs";
   uint64_t base_layer_bytes = 96ull << 20;
   uint64_t delta_layer_bytes = 16ull << 20;
   uint64_t chunk_bytes = 1ull << 20;
@@ -74,22 +73,8 @@ struct DistributionConfig {
 
   // REAP working-set restore: prefetch only the manifest's working set
   // before the first invocation instead of demand-faulting every touched
-  // page. The working set defaults to working_set_fraction of the image.
+  // page.
   bool working_set_restore = true;
-  double working_set_fraction = 0.35;
-
-  // Fetch retry policy. Backoff is deterministic (base << attempt): the
-  // simulation RNG must not be drawn on the distribution path.
-  int max_fetch_attempts = 3;
-  fwbase::Duration retry_backoff = fwbase::Duration::Millis(5);
-
-  // Local install: writing fetched chunks into the host snapshot store.
-  double install_bandwidth_bytes_per_sec = 2.0e9;
-
-  // Working-set restore cost model: sequential prefetch bandwidth vs the
-  // per-page random read a demand fault pays when the set is not prefetched.
-  double prefetch_bandwidth_bytes_per_sec = 2.0e9;
-  fwbase::Duration demand_fault_read = fwbase::Duration::Micros(12);
 
   // Full cold boot (no snapshot at all) when every fetch source is lost.
   fwbase::Duration cold_boot_cost = fwbase::Duration::Millis(1500);
@@ -98,13 +83,9 @@ struct DistributionConfig {
   // (DESIGN.md §15): each WarmRestore call bumps the host's generation
   // counter and charges the guest-side reseed + clock-rebase latency before
   // the clone serves traffic, surfaced as registry.guest_reseed /
-  // registry.clock_rebase spans. The costs mirror the full-fidelity
-  // RuntimeCosts vmgenid numbers (Node.js).
+  // registry.clock_rebase spans. The costs are the full-fidelity Node.js
+  // RuntimeCosts vmgenid numbers.
   bool restore_uniqueness = true;
-  fwbase::Duration guest_reseed_cost = fwbase::Duration::Micros(220);
-  fwbase::Duration clock_rebase_cost = fwbase::Duration::Micros(50);
-
-  fwnet::ClusterFabric::Config fabric;
 };
 
 // Per-tier transfer/outcome counters, aggregated across hosts.
@@ -130,6 +111,11 @@ struct DistributionStats {
 
 class SnapshotDistribution {
  public:
+  // Fetch retry bound, for the manifest and for each chunk. Backoff is
+  // deterministic (base << attempt): the simulation RNG must not be drawn on
+  // the distribution path.
+  static constexpr int kMaxFetchAttempts = 3;
+
   // Apps are named by their ids in `apps`, which must outlive the tier; the
   // names are read only on cold paths (registry manifests, span attributes).
   SnapshotDistribution(fwsim::Simulation& sim, const AppTable& apps, int num_hosts,

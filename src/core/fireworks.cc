@@ -13,12 +13,30 @@ using fwlang::ExecEnv;
 using fwlang::GuestProcess;
 using fwvmm::MicroVm;
 
+namespace {
+
+// Frontend + controller processing per request (Fig 1).
+constexpr Duration kControllerCost = Duration::Micros(900);
+// ip netns add + veth pair + iptables DNAT/SNAT rules (§3.5).
+constexpr Duration kNetnsSetupCost = Duration::MillisF(2.2);
+// Long-running GC churn over the runtime heap (V8 old-space turnover), part
+// of a kept instance's steady-state residency.
+constexpr double kSteadyRuntimeHeapDirtyFraction = 0.65;
+// Overall per-invocation deadline measured from request arrival; crossing it
+// fails the invocation with kDeadlineExceeded instead of retrying.
+constexpr Duration kInvokeTimeout = Duration::Millis(30000);
+// Deadline for the guest's parameter fetch: bounds the wait when a broker
+// fault drops the args record (the guest would otherwise hang forever).
+constexpr Duration kParamsConsumeTimeout = Duration::Millis(500);
+
+}  // namespace
+
 FireworksPlatform::FireworksPlatform(HostEnv& env) : FireworksPlatform(env, Config()) {}
 
 FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store(), config.hv_config),
+      hv_(env.sim(), env.memory(), env.snapshot_store()),
       tracer_(&env.tracer()) {
   hv_.set_observability(&env.obs());
   hv_.set_fault_injector(&env.fault_injector());
@@ -34,12 +52,13 @@ FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
   prepared_counter_ = &metrics.GetCounter("fw.warmpool.prepared.count");
   invoked_counter_ = &metrics.GetCounter("fw.warmpool.invoked.count");
   discarded_counter_ = &metrics.GetCounter("fw.warmpool.discarded.count");
+  reseed_scope_ = env.obs().profiler().RegisterScope("fw.guest_reseed");
 }
 
 FireworksPlatform::~FireworksPlatform() { ReleaseInstances(); }
 
 fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> FireworksPlatform::WireNetwork() {
-  co_await fwsim::Delay(env_.sim(), config_.netns_setup_cost);
+  co_await fwsim::Delay(env_.sim(), kNetnsSetupCost);
   fwnet::NetworkNamespace& ns = env_.network().CreateNamespace();
   Status tap = ns.AttachTap({kGuestTapName, kGuestIp, fwnet::MacAddr(0xFA57F00D)});
   if (!tap.ok()) {
@@ -106,7 +125,7 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
 
   // ① Create a microVM ready for the runtime and boot it.
   fwobs::ScopedSpan create_span(tracer_, "install.create_vm", "install");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-install-" + fn.name, config_.vm_config);
+  MicroVm* vm = co_await hv_.CreateMicroVm("fw-install-" + fn.name);
   create_span.End();
   fwobs::ScopedSpan boot_span(tracer_, "install.boot", "install");
   Status booted = co_await hv_.BootGuestOs(*vm);
@@ -204,7 +223,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
   result.cold = false;  // Fireworks has no cold/warm distinction (§5.1).
   const SimTime t0 = env_.sim().Now();
   const SimTime deadline =
-      t0 + (options.deadline.nanos() > 0 ? options.deadline : config_.invoke_timeout);
+      t0 + (options.deadline.nanos() > 0 ? options.deadline : kInvokeTimeout);
   // The invoke children are contiguous windows: each child ends exactly where
   // the next begins, so their durations sum to the root span's (= total).
   fwobs::ScopedSpan root(tracer_, "fireworks.invoke", "invoke");
@@ -212,12 +231,12 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
 
   // Controller processing (Fig 1); paid once, not per attempt.
   fwobs::ScopedSpan frontend_span(tracer_, "invoke.frontend", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.controller_cost);
+  co_await fwsim::Delay(env_.sim(), kControllerCost);
   frontend_span.End();
   const SimTime t_frontend_done = env_.sim().Now();
 
   Status last_error = Status::Ok();
-  for (int attempt = 1; attempt <= config_.max_invoke_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxInvokeAttempts; ++attempt) {
     result.attempts = attempt;
     auto instance = std::make_unique<Instance>();
     AttemptTimes times;
@@ -240,8 +259,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       root.End();
       result.root_span = root.get();
 
-      if (config_.record_working_set && fn.image != nullptr &&
-          !fn.image->has_working_set() && instance->vm != nullptr) {
+      if (fn.image != nullptr && !fn.image->has_working_set() && instance->vm != nullptr) {
         // REAP record phase: the pages this first invocation faulted in from
         // the image become the snapshot's working set. Later cold restores
         // prefetch exactly these pages.
@@ -260,11 +278,10 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
           auto& space = instance->vm->address_space();
           fwmem::FaultCounts faults = fwvmm::GuestOsPageActivity(
               space, instance->guest_kernel, instance->guest_os,
-              config_.guest_os_steady_touch_fraction, config_.guest_os_steady_dirty_fraction,
+              fwvmm::kGuestOsSteadyTouchFraction, fwvmm::kGuestOsSteadyDirtyFraction,
               5000 + fc_id, 6000 + fc_id);
           faults += space.DirtyRandomFraction(space.SegmentByName(fwlang::kSegRuntimeHeap),
-                                              config_.steady_runtime_heap_dirty_fraction,
-                                              7000 + fc_id);
+                                              kSteadyRuntimeHeapDirtyFraction, 7000 + fc_id);
           co_await hv_.ServiceFaults(*instance->vm, faults);
         }
         instances_.push_back(std::move(instance));
@@ -313,7 +330,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       break;
     }
 
-    if (attempt < config_.max_invoke_attempts) {
+    if (attempt < kMaxInvokeAttempts) {
       // Exponential backoff with jitter from the sim RNG (drawn only here, on
       // the failure path, so fault-free runs never consume it).
       const Duration base = config_.retry_backoff * static_cast<int64_t>(1 << (attempt - 1));
@@ -346,8 +363,7 @@ fwsim::Co<void> FireworksPlatform::RestoreUniqueness(fwlang::GuestProcess& proce
   // restore critical path: a clone that answered traffic before it would be
   // serving with byte-identical RNG/clock/id state from the snapshot.
   auto& profiler = env_.obs().profiler();
-  const uint64_t prof_token =
-      profiler.enabled() ? profiler.EnterDetached(profiler.RegisterScope("fw.guest_reseed")) : 0;
+  const uint64_t prof_token = profiler.EnterDetached(reseed_scope_);
   {
     fwobs::ScopedSpan reseed_span(tracer_, "invoke.guest_reseed", "invoke");
     reseed_span.SetAttribute("generation", vm.generation());
@@ -367,8 +383,8 @@ fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
   instance.guest_kernel = space.SegmentByName(fwvmm::kSegGuestKernel);
   instance.guest_os = space.SegmentByName(fwvmm::kSegGuestOs);
   return fwvmm::GuestOsPageActivity(space, instance.guest_kernel, instance.guest_os,
-                                    config_.guest_os_resume_touch_fraction,
-                                    config_.guest_os_resume_dirty_fraction,
+                                    fwvmm::kGuestOsResumeTouchFraction,
+                                    fwvmm::kGuestOsResumeDirtyFraction,
                                     1000 + instance.fc_id, 2000 + instance.fc_id);
 }
 
@@ -464,8 +480,7 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   // Bounded wait: a dropped args record must surface as kDeadlineExceeded,
   // not a hang. With the record already present (the normal case) the timing
   // is identical to the unbounded ConsumeLast.
-  auto params = co_await env_.broker().ConsumeLastWithTimeout(topic, 0,
-                                                              config_.params_consume_timeout);
+  auto params = co_await env_.broker().ConsumeLastWithTimeout(topic, 0, kParamsConsumeTimeout);
   if (!params.ok()) {
     co_return params.status();
   }
@@ -606,7 +621,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   root.SetAttribute("function", fn_name);
 
   fwobs::ScopedSpan frontend_span(tracer_, "invoke.frontend", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.controller_cost);
+  co_await fwsim::Delay(env_.sim(), kControllerCost);
   frontend_span.End();
 
   // Produce the arguments; the parked guest is already blocked on the topic.
@@ -621,7 +636,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
 
   fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
   auto params = co_await env_.broker().ConsumeLastWithTimeout(instance->topic, 0,
-                                                              config_.params_consume_timeout);
+                                                              kParamsConsumeTimeout);
   if (!params.ok()) {
     Teardown(*instance);
     co_return params.status();
@@ -732,7 +747,7 @@ fwsim::Co<Status> FireworksPlatform::ColdBootInvoke(const InstalledFunction& fn,
 
   // Create + boot + wire + load: the slow path the snapshot normally skips.
   fwobs::ScopedSpan boot_span(tracer_, "invoke.coldboot.boot", "invoke");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-coldboot-" + fn_name, config_.vm_config);
+  MicroVm* vm = co_await hv_.CreateMicroVm("fw-coldboot-" + fn_name);
   Status booted = co_await hv_.BootGuestOs(*vm);
   if (!booted.ok()) {
     FW_CHECK(hv_.Destroy(*vm).ok());

@@ -34,44 +34,20 @@ class FireworksPlatform : public ServerlessPlatform {
   struct Config {
     Config() {}
 
-    // Frontend + controller processing per request (Fig 1).
-    Duration controller_cost = Duration::Micros(900);
-    // ip netns add + veth pair + iptables DNAT/SNAT rules (§3.5).
-    Duration netns_setup_cost = Duration::MillisF(2.2);
-    // Post-resume guest-kernel activity on the invocation critical path: the
-    // fraction of kernel/OS pages the resuming guest immediately re-reads
-    // (shared) and re-writes (private: page tables, timers).
-    double guest_os_resume_touch_fraction = 0.04;
-    double guest_os_resume_dirty_fraction = 0.02;
-    // Steady-state residency a long-running instance converges to (guest page
-    // cache, slab, per-VM kernel bookkeeping). Applied off the latency path
-    // when an instance is kept for the consolidation experiments (§5.4).
-    double guest_os_steady_touch_fraction = 0.80;
-    double guest_os_steady_dirty_fraction = 0.62;
-    // Long-running GC churn over the runtime heap (V8 old-space turnover).
-    double steady_runtime_heap_dirty_fraction = 0.65;
-    // REAP-style working-set prefetch before resume (ablation, §7).
+    // REAP-style working-set prefetch before resume (ablation, §7). The
+    // first successful invocation of a function always records the image
+    // pages it faulted in as the snapshot's working set; with a recorded set
+    // this prefetches only those pages instead of the whole snapshot file
+    // (Ustiugov et al., REAP).
     bool prefetch_on_restore = false;
-    // Record the image pages the first successful invocation faults in and
-    // attach them to the snapshot image as its working set. Later restores
-    // with prefetch_on_restore prefetch only those pages instead of the whole
-    // snapshot file (Ustiugov et al., REAP).
-    bool record_working_set = true;
     // Pin snapshots of installed functions in the store (§6 discussion: keep
     // frequently-accessed snapshots). Off for the eviction ablation.
     bool pin_snapshots = true;
     // --- Recovery ----------------------------------------------------------
-    // Bounded retry of the snapshot invoke path. Between attempts the
-    // platform backs off exponentially with jitter drawn from the simulation
-    // RNG (failure paths only, so fault-free runs stay bit-identical).
-    int max_invoke_attempts = 3;
+    // Base of the exponential backoff between snapshot-path attempts, with
+    // jitter drawn from the simulation RNG (failure paths only, so fault-free
+    // runs stay bit-identical).
     Duration retry_backoff = Duration::Millis(10);
-    // Overall per-invocation deadline measured from request arrival; crossing
-    // it fails the invocation with kDeadlineExceeded instead of retrying.
-    Duration invoke_timeout = Duration::Millis(30000);
-    // Deadline for the guest's parameter fetch: bounds the wait when a broker
-    // fault drops the args record (the guest would otherwise hang forever).
-    Duration params_consume_timeout = Duration::Millis(500);
     // Degrade to a full cold boot (create + boot + load, no snapshot) once
     // the snapshot path is exhausted.
     bool cold_boot_fallback = true;
@@ -83,9 +59,10 @@ class FireworksPlatform : public ServerlessPlatform {
     // request ids and timestamps) — kept togglable so the detector tests can
     // demonstrate the bug and the bench can price the fix.
     bool restore_uniqueness = true;
-    fwvmm::MicroVmConfig vm_config;
-    fwvmm::Hypervisor::Config hv_config;
   };
+
+  // Bounded retry of the snapshot invoke path.
+  static constexpr int kMaxInvokeAttempts = 3;
 
   explicit FireworksPlatform(HostEnv& env);
   FireworksPlatform(HostEnv& env, const Config& config);
@@ -237,6 +214,8 @@ class FireworksPlatform : public ServerlessPlatform {
   fwobs::Counter* prepared_counter_ = nullptr;
   fwobs::Counter* invoked_counter_ = nullptr;
   fwobs::Counter* discarded_counter_ = nullptr;
+  // The guest reseed's profiler scope, resolved once like the counters.
+  fwobs::ProfScopeId reseed_scope_ = 0;
   std::map<std::string, InstalledFunction> installed_;
   std::vector<std::unique_ptr<Instance>> instances_;  // Kept instances.
   // Parked clones per function, oldest first (ordered map: release order must

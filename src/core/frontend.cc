@@ -6,6 +6,13 @@
 
 namespace fwcore {
 
+namespace {
+
+// API-gateway request handling (auth, routing) per request.
+constexpr Duration kGatewayCost = Duration::Micros(150);
+
+}  // namespace
+
 Frontend::Frontend(HostEnv& env, ServerlessPlatform& platform)
     : Frontend(env, platform, Config()) {}
 
@@ -32,7 +39,7 @@ fwsim::Co<void> Frontend::Worker() {
   // frames at teardown.
   for (;;) {
     Request request = co_await queue_.Recv();
-    co_await fwsim::Delay(env_.sim(), config_.gateway_cost);
+    co_await fwsim::Delay(env_.sim(), kGatewayCost);
     Result<InvocationResult> result =
         co_await platform_.Invoke(request.fn_name, request.args, request.options);
     if (result.ok()) {

@@ -20,8 +20,6 @@ class Frontend {
  public:
   struct Config {
     Config() {}
-    // API-gateway request handling (auth, routing) per request.
-    Duration gateway_cost = Duration::Micros(150);
     // Number of concurrent invoker workers (per-host dispatch parallelism).
     int invoker_workers = 32;
   };

@@ -5,6 +5,13 @@
 
 namespace fwcore {
 
+namespace {
+
+// Host RAM of the paper's testbed (§5.1).
+constexpr uint64_t kHostMemoryBytes = 128 * fwbase::kGiB;
+
+}  // namespace
+
 HostEnv::HostEnv(const Config& config)
     : HostEnv(std::make_unique<fwsim::Simulation>(config.seed), nullptr, config) {}
 
@@ -17,7 +24,7 @@ HostEnv::HostEnv(std::unique_ptr<fwsim::Simulation> owned, fwsim::Simulation* bo
       sim_(owned_sim_ != nullptr ? *owned_sim_ : *borrowed),
       obs_([this] { return sim_.Now(); }),
       fault_injector_(sim_, config.fault_plan, config.fault_seed),
-      memory_(config.memory_bytes, config.swap_start_fraction),
+      memory_(kHostMemoryBytes),
       disk_(sim_, fwstore::BlockDevice::Config{}),
       snapshot_store_(sim_, disk_, config.snapshot_store_bytes),
       network_(sim_),

@@ -47,8 +47,6 @@ class HostEnv {
  public:
   struct Config {
     Config() {}
-    uint64_t memory_bytes = 128 * fwbase::kGiB;  // The paper's testbed (§5.1).
-    double swap_start_fraction = 0.6;            // vm.swappiness = 60 reading.
     uint64_t snapshot_store_bytes = 1024 * fwbase::kGiB;
     uint64_t seed = 42;
     // Fault injection (default: empty plan, which is inert — runs are
@@ -155,7 +153,7 @@ struct InvokeOptions {
   // triggers de-optimisation (§6).
   std::string type_sig = "default";
   // Per-invocation latency budget: bounds internal retries + backoff. Zero
-  // means the platform's configured invoke_timeout applies. Cluster fronts
+  // means the platform's own default deadline applies. Cluster fronts
   // pass the request's remaining deadline here so a nearly-expired request
   // does not burn a full default timeout on a doomed host.
   Duration deadline = Duration::Zero();

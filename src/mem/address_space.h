@@ -153,6 +153,15 @@ struct FaultCounts {
   FaultCounts& operator+=(const FaultCounts& o);
 };
 
+// Host-side service price of one fault of each kind, the same under a VMM and
+// a container engine. Minor faults are amortised by Linux fault-around and
+// file readahead; a major fault is a 4 KiB random disk read; a CoW fault (or
+// a fresh write) is a frame copy plus a PTE update.
+inline constexpr fwbase::Duration kMinorFaultCost = fwbase::Duration::Nanos(180);
+inline constexpr fwbase::Duration kMajorFaultCost = fwbase::Duration::Micros(24);
+inline constexpr fwbase::Duration kCowFaultCost = fwbase::Duration::Nanos(1800);
+inline constexpr fwbase::Duration kZeroFaultCost = fwbase::Duration::Nanos(500);
+
 struct SegmentStats {
   std::string name;
   uint64_t pages = 0;
@@ -259,6 +268,17 @@ class AddressSpace {
   GuestIdentityRecord guest_identity_;
   bool unmapped_ = false;
 };
+
+// Time to service `faults` taken in `space`. Major faults hit the disk only
+// when the space's image is cold; a warm page cache serves them like minor
+// faults.
+inline fwbase::Duration FaultServiceTime(const AddressSpace& space, const FaultCounts& faults) {
+  const bool warm = space.image_backed() && space.image()->cache_warm();
+  const fwbase::Duration major_cost = warm ? kMinorFaultCost : kMajorFaultCost;
+  return major_cost * faults.major_faults + kMinorFaultCost * faults.minor_shared +
+         kZeroFaultCost * faults.zero_fills +
+         kCowFaultCost * (faults.cow_copies + faults.fresh_writes);
+}
 
 }  // namespace fwmem
 

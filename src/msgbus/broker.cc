@@ -12,11 +12,15 @@ namespace {
 // the mean of the extra exponential latency a delay fault adds in Produce.
 constexpr Duration kConsumePollInterval = Duration::Millis(1);
 constexpr Duration kDelayFaultMean = Duration::Millis(5);
+constexpr Duration kProduceCost = Duration::Micros(400);  // Append + ack (acks=1).
+constexpr Duration kFetchCost = Duration::Micros(300);    // Fetch request round trip.
+constexpr double kBandwidthBytesPerSec = 200.0e6;
+
+Duration TransferTime(uint64_t bytes) {
+  return Duration::SecondsF(static_cast<double>(bytes) / kBandwidthBytesPerSec);
+}
+
 }  // namespace
-
-Broker::Broker(fwsim::Simulation& sim) : Broker(sim, Config()) {}
-
-Broker::Broker(fwsim::Simulation& sim, const Config& config) : sim_(sim), config_(config) {}
 
 void Broker::set_observability(fwobs::Observability* obs) {
   tracer_ = &obs->tracer();
@@ -79,10 +83,6 @@ Result<Broker::Partition*> Broker::FindPartition(const std::string& topic, int p
   return it->second.partitions[partition].get();
 }
 
-Duration Broker::TransferTime(uint64_t bytes) const {
-  return Duration::SecondsF(static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec);
-}
-
 fwsim::Co<Result<int64_t>> Broker::Produce(const std::string& topic, int partition,
                                            Record record) {
   auto part = FindPartition(topic, partition);
@@ -93,7 +93,7 @@ fwsim::Co<Result<int64_t>> Broker::Produce(const std::string& topic, int partiti
   fwobs::ScopedSpan span(tracer_, "bus.produce", "msgbus");
   span.SetAttribute("topic", topic);
   span.SetAttribute("bytes", record.SizeBytes());
-  co_await fwsim::Delay(sim_, config_.produce_cost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(sim_, kProduceCost + TransferTime(record.SizeBytes()));
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kBrokerDelayMessage)) {
     co_await fwsim::Delay(
         sim_, injector_->SampleDelay(fwfault::FaultKind::kBrokerDelayMessage, kDelayFaultMean));
@@ -146,7 +146,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeAt(const std::string& topic, int partit
   // Copy before suspending: the log vector may grow (and reallocate) while the
   // fetch delay elapses.
   Record record = p.log[static_cast<size_t>(offset)];
-  co_await fwsim::Delay(sim_, config_.fetch_cost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
   RecordConsume(t0);
   co_return record;
 }
@@ -165,7 +165,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeLast(const std::string& topic, int part
   }
   // Copy before suspending (see ConsumeAt).
   Record record = p.log.back();
-  co_await fwsim::Delay(sim_, config_.fetch_cost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
   RecordConsume(t0);
   co_return record;
 }
@@ -192,7 +192,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeLastWithTimeout(const std::string& topi
   }
   // Copy before suspending (see ConsumeAt).
   Record record = p.log.back();
-  co_await fwsim::Delay(sim_, config_.fetch_cost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
   RecordConsume(t0);
   co_return record;
 }

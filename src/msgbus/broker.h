@@ -49,14 +49,7 @@ static_assert(!std::is_aggregate_v<Record>);
 
 class Broker {
  public:
-  struct Config {
-    Duration produce_cost = Duration::Micros(400);  // Append + ack (acks=1).
-    Duration fetch_cost = Duration::Micros(300);    // Fetch request round trip.
-    double bandwidth_bytes_per_sec = 200.0e6;
-  };
-
-  explicit Broker(fwsim::Simulation& sim);
-  Broker(fwsim::Simulation& sim, const Config& config);
+  explicit Broker(fwsim::Simulation& sim) : sim_(sim) {}
 
   // Optional: spans for produce/consume plus "bus.*" metrics (end-to-end
   // produce/consume latencies, outstanding-record queue-depth gauge). The
@@ -107,11 +100,9 @@ class Broker {
   };
 
   Result<Partition*> FindPartition(const std::string& topic, int partition);
-  Duration TransferTime(uint64_t bytes) const;
   void RecordConsume(fwbase::SimTime t0);
 
   fwsim::Simulation& sim_;
-  Config config_;
   std::map<std::string, Topic> topics_;
   uint64_t records_produced_ = 0;
   uint64_t records_consumed_ = 0;

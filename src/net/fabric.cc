@@ -4,28 +4,42 @@ namespace fwnet {
 
 namespace {
 
+// Round-trip to the registry service (metadata RPCs and per-stream transfer
+// setup).
+constexpr fwbase::Duration kRegistryRpcLatency = fwbase::Duration::Micros(120);
+// Rack-local peer round-trip.
+constexpr fwbase::Duration kPeerRpcLatency = fwbase::Duration::Micros(60);
+// Per-stream sequential read bandwidth out of the registry's store.
+constexpr double kRegistryBandwidthBytesPerSec = 1.25e9;  // ~10 Gb/s.
+// Peer-to-peer transfer bandwidth (page-cache-hot source).
+constexpr double kPeerBandwidthBytesPerSec = 2.5e9;
+// Concurrent transfer streams the registry serves; more block.
+constexpr int64_t kRegistryStreams = 4;
+
 fwbase::Duration TransferTime(uint64_t bytes, double bytes_per_sec) {
   return fwbase::Duration::SecondsF(static_cast<double>(bytes) / bytes_per_sec);
 }
 
 }  // namespace
 
+ClusterFabric::ClusterFabric(fwsim::Simulation& sim)
+    : sim_(sim), registry_slots_(sim, kRegistryStreams) {}
+
 fwsim::Co<void> ClusterFabric::RegistryTransfer(uint64_t bytes) {
   co_await registry_slots_.Acquire();
-  co_await fwsim::Delay(sim_, config_.registry_rpc_latency +
-                                  TransferTime(bytes, config_.registry_bandwidth_bytes_per_sec));
+  co_await fwsim::Delay(sim_, kRegistryRpcLatency +
+                                  TransferTime(bytes, kRegistryBandwidthBytesPerSec));
   registry_slots_.Release();
   ++registry_transfers_;
   registry_bytes_ += bytes;
 }
 
 fwsim::DelayAwaiter ClusterFabric::RegistryRpc() {
-  return fwsim::Delay(sim_, config_.registry_rpc_latency);
+  return fwsim::Delay(sim_, kRegistryRpcLatency);
 }
 
 fwsim::Co<void> ClusterFabric::PeerTransfer(uint64_t bytes) {
-  co_await fwsim::Delay(sim_, config_.peer_rpc_latency +
-                                  TransferTime(bytes, config_.peer_bandwidth_bytes_per_sec));
+  co_await fwsim::Delay(sim_, kPeerRpcLatency + TransferTime(bytes, kPeerBandwidthBytesPerSec));
   ++peer_transfers_;
   peer_bytes_ += bytes;
 }

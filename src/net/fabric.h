@@ -20,24 +20,7 @@ namespace fwnet {
 
 class ClusterFabric {
  public:
-  struct Config {
-    Config() {}
-
-    // Round-trip to the registry service (metadata RPCs and per-stream
-    // transfer setup).
-    fwbase::Duration registry_rpc_latency = fwbase::Duration::Micros(120);
-    // Rack-local peer round-trip.
-    fwbase::Duration peer_rpc_latency = fwbase::Duration::Micros(60);
-    // Per-stream sequential read bandwidth out of the registry's store.
-    double registry_bandwidth_bytes_per_sec = 1.25e9;  // ~10 Gb/s.
-    // Peer-to-peer transfer bandwidth (page-cache-hot source).
-    double peer_bandwidth_bytes_per_sec = 2.5e9;
-    // Concurrent transfer streams the registry serves; more block.
-    int64_t registry_streams = 4;
-  };
-
-  ClusterFabric(fwsim::Simulation& sim, const Config& config)
-      : sim_(sim), config_(config), registry_slots_(sim, config.registry_streams) {}
+  explicit ClusterFabric(fwsim::Simulation& sim);
 
   // Charges one registry round-trip plus `bytes` of transfer, holding one of
   // the bounded registry streams for the duration.
@@ -54,11 +37,8 @@ class ClusterFabric {
   uint64_t peer_transfers() const { return peer_transfers_; }
   uint64_t peer_bytes() const { return peer_bytes_; }
 
-  const Config& config() const { return config_; }
-
  private:
   fwsim::Simulation& sim_;
-  Config config_;
   fwsim::Resource registry_slots_;
   uint64_t registry_transfers_ = 0;
   uint64_t registry_bytes_ = 0;

@@ -7,6 +7,15 @@
 
 namespace fwnet {
 
+namespace {
+
+constexpr Duration kWireLatency = Duration::Micros(60);  // Host-local hop (bridge).
+constexpr Duration kNatCost = Duration::Micros(8);       // iptables translation.
+constexpr Duration kTapCost = Duration::Micros(10);      // tap read/write + vhost kick.
+constexpr double kBandwidthBytesPerSec = 10.0e9 / 8.0;   // 10 GbE.
+
+}  // namespace
+
 Status NetworkNamespace::AttachTap(const TapDevice& tap) {
   for (const auto& existing : taps_) {
     if (existing.name == tap.name) {
@@ -69,10 +78,7 @@ Result<IpAddr> NetworkNamespace::TranslateOutbound(IpAddr internal) const {
   return Status::NotFound("no SNAT rule for " + internal.ToString());
 }
 
-HostNetwork::HostNetwork(fwsim::Simulation& sim) : HostNetwork(sim, Config()) {}
-
-HostNetwork::HostNetwork(fwsim::Simulation& sim, const Config& config)
-    : sim_(sim), config_(config) {
+HostNetwork::HostNetwork(fwsim::Simulation& sim) : sim_(sim) {
   // Namespace 0 is the root namespace.
   namespaces_.push_back(std::make_unique<NetworkNamespace>(next_namespace_id_++));
 }
@@ -132,11 +138,11 @@ Status HostNetwork::BindExternalIp(IpAddr external, uint64_t namespace_id) {
 }
 
 Duration HostNetwork::TransferTime(uint64_t bytes) const {
-  return Duration::SecondsF(static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec);
+  return Duration::SecondsF(static_cast<double>(bytes) / kBandwidthBytesPerSec);
 }
 
 fwsim::Co<Result<IpAddr>> HostNetwork::DeliverInbound(IpAddr dst, uint64_t bytes) {
-  co_await fwsim::Delay(sim_, config_.wire_latency + TransferTime(bytes));
+  co_await fwsim::Delay(sim_, kWireLatency + TransferTime(bytes));
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetLinkLoss)) {
     co_return Status::Unavailable("packet to " + dst.ToString() + " lost on the wire");
   }
@@ -151,7 +157,7 @@ fwsim::Co<Result<IpAddr>> HostNetwork::DeliverInbound(IpAddr dst, uint64_t bytes
     co_return internal.status();
   }
   ++nat_translations_;
-  co_await fwsim::Delay(sim_, config_.nat_cost + config_.tap_cost);
+  co_await fwsim::Delay(sim_, kNatCost + kTapCost);
   ++packets_delivered_;
   co_return *internal;
 }
@@ -162,7 +168,7 @@ fwsim::Co<Result<IpAddr>> HostNetwork::SendOutbound(uint64_t namespace_id, IpAdd
   if (ns == nullptr) {
     co_return Status::NotFound("no such namespace");
   }
-  co_await fwsim::Delay(sim_, config_.tap_cost);
+  co_await fwsim::Delay(sim_, kTapCost);
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetLinkLoss)) {
     co_return Status::Unavailable("packet from " + src.ToString() + " lost on the wire");
   }
@@ -171,7 +177,7 @@ fwsim::Co<Result<IpAddr>> HostNetwork::SendOutbound(uint64_t namespace_id, IpAdd
     co_return external.status();
   }
   ++nat_translations_;
-  co_await fwsim::Delay(sim_, config_.nat_cost + config_.wire_latency + TransferTime(bytes));
+  co_await fwsim::Delay(sim_, kNatCost + kWireLatency + TransferTime(bytes));
   ++packets_sent_;
   co_return *external;
 }

@@ -74,15 +74,7 @@ class NetworkNamespace {
 // inbound traffic to the owning namespace, and charges wire + NAT latency.
 class HostNetwork {
  public:
-  struct Config {
-    Duration wire_latency = Duration::Micros(60);  // Host-local hop (bridge).
-    Duration nat_cost = Duration::Micros(8);       // iptables translation.
-    Duration tap_cost = Duration::Micros(10);      // tap read/write + vhost kick.
-    double bandwidth_bytes_per_sec = 10.0e9 / 8.0; // 10 GbE.
-  };
-
   explicit HostNetwork(fwsim::Simulation& sim);
-  HostNetwork(fwsim::Simulation& sim, const Config& config);
 
   // Optional: link-loss faults in Deliver/Send (packet charged, then lost)
   // and NAT port exhaustion in BindExternalIp.
@@ -119,7 +111,6 @@ class HostNetwork {
   NetworkNamespace* FindNamespace(uint64_t id);
 
   fwsim::Simulation& sim_;
-  Config config_;
   std::vector<std::unique_ptr<NetworkNamespace>> namespaces_;
   std::map<IpAddr, uint64_t> external_bindings_;
   uint64_t next_namespace_id_ = 0;

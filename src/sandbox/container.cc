@@ -8,6 +8,19 @@
 
 namespace fwbox {
 
+namespace {
+
+constexpr Duration kNamespaceSetupCost = Duration::Millis(24);  // netns + mounts.
+constexpr Duration kCgroupSetupCost = Duration::Millis(7);
+constexpr Duration kRuncSpawnCost = Duration::Millis(38);  // runc + container init.
+constexpr Duration kPauseCost = Duration::Millis(2);
+constexpr Duration kCheckpointStateCost = Duration::Millis(20);
+constexpr Duration kRestoreStateCost = Duration::Millis(12);
+// gVisor compute penalty (Sentry platform overhead on user code).
+constexpr double kGvisorComputeScale = 1.18;
+
+}  // namespace
+
 const char* ContainerRuntimeName(ContainerRuntime runtime) {
   switch (runtime) {
     case ContainerRuntime::kRunc:
@@ -36,10 +49,9 @@ ContainerEngine::ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host
 fwsim::Co<Container*> ContainerEngine::CreateContainer(
     const std::string& name, const ContainerConfig& config,
     std::shared_ptr<fwmem::SnapshotImage> base_image) {
-  Duration setup = config_.image_resolve_cost + config_.namespace_setup_cost +
-                   config_.cgroup_setup_cost;
+  Duration setup = kImageResolveCost + kNamespaceSetupCost + kCgroupSetupCost;
   if (config.runtime == ContainerRuntime::kRunc) {
-    setup += config_.runc_spawn_cost;
+    setup += kRuncSpawnCost;
   } else {
     setup += config_.sentry_spawn_cost + config_.gofer_spawn_cost;
   }
@@ -64,7 +76,7 @@ fwsim::Co<Status> ContainerEngine::Pause(Container& c) {
   if (c.state() != ContainerState::kRunning) {
     co_return Status::FailedPrecondition("pause requires a running container");
   }
-  co_await fwsim::Delay(sim_, config_.pause_cost);
+  co_await fwsim::Delay(sim_, kPauseCost);
   c.set_state(ContainerState::kPaused);
   co_return Status::Ok();
 }
@@ -96,7 +108,7 @@ fwsim::Co<Result<std::shared_ptr<fwmem::SnapshotImage>>> ContainerEngine::Checkp
       co_return paused;
     }
   }
-  co_await fwsim::Delay(sim_, config_.checkpoint_state_cost);
+  co_await fwsim::Delay(sim_, kCheckpointStateCost);
   auto image = c.address_space().TakeSnapshot(checkpoint_name);
   Status saved = co_await checkpoint_store_.Save(image);
   if (!saved.ok()) {
@@ -116,9 +128,8 @@ fwsim::Co<Result<Container*>> ContainerEngine::RestoreCheckpoint(
   if (!image.ok()) {
     co_return image.status();
   }
-  co_await fwsim::Delay(sim_, config_.namespace_setup_cost + config_.cgroup_setup_cost +
-                                  config_.sentry_spawn_cost + config_.gofer_spawn_cost +
-                                  config_.restore_state_cost);
+  co_await fwsim::Delay(sim_, kNamespaceSetupCost + kCgroupSetupCost + config_.sentry_spawn_cost +
+                                  config_.gofer_spawn_cost + kRestoreStateCost);
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kSandboxCrash)) {
     // The Sentry died before the container was registered: nothing to clean up.
     co_return Status::Unavailable("sandbox crashed restoring " + checkpoint_name);
@@ -154,18 +165,7 @@ fwstore::FsKind ContainerEngine::FsKindFor(ContainerRuntime runtime) {
 }
 
 double ContainerEngine::ComputeScale(ContainerRuntime runtime) const {
-  return runtime == ContainerRuntime::kGvisor ? config_.gvisor_compute_scale : 1.0;
-}
-
-Duration ContainerEngine::FaultServiceTime(const Container& c,
-                                           const fwmem::FaultCounts& faults) const {
-  const bool warm =
-      c.address_space().image_backed() && c.address_space().image()->cache_warm();
-  const Duration major_cost = warm ? config_.minor_fault_cost : config_.major_fault_cost;
-  return major_cost * static_cast<int64_t>(faults.major_faults) +
-         config_.minor_fault_cost * static_cast<int64_t>(faults.minor_shared) +
-         config_.zero_fault_cost * static_cast<int64_t>(faults.zero_fills) +
-         config_.cow_fault_cost * static_cast<int64_t>(faults.cow_copies + faults.fresh_writes);
+  return runtime == ContainerRuntime::kGvisor ? kGvisorComputeScale : 1.0;
 }
 
 }  // namespace fwbox

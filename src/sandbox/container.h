@@ -51,7 +51,6 @@ struct ContainerConfig {
   explicit ContainerConfig(ContainerRuntime runtime) : runtime(runtime) {}
 
   ContainerRuntime runtime = ContainerRuntime::kRunc;
-  uint64_t mem_limit_bytes = 512 * fwbase::kMiB;
 };
 
 class Container {
@@ -86,24 +85,13 @@ class ContainerEngine {
   struct Config {
     Config() {}
 
-    Duration image_resolve_cost = Duration::Millis(22);   // Cached layer lookup.
-    Duration namespace_setup_cost = Duration::Millis(24); // netns + mounts.
-    Duration cgroup_setup_cost = Duration::Millis(7);
-    Duration runc_spawn_cost = Duration::Millis(38);      // runc + container init.
     Duration sentry_spawn_cost = Duration::Millis(70);    // gVisor Sentry boot.
     Duration gofer_spawn_cost = Duration::Millis(25);     // gVisor Gofer proxy.
-    Duration pause_cost = Duration::Millis(2);
     Duration unpause_cost = Duration::Millis(3);
-    Duration checkpoint_state_cost = Duration::Millis(20);
-    Duration restore_state_cost = Duration::Millis(12);
-    // Per-page fault service costs (same machinery as the VMM).
-    Duration minor_fault_cost = Duration::Nanos(180);
-    Duration major_fault_cost = Duration::Micros(24);
-    Duration cow_fault_cost = Duration::Nanos(1800);
-    Duration zero_fault_cost = Duration::Nanos(500);
-    // gVisor compute penalty (Sentry platform overhead on user code).
-    double gvisor_compute_scale = 1.18;
   };
+
+  // Cached image-layer lookup, paid per container and per action image.
+  static constexpr Duration kImageResolveCost = Duration::Millis(22);
 
   ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
                   fwstore::SnapshotStore& checkpoint_store);
@@ -137,9 +125,6 @@ class ContainerEngine {
   // Multiplier on in-container compute time.
   double ComputeScale(ContainerRuntime runtime) const;
 
-  fwbase::Duration FaultServiceTime(const Container& c, const fwmem::FaultCounts& faults) const;
-
-  const Config& config() const { return config_; }
   uint64_t containers_created() const { return containers_created_; }
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   size_t live_container_count() const { return containers_.size(); }

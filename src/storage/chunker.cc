@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/base/strings.h"
 
 namespace fwstore {
 
@@ -27,24 +26,6 @@ uint64_t Finalize(uint64_t h) {
   return h;
 }
 
-// Gear table: one 64-bit constant per byte value, derived with SplitMix64 so
-// the table is identical on every build without storing 2 KiB of literals.
-const uint64_t* GearTable() {
-  static const auto table = [] {
-    static uint64_t t[256];
-    uint64_t state = 0x46697265776f726bull;  // "Firework"
-    for (int i = 0; i < 256; ++i) {
-      state += 0x9E3779B97F4A7C15ull;
-      uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      t[i] = z ^ (z >> 31);
-    }
-    return t;
-  }();
-  return table;
-}
-
 }  // namespace
 
 uint64_t HashBytes(const uint8_t* data, size_t len) {
@@ -53,47 +34,6 @@ uint64_t HashBytes(const uint8_t* data, size_t len) {
 
 uint64_t HashBytes(const std::string& bytes) {
   return HashBytes(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-}
-
-Chunker::Chunker(const Config& config) : config_(config) {
-  FW_CHECK(config.min_bytes > 0);
-  FW_CHECK(config.min_bytes <= config.target_bytes);
-  FW_CHECK(config.target_bytes <= config.max_bytes);
-  FW_CHECK_MSG((config.target_bytes & (config.target_bytes - 1)) == 0,
-               "target_bytes must be a power of two (it becomes the boundary mask)");
-  mask_ = config.target_bytes - 1;
-}
-
-std::vector<Chunk> Chunker::Split(const uint8_t* data, size_t len) const {
-  const uint64_t* gear = GearTable();
-  std::vector<Chunk> chunks;
-  uint64_t start = 0;
-  while (start < len) {
-    const uint64_t remaining = len - start;
-    uint64_t cut = std::min<uint64_t>(remaining, config_.max_bytes);
-    if (remaining > config_.min_bytes) {
-      uint64_t h = 0;
-      const uint64_t scan_end = std::min<uint64_t>(remaining, config_.max_bytes);
-      for (uint64_t i = config_.min_bytes; i < scan_end; ++i) {
-        h = (h << 1) + gear[data[start + i]];
-        if ((h & mask_) == 0) {
-          cut = i + 1;
-          break;
-        }
-      }
-    }
-    Chunk c;
-    c.offset = start;
-    c.bytes = cut;
-    c.digest = HashBytes(data + start, cut);
-    chunks.push_back(c);
-    start += cut;
-  }
-  return chunks;
-}
-
-std::vector<Chunk> Chunker::Split(const std::string& bytes) const {
-  return Split(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
 }
 
 std::vector<ChunkRef> SyntheticChunks(const std::string& key, uint64_t total_bytes,

@@ -1,17 +1,11 @@
 // Content-addressed snapshot chunking (the distribution tier's unit of
 // transfer and dedup).
 //
-// Two producers share one digest space:
-//
-//   * Chunker — Gear-hash content-defined chunking over real bytes: boundaries
-//     follow content, so an insertion early in a blob only re-chunks the
-//     region around the edit instead of shifting every later boundary. Used
-//     where actual snapshot bytes exist (tests, future on-disk images).
-//   * SyntheticChunks — fixed-size chunk refs whose digests derive from a
-//     layer key and chunk index. Simulated snapshot images carry no content,
-//     but identical layers (the shared base runtime) must still produce
-//     identical digests on every host so dedup and peer fetch work; deriving
-//     the digest from (key, index, size) gives exactly that.
+// SyntheticChunks cuts a layer into fixed-size chunk refs whose digests derive
+// from the layer key and chunk index. Simulated snapshot images carry no
+// content, but identical layers (the shared base runtime) must still produce
+// identical digests on every host so dedup and peer fetch work; deriving the
+// digest from (key, index, size) gives exactly that.
 //
 // Digests are FNV-1a with a murmur3-style finalizer (the same construction as
 // fwcluster::HashKey): FNV alone barely diffuses short inputs' upper bits,
@@ -39,42 +33,6 @@ struct ChunkRef {
   bool operator==(const ChunkRef& o) const {
     return digest == o.digest && bytes == o.bytes;
   }
-};
-
-// A chunk located inside the blob it was cut from (offset + ref).
-struct Chunk {
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  uint64_t digest = 0;
-
-  ChunkRef ref() const { return ChunkRef{digest, bytes}; }
-};
-
-class Chunker {
- public:
-  struct Config {
-    Config() {}
-
-    // Boundary discipline: no chunk smaller than min (except the final one),
-    // none larger than max; target must be a power of two (it becomes the
-    // boundary mask).
-    uint64_t min_bytes = 16ull << 10;
-    uint64_t target_bytes = 64ull << 10;
-    uint64_t max_bytes = 256ull << 10;
-  };
-
-  explicit Chunker(const Config& config);
-
-  // Cuts `data` into contiguous chunks: offsets tile [0, len) exactly, so
-  // concatenating the slices reassembles the input bit-identically.
-  std::vector<Chunk> Split(const uint8_t* data, size_t len) const;
-  std::vector<Chunk> Split(const std::string& bytes) const;
-
-  const Config& config() const { return config_; }
-
- private:
-  Config config_;
-  uint64_t mask_;
 };
 
 // Deterministic chunk refs for a content-less simulated layer: `total_bytes`

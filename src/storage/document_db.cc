@@ -7,17 +7,23 @@ namespace fwstore {
 using fwbase::Result;
 using fwbase::Status;
 
-DocumentDb::DocumentDb(fwsim::Simulation& sim, Filesystem& fs)
-    : DocumentDb(sim, fs, Config()) {}
+namespace {
 
-DocumentDb::DocumentDb(fwsim::Simulation& sim, Filesystem& fs, const Config& config)
-    : sim_(sim), fs_(fs), config_(config), update_feed_(sim) {}
+// Server-side request processing (auth, JSON parse, B-tree update).
+constexpr Duration kPerRequestCost = Duration::Micros(350);
+// Extra cost to append to the _changes feed on writes.
+constexpr Duration kChangesFeedCost = Duration::Micros(60);
+
+}  // namespace
+
+DocumentDb::DocumentDb(fwsim::Simulation& sim, Filesystem& fs)
+    : sim_(sim), fs_(fs), update_feed_(sim) {}
 
 fwsim::Co<Status> DocumentDb::Put(const std::string& db, Document doc) {
   ++puts_;
-  co_await fwsim::Delay(sim_, config_.per_request_cost);
+  co_await fwsim::Delay(sim_, kPerRequestCost);
   co_await fs_.WriteFile(doc.SizeBytes());
-  co_await fwsim::Delay(sim_, config_.changes_feed_cost);
+  co_await fwsim::Delay(sim_, kChangesFeedCost);
   UpdateEvent event{db, doc};
   dbs_[db][doc.key] = std::move(doc);
   update_feed_.Send(std::move(event));
@@ -26,7 +32,7 @@ fwsim::Co<Status> DocumentDb::Put(const std::string& db, Document doc) {
 
 fwsim::Co<Result<Document>> DocumentDb::Get(const std::string& db, const std::string& key) {
   ++gets_;
-  co_await fwsim::Delay(sim_, config_.per_request_cost);
+  co_await fwsim::Delay(sim_, kPerRequestCost);
   auto db_it = dbs_.find(db);
   if (db_it == dbs_.end()) {
     co_return Status::NotFound("no database " + db);
@@ -45,7 +51,7 @@ fwsim::Co<Result<Document>> DocumentDb::Get(const std::string& db, const std::st
 }
 
 fwsim::Co<std::vector<Document>> DocumentDb::Scan(const std::string& db) {
-  co_await fwsim::Delay(sim_, config_.per_request_cost);
+  co_await fwsim::Delay(sim_, kPerRequestCost);
   std::vector<Document> out;
   auto db_it = dbs_.find(db);
   if (db_it == dbs_.end()) {
@@ -63,7 +69,7 @@ fwsim::Co<std::vector<Document>> DocumentDb::Scan(const std::string& db) {
 }
 
 fwsim::Co<Status> DocumentDb::Delete(const std::string& db, const std::string& key) {
-  co_await fwsim::Delay(sim_, config_.per_request_cost);
+  co_await fwsim::Delay(sim_, kPerRequestCost);
   auto db_it = dbs_.find(db);
   if (db_it == dbs_.end() || db_it->second.erase(key) == 0) {
     co_return Status::NotFound("no document " + key + " in " + db);

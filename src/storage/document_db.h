@@ -44,15 +44,7 @@ static_assert(!std::is_aggregate_v<UpdateEvent>);
 
 class DocumentDb {
  public:
-  struct Config {
-    // Server-side request processing (auth, JSON parse, B-tree update).
-    Duration per_request_cost = Duration::Micros(350);
-    // Extra cost to append to the _changes feed on writes.
-    Duration changes_feed_cost = Duration::Micros(60);
-  };
-
   DocumentDb(fwsim::Simulation& sim, Filesystem& fs);
-  DocumentDb(fwsim::Simulation& sim, Filesystem& fs, const Config& config);
 
   // Inserts/updates a document; emits an UpdateEvent on the feed.
   fwsim::Co<fwbase::Status> Put(const std::string& db, Document doc);
@@ -71,7 +63,6 @@ class DocumentDb {
  private:
   fwsim::Simulation& sim_;
   Filesystem& fs_;
-  Config config_;
   std::map<std::string, std::map<std::string, Document>> dbs_;
   fwsim::Channel<UpdateEvent> update_feed_;
   uint64_t puts_ = 0;

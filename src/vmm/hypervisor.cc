@@ -10,6 +10,37 @@ namespace fwvmm {
 
 using fwbase::Result;
 
+namespace {
+
+// REST API request handling (one per control-plane call).
+constexpr Duration kApiRequestCost = Duration::Micros(120);
+// Spawning the VMM process (+ jailer) and setting up KVM and the devices.
+constexpr Duration kProcessSpawnCost = Duration::Millis(55);
+constexpr Duration kKvmSetupCost = Duration::Millis(18);
+constexpr Duration kDeviceSetupCost = Duration::Millis(8);
+// Guest kernel decompress + boot and userspace init (full rootfs with the
+// serverless agent, as in the paper's Firecracker baseline).
+constexpr Duration kGuestKernelBootCost = Duration::Millis(1500);
+constexpr Duration kGuestInitCost = Duration::Millis(380);
+constexpr Duration kPauseCost = Duration::Millis(6);
+// Resuming a paused (warm) VM: API connection, vCPU restart, network refresh
+// and request plumbing — the paper's warm-start path.
+constexpr Duration kResumeCost = Duration::Millis(60);
+// Serializing device/vCPU state at snapshot time; parsing it at restore.
+constexpr Duration kSnapshotVmstateCost = Duration::Millis(14);
+constexpr Duration kRestoreVmstateCost = Duration::Millis(4);
+// Spinning up the VMM for a snapshot restore: a trimmed path (config is read
+// from the snapshot, memory is mmap'ed) — far lighter than a cold process
+// spawn + KVM + device setup.
+constexpr Duration kRestoreProcessCost = Duration::Millis(9);
+// Guest-side MMDS HTTP read.
+constexpr Duration kMmdsReadCost = Duration::Micros(180);
+// Delivering the vmgenid generation-change notification to a resumed guest.
+// The guest-side reseed work itself is charged by the runtime model.
+constexpr Duration kVmgenidNotifyCost = Duration::Micros(40);
+
+}  // namespace
+
 fwmem::FaultCounts GuestOsPageActivity(fwmem::AddressSpace& space, fwmem::SegmentId kernel,
                                        fwmem::SegmentId os, double touch_fraction,
                                        double dirty_fraction, uint64_t kernel_dirty_salt,
@@ -38,11 +69,10 @@ const char* VmStateName(VmState state) {
   return "?";
 }
 
-MicroVm::MicroVm(uint64_t id, std::string name, const MicroVmConfig& config,
-                 std::unique_ptr<fwmem::AddressSpace> space, bool restored_from_snapshot)
+MicroVm::MicroVm(uint64_t id, std::string name, std::unique_ptr<fwmem::AddressSpace> space,
+                 bool restored_from_snapshot)
     : id_(id),
       name_(std::move(name)),
-      config_(config),
       space_(std::move(space)),
       restored_from_snapshot_(restored_from_snapshot) {}
 
@@ -60,14 +90,9 @@ Result<std::string> MicroVm::GetMetadata(const std::string& key) const {
 
 Hypervisor::Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
                        fwstore::SnapshotStore& snapshot_store)
-    : Hypervisor(sim, host_memory, snapshot_store, Config()) {}
-
-Hypervisor::Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                       fwstore::SnapshotStore& snapshot_store, const Config& config)
     : sim_(sim),
       host_memory_(host_memory),
       snapshot_store_(snapshot_store),
-      config_(config),
       // The virtio-rng entropy pool: forked once at construction so hosts on
       // a shared simulation get distinct-but-deterministic entropy streams.
       guest_entropy_rng_(sim.rng().Fork()) {}
@@ -85,17 +110,16 @@ void Hypervisor::set_observability(fwobs::Observability* obs) {
   snapshot_counter_ = &metrics.GetCounter("hv.snapshot.create.count");
 }
 
-fwsim::Co<MicroVm*> Hypervisor::CreateMicroVm(const std::string& name,
-                                              const MicroVmConfig& config) {
+fwsim::Co<MicroVm*> Hypervisor::CreateMicroVm(const std::string& name) {
   fwobs::ScopedSpan span(tracer_, "hv.create_vm", "vmm");
   span.SetAttribute("vm", name);
-  co_await fwsim::Delay(sim_, config_.api_request_cost + config_.process_spawn_cost +
-                                  config_.kvm_setup_cost + config_.device_setup_cost);
+  co_await fwsim::Delay(sim_,
+                        kApiRequestCost + kProcessSpawnCost + kKvmSetupCost + kDeviceSetupCost);
   auto space = std::make_unique<fwmem::AddressSpace>(host_memory_);
-  space->AddSegment(kSegGuestKernel, config_.kernel_boot_bytes);
-  space->AddSegment(kSegGuestOs, config_.os_services_bytes);
+  space->AddSegment(kSegGuestKernel, kKernelBootBytes);
+  space->AddSegment(kSegGuestOs, kOsServicesBytes);
   const uint64_t id = next_vm_id_++;
-  auto vm = std::make_unique<MicroVm>(id, name, config, std::move(space),
+  auto vm = std::make_unique<MicroVm>(id, name, std::move(space),
                                       /*restored_from_snapshot=*/false);
   vm->generation_ = next_generation_++;
   MicroVm* raw = vm.get();
@@ -118,10 +142,10 @@ fwsim::Co<Status> Hypervisor::BootGuestOs(MicroVm& vm) {
   // The kernel decompresses itself and early userspace populates its pages:
   // all private, fresh writes.
   fwmem::FaultCounts faults = space.DirtyBytes(space.SegmentByName(kSegGuestKernel),
-                                               config_.kernel_boot_bytes);
-  co_await fwsim::Delay(sim_, config_.guest_kernel_boot_cost);
-  faults += space.DirtyBytes(space.SegmentByName(kSegGuestOs), config_.os_services_bytes);
-  co_await fwsim::Delay(sim_, config_.guest_init_cost);
+                                               kKernelBootBytes);
+  co_await fwsim::Delay(sim_, kGuestKernelBootCost);
+  faults += space.DirtyBytes(space.SegmentByName(kSegGuestOs), kOsServicesBytes);
+  co_await fwsim::Delay(sim_, kGuestInitCost);
   co_await ServiceFaults(vm, faults);
   vm.set_state(VmState::kRunning);
   co_return Status::Ok();
@@ -131,7 +155,7 @@ fwsim::Co<Status> Hypervisor::Pause(MicroVm& vm) {
   if (vm.state() != VmState::kRunning) {
     co_return Status::FailedPrecondition("pause requires a running VM");
   }
-  co_await fwsim::Delay(sim_, config_.api_request_cost + config_.pause_cost);
+  co_await fwsim::Delay(sim_, kApiRequestCost + kPauseCost);
   vm.set_state(VmState::kPaused);
   co_return Status::Ok();
 }
@@ -140,7 +164,7 @@ fwsim::Co<Status> Hypervisor::Resume(MicroVm& vm) {
   if (vm.state() != VmState::kPaused) {
     co_return Status::FailedPrecondition("resume requires a paused VM");
   }
-  co_await fwsim::Delay(sim_, config_.api_request_cost + config_.resume_cost);
+  co_await fwsim::Delay(sim_, kApiRequestCost + kResumeCost);
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kVmCrashOnResume)) {
     vm.set_state(VmState::kDead);
     co_return Status::Unavailable("VMM process crashed resuming " + vm.name());
@@ -161,7 +185,7 @@ fwsim::Co<Result<std::shared_ptr<fwmem::SnapshotImage>>> Hypervisor::CreateSnaps
     }
   }
   fwobs::ScopedSpan span(tracer_, "hv.create_snapshot", "vmm");
-  co_await fwsim::Delay(sim_, config_.api_request_cost + config_.snapshot_vmstate_cost);
+  co_await fwsim::Delay(sim_, kApiRequestCost + kSnapshotVmstateCost);
   std::shared_ptr<fwmem::SnapshotImage> image = vm.address_space().TakeSnapshot(snapshot_name);
   Status saved = co_await snapshot_store_.Save(image);
   if (!saved.ok()) {
@@ -187,15 +211,14 @@ fwsim::Co<Result<MicroVm*>> Hypervisor::RestoreMicroVm(const std::string& snapsh
   span.SetAttribute("snapshot", snapshot_name);
   // Trimmed VMM bring-up, then map the memory file and parse vmstate. No
   // guest boot: execution continues from the snapshot point.
-  co_await fwsim::Delay(sim_, config_.api_request_cost + config_.restore_process_cost +
-                                  config_.restore_vmstate_cost);
+  co_await fwsim::Delay(sim_, kApiRequestCost + kRestoreProcessCost + kRestoreVmstateCost);
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kVmCrashOnResume)) {
     // The fresh VMM died before the VM was registered: nothing to clean up.
     co_return Status::Unavailable("VMM process crashed restoring " + snapshot_name);
   }
   auto space = std::make_unique<fwmem::AddressSpace>(host_memory_, *image);
   const uint64_t id = next_vm_id_++;
-  auto vm = std::make_unique<MicroVm>(id, vm_name, MicroVmConfig(), std::move(space),
+  auto vm = std::make_unique<MicroVm>(id, vm_name, std::move(space),
                                       /*restored_from_snapshot=*/true);
   // Every restore gets a fresh generation: the restored guest's identity is a
   // byte copy of the snapshot's, and the generation gap is how it finds out.
@@ -223,10 +246,6 @@ Status Hypervisor::Destroy(MicroVm& vm) {
 
 Duration Hypervisor::FaultServiceTime(const MicroVm& vm,
                                       const fwmem::FaultCounts& faults) const {
-  // Major faults hit the disk only when the image's file pages are cold; a
-  // warm page cache serves them like minor faults.
-  const bool warm = vm.address_space().image_backed() && vm.address_space().image()->cache_warm();
-  const Duration major_cost = warm ? config_.minor_fault_cost : config_.major_fault_cost;
   // Every fault charge in the simulator flows through here exactly once, so
   // this is the single place the per-kind fault counters are recorded.
   if (fault_major_counter_ != nullptr) {
@@ -236,11 +255,7 @@ Duration Hypervisor::FaultServiceTime(const MicroVm& vm,
     fault_cow_counter_->Increment(faults.cow_copies);
     fault_fresh_counter_->Increment(faults.fresh_writes);
   }
-  return major_cost * static_cast<int64_t>(faults.major_faults) +
-         config_.minor_fault_cost * static_cast<int64_t>(faults.minor_shared) +
-         config_.zero_fault_cost * static_cast<int64_t>(faults.zero_fills) +
-         config_.cow_fault_cost * static_cast<int64_t>(faults.cow_copies) +
-         config_.cow_fault_cost * static_cast<int64_t>(faults.fresh_writes);
+  return fwmem::FaultServiceTime(vm.address_space(), faults);
 }
 
 fwsim::DelayAwaiter Hypervisor::ServiceFaults(const MicroVm& vm,
@@ -257,13 +272,13 @@ fwsim::Co<void> Hypervisor::PrefetchWorkingSet(fwmem::SnapshotImage& image,
 }
 
 fwsim::Co<Result<std::string>> Hypervisor::GuestReadMmds(MicroVm& vm, const std::string& key) {
-  co_await fwsim::Delay(sim_, config_.mmds_read_cost);
+  co_await fwsim::Delay(sim_, kMmdsReadCost);
   co_return vm.GetMetadata(key);
 }
 
 fwsim::DelayAwaiter Hypervisor::NotifyGenerationChange(MicroVm& vm) {
   (void)vm;
-  return fwsim::Delay(sim_, config_.vmgenid_notify_cost);
+  return fwsim::Delay(sim_, kVmgenidNotifyCost);
 }
 
 }  // namespace fwvmm

@@ -58,57 +58,25 @@ fwmem::FaultCounts GuestOsPageActivity(fwmem::AddressSpace& space, fwmem::Segmen
                                        double dirty_fraction, uint64_t kernel_dirty_salt,
                                        uint64_t os_dirty_salt);
 
+// The fractions every platform passes to GuestOsPageActivity. Resume: the
+// kernel/OS pages a freshly restored guest immediately re-reads (shared) and
+// re-writes (private: page tables, timers), on the invocation critical path.
+// Steady: the residency a long-running instance converges to (guest page
+// cache, slab, per-VM kernel bookkeeping), charged off the latency path when
+// an instance is kept for the consolidation experiments (§5.4).
+inline constexpr double kGuestOsResumeTouchFraction = 0.04;
+inline constexpr double kGuestOsResumeDirtyFraction = 0.02;
+inline constexpr double kGuestOsSteadyTouchFraction = 0.80;
+inline constexpr double kGuestOsSteadyDirtyFraction = 0.62;
+
 class Hypervisor {
  public:
-  struct Config {
-    Config() {}
-
-    // REST API request handling (one per control-plane call).
-    Duration api_request_cost = Duration::Micros(120);
-    // Spawning the VMM process (+ jailer) and setting up KVM.
-    Duration process_spawn_cost = Duration::Millis(55);
-    Duration kvm_setup_cost = Duration::Millis(18);
-    Duration device_setup_cost = Duration::Millis(8);
-    // Guest kernel decompress + boot and userspace init (full rootfs with
-    // the serverless agent, as in the paper's Firecracker baseline).
-    Duration guest_kernel_boot_cost = Duration::Millis(1500);
-    Duration guest_init_cost = Duration::Millis(380);
-    // Memory the guest dirties during kernel boot / early userspace.
-    uint64_t kernel_boot_bytes = 64 * fwbase::kMiB;
-    uint64_t os_services_bytes = 44 * fwbase::kMiB;
-
-    Duration pause_cost = Duration::Millis(6);
-    // Resuming a paused (warm) VM: API connection, vCPU restart, network
-    // refresh and request plumbing — the paper's warm-start path.
-    Duration resume_cost = Duration::Millis(60);
-    // Serializing device/vCPU state at snapshot time; parsing it at restore.
-    Duration snapshot_vmstate_cost = Duration::Millis(14);
-    Duration restore_vmstate_cost = Duration::Millis(4);
-    // Spinning up the VMM for a snapshot restore: a trimmed path (config is
-    // read from the snapshot, memory is mmap'ed) — far lighter than a cold
-    // process spawn + KVM + device setup.
-    Duration restore_process_cost = Duration::Millis(9);
-
-    // Per-page fault service costs.
-    // Minor faults amortised by Linux fault-around + file readahead.
-    Duration minor_fault_cost = Duration::Nanos(180);
-    Duration major_fault_cost = Duration::Micros(24);  // 4 KiB random disk read.
-    Duration cow_fault_cost = Duration::Nanos(1800);   // Copy + PTE update.
-    Duration zero_fault_cost = Duration::Nanos(500);
-
-    // Guest-side MMDS HTTP read.
-    Duration mmds_read_cost = Duration::Micros(180);
-
-    // Delivering the vmgenid generation-change notification to a resumed
-    // guest (ACPI interrupt + guest driver acknowledging the new counter).
-    // The guest-side reseed work itself is charged by the runtime model.
-    Duration vmgenid_notify_cost = Duration::Micros(40);
-  };
+  // Memory the guest dirties during kernel boot / early userspace.
+  static constexpr uint64_t kKernelBootBytes = 64 * fwbase::kMiB;
+  static constexpr uint64_t kOsServicesBytes = 44 * fwbase::kMiB;
 
   Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
              fwstore::SnapshotStore& snapshot_store);
-  Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-             fwstore::SnapshotStore& snapshot_store, const Config& config);
 
   // Optional: spans for VM lifecycle operations plus "hv.*" / "mem.fault.*"
   // metrics. The Observability must outlive the hypervisor.
@@ -122,7 +90,7 @@ class Hypervisor {
 
   // Creates a fresh (cold) microVM: API + process + KVM + devices. The guest
   // is not booted yet. The returned pointer stays valid until Destroy().
-  fwsim::Co<MicroVm*> CreateMicroVm(const std::string& name, const MicroVmConfig& config);
+  fwsim::Co<MicroVm*> CreateMicroVm(const std::string& name);
 
   // Boots the guest kernel and early userspace; dirties the kernel/OS
   // segments. Requires kConfigured.
@@ -147,7 +115,8 @@ class Hypervisor {
 
   // --- Memory-access services ---------------------------------------------
 
-  // Time to service the given faults against `vm`'s backing image (if any).
+  // Time to service the given faults against `vm`'s backing image (if any),
+  // priced by fwmem::FaultServiceTime; records the per-kind fault counters.
   Duration FaultServiceTime(const MicroVm& vm, const fwmem::FaultCounts& faults) const;
   // Convenience: charge the fault time on the simulation clock. The time is
   // computed at the call, so await the result in the calling expression.
@@ -162,9 +131,10 @@ class Hypervisor {
 
   // --- Uniqueness restoration (DESIGN.md §15) ------------------------------
 
-  // Delivers the vmgenid generation-change notification to `vm` (charges
-  // vmgenid_notify_cost). The platform follows up by having the guest
-  // process reseed/rebase against vm.generation().
+  // Delivers the vmgenid generation-change notification to `vm` (ACPI
+  // interrupt + guest driver acknowledging the new counter). The platform
+  // follows up by having the guest process reseed/rebase against
+  // vm.generation().
   fwsim::DelayAwaiter NotifyGenerationChange(MicroVm& vm);
 
   // Fresh host entropy for a guest reseed (the virtio-rng device): an
@@ -175,7 +145,6 @@ class Hypervisor {
   // The generation most recently assigned (0 before any VM exists).
   uint64_t current_generation() const { return next_generation_ - 1; }
 
-  const Config& config() const { return config_; }
   fwsim::Simulation& sim() { return sim_; }
   fwmem::HostMemory& host_memory() { return host_memory_; }
   fwstore::SnapshotStore& snapshot_store() { return snapshot_store_; }
@@ -189,7 +158,6 @@ class Hypervisor {
   fwsim::Simulation& sim_;
   fwmem::HostMemory& host_memory_;
   fwstore::SnapshotStore& snapshot_store_;
-  Config config_;
   std::map<uint64_t, std::unique_ptr<MicroVm>> vms_;
   uint64_t next_vm_id_ = 1;
   // vmgenid counter: every create *and* restore consumes one, so no two VMs

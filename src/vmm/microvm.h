@@ -14,24 +14,12 @@
 #include <string>
 
 #include "src/base/status.h"
-#include "src/base/units.h"
 #include "src/mem/address_space.h"
 
 namespace fwvmm {
 
 using fwbase::Result;
 using fwbase::Status;
-
-struct MicroVmConfig {
-  MicroVmConfig() = default;
-  MicroVmConfig(int vcpus, uint64_t mem_bytes, uint64_t disk_bytes)
-      : vcpus(vcpus), mem_bytes(mem_bytes), disk_bytes(disk_bytes) {}
-
-  // The paper's standard configuration: 1 vCPU, 512 MB, 2 GB disk (§5.1).
-  int vcpus = 1;
-  uint64_t mem_bytes = 512 * fwbase::kMiB;
-  uint64_t disk_bytes = 2 * fwbase::kGiB;
-};
 
 enum class VmState {
   kConfigured,  // VMM process up, devices configured, guest not started.
@@ -45,15 +33,14 @@ const char* VmStateName(VmState state);
 
 class MicroVm {
  public:
-  MicroVm(uint64_t id, std::string name, const MicroVmConfig& config,
-          std::unique_ptr<fwmem::AddressSpace> space, bool restored_from_snapshot);
+  MicroVm(uint64_t id, std::string name, std::unique_ptr<fwmem::AddressSpace> space,
+          bool restored_from_snapshot);
 
   MicroVm(const MicroVm&) = delete;
   MicroVm& operator=(const MicroVm&) = delete;
 
   uint64_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  const MicroVmConfig& config() const { return config_; }
   VmState state() const { return state_; }
   bool restored_from_snapshot() const { return restored_from_snapshot_; }
 
@@ -85,7 +72,6 @@ class MicroVm {
 
   uint64_t id_;
   std::string name_;
-  MicroVmConfig config_;
   std::unique_ptr<fwmem::AddressSpace> space_;
   bool restored_from_snapshot_;
   uint64_t generation_ = 0;

@@ -8,6 +8,9 @@ namespace fwwork {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+// Exponent of the app-popularity Zipf (s = 1.1 approximates the Azure
+// Functions skew).
+constexpr double kZipfExponent = 1.1;
 }  // namespace
 
 const char* ArrivalProcessName(ArrivalProcess process) {
@@ -68,7 +71,7 @@ LoadGen::LoadGen(const LoadGenConfig& config)
   zipf_cdf_.reserve(config_.num_apps);
   double total = 0.0;
   for (int k = 0; k < config_.num_apps; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), config_.zipf_exponent);
+    total += 1.0 / std::pow(static_cast<double>(k + 1), kZipfExponent);
     zipf_cdf_.push_back(total);
   }
 }
@@ -153,7 +156,7 @@ Arrival LoadGen::Next() {
 
 double LoadGen::AppProbability(int app) const {
   FW_CHECK(app >= 0 && app < config_.num_apps);
-  const double w = 1.0 / std::pow(static_cast<double>(app + 1), config_.zipf_exponent);
+  const double w = 1.0 / std::pow(static_cast<double>(app + 1), kZipfExponent);
   return w / zipf_cdf_.back();
 }
 

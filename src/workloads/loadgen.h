@@ -67,10 +67,8 @@ struct LoadGenConfig {
   double flash_duration_seconds = 10.0;
   double flash_offset_seconds = 45.0;
 
-  // App popularity: Zipf over `num_apps` apps with the given exponent
-  // (s = 1.1 approximates the Azure Functions skew; app 0 is hottest).
+  // App popularity: Zipf over `num_apps` apps (app 0 is hottest).
   int num_apps = 64;
-  double zipf_exponent = 1.1;
 
   uint64_t seed = 42;
 };

@@ -151,7 +151,7 @@ std::string RunFireworksScenario(uint64_t seed, const FaultPlan& plan,
       InvokeOptions options;
       options.keep_instance = (i == 2);  // Exercise kept-instance teardown.
       auto r = RunSync(env.sim(), platform.Invoke(fn.name, "{\"n\":10}", options));
-      AppendResult(&fp, "invoke", r, pc.max_invoke_attempts);
+      AppendResult(&fp, "invoke", r, FireworksPlatform::kMaxInvokeAttempts);
     }
   }
   platform.ReleaseInstances();
@@ -632,7 +632,7 @@ fwsim::Co<void> PartitionNearDeadThreshold(fwsim::Simulation& sim,
   // size the partition off the detector's own threshold arithmetic.
   co_await fwsim::Delay(sim, Duration::Millis(100));
   const fwcluster::FailureDetector& fd = cluster.detector();
-  const Duration to_dead = fd.TimeToPhi(victim, fd.config().phi_dead);
+  const Duration to_dead = fd.TimeToPhi(victim, fwcluster::FailureDetector::kPhiDead);
   // Post-heal heartbeats resume within one interval (10 ms), so a 30 ms
   // margin keeps the under case strictly under the threshold; the over case
   // leaves 50 ms of silence past it for an evaluation to land in.

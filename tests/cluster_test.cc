@@ -601,7 +601,8 @@ TEST(ClusterGhostAppTest, NeverInstalledNameColdBootsThenFailsNotFound) {
   EXPECT_EQ(out.status.code(), fwbase::StatusCode::kNotFound);
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(out.completions, 1u);
-  // One manifest RPC (registry_rpc_latency, 120 us) plus cold_boot_cost.
+  // One manifest RPC (the fabric's registry round-trip, 120 us) plus
+  // cold_boot_cost.
   EXPECT_EQ(out.latency.nanos(), 1'500'120'000);
   EXPECT_TRUE(cluster.outcome(real).status.ok());
   const Cluster::Rollup rollup = cluster.ComputeRollup();
@@ -625,8 +626,8 @@ TEST(FailureDetectorTest, SilenceDrivesSuspectThenDeadAtPhiThresholds) {
   }
   EXPECT_EQ(fd.state(0), HealthState::kAlive);
 
-  const Duration to_suspect = fd.TimeToPhi(0, hc.phi_suspect);
-  const Duration to_dead = fd.TimeToPhi(0, hc.phi_dead);
+  const Duration to_suspect = fd.TimeToPhi(0, FailureDetector::kPhiSuspect);
+  const Duration to_dead = fd.TimeToPhi(0, FailureDetector::kPhiDead);
   EXPECT_LT(to_suspect.nanos(), to_dead.nanos());
   EXPECT_EQ(fd.Evaluate(0, t + to_suspect - Duration::Millis(1)), HealthTransition::kNone);
   EXPECT_EQ(fd.Evaluate(0, t + to_suspect + Duration::Millis(1)),
@@ -650,7 +651,7 @@ TEST(FailureDetectorTest, PhiGrowsWithSilence) {
 TEST(FailureDetectorTest, HeartbeatReinstatesSuspectAndDead) {
   HealthConfig hc;
   FailureDetector fd(1, hc, fwbase::SimTime::Zero());
-  const Duration to_suspect = fd.TimeToPhi(0, hc.phi_suspect);
+  const Duration to_suspect = fd.TimeToPhi(0, FailureDetector::kPhiSuspect);
   fwbase::SimTime t = fwbase::SimTime::Zero() + to_suspect + Duration::Millis(1);
   EXPECT_EQ(fd.Evaluate(0, t), HealthTransition::kSuspected);
   EXPECT_EQ(fd.Heartbeat(0, t + Duration::Millis(1), 0.0), HealthTransition::kReinstated);
@@ -679,14 +680,14 @@ TEST(FailureDetectorTest, DowntimeGapIsNotAnIntervalSample) {
     t = t + hc.heartbeat_interval;
     fd.Heartbeat(0, t, 0.0);
   }
-  const Duration before = fd.TimeToPhi(0, hc.phi_dead);
+  const Duration before = fd.TimeToPhi(0, FailureDetector::kPhiDead);
 
   // Death, 30s of downtime, then a reinstating heartbeat: the 30s gap must
   // not be folded into the interval EWMA (it was downtime, not lateness).
   fd.ReportFailure(0);
   t = t + Duration::Seconds(30);
   EXPECT_EQ(fd.Heartbeat(0, t, 0.0), HealthTransition::kReinstated);
-  EXPECT_EQ(fd.TimeToPhi(0, hc.phi_dead).nanos(), before.nanos());
+  EXPECT_EQ(fd.TimeToPhi(0, FailureDetector::kPhiDead).nanos(), before.nanos());
 }
 
 TEST(FailureDetectorTest, PressureTracksHeartbeatPayload) {

@@ -155,6 +155,24 @@ TEST_F(FireworksPlatformTest, InvokeResumesSnapshotQuickly) {
   EXPECT_EQ(platform_.hypervisor().live_vm_count(), 0u);
 }
 
+TEST_F(FireworksPlatformTest, FirstInvocationRecordsWorkingSet) {
+  // REAP record phase: the pages the first successful invocation faults in
+  // from the image become the snapshot's working set, once.
+  ASSERT_TRUE(RunSync(env_.sim(), platform_.Install(SimpleFn(Language::kNodeJs))).ok());
+  const std::shared_ptr<fwmem::SnapshotImage> image = platform_.SnapshotImageOf("hello");
+  ASSERT_NE(image, nullptr);
+  EXPECT_FALSE(image->has_working_set());
+
+  ASSERT_TRUE(RunSync(env_.sim(), platform_.Invoke("hello", "{}", InvokeOptions())).ok());
+  ASSERT_TRUE(image->has_working_set());
+  const uint64_t recorded = image->working_set_bytes();
+  EXPECT_GT(recorded, 0u);
+  EXPECT_LT(recorded, image->file_bytes());
+
+  ASSERT_TRUE(RunSync(env_.sim(), platform_.Invoke("hello", "{}", InvokeOptions())).ok());
+  EXPECT_EQ(image->working_set_bytes(), recorded);
+}
+
 TEST_F(FireworksPlatformTest, KeepInstanceRetainsVm) {
   ASSERT_TRUE(RunSync(env_.sim(), platform_.Install(SimpleFn(Language::kNodeJs))).ok());
   InvokeOptions options;

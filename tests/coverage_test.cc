@@ -114,17 +114,9 @@ TEST(BrokerEdgeTest, ConsumeFromDeletedTopicFails) {
 // MicroVm basics not covered by hypervisor tests.
 // ---------------------------------------------------------------------------
 
-TEST(MicroVmTest, ConfigDefaultsMatchPaper) {
-  const fwvmm::MicroVmConfig config;
-  EXPECT_EQ(config.vcpus, 1);                          // §5.1.
-  EXPECT_EQ(config.mem_bytes, 512u * 1024 * 1024);     // 512 MB.
-  EXPECT_EQ(config.disk_bytes, 2ull * 1024 * 1024 * 1024);  // 2 GB.
-}
-
 TEST(MicroVmTest, NetworkAttachmentBookkeeping) {
   fwmem::HostMemory host(1_GiB);
-  fwvmm::MicroVm vm(7, "vm", fwvmm::MicroVmConfig(),
-                    std::make_unique<fwmem::AddressSpace>(host), false);
+  fwvmm::MicroVm vm(7, "vm", std::make_unique<fwmem::AddressSpace>(host), false);
   EXPECT_EQ(vm.netns_id(), 0u);
   vm.set_netns_id(3);
   vm.set_tap_name("tap0");

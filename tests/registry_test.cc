@@ -1,15 +1,14 @@
-// Registry test battery: content-defined chunking, chunk addressing, the
-// byte-budgeted LRU chunk cache, the manifest wire format, the registry
-// bookkeeping, and the SnapshotDistribution fetch protocol (coalescing,
-// cache → peer → registry fallback, cold-boot degradation, REAP restore).
+// Registry test battery: chunk addressing, the byte-budgeted LRU chunk
+// cache, the manifest wire format, the registry bookkeeping, and the
+// SnapshotDistribution fetch protocol (coalescing, cache → peer → registry
+// fallback, cold-boot degradation, REAP restore).
 //
-// The chunker/cache suites are property tests over per-test-seeded random
-// inputs (fwtest::SimTest): the invariants hold for every blob and every
-// op sequence, not just hand-picked examples.
+// The cache suites are property tests over per-test-seeded random op
+// sequences (fwtest::SimTest): the invariants hold for every sequence, not
+// just hand-picked examples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,137 +30,6 @@ using fwbase::Duration;
 using fwsim::Simulation;
 using fwtest::RunSync;
 using fwtest::RunSyncVoid;
-
-std::string RandomBlob(fwbase::Rng& rng, size_t len) {
-  std::string blob(len, '\0');
-  for (size_t i = 0; i < len; ++i) {
-    blob[i] = static_cast<char>(rng.UniformU64(256));
-  }
-  return blob;
-}
-
-std::string Reassemble(const std::string& blob, const std::vector<Chunk>& chunks) {
-  std::string out;
-  out.reserve(blob.size());
-  for (const Chunk& c : chunks) {
-    out.append(blob, c.offset, c.bytes);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Chunker: split → reassemble is the identity, for every blob and config.
-// ---------------------------------------------------------------------------
-
-class ChunkerProperty : public fwtest::SimTest {};
-
-std::vector<Chunker::Config> ChunkConfigs() {
-  std::vector<Chunker::Config> configs;
-  Chunker::Config small;
-  small.min_bytes = 64;
-  small.target_bytes = 256;
-  small.max_bytes = 1024;
-  configs.push_back(small);
-  Chunker::Config medium;
-  medium.min_bytes = 512;
-  medium.target_bytes = 2048;
-  medium.max_bytes = 8192;
-  configs.push_back(medium);
-  Chunker::Config skewed;  // max barely above target: forces max-bound cuts.
-  skewed.min_bytes = 256;
-  skewed.target_bytes = 4096;
-  skewed.max_bytes = 4096;
-  configs.push_back(skewed);
-  return configs;
-}
-
-TEST_F(ChunkerProperty, SplitTilesInputAndReassemblesBitIdentical) {
-  for (const Chunker::Config& cfg : ChunkConfigs()) {
-    Chunker chunker(cfg);
-    for (int round = 0; round < 16; ++round) {
-      const size_t len = static_cast<size_t>(sim_.rng().UniformU64(64 * 1024));
-      const std::string blob = RandomBlob(sim_.rng(), len);
-      const std::vector<Chunk> chunks = chunker.Split(blob);
-      // Offsets tile [0, len) exactly, in order, with no gaps or overlaps.
-      uint64_t expect_offset = 0;
-      for (const Chunk& c : chunks) {
-        EXPECT_EQ(c.offset, expect_offset);
-        EXPECT_GT(c.bytes, 0u);
-        expect_offset += c.bytes;
-      }
-      EXPECT_EQ(expect_offset, blob.size());
-      EXPECT_EQ(Reassemble(blob, chunks), blob);
-      // Each chunk's digest is the content hash of its slice.
-      for (const Chunk& c : chunks) {
-        EXPECT_EQ(c.digest, HashBytes(blob.substr(c.offset, c.bytes)));
-      }
-    }
-  }
-}
-
-TEST_F(ChunkerProperty, BoundaryDisciplineHolds) {
-  for (const Chunker::Config& cfg : ChunkConfigs()) {
-    Chunker chunker(cfg);
-    const std::string blob =
-        RandomBlob(sim_.rng(), 32 * static_cast<size_t>(cfg.max_bytes));
-    const std::vector<Chunk> chunks = chunker.Split(blob);
-    ASSERT_FALSE(chunks.empty());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      EXPECT_LE(chunks[i].bytes, cfg.max_bytes);
-      if (i + 1 < chunks.size()) {
-        EXPECT_GE(chunks[i].bytes, cfg.min_bytes);
-      }
-    }
-  }
-}
-
-TEST_F(ChunkerProperty, BoundariesFollowContentNotPosition) {
-  // Content-defined chunking: splitting the same bytes twice — or with a
-  // fresh Chunker — yields identical boundaries and digests.
-  Chunker::Config cfg = ChunkConfigs()[0];
-  const std::string blob = RandomBlob(sim_.rng(), 48 * 1024);
-  Chunker a(cfg);
-  Chunker b(cfg);
-  const std::vector<Chunk> first = a.Split(blob);
-  const std::vector<Chunk> second = b.Split(blob);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].offset, second[i].offset);
-    EXPECT_EQ(first[i].bytes, second[i].bytes);
-    EXPECT_EQ(first[i].digest, second[i].digest);
-  }
-}
-
-TEST_F(ChunkerProperty, ChunkAddressesAreStableAndCollisionFree) {
-  // Across many random blobs (different per-test seeds shift the content),
-  // equal slices always hash equal and distinct slices never collide.
-  Chunker::Config cfg = ChunkConfigs()[0];
-  Chunker chunker(cfg);
-  std::map<uint64_t, std::string> by_digest;
-  for (int round = 0; round < 8; ++round) {
-    const std::string blob = RandomBlob(sim_.rng(), 32 * 1024);
-    for (const Chunk& c : chunker.Split(blob)) {
-      const std::string content = blob.substr(c.offset, c.bytes);
-      auto [it, inserted] = by_digest.emplace(c.digest, content);
-      if (!inserted) {
-        // Same address ⇒ same bytes (the content-address contract).
-        EXPECT_EQ(it->second, content)
-            << "digest collision between distinct chunk contents";
-      }
-    }
-  }
-  EXPECT_GT(by_digest.size(), 8u);
-}
-
-TEST_F(ChunkerProperty, EmptyAndTinyInputs) {
-  Chunker chunker(ChunkConfigs()[0]);
-  EXPECT_TRUE(chunker.Split(std::string()).empty());
-  const std::string tiny = RandomBlob(sim_.rng(), 7);  // Below min_bytes.
-  const std::vector<Chunk> chunks = chunker.Split(tiny);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].bytes, tiny.size());
-  EXPECT_EQ(Reassemble(tiny, chunks), tiny);
-}
 
 // ---------------------------------------------------------------------------
 // SyntheticChunks: deterministic addresses for content-less layers.
@@ -528,9 +396,9 @@ TEST_F(DistributionTest, RegistryDownThroughAllRetriesColdBoots) {
   EXPECT_EQ(dist.stats().manifest_fetches, 0u);
   // Every manifest attempt hit the outage; backoff retries were spent.
   EXPECT_EQ(dist.stats().registry_unreachable,
-            static_cast<uint64_t>(config.max_fetch_attempts));
+            static_cast<uint64_t>(SnapshotDistribution::kMaxFetchAttempts));
   EXPECT_EQ(dist.stats().retries,
-            static_cast<uint64_t>(config.max_fetch_attempts - 1));
+            static_cast<uint64_t>(SnapshotDistribution::kMaxFetchAttempts - 1));
 }
 
 TEST_F(DistributionTest, CorruptChunkRetriesAgainstRegistryAndSucceeds) {

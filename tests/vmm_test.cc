@@ -30,7 +30,7 @@ class HypervisorTest : public ::testing::Test {
   Duration Elapsed(fwbase::SimTime t0) const { return sim_.Now() - t0; }
 
   MicroVm* CreateBooted(const std::string& name) {
-    MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm(name, MicroVmConfig()));
+    MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm(name));
     FW_CHECK(RunSync(sim_, hv_.BootGuestOs(*vm)).ok());
     return vm;
   }
@@ -44,7 +44,7 @@ class HypervisorTest : public ::testing::Test {
 
 TEST_F(HypervisorTest, CreateMicroVmTakesSetupTime) {
   const auto t0 = sim_.Now();
-  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0", MicroVmConfig()));
+  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0"));
   ASSERT_NE(vm, nullptr);
   EXPECT_EQ(vm->state(), VmState::kConfigured);
   // api + process + kvm + devices ≈ 81 ms with default config.
@@ -55,7 +55,7 @@ TEST_F(HypervisorTest, CreateMicroVmTakesSetupTime) {
 }
 
 TEST_F(HypervisorTest, BootGuestOsDirtiesKernelPages) {
-  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0", MicroVmConfig()));
+  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0"));
   EXPECT_EQ(host_.used_bytes(), 0u);
   const auto t0 = sim_.Now();
   EXPECT_TRUE(RunSync(sim_, hv_.BootGuestOs(*vm)).ok());
@@ -64,7 +64,7 @@ TEST_F(HypervisorTest, BootGuestOsDirtiesKernelPages) {
   EXPECT_GT(Elapsed(t0).millis(), 700.0);
   // 46 + 30 MiB dirtied.
   EXPECT_EQ(host_.used_bytes(),
-            hv_.config().kernel_boot_bytes + hv_.config().os_services_bytes);
+            Hypervisor::kKernelBootBytes + Hypervisor::kOsServicesBytes);
 }
 
 TEST_F(HypervisorTest, BootRequiresConfiguredState) {
@@ -90,13 +90,13 @@ TEST_F(HypervisorTest, SnapshotStoresImageAndLeavesVmPaused) {
   EXPECT_EQ(vm->state(), VmState::kPaused);
   EXPECT_TRUE(store_.Contains("snap0"));
   EXPECT_EQ((*image)->file_bytes(),
-            hv_.config().kernel_boot_bytes + hv_.config().os_services_bytes);
+            Hypervisor::kKernelBootBytes + Hypervisor::kOsServicesBytes);
   EXPECT_TRUE((*image)->cache_warm());
   EXPECT_EQ(hv_.snapshots_taken(), 1u);
 }
 
 TEST_F(HypervisorTest, SnapshotOfConfiguredVmFails) {
-  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0", MicroVmConfig()));
+  MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm("vm0"));
   auto image = RunSync(sim_, hv_.CreateSnapshot(*vm, "snap0"));
   EXPECT_FALSE(image.ok());
 }
@@ -126,7 +126,7 @@ TEST_F(HypervisorTest, RestoredVmSharesPagesWithSiblings) {
   MicroVm* c2 = *RunSync(sim_, hv_.RestoreMicroVm("snap0", "c2"));
   auto& s1 = c1->address_space();
   auto& s2 = c2->address_space();
-  const uint64_t kernel_bytes = hv_.config().kernel_boot_bytes;
+  const uint64_t kernel_bytes = Hypervisor::kKernelBootBytes;
   s1.TouchBytes(s1.SegmentByName(kSegGuestKernel), kernel_bytes);
   s2.TouchBytes(s2.SegmentByName(kSegGuestKernel), kernel_bytes);
   // Both mapped all kernel pages; the host holds one copy.
@@ -188,9 +188,8 @@ TEST_F(HypervisorTest, FaultServiceTimeComposition) {
   faults.cow_copies = 5;
   faults.zero_fills = 2;
   const Duration t = hv_.FaultServiceTime(*vm, faults);
-  const auto& cfg = hv_.config();
-  const Duration expect = cfg.minor_fault_cost * 10 + cfg.cow_fault_cost * 5 +
-                          cfg.zero_fault_cost * 2;
+  const Duration expect = fwmem::kMinorFaultCost * 10 + fwmem::kCowFaultCost * 5 +
+                          fwmem::kZeroFaultCost * 2;
   EXPECT_EQ(t.nanos(), expect.nanos());
 }
 
@@ -202,11 +201,11 @@ TEST_F(HypervisorTest, ManyClonesFromOneSnapshot) {
     auto clone = RunSync(sim_, hv_.RestoreMicroVm("snap0", "c" + std::to_string(i)));
     ASSERT_TRUE(clone.ok());
     auto& space = (*clone)->address_space();
-    space.TouchBytes(space.SegmentByName(kSegGuestKernel), hv_.config().kernel_boot_bytes);
+    space.TouchBytes(space.SegmentByName(kSegGuestKernel), Hypervisor::kKernelBootBytes);
   }
   EXPECT_EQ(hv_.live_vm_count(), 20u);
   // All twenty share one copy of the kernel pages.
-  EXPECT_EQ(host_.used_bytes(), hv_.config().kernel_boot_bytes);
+  EXPECT_EQ(host_.used_bytes(), Hypervisor::kKernelBootBytes);
 }
 
 TEST_F(HypervisorTest, VmStateNames) {
