@@ -7,6 +7,10 @@
 namespace fwbase {
 namespace {
 
+uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+}  // namespace
+
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
   uint64_t z = state;
@@ -15,9 +19,17 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
+uint64_t Xoshiro256StarStar(uint64_t (&s)[4]) {
+  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
@@ -26,17 +38,7 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Xoshiro256StarStar(s_); }
 
 uint64_t Rng::UniformU64(uint64_t bound) {
   FW_CHECK(bound > 0);
@@ -91,8 +93,6 @@ double Rng::Normal(double mean, double stddev) {
   has_cached_normal_ = true;
   return mean + stddev * r * std::cos(theta);
 }
-
-double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
 bool Rng::Chance(double p) { return UniformDouble() < p; }
 

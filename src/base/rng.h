@@ -10,6 +10,15 @@
 
 namespace fwbase {
 
+// One SplitMix64 step: advances `state` and returns the next output. Seeds
+// xoshiro256** state words.
+uint64_t SplitMix64(uint64_t& state);
+
+// One xoshiro256** step over raw state words: advances `s` and returns the
+// next output. Rng keeps its words privately; the guest RNG keeps its own in
+// guest memory (fwmem::GuestIdentityRecord) so snapshots capture them.
+uint64_t Xoshiro256StarStar(uint64_t (&s)[4]);
+
 class Rng {
  public:
   explicit Rng(uint64_t seed);
@@ -35,9 +44,6 @@ class Rng {
 
   // Normal via Box–Muller.
   double Normal(double mean, double stddev);
-
-  // Log-normal parameterised by the mean/stddev of the underlying normal.
-  double LogNormal(double mu, double sigma);
 
   // Bernoulli trial.
   bool Chance(double p);

@@ -39,9 +39,6 @@ class Duration {
   static constexpr Duration Millis(int64_t ms) { return Duration(ms * 1000 * 1000); }
   static constexpr Duration Seconds(int64_t s) { return Duration(s * 1000 * 1000 * 1000); }
   // Fractional constructors for model parameters expressed in natural units.
-  static constexpr Duration MicrosF(double us) {
-    return Duration(static_cast<int64_t>(us * 1e3));
-  }
   static constexpr Duration MillisF(double ms) {
     return Duration(static_cast<int64_t>(ms * 1e6));
   }
@@ -100,6 +97,12 @@ constexpr Duration operator*(I k, Duration d) {
 }
 constexpr Duration operator*(double k, Duration d) { return d * k; }
 
+// Time to move `bytes` at `bytes_per_sec`: the one bandwidth-to-time
+// conversion every disk, network and bus cost model charges.
+constexpr Duration TransferTime(uint64_t bytes, double bytes_per_sec) {
+  return Duration::SecondsF(static_cast<double>(bytes) / bytes_per_sec);
+}
+
 // ---------------------------------------------------------------------------
 // SimTime: an absolute point on the simulated clock.
 // ---------------------------------------------------------------------------
@@ -107,7 +110,6 @@ constexpr Duration operator*(double k, Duration d) { return d * k; }
 class SimTime {
  public:
   constexpr SimTime() : ns_(0) {}
-  static constexpr SimTime FromNanos(int64_t ns) { return SimTime(ns); }
   static constexpr SimTime Zero() { return SimTime(0); }
   static constexpr SimTime Max() { return SimTime(INT64_MAX); }
 

@@ -7,8 +7,7 @@ namespace fwbaselines {
 std::function<fwsim::Co<void>(uint64_t)> DirectNetSend(fwcore::HostEnv& env) {
   fwcore::HostEnv* env_ptr = &env;
   return [env_ptr](uint64_t bytes) -> fwsim::Co<void> {
-    co_await fwsim::Delay(env_ptr->sim(), fwbase::Duration::Micros(60) +
-                                              env_ptr->network().TransferTime(bytes));
+    co_await fwsim::Delay(env_ptr->sim(), fwnet::HostNetwork::WireTime(bytes));
   };
 }
 
@@ -31,8 +30,7 @@ fwsim::Co<void> FinishInvocation(fwcore::HostEnv& env, fwlang::GuestProcess& pro
   const fwbase::SimTime t_ready = env.sim().Now();
 
   fwobs::ScopedSpan params_span(&env.tracer(), "invoke.params", "invoke");
-  co_await fwsim::Delay(env.sim(), fwbase::Duration::Micros(60) +
-                                       env.network().TransferTime(args_bytes));
+  co_await fwsim::Delay(env.sim(), fwnet::HostNetwork::WireTime(args_bytes));
   params_span.End();
   const fwbase::SimTime t_args = env.sim().Now();
 
@@ -42,8 +40,7 @@ fwsim::Co<void> FinishInvocation(fwcore::HostEnv& env, fwlang::GuestProcess& pro
   const fwbase::SimTime t_exec_done = env.sim().Now();
 
   fwobs::ScopedSpan response_span(&env.tracer(), "invoke.response", "invoke");
-  co_await fwsim::Delay(env.sim(), fwbase::Duration::Micros(60) +
-                                       env.network().TransferTime(579));
+  co_await fwsim::Delay(env.sim(), fwnet::HostNetwork::WireTime(579));
   response_span.End();
   const fwbase::SimTime t_done = env.sim().Now();
 

@@ -89,22 +89,9 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   FW_CHECK(config.num_zones >= 1);
   hosts_.reserve(hosts.size());
   for (size_t i = 0; i < hosts.size(); ++i) {
-    auto hs = std::make_unique<HostState>();
-    hs->host = std::move(hosts[i]);
-    hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
     // Initial hosts stripe over the zones; later joins fill the emptiest.
-    hs->zone = static_cast<int>(i) % config_.num_zones;
-    hosts_.push_back(std::move(hs));
-    fleet_ledger_.OnProvision(static_cast<int>(i), sim.Now());
-  }
-  for (int i = 0; i < static_cast<int>(hosts_.size()); ++i) {
-    for (int w = 0; w < config_.workers_per_host; ++w) {
-      sim_.Spawn(Worker(i));
-    }
-    if (config_.autoscale) {
-      sim_.Spawn(Autoscaler(i));
-    }
-    sim_.Spawn(Heartbeater(i));
+    ProvisionHost(std::move(hosts[i]), static_cast<int>(i) % config_.num_zones,
+                  HostLifecycle::kActive);
   }
   sim_.Spawn(Sampler());
   // Every elastic-fleet service is gated so a default config spawns nothing
@@ -570,12 +557,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Replenish the consumed clone right away (one for one) instead of
       // waiting for the next autoscaler tick; the tick's shrink hysteresis
       // still trims the pool when the app's rate drops.
-      const int pending = static_cast<int>(hs.host->PooledClones(app_name(req.app))) +
-                          hs.preparing[req.app];
-      if (pending < kMaxPoolPerApp) {
-        ++hs.preparing[req.app];
-        sim_.Spawn(PrepareOne(host_index, req.app, hs.epoch));
-      }
+      TopUpPool(host_index, req.app, kMaxPoolPerApp);
     }
   }
 }
@@ -652,6 +634,16 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
       }
     }
     std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
+  }
+}
+
+void Cluster::TopUpPool(int host_index, AppId app, int cap) {
+  HostState& hs = *hosts_[host_index];
+  const int pending = static_cast<int>(hs.host->PooledClones(app_name(app))) +
+                      hs.preparing[app];
+  if (pending < cap) {
+    ++hs.preparing[app];
+    sim_.Spawn(PrepareOne(host_index, app, hs.epoch));
   }
 }
 
@@ -847,6 +839,27 @@ int Cluster::zones_alive() const {
 
 double Cluster::HostHours() const { return fleet_ledger_.HostHours(sim_.Now()); }
 
+int Cluster::ProvisionHost(std::unique_ptr<ClusterHost> host, int zone,
+                           HostLifecycle lifecycle) {
+  const int index = static_cast<int>(hosts_.size());
+  auto hs = std::make_unique<HostState>();
+  hs->host = std::move(host);
+  hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
+  hs->zone = zone;
+  hs->lifecycle = lifecycle;
+  hs->GrowApps(apps_.size());
+  hosts_.push_back(std::move(hs));
+  fleet_ledger_.OnProvision(index, sim_.Now());
+  for (int w = 0; w < config_.workers_per_host; ++w) {
+    sim_.Spawn(Worker(index));
+  }
+  if (config_.autoscale) {
+    sim_.Spawn(Autoscaler(index));
+  }
+  sim_.Spawn(Heartbeater(index));
+  return index;
+}
+
 int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
   if (host == nullptr) {
     FW_CHECK_MSG(config_.host_factory != nullptr,
@@ -864,28 +877,13 @@ int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
     zone = PickJoinZone(per_zone);
   }
   FW_CHECK(zone >= 0 && zone < config_.num_zones);
-  const int index = static_cast<int>(hosts_.size());
-  auto hs = std::make_unique<HostState>();
-  hs->host = std::move(host);
-  hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
-  hs->zone = zone;
-  hs->lifecycle = HostLifecycle::kJoining;
-  hs->GrowApps(apps_.size());
-  hosts_.push_back(std::move(hs));
   // Grow every per-host control-plane table alongside the host list.
   health_->AddHost(sim_.Now());
   admission_.AddHost();
   if (distribution_ != nullptr) {
     distribution_->AddHost();
   }
-  for (int w = 0; w < config_.workers_per_host; ++w) {
-    sim_.Spawn(Worker(index));
-  }
-  if (config_.autoscale) {
-    sim_.Spawn(Autoscaler(index));
-  }
-  sim_.Spawn(Heartbeater(index));
-  fleet_ledger_.OnProvision(index, sim_.Now());
+  const int index = ProvisionHost(std::move(host), zone, HostLifecycle::kJoining);
   hosts_added_->Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.join", "cluster");
@@ -998,13 +996,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       if (target < 0) {
         continue;  // Nowhere to migrate: the pool is simply lost.
       }
-      HostState& ts = *hosts_[target];
-      const int pending =
-          static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
-      if (pending < kMaxPoolPerApp) {
-        ++ts.preparing[app];
-        sim_.Spawn(PrepareOne(target, app, ts.epoch));
-      }
+      TopUpPool(target, app, kMaxPoolPerApp);
     }
   }
   // Bleed: inflight covers both queued and executing requests, and the
@@ -1059,15 +1051,8 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
       // cross-zone replica exists.
       const std::string& name = app_name(app);
       for (int t : scheduler_->WarmTargets(name, views, 2)) {
-        if (!Schedulable(t)) {
-          continue;
-        }
-        HostState& ts = *hosts_[t];
-        const int pending =
-            static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
-        if (pending < 1) {
-          ++ts.preparing[app];
-          sim_.Spawn(PrepareOne(t, app, ts.epoch));
+        if (Schedulable(t)) {
+          TopUpPool(t, app, 1);
         }
       }
     }

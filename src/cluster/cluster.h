@@ -409,12 +409,19 @@ class Cluster {
   // One concurrent clone preparation; discards the clone if the host crashed
   // while it was being prepared (its memory is gone).
   fwsim::Co<void> PrepareOne(int host_index, AppId app, uint64_t epoch);
+  // Starts one PrepareOne for `app` on `host_index` unless its parked plus
+  // preparing clones already reach `cap`.
+  void TopUpPool(int host_index, AppId app, int cap);
   fwsim::Co<void> Sampler();
   // Whether host i may take new dispatch (lifecycle kActive; liveness is the
   // detector's call, not this one's).
   bool Schedulable(int host_index) const {
     return hosts_[host_index]->lifecycle == HostLifecycle::kActive;
   }
+  // Appends a host's state in `zone` at `lifecycle`, opens its ledger entry
+  // and spawns its workers, autoscaler and heartbeater; returns its index.
+  // The constructor and AddHost both provision through here.
+  int ProvisionHost(std::unique_ptr<ClusterHost> host, int zone, HostLifecycle lifecycle);
   // Installs every app + one state-machine coroutine per elastic concern.
   // JoinWarmup: cold host → install apps → snapshot fetch + warm clones →
   // admit to ring (kJoining → kWarming → kActive).

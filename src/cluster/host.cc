@@ -29,9 +29,11 @@ fwsim::Co<Result<fwcore::InvocationResult>> FullHost::Invoke(const std::string& 
   options.deadline = deadline;
   if (platform_.PooledCloneCount(fn_name) > 0) {
     auto r = co_await platform_.InvokeOnClone(fn_name, args, options);
-    // kFailedPrecondition means the pool drained between the check and the
-    // pop (another dispatch worker took the clone); fall through to the
-    // regular snapshot path. Other errors are real invocation failures.
+    // InvokeOnClone pops before its first suspension, so the clone counted
+    // above is still there. kFailedPrecondition means it had a stale VM
+    // generation (its reseed never completed) and was discarded; fall
+    // through to the regular snapshot path. Other errors are real
+    // invocation failures.
     if (r.ok()) {
       ++warm_hits_;
       co_return r;

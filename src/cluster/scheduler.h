@@ -94,8 +94,6 @@ class ConsistentHashRing {
   // most once); stops early when `visit` returns false.
   void Walk(const std::string& key, const std::function<bool(int)>& visit) const;
 
-  size_t host_count() const { return members_.size(); }
-
  private:
   int vnodes_per_host_;
   // hash point -> host. Ordered: ring walks must not depend on hash-map order.

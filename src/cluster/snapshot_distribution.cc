@@ -4,6 +4,7 @@
 
 #include "src/base/check.h"
 #include "src/lang/runtime_model.h"
+#include "src/storage/block_device.h"
 #include "src/storage/chunker.h"
 #include "src/storage/manifest.h"
 
@@ -24,11 +25,8 @@ constexpr fwlang::Language kBaseRuntime = fwlang::Language::kNodeJs;
 // invocation touched.
 constexpr double kWorkingSetFraction = 0.35;
 constexpr Duration kRetryBackoff = Duration::Millis(5);
-// Local install: writing fetched chunks into the host snapshot store.
-constexpr double kInstallBandwidthBytesPerSec = 2.0e9;
-// Working-set restore cost model: sequential prefetch bandwidth vs the
-// per-page random read a demand fault pays when the set is not prefetched.
-constexpr double kPrefetchBandwidthBytesPerSec = 2.0e9;
+// Working-set restore without prefetch: the per-page random read a demand
+// fault pays (a prefetch reads the set at fwstore::kSequentialBytesPerSec).
 constexpr Duration kDemandFaultRead = Duration::Micros(12);
 
 static_assert(SnapshotDistribution::kMaxFetchAttempts >= 1);
@@ -328,10 +326,11 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
     AdoptLocal(host, app);
   } else {
     // Install: write the newly fetched chunks into the local snapshot store
-    // (cached chunks reflink in for free).
+    // (cached chunks reflink in for free), charged at the sequential read
+    // rate.
     fwobs::ScopedSpan span(&obs_.tracer(), "registry.install", "registry");
-    co_await fwsim::Delay(sim_, Duration::SecondsF(static_cast<double>(fetched_bytes) /
-                                                   kInstallBandwidthBytesPerSec));
+    co_await fwsim::Delay(sim_,
+                          fwbase::TransferTime(fetched_bytes, fwstore::kSequentialBytesPerSec));
     SetBit(holds_[static_cast<size_t>(host)], app);
   }
 
@@ -352,8 +351,8 @@ fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, AppId app) {
       // REAP restore: one bulk sequential read of exactly the recorded set.
       fwobs::ScopedSpan span(&obs_.tracer(), "registry.workingset_prefetch", "registry");
       span.SetAttribute("bytes", ws_bytes);
-      co_await fwsim::Delay(sim_, Duration::SecondsF(static_cast<double>(ws_bytes) /
-                                                     kPrefetchBandwidthBytesPerSec));
+      co_await fwsim::Delay(sim_,
+                            fwbase::TransferTime(ws_bytes, fwstore::kSequentialBytesPerSec));
       ++stats_.warm_restores;
     } else if (ws_pages > 0) {
       // No prefetch: the first invocation demand-faults every touched page,

@@ -165,7 +165,6 @@ class SnapshotDistribution {
   // not even across OnHostRestart, mirroring a real vmgenid counter).
   uint64_t Generation(int host) const { return generations_[static_cast<size_t>(host)]; }
   const fwstore::SnapshotRegistry& registry() const { return registry_; }
-  const fwnet::ClusterFabric& fabric() const { return fabric_; }
   const fwstore::ChunkCache& cache(int host) const { return *caches_[host]; }
   const DistributionConfig& config() const { return config_; }
 

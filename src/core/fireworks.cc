@@ -388,59 +388,39 @@ fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
                                     1000 + instance.fc_id, 2000 + instance.fc_id);
 }
 
-fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
-                                                   const std::string& fn_name,
-                                                   const std::string& args,
-                                                   const InvokeOptions& options,
-                                                   Instance& instance, AttemptTimes& times,
-                                                   InvocationResult& result) {
-  times.attempt_start = env_.sim().Now();
-  instance.fn = &fn;
-
-  // Per-clone network namespace (§3.5).
-  fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
+fwsim::Co<Status> FireworksPlatform::OpenClone(Instance& instance) {
   auto wired = co_await WireNetwork();
   if (!wired.ok()) {
     co_return wired.status();
   }
-  const auto [netns_id, external_ip] = *wired;
-  instance.netns_id = netns_id;
-  instance.external_ip = external_ip;
-  netns_span.End();
-  times.net_done = env_.sim().Now();
-
-  // §3.6: put the arguments into the instance's Kafka topic *before* resume.
-  fwobs::ScopedSpan produce_span(tracer_, "invoke.params.produce", "invoke");
-  const uint64_t fc_id = next_fc_id_++;
-  instance.fc_id = fc_id;
-  const std::string topic = fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(fc_id));
+  instance.netns_id = wired->first;
+  instance.external_ip = wired->second;
+  instance.fc_id = next_fc_id_++;
+  const std::string topic =
+      fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(instance.fc_id));
   Status topic_status = env_.broker().CreateTopic(topic);
   if (!topic_status.ok()) {
     co_return topic_status;
   }
   instance.topic = topic;
-  auto produced = co_await env_.broker().Produce(topic, 0, fwbus::Record("args", args));
-  if (!produced.ok()) {
-    co_return produced.status();
-  }
-  produce_span.End();
-  times.params_queued = env_.sim().Now();
+  co_return Status::Ok();
+}
 
-  // ⑥ Restore the post-JIT snapshot into a fresh microVM.
-  fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
-  auto restored = co_await hv_.RestoreMicroVm(fn.snapshot_name,
-                                              fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(),
-                                                                static_cast<unsigned long long>(
-                                                                    fc_id)));
+fwsim::Co<Status> FireworksPlatform::ResumeClone(const InstalledFunction& fn,
+                                                 const std::string& fn_name,
+                                                 Instance& instance) {
+  auto restored = co_await hv_.RestoreMicroVm(
+      fn.snapshot_name, fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(),
+                                          static_cast<unsigned long long>(instance.fc_id)));
   if (!restored.ok()) {
     co_return restored.status();
   }
   MicroVm* vm = *restored;
   instance.vm = vm;
-  vm->set_netns_id(netns_id);
+  vm->set_netns_id(instance.netns_id);
   vm->set_tap_name(kGuestTapName);
-  vm->SetMetadata("fcID", std::to_string(fc_id));
-  vm->SetMetadata("topic", topic);
+  vm->SetMetadata("fcID", std::to_string(instance.fc_id));
+  vm->SetMetadata("topic", instance.topic);
 
   if (config_.prefetch_on_restore && !fn.image->cache_warm()) {
     // With a recorded working set, prefetch only the pages a first invocation
@@ -458,29 +438,67 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   // Attach the resumed guest's runtime (free: the process state is a value
   // copy), then restore its uniqueness while still inside the restore window
   // — the clone must not touch user traffic with snapshot-duplicated
-  // identity (DESIGN.md §15).
+  // identity, and a parked clone is one Produce away from it (DESIGN.md §15).
   instance.fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
                                                       fwstore::FsKind::kVirtio);
   instance.process = GuestProcess::FromState(fn.process_state, env_.sim(),
                                              vm->address_space(),
-                                             MakeGuestEnv(instance.fs.get(), netns_id,
+                                             MakeGuestEnv(instance.fs.get(), instance.netns_id,
                                                           kGuestIp),
                                              ChargerFor(vm));
-  instance.process->set_mem_salt(fc_id);
+  instance.process->set_mem_salt(instance.fc_id);
   if (config_.restore_uniqueness) {
     co_await RestoreUniqueness(*instance.process, *vm);
+  }
+  co_return Status::Ok();
+}
+
+fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
+                                                   const std::string& fn_name,
+                                                   const std::string& args,
+                                                   const InvokeOptions& options,
+                                                   Instance& instance, AttemptTimes& times,
+                                                   InvocationResult& result) {
+  times.attempt_start = env_.sim().Now();
+  instance.fn = &fn;
+
+  // Per-clone network namespace (§3.5) and parameter topic.
+  fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
+  Status opened = co_await OpenClone(instance);
+  if (!opened.ok()) {
+    co_return opened;
+  }
+  netns_span.End();
+  times.net_done = env_.sim().Now();
+
+  // §3.6: put the arguments into the instance's Kafka topic *before* resume.
+  fwobs::ScopedSpan produce_span(tracer_, "invoke.params.produce", "invoke");
+  auto produced =
+      co_await env_.broker().Produce(instance.topic, 0, fwbus::Record("args", args));
+  if (!produced.ok()) {
+    co_return produced.status();
+  }
+  produce_span.End();
+  times.params_queued = env_.sim().Now();
+
+  // ⑥ Restore the post-JIT snapshot into a fresh microVM.
+  fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
+  Status resumed = co_await ResumeClone(fn, fn_name, instance);
+  if (!resumed.ok()) {
+    co_return resumed;
   }
   restore_span.End();
   times.restored = env_.sim().Now();
   fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
 
   // The resumed guest identifies itself via MMDS and fetches its parameters.
-  auto fc_id_value = co_await hv_.GuestReadMmds(*vm, "fcID");
+  auto fc_id_value = co_await hv_.GuestReadMmds(*instance.vm, "fcID");
   FW_CHECK(fc_id_value.ok());
   // Bounded wait: a dropped args record must surface as kDeadlineExceeded,
   // not a hang. With the record already present (the normal case) the timing
   // is identical to the unbounded ConsumeLast.
-  auto params = co_await env_.broker().ConsumeLastWithTimeout(topic, 0, kParamsConsumeTimeout);
+  auto params =
+      co_await env_.broker().ConsumeLastWithTimeout(instance.topic, 0, kParamsConsumeTimeout);
   if (!params.ok()) {
     co_return params.status();
   }
@@ -499,7 +517,7 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
 
   // HTTP response back through NAT.
   fwobs::ScopedSpan response_span(tracer_, "invoke.response", "invoke");
-  auto sent = co_await env_.network().SendOutbound(netns_id, kGuestIp, 579);
+  auto sent = co_await env_.network().SendOutbound(instance.netns_id, kGuestIp, 579);
   if (!sent.ok()) {
     co_return sent.status();
   }
@@ -519,88 +537,47 @@ fwsim::Co<Result<uint64_t>> FireworksPlatform::PrepareClone(const std::string& f
   auto instance = std::make_unique<Instance>();
   instance->fn = &fn;
 
-  auto wired = co_await WireNetwork();
-  if (!wired.ok()) {
-    co_return wired.status();
+  // The invoke path's clone start, without its spans. A crash between
+  // restore and the reseed completing leaves the clone's observed generation
+  // stale — InvokeOnClone refuses to admit it.
+  Status started = co_await OpenClone(*instance);
+  if (started.ok()) {
+    // installed_ is a node-based map and no code path erases entries, so the
+    // fn reference stays valid across suspensions.
+    started = co_await ResumeClone(fn, fn_name, *instance);  // fwlint:allow(iterator-invalidation)
   }
-  const auto [netns_id, external_ip] = *wired;
-  instance->netns_id = netns_id;
-  instance->external_ip = external_ip;
-
-  const uint64_t fc_id = next_fc_id_++;
-  instance->fc_id = fc_id;
-  const std::string topic =
-      fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(fc_id));
-  Status topic_status = env_.broker().CreateTopic(topic);
-  if (!topic_status.ok()) {
+  if (!started.ok()) {
     Teardown(*instance);
-    co_return topic_status;
+    co_return started;
   }
-  instance->topic = topic;
-
-  // installed_ is a node-based map and no code path erases entries, so the
-  // fn reference stays valid across suspensions.
-  auto restored = co_await hv_.RestoreMicroVm(
-      fn.snapshot_name,  // fwlint:allow(iterator-invalidation)
-      fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(),
-                        static_cast<unsigned long long>(fc_id)));
-  if (!restored.ok()) {
-    Teardown(*instance);
-    co_return restored.status();
-  }
-  MicroVm* vm = *restored;
-  instance->vm = vm;
-  vm->set_netns_id(netns_id);
-  vm->set_tap_name(kGuestTapName);
-  vm->SetMetadata("fcID", std::to_string(fc_id));
-  vm->SetMetadata("topic", topic);
-
-  if (config_.prefetch_on_restore && !fn.image->cache_warm()) {
-    // With a recorded working set, prefetch only the pages a first invocation
-    // actually touched; otherwise fall back to reading the whole file.
-    const uint64_t prefetch_bytes = fn.image->has_working_set()
-                                        ? fn.image->working_set_bytes()
-                                        : fn.image->file_bytes();
-    co_await hv_.PrefetchWorkingSet(*fn.image, prefetch_bytes);
-  }
-
-  // Post-resume guest-kernel activity, identical to the invoke path.
-  const fwmem::FaultCounts resume_faults = GuestResumeFaults(*instance);
-  co_await hv_.ServiceFaults(*vm, resume_faults);
-
-  instance->fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
-                                                       fwstore::FsKind::kVirtio);
-  instance->process = GuestProcess::FromState(fn.process_state, env_.sim(),
-                                              vm->address_space(),
-                                              MakeGuestEnv(instance->fs.get(), netns_id,
-                                                           kGuestIp),
-                                              ChargerFor(vm));
-  instance->process->set_mem_salt(fc_id);
-  if (config_.restore_uniqueness) {
-    // Reseed before parking: a parked clone is one Produce away from user
-    // traffic, so its identity must already be unique when it enters the
-    // pool. A crash between restore and this completing leaves the clone's
-    // observed generation stale — InvokeOnClone refuses to admit it.
-    co_await RestoreUniqueness(*instance->process, *vm);
-  }
-  auto fc_id_value = co_await hv_.GuestReadMmds(*vm, "fcID");
+  auto fc_id_value = co_await hv_.GuestReadMmds(*instance->vm, "fcID");
   FW_CHECK(fc_id_value.ok());
 
   prepared_counter_->Increment();
+  const uint64_t fc_id = instance->fc_id;
   pool_[fn_name].push_back(std::move(instance));
   co_return fc_id;
 }
 
-fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
-    const std::string& fn_name, const std::string& args, const InvokeOptions& options) {
+std::unique_ptr<FireworksPlatform::Instance> FireworksPlatform::PopClone(
+    const std::string& fn_name) {
   auto pit = pool_.find(fn_name);
   if (pit == pool_.end() || pit->second.empty()) {
-    co_return Status::FailedPrecondition("no parked clone for " + fn_name);
+    return nullptr;
   }
   std::unique_ptr<Instance> instance = std::move(pit->second.front());
   pit->second.pop_front();
   if (pit->second.empty()) {
     pool_.erase(pit);
+  }
+  return instance;
+}
+
+fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
+    const std::string& fn_name, const std::string& args, const InvokeOptions& options) {
+  std::unique_ptr<Instance> instance = PopClone(fn_name);
+  if (instance == nullptr) {
+    co_return Status::FailedPrecondition("no parked clone for " + fn_name);
   }
   const InstalledFunction& fn = *instance->fn;
   if (config_.restore_uniqueness &&
@@ -682,14 +659,9 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
 }
 
 Status FireworksPlatform::DiscardClone(const std::string& fn_name) {
-  auto pit = pool_.find(fn_name);
-  if (pit == pool_.end() || pit->second.empty()) {
+  std::unique_ptr<Instance> instance = PopClone(fn_name);
+  if (instance == nullptr) {
     return Status::NotFound("no parked clone for " + fn_name);
-  }
-  std::unique_ptr<Instance> instance = std::move(pit->second.front());
-  pit->second.pop_front();
-  if (pit->second.empty()) {
-    pool_.erase(pit);
   }
   Teardown(*instance);
   discarded_counter_->Increment();

@@ -181,6 +181,21 @@ class FireworksPlatform : public ServerlessPlatform {
   // `instance`.
   fwmem::FaultCounts GuestResumeFaults(Instance& instance);
 
+  // The clone start shared by the snapshot invoke path and PrepareClone, in
+  // two steps so the invoke path can produce its arguments between them.
+  // Each fills `instance` as it goes, so the caller can tear down whatever
+  // partial state a failure left behind. OpenClone wires the clone's network
+  // namespace (§3.5), assigns its fcID and creates its parameter topic.
+  fwsim::Co<Status> OpenClone(Instance& instance);
+  // ResumeClone restores the post-JIT snapshot into a fresh microVM (with
+  // the REAP prefetch when enabled), services the post-resume guest faults,
+  // attaches the guest runtime and runs the vmgenid protocol.
+  fwsim::Co<Status> ResumeClone(const InstalledFunction& fn, const std::string& fn_name,
+                                Instance& instance);
+  // Removes and returns the oldest parked clone of `fn_name`; null when the
+  // pool is empty.
+  std::unique_ptr<Instance> PopClone(const std::string& fn_name);
+
   // One attempt of the snapshot invoke path (netns → produce → restore →
   // consume → exec → response). Fills `instance` incrementally so the caller
   // can tear down whatever partial state a failed attempt left behind.

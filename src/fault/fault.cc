@@ -85,7 +85,8 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
     const std::string value = item.substr(eq + 1);
     char* end = nullptr;
     const double p = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
+    // Written so that NaN, which fails every comparison, is rejected too.
+    if (end == value.c_str() || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
       return Status::InvalidArgument("bad probability '" + value + "' for fault " + name);
     }
     bool found = false;

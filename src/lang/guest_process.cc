@@ -6,6 +6,7 @@
 
 #include "src/base/check.h"
 #include "src/base/logging.h"
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 
 namespace fwlang {
@@ -13,24 +14,6 @@ namespace fwlang {
 using fwbase::Duration;
 using fwbase::kKiB;
 using fwbase::PagesFor;
-
-namespace {
-
-// SplitMix64 / xoshiro256** steps over the identity record's raw state words,
-// mirroring fwbase::Rng exactly. Re-implemented here rather than reusing Rng
-// because the guest RNG's *state* must live in the GuestIdentityRecord that
-// snapshots capture — the stream position is guest memory, not host state.
-uint64_t SplitMix64(uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 ExecStats& ExecStats::operator+=(const ExecStats& o) {
   total += o.total;
@@ -64,26 +47,13 @@ GuestProcess::GuestProcess(fwsim::Simulation& sim, Language language,
 void GuestProcess::SeedIdentity(uint64_t entropy) {
   uint64_t seq = entropy;
   for (uint64_t& s : identity_.rng_state) {
-    s = SplitMix64(seq);
+    s = fwbase::SplitMix64(seq);
   }
   identity_.monotonic_base_ns = 0;
   identity_.next_request_id = 1;
   identity_.valid = true;
   resume_anchor_ = sim_.Now();
   SyncIdentity();
-}
-
-uint64_t GuestProcess::StepIdentityRng() {
-  uint64_t* s = identity_.rng_state;
-  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
-  const uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = Rotl(s[3], 45);
-  return result;
 }
 
 void GuestProcess::SyncIdentity() {
@@ -95,7 +65,7 @@ void GuestProcess::SyncIdentity() {
 }
 
 uint64_t GuestProcess::GuestRandomU64() {
-  const uint64_t value = StepIdentityRng();
+  const uint64_t value = fwbase::Xoshiro256StarStar(identity_.rng_state);
   SyncIdentity();
   return value;
 }
@@ -104,7 +74,8 @@ uint64_t GuestProcess::NextRequestId() {
   const uint64_t serial = identity_.next_request_id++;
   // Serial mixed with an RNG draw — the UUIDv4-ish shape real runtimes use.
   // Both halves are snapshot state, so sibling clones mint identical ids.
-  const uint64_t id = StepIdentityRng() ^ (serial * 0x9E3779B97F4A7C15ULL);
+  const uint64_t id =
+      fwbase::Xoshiro256StarStar(identity_.rng_state) ^ (serial * 0x9E3779B97F4A7C15ULL);
   SyncIdentity();
   return id;
 }
@@ -120,7 +91,7 @@ fwsim::Co<void> GuestProcess::ReseedFromHostEntropy(uint64_t generation, uint64_
   co_await fwsim::Delay(sim_, costs_.vmgenid_reseed_cost);
   uint64_t seq = host_entropy ^ (generation * 0x9E3779B97F4A7C15ULL);
   for (uint64_t& s : identity_.rng_state) {
-    s ^= SplitMix64(seq);
+    s ^= fwbase::SplitMix64(seq);
   }
   identity_.valid = true;
   SyncIdentity();

@@ -226,8 +226,6 @@ class GuestProcess {
   // Seeds the identity record from `entropy` (SplitMix64 expansion, like
   // fwbase::Rng) and anchors the monotonic clock at zero.
   void SeedIdentity(uint64_t entropy);
-  // Advances the identity RNG by one xoshiro256** step.
-  uint64_t StepIdentityRng();
   // Pushes the identity record into the address space (with the monotonic
   // base materialised at "now") so a snapshot taken at any point captures it.
   void SyncIdentity();

@@ -75,11 +75,14 @@ class Parser {
       return Error("unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return Error(StrFormat("nesting deeper than %d levels", kMaxJsonDepth));
+      }
+      ++depth_;
+      Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       Result<std::string> s = ParseString();
@@ -305,6 +308,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays and objects open at pos_.
 };
 
 void Append(const JsonValue& value, std::string& out) {

@@ -50,7 +50,13 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
 
-// Parses a complete JSON document (rejects trailing garbage).
+// Deepest nesting of arrays and objects ParseJson accepts. The parser
+// recurses once per level, so deeper input is rejected with a status rather
+// than allowed to exhaust the stack. Real documents nest at most 5 deep.
+inline constexpr int kMaxJsonDepth = 64;
+
+// Parses a complete JSON document (rejects trailing garbage and nesting
+// deeper than kMaxJsonDepth).
 fwbase::Result<JsonValue> ParseJson(std::string_view text);
 
 // Serializes with no insignificant whitespace; object keys sorted (map order).

@@ -45,7 +45,6 @@ class HostMemory {
   uint64_t used_bytes() const { return used_frames_ * fwbase::kPageSize; }
   uint64_t used_frames() const { return used_frames_; }
   uint64_t peak_used_bytes() const { return peak_used_frames_ * fwbase::kPageSize; }
-  uint64_t free_bytes() const { return total_bytes_ - used_bytes(); }
 
   // True once the swap threshold has been crossed.
   bool swapping() const;

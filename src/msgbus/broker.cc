@@ -16,10 +16,6 @@ constexpr Duration kProduceCost = Duration::Micros(400);  // Append + ack (acks=
 constexpr Duration kFetchCost = Duration::Micros(300);    // Fetch request round trip.
 constexpr double kBandwidthBytesPerSec = 200.0e6;
 
-Duration TransferTime(uint64_t bytes) {
-  return Duration::SecondsF(static_cast<double>(bytes) / kBandwidthBytesPerSec);
-}
-
 }  // namespace
 
 void Broker::set_observability(fwobs::Observability* obs) {
@@ -93,7 +89,8 @@ fwsim::Co<Result<int64_t>> Broker::Produce(const std::string& topic, int partiti
   fwobs::ScopedSpan span(tracer_, "bus.produce", "msgbus");
   span.SetAttribute("topic", topic);
   span.SetAttribute("bytes", record.SizeBytes());
-  co_await fwsim::Delay(sim_, kProduceCost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(
+      sim_, kProduceCost + fwbase::TransferTime(record.SizeBytes(), kBandwidthBytesPerSec));
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kBrokerDelayMessage)) {
     co_await fwsim::Delay(
         sim_, injector_->SampleDelay(fwfault::FaultKind::kBrokerDelayMessage, kDelayFaultMean));
@@ -146,7 +143,8 @@ fwsim::Co<Result<Record>> Broker::ConsumeAt(const std::string& topic, int partit
   // Copy before suspending: the log vector may grow (and reallocate) while the
   // fetch delay elapses.
   Record record = p.log[static_cast<size_t>(offset)];
-  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(
+      sim_, kFetchCost + fwbase::TransferTime(record.SizeBytes(), kBandwidthBytesPerSec));
   RecordConsume(t0);
   co_return record;
 }
@@ -165,7 +163,8 @@ fwsim::Co<Result<Record>> Broker::ConsumeLast(const std::string& topic, int part
   }
   // Copy before suspending (see ConsumeAt).
   Record record = p.log.back();
-  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(
+      sim_, kFetchCost + fwbase::TransferTime(record.SizeBytes(), kBandwidthBytesPerSec));
   RecordConsume(t0);
   co_return record;
 }
@@ -192,7 +191,8 @@ fwsim::Co<Result<Record>> Broker::ConsumeLastWithTimeout(const std::string& topi
   }
   // Copy before suspending (see ConsumeAt).
   Record record = p.log.back();
-  co_await fwsim::Delay(sim_, kFetchCost + TransferTime(record.SizeBytes()));
+  co_await fwsim::Delay(
+      sim_, kFetchCost + fwbase::TransferTime(record.SizeBytes(), kBandwidthBytesPerSec));
   RecordConsume(t0);
   co_return record;
 }

@@ -16,10 +16,6 @@ constexpr double kPeerBandwidthBytesPerSec = 2.5e9;
 // Concurrent transfer streams the registry serves; more block.
 constexpr int64_t kRegistryStreams = 4;
 
-fwbase::Duration TransferTime(uint64_t bytes, double bytes_per_sec) {
-  return fwbase::Duration::SecondsF(static_cast<double>(bytes) / bytes_per_sec);
-}
-
 }  // namespace
 
 ClusterFabric::ClusterFabric(fwsim::Simulation& sim)
@@ -28,10 +24,8 @@ ClusterFabric::ClusterFabric(fwsim::Simulation& sim)
 fwsim::Co<void> ClusterFabric::RegistryTransfer(uint64_t bytes) {
   co_await registry_slots_.Acquire();
   co_await fwsim::Delay(sim_, kRegistryRpcLatency +
-                                  TransferTime(bytes, kRegistryBandwidthBytesPerSec));
+                                  fwbase::TransferTime(bytes, kRegistryBandwidthBytesPerSec));
   registry_slots_.Release();
-  ++registry_transfers_;
-  registry_bytes_ += bytes;
 }
 
 fwsim::DelayAwaiter ClusterFabric::RegistryRpc() {
@@ -39,9 +33,8 @@ fwsim::DelayAwaiter ClusterFabric::RegistryRpc() {
 }
 
 fwsim::Co<void> ClusterFabric::PeerTransfer(uint64_t bytes) {
-  co_await fwsim::Delay(sim_, kPeerRpcLatency + TransferTime(bytes, kPeerBandwidthBytesPerSec));
-  ++peer_transfers_;
-  peer_bytes_ += bytes;
+  co_await fwsim::Delay(sim_,
+                        kPeerRpcLatency + fwbase::TransferTime(bytes, kPeerBandwidthBytesPerSec));
 }
 
 }  // namespace fwnet

@@ -3,10 +3,10 @@
 // Hosts pull snapshot chunks from two places — the central registry (high
 // latency, bandwidth shared across a bounded number of streams) and cluster
 // peers (rack-local latency, per-transfer bandwidth). This type charges
-// simulated time for those transfers and counts bytes by source; it carries
-// no protocol. The fetch protocol (cache lookup, peer-before-registry,
-// retries) lives in fwcluster::SnapshotDistribution, and the registry's
-// state in fwstore::SnapshotRegistry.
+// simulated time for those transfers; it carries no protocol and keeps no
+// counts. The fetch protocol (cache lookup, peer-before-registry, retries)
+// and its byte counts by source live in fwcluster::SnapshotDistribution, and
+// the registry's state in fwstore::SnapshotRegistry.
 #ifndef FIREWORKS_SRC_NET_FABRIC_H_
 #define FIREWORKS_SRC_NET_FABRIC_H_
 
@@ -32,18 +32,9 @@ class ClusterFabric {
   // Charges a rack-local peer transfer of `bytes`.
   fwsim::Co<void> PeerTransfer(uint64_t bytes);
 
-  uint64_t registry_transfers() const { return registry_transfers_; }
-  uint64_t registry_bytes() const { return registry_bytes_; }
-  uint64_t peer_transfers() const { return peer_transfers_; }
-  uint64_t peer_bytes() const { return peer_bytes_; }
-
  private:
   fwsim::Simulation& sim_;
   fwsim::Resource registry_slots_;
-  uint64_t registry_transfers_ = 0;
-  uint64_t registry_bytes_ = 0;
-  uint64_t peer_transfers_ = 0;
-  uint64_t peer_bytes_ = 0;
 };
 
 }  // namespace fwnet

@@ -137,12 +137,12 @@ Status HostNetwork::BindExternalIp(IpAddr external, uint64_t namespace_id) {
   return Status::Ok();
 }
 
-Duration HostNetwork::TransferTime(uint64_t bytes) const {
-  return Duration::SecondsF(static_cast<double>(bytes) / kBandwidthBytesPerSec);
+Duration HostNetwork::WireTime(uint64_t bytes) {
+  return kWireLatency + fwbase::TransferTime(bytes, kBandwidthBytesPerSec);
 }
 
 fwsim::Co<Result<IpAddr>> HostNetwork::DeliverInbound(IpAddr dst, uint64_t bytes) {
-  co_await fwsim::Delay(sim_, kWireLatency + TransferTime(bytes));
+  co_await fwsim::Delay(sim_, WireTime(bytes));
   if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetLinkLoss)) {
     co_return Status::Unavailable("packet to " + dst.ToString() + " lost on the wire");
   }
@@ -177,7 +177,7 @@ fwsim::Co<Result<IpAddr>> HostNetwork::SendOutbound(uint64_t namespace_id, IpAdd
     co_return external.status();
   }
   ++nat_translations_;
-  co_await fwsim::Delay(sim_, kNatCost + kWireLatency + TransferTime(bytes));
+  co_await fwsim::Delay(sim_, kNatCost + WireTime(bytes));
   ++packets_sent_;
   co_return *external;
 }

@@ -52,7 +52,6 @@ class NetworkNamespace {
   Status AttachTap(const TapDevice& tap);
   Status DetachTap(const std::string& name);
   bool HasTap(const std::string& name) const;
-  const std::vector<TapDevice>& taps() const { return taps_; }
 
   // Installs a DNAT/SNAT pair (iptables). Fails on duplicate external IP.
   Status AddNatRule(const NatRule& rule);
@@ -61,8 +60,6 @@ class NetworkNamespace {
   Result<IpAddr> TranslateInbound(IpAddr external) const;
   // SNAT: source rewrite for an outbound packet from `internal`.
   Result<IpAddr> TranslateOutbound(IpAddr internal) const;
-
-  size_t nat_rule_count() const { return nat_rules_.size(); }
 
  private:
   uint64_t id_;
@@ -85,8 +82,6 @@ class HostNetwork {
 
   // Creates a fresh namespace owned by the host network.
   NetworkNamespace& CreateNamespace();
-  // The default (root) namespace sandboxes without per-VM namespaces live in.
-  NetworkNamespace& root_namespace() { return *namespaces_.front(); }
   Status DestroyNamespace(uint64_t id);
 
   // Binds an external IP to a namespace (packets to `external` are handed to
@@ -100,7 +95,9 @@ class HostNetwork {
   // externally visible source IP after SNAT.
   fwsim::Co<Result<IpAddr>> SendOutbound(uint64_t namespace_id, IpAddr src, uint64_t bytes);
 
-  Duration TransferTime(uint64_t bytes) const;
+  // One host-local hop (bridge latency plus the 10 GbE transfer of `bytes`),
+  // the wire part of every delivery and send.
+  static Duration WireTime(uint64_t bytes);
 
   uint64_t packets_delivered() const { return packets_delivered_; }
   uint64_t packets_sent() const { return packets_sent_; }

@@ -49,8 +49,6 @@ std::string ChromeTraceJson(const Tracer& tracer, const std::string& process_nam
   return builder.ToJson();
 }
 
-std::string MetricsText(const MetricsRegistry& metrics) { return metrics.ToText(); }
-
 namespace {
 
 // Exclusive time per path node in one dimension: total minus direct-child

@@ -1,4 +1,5 @@
-// Exporters: Chrome trace_event JSON and plain-text metrics dumps.
+// Exporters: Chrome trace_event JSON and profiler reports. (The plain-text
+// metrics dump is MetricsRegistry::ToText().)
 //
 // The JSON output follows the Trace Event Format's "X" (complete) events and
 // loads directly in chrome://tracing or https://ui.perfetto.dev: one row per
@@ -15,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 
@@ -40,9 +40,6 @@ class ChromeTraceBuilder {
 
 // Single-tracer convenience wrapper around ChromeTraceBuilder.
 std::string ChromeTraceJson(const Tracer& tracer, const std::string& process_name);
-
-// Human-readable dump of every registered metric.
-std::string MetricsText(const MetricsRegistry& metrics);
 
 // Which profiler clock a report renders.
 enum class ProfileDim {

@@ -55,7 +55,6 @@ class Histogram {
 
   uint64_t count() const { return log_.count(); }
   const fwbase::SampleStats& stats() const { return stats_; }
-  const fwbase::LogHistogram& log_histogram() const { return log_; }
   void Reset() {
     log_ = fwbase::LogHistogram();
     stats_ = fwbase::SampleStats();

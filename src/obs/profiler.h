@@ -75,7 +75,6 @@ class Profiler {
   // profiled scope must not log below kWarning.
   ProfScopeId RegisterScope(const std::string& name);
   const std::string& scope_name(ProfScopeId id) const { return names_[id]; }
-  size_t scope_count() const { return names_.size(); }
 
   // Opens a frame for `scope` nested under the innermost open attached
   // frame. Returns an opaque token for Exit(); 0 means "profiler disabled,

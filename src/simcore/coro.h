@@ -25,6 +25,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/base/check.h"
@@ -52,18 +53,28 @@ struct PromiseBase {
   void unhandled_exception() const noexcept { std::terminate(); }
 };
 
+// Where a coroutine's co_return lands: the value for Co<T>, nothing for
+// Co<void>.
+template <typename T>
+struct ValuePromise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+};
+
+template <>
+struct ValuePromise<void> : PromiseBase {
+  void return_void() const noexcept {}
+};
+
 }  // namespace coro_internal
 
 template <typename T>
 class [[nodiscard]] Co {
  public:
-  struct promise_type : coro_internal::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : coro_internal::ValuePromise<T> {
     Co get_return_object() {
       return Co(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   Co(Co&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
@@ -87,62 +98,12 @@ class [[nodiscard]] Co {
         h.promise().continuation = cont;
         return h;
       }
-      T await_resume() {
-        FW_CHECK_MSG(h.promise().value.has_value(), "Co<T> completed without a value");
-        return std::move(*h.promise().value);
+      T await_resume() noexcept(std::is_void_v<T>) {
+        if constexpr (!std::is_void_v<T>) {
+          FW_CHECK_MSG(h.promise().value.has_value(), "Co<T> completed without a value");
+          return std::move(*h.promise().value);
+        }
       }
-    };
-    return Awaiter{h_};
-  }
-
- private:
-  template <typename>
-  friend class Co;
-  friend class Simulation;
-
-  explicit Co(std::coroutine_handle<promise_type> h) : h_(h) {}
-
-  void DestroyFrame() {
-    if (h_) {
-      h_.destroy();
-      h_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Co<void> {
- public:
-  struct promise_type : coro_internal::PromiseBase {
-    Co get_return_object() {
-      return Co(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() const noexcept {}
-  };
-
-  Co(Co&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  Co(const Co&) = delete;
-  Co& operator=(const Co&) = delete;
-  Co& operator=(Co&& other) noexcept {
-    if (this != &other) {
-      DestroyFrame();
-      h_ = std::exchange(other.h_, nullptr);
-    }
-    return *this;
-  }
-  ~Co() { DestroyFrame(); }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) const noexcept {
-        h.promise().continuation = cont;
-        return h;
-      }
-      void await_resume() const noexcept {}
     };
     return Awaiter{h_};
   }

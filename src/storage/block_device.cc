@@ -8,13 +8,11 @@ BlockDevice::BlockDevice(fwsim::Simulation& sim, const Config& config)
     : sim_(sim), config_(config), queue_(sim, config.parallelism) {}
 
 Duration BlockDevice::ReadCost(uint64_t bytes) const {
-  return config_.read_latency +
-         Duration::SecondsF(static_cast<double>(bytes) / config_.read_bw_bytes_per_sec);
+  return config_.read_latency + fwbase::TransferTime(bytes, config_.read_bw_bytes_per_sec);
 }
 
 Duration BlockDevice::WriteCost(uint64_t bytes) const {
-  return config_.write_latency +
-         Duration::SecondsF(static_cast<double>(bytes) / config_.write_bw_bytes_per_sec);
+  return config_.write_latency + fwbase::TransferTime(bytes, config_.write_bw_bytes_per_sec);
 }
 
 fwsim::Co<void> BlockDevice::DoOp(Duration cost) {
@@ -24,8 +22,6 @@ fwsim::Co<void> BlockDevice::DoOp(Duration cost) {
 }
 
 fwsim::Co<void> BlockDevice::Read(uint64_t bytes) {
-  bytes_read_ += bytes;
-  ++read_ops_;
   co_await DoOp(ReadCost(bytes));
   // Media read errors are absorbed by the device retrying the op. Each retry
   // is a fresh injection opportunity; the cap keeps a plan with
@@ -33,7 +29,6 @@ fwsim::Co<void> BlockDevice::Read(uint64_t bytes) {
   int budget = 8;
   while (budget-- > 0 && injector_ != nullptr &&
          injector_->Trip(fwfault::FaultKind::kDiskReadError)) {
-    ++io_retries_;
     co_await DoOp(ReadCost(bytes));
   }
 }

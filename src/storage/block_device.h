@@ -19,12 +19,17 @@ namespace fwstore {
 
 using fwbase::Duration;
 
+// Sequential NVMe read bandwidth: the device's default read rate, and the
+// rate of the bulk snapshot transfers modelled outside it (the hypervisor's
+// and the distribution tier's REAP prefetch, and the tier's install).
+inline constexpr double kSequentialBytesPerSec = 2.0e9;
+
 class BlockDevice {
  public:
   struct Config {
     Duration read_latency = Duration::Micros(80);   // NVMe-class.
     Duration write_latency = Duration::Micros(20);  // Write cache absorbs.
-    double read_bw_bytes_per_sec = 2.0e9;
+    double read_bw_bytes_per_sec = kSequentialBytesPerSec;
     double write_bw_bytes_per_sec = 0.55e9;
     int parallelism = 8;
   };
@@ -33,7 +38,7 @@ class BlockDevice {
 
   // Optional: media read errors from the injector are absorbed here by the
   // device's own retry (the op cost is charged again), mirroring firmware
-  // behaviour. Callers never see them; io_retries() counts the re-reads.
+  // behaviour. Callers never see them.
   void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
 
   fwsim::Co<void> Read(uint64_t bytes);
@@ -43,11 +48,8 @@ class BlockDevice {
   Duration ReadCost(uint64_t bytes) const;
   Duration WriteCost(uint64_t bytes) const;
 
-  uint64_t bytes_read() const { return bytes_read_; }
   uint64_t bytes_written() const { return bytes_written_; }
-  uint64_t read_ops() const { return read_ops_; }
   uint64_t write_ops() const { return write_ops_; }
-  uint64_t io_retries() const { return io_retries_; }
 
  private:
   fwsim::Co<void> DoOp(Duration cost);
@@ -55,11 +57,8 @@ class BlockDevice {
   fwsim::Simulation& sim_;
   Config config_;
   fwsim::Resource queue_;
-  uint64_t bytes_read_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t read_ops_ = 0;
   uint64_t write_ops_ = 0;
-  uint64_t io_retries_ = 0;
   fwfault::FaultInjector* injector_ = nullptr;
 };
 

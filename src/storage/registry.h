@@ -88,12 +88,9 @@ class SnapshotRegistry {
     return it == manifests_.end() ? nullptr : &it->second;
   }
 
-  bool HasChunk(uint64_t digest) const { return chunk_bytes_.count(digest) > 0; }
-
   // Serves one chunk by digest (counts bytes); NotFound if never published.
   fwbase::Result<uint64_t> FetchChunk(uint64_t digest);
 
-  uint64_t manifest_count() const { return manifests_.size(); }
   uint64_t chunk_count() const { return chunk_bytes_.size(); }
   uint64_t manifest_fetches() const { return manifest_fetches_; }
   uint64_t chunk_fetches() const { return chunk_fetches_; }

@@ -5,6 +5,7 @@
 #include "src/base/check.h"
 #include "src/base/logging.h"
 #include "src/fault/fault.h"
+#include "src/storage/block_device.h"
 
 namespace fwvmm {
 
@@ -266,8 +267,8 @@ fwsim::DelayAwaiter Hypervisor::ServiceFaults(const MicroVm& vm,
 fwsim::Co<void> Hypervisor::PrefetchWorkingSet(fwmem::SnapshotImage& image,
                                                uint64_t working_set_bytes) {
   // REAP-style: one bulk sequential read instead of per-page random reads.
-  co_await fwsim::Delay(sim_, Duration::SecondsF(static_cast<double>(working_set_bytes) /
-                                                 2.0e9 /* sequential NVMe read */));
+  co_await fwsim::Delay(sim_,
+                        fwbase::TransferTime(working_set_bytes, fwstore::kSequentialBytesPerSec));
   image.set_cache_warm(true);
 }
 

@@ -63,6 +63,10 @@ TEST(FaultPlanTest, ParseRejectsGarbage) {
   EXPECT_FALSE(FaultPlan::Parse("disk_read_error=-0.1").ok());
   EXPECT_FALSE(FaultPlan::Parse("disk_read_error").ok());
   EXPECT_FALSE(FaultPlan::Parse("disk_read_error=abc").ok());
+  // NaN fails every comparison, so a range check written as p < 0 || p > 1
+  // lets it through to Set's check, which aborts.
+  EXPECT_FALSE(FaultPlan::Parse("disk_read_error=nan").ok());
+  EXPECT_FALSE(FaultPlan::Parse("disk_read_error=-nan").ok());
 }
 
 // Per-test-seeded fixture: none of these tests' assertions depend on the

@@ -221,6 +221,8 @@ TEST(ManifestTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(SnapshotManifest::Parse("{}").ok());
   EXPECT_FALSE(
       SnapshotManifest::Parse(R"({"schema":"something-else/9","app":"a"})").ok());
+  // Deep nesting is a status, not a stack overflow in the JSON parser.
+  EXPECT_FALSE(SnapshotManifest::Parse(std::string(1'000'000, '[')).ok());
   // A digest that is not 16 hex digits must not parse.
   SnapshotManifest m;
   m.app = "a";
@@ -349,7 +351,6 @@ TEST_F(DistributionTest, PeerServesChunksWhenAHolderExists) {
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, App("app-0"))).ok());
   EXPECT_EQ(dist.stats().bytes_from_registry, 0u);
   EXPECT_EQ(dist.stats().bytes_from_peer, 10ull << 20);
-  EXPECT_GT(dist.fabric().peer_transfers(), 0u);
 }
 
 TEST_F(DistributionTest, RegistryServesChunksWhenPeerFetchDisabled) {

@@ -55,6 +55,23 @@ TEST(JsonTest, HandlesUnicodeEscapes) {
   EXPECT_FALSE(ParseJson("\"\\u12\"").ok());
 }
 
+TEST(JsonTest, NestingDeeperThanTheBoundIsAStatus) {
+  // The parser recurses once per level: a million '[' must come back as a
+  // status, not overflow the stack.
+  const std::string deep(1'000'000, '[');
+  auto value = ParseJson(deep);
+  ASSERT_FALSE(value.ok());
+  EXPECT_NE(value.status().message().find("nesting deeper than"), std::string::npos)
+      << value.status().ToString();
+  EXPECT_FALSE(ParseFunctionSource(deep).ok());
+  // Exactly kMaxJsonDepth levels still parse; one more does not.
+  const std::string at_bound =
+      std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(at_bound).ok());
+  EXPECT_FALSE(ParseJson("[" + at_bound + "]").ok());
+  EXPECT_FALSE(ParseJson("{\"a\":" + at_bound + "}").ok());
+}
+
 TEST(JsonTest, WhitespaceTolerant) {
   auto value = ParseJson("  {\n\t\"k\" :\r [ 1 ,2 ]\n}  ");
   ASSERT_TRUE(value.ok());
