@@ -720,4 +720,50 @@ TEST(GoldenTrace, ClusterBooks) {
   ExpectMatchesGolden("cluster_books.golden", rendered);
 }
 
+// ---------------------------------------------------------------------------
+// Scenario 7: one FullHost's books. A fixed seeded run on a snapshot store
+// that fits two images, with unpinned snapshots and one injected checksum
+// failure, so that every hypervisor, snapshot-store, frame and bus counter
+// moves. The golden is the host registry's whole text dump: a change to how
+// the host subsystems keep their counts cannot move any of them unnoticed.
+// ---------------------------------------------------------------------------
+
+TEST(GoldenTrace, HostBooks) {
+  fwsim::Simulation sim(44);  // Fixed seed: the golden depends on it.
+  fwcluster::FullHost::Config config;
+  config.env.snapshot_store_bytes = 500 * fwbase::kMiB;  // Fits two images.
+  config.env.fault_plan.Set(fwfault::FaultKind::kSnapshotCorruption, 1.0, /*max_trips=*/1);
+  config.fw.pin_snapshots = false;
+  fwcluster::FullHost host(sim, 0, config);
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 3; ++i) {
+    fwlang::FunctionSource fn =
+        fwwork::MakeFaasdom(fwwork::FaasdomBench::kFact, fwlang::Language::kNodeJs);
+    fn.name = fwbase::StrFormat("fn-%d", i);
+    ASSERT_TRUE(RunSync(sim, host.Install(fn)).ok()) << fn.name;
+    names.push_back(fn.name);
+  }
+  const Duration deadline = Duration::Seconds(30);
+  // The first restore trips the checksum failure and re-installs; the
+  // evicted fn-0 degrades to a cold boot; the parked clone serves warm.
+  ASSERT_TRUE(RunSync(sim, host.Invoke(names[2], "{}", deadline)).ok());
+  ASSERT_TRUE(RunSync(sim, host.Invoke(names[0], "{}", deadline)).ok());
+  ASSERT_TRUE(RunSync(sim, host.PrepareClone(names[2])).ok());
+  ASSERT_TRUE(RunSync(sim, host.Invoke(names[2], "{}", deadline)).ok());
+  ASSERT_EQ(host.warm_hits(), 1u);
+
+  const fwobs::MetricsRegistry& metrics = host.env().metrics();
+  // The golden exists to pin these counts: fail loudly if the scenario stops
+  // moving one of them instead of pinning a zero.
+  for (const char* name :
+       {"hv.vm.create.count", "hv.vm.restore.count", "hv.snapshot.create.count",
+        "store.snapshot.hit.count", "store.snapshot.miss.count", "store.snapshot.evict.count",
+        "store.snapshot.save.count", "store.snapshot.corruption.count", "mem.frame.alloc.count",
+        "bus.produce.count", "bus.consume.count"}) {
+    EXPECT_NE(metrics.CounterValue(name), 0u) << "the scenario no longer moves " << name;
+  }
+  ExpectMatchesGolden("host_books.golden", metrics.ToText());
+}
+
 }  // namespace
