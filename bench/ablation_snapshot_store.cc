@@ -10,8 +10,10 @@
 #include "bench/common.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/fault/fault.h"
 #include "src/mem/address_space.h"
 #include "src/mem/host_memory.h"
+#include "src/obs/observability.h"
 #include "src/simcore/run_sync.h"
 #include "src/storage/snapshot_store.h"
 
@@ -32,9 +34,11 @@ struct PolicyResult {
 PolicyResult RunPolicy(SnapshotStore::EvictionPolicy policy, int functions, int accesses,
                        uint64_t capacity_bytes) {
   fwsim::Simulation sim(7);
-  fwmem::HostMemory host(64_GiB);
-  fwstore::BlockDevice disk(sim, fwstore::BlockDevice::Config{});
-  SnapshotStore store(sim, disk, capacity_bytes, policy);
+  fwobs::Observability obs([&sim] { return sim.Now(); });
+  fwfault::FaultInjector no_faults(sim, fwfault::FaultPlan(), /*seed=*/0);
+  fwmem::HostMemory host(64_GiB, obs);
+  fwstore::BlockDevice disk(sim, fwstore::BlockDevice::Config{}, no_faults);
+  SnapshotStore store(sim, disk, capacity_bytes, obs, no_faults, policy);
 
   // Each function's snapshot is ~220 MiB (the Fig 10 calibration).
   auto make_image = [&host](int i) {
@@ -89,7 +93,7 @@ PolicyResult RunPolicy(SnapshotStore::EvictionPolicy policy, int functions, int 
     }
   }
   (void)t0;
-  result.evictions = store.evictions();
+  result.evictions = obs.metrics().CounterValue("store.snapshot.evict.count");
   result.reinstall_seconds = reinstall_time;
   return result;
 }

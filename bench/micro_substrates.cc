@@ -5,11 +5,13 @@
 // microVMs with hundreds of thousands of page operations each).
 #include <benchmark/benchmark.h>
 
+#include "src/fault/fault.h"
 #include "src/mem/address_space.h"
 #include "src/mem/host_memory.h"
 #include "src/mem/page_pick.h"
 #include "src/mem/page_set.h"
 #include "src/msgbus/broker.h"
+#include "src/obs/observability.h"
 #include "src/simcore/primitives.h"
 #include "src/simcore/run_sync.h"
 #include "src/simcore/simulation.h"
@@ -17,6 +19,9 @@
 namespace {
 
 using namespace fwbase::literals;
+
+// The clock of the memory benchmarks' instruments: they run no simulation.
+fwbase::SimTime StoppedClock() { return fwbase::SimTime::Zero(); }
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -63,7 +68,8 @@ void BM_CowFaultPath(benchmark::State& state) {
   // Touch + dirty a 64 MiB segment through the image-backed CoW path. A
   // 3-page segment ahead of it puts its base mid-word, so the walk has a
   // partial word at each end.
-  fwmem::HostMemory host(64_GiB);
+  fwobs::Observability obs(StoppedClock);
+  fwmem::HostMemory host(64_GiB, obs);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);
@@ -89,7 +95,8 @@ void BM_ClonePageWalk(benchmark::State& state) {
   // kernel + 44 MiB OS image, then tear the clone down. A parked sibling
   // keeps the hot pages resident, as on a host serving the function. Items
   // are image pages walked.
-  fwmem::HostMemory host(64_GiB);
+  fwobs::Observability obs(StoppedClock);
+  fwmem::HostMemory host(64_GiB, obs);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);
@@ -121,7 +128,8 @@ void BM_CloneRuntimeWalk(benchmark::State& state) {
   // heap (salt 43), the hot set every clone shares, dirty 7% of the heap with
   // a per-clone salt, then tear the clone down. A parked sibling keeps the
   // hot set resident. Items are image pages walked.
-  fwmem::HostMemory host(64_GiB);
+  fwobs::Observability obs(StoppedClock);
+  fwmem::HostMemory host(64_GiB, obs);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);
@@ -165,7 +173,8 @@ void BM_PagePick(benchmark::State& state) {
 BENCHMARK(BM_PagePick);
 
 void BM_PssAccounting(benchmark::State& state) {
-  fwmem::HostMemory host(64_GiB);
+  fwobs::Observability obs(StoppedClock);
+  fwmem::HostMemory host(64_GiB, obs);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);
@@ -190,7 +199,8 @@ void BM_PssAccounting(benchmark::State& state) {
 BENCHMARK(BM_PssAccounting);
 
 void BM_SnapshotTake(benchmark::State& state) {
-  fwmem::HostMemory host(64_GiB);
+  fwobs::Observability obs(StoppedClock);
+  fwmem::HostMemory host(64_GiB, obs);
   fwmem::AddressSpace space(host);
   auto seg = space.AddSegment("mem", 256_MiB);
   space.DirtyBytes(seg, 256_MiB);
@@ -202,9 +212,11 @@ void BM_SnapshotTake(benchmark::State& state) {
 BENCHMARK(BM_SnapshotTake);
 
 void BM_BrokerRoundTrip(benchmark::State& state) {
+  fwobs::Observability obs(StoppedClock);
   for (auto _ : state) {
     fwsim::Simulation sim;
-    fwbus::Broker broker(sim);
+    fwfault::FaultInjector injector(sim, fwfault::FaultPlan(), /*seed=*/0);
+    fwbus::Broker broker(sim, obs, injector);
     (void)broker.CreateTopic("t");
     const auto offset = fwsim::RunSync(
         sim, broker.Produce("t", 0, fwbus::Record("k", "payload-0123456789")));

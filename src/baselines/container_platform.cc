@@ -17,10 +17,9 @@ using fwlang::GuestProcess;
 ContainerPlatform::ContainerPlatform(HostEnv& env, const Params& params)
     : env_(env),
       params_(params),
-      engine_(env.sim(), env.memory(), env.snapshot_store(), params.engine_config),
-      tracer_(&env.tracer()) {
-  engine_.set_fault_injector(&env.fault_injector());
-}
+      engine_(env.sim(), env.memory(), env.snapshot_store(), env.fault_injector(),
+              params.engine_config),
+      tracer_(&env.tracer()) {}
 
 ContainerPlatform::~ContainerPlatform() {
   *alive_ = false;  // Disarm in-flight keep-alive expiry events.

@@ -25,11 +25,8 @@ FirecrackerPlatform::FirecrackerPlatform(HostEnv& env) : FirecrackerPlatform(env
 FirecrackerPlatform::FirecrackerPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store()),
-      tracer_(&env.tracer()) {
-  hv_.set_observability(&env.obs());
-  hv_.set_fault_injector(&env.fault_injector());
-}
+      hv_(env.sim(), env.memory(), env.snapshot_store(), env.obs(), env.fault_injector()),
+      tracer_(&env.tracer()) {}
 
 FirecrackerPlatform::~FirecrackerPlatform() { ReleaseInstances(); }
 

@@ -42,7 +42,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
     : sim_(sim),
       config_(config),
       obs_([this] { return sim_.Now(); }),
-      slo_(apps_, config.slo, kSampleInterval, &obs_),
+      slo_(apps_, config.slo, kSampleInterval, obs_),
       scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()), kVnodesPerHost)),
       health_(std::make_unique<FailureDetector>(static_cast<int>(hosts.size()),
                                                 config.health, sim.Now())),
@@ -84,7 +84,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   invoke_scope_ = obs_.profiler().RegisterScope("cluster.worker.invoke");
   if (config.distribution.enabled) {
     distribution_ = std::make_unique<SnapshotDistribution>(
-        sim, apps_, static_cast<int>(hosts.size()), config.distribution, obs_, &injector_);
+        sim, apps_, static_cast<int>(hosts.size()), config.distribution, obs_, injector_);
   }
   FW_CHECK(config.num_zones >= 1);
   hosts_.reserve(hosts.size());

@@ -18,7 +18,7 @@ size_t BucketsFor(Duration window, Duration tick) {
 }  // namespace
 
 SloMonitor::SloMonitor(const AppTable& apps, const SloConfig& config, Duration tick,
-                       fwobs::Observability* obs)
+                       fwobs::Observability& obs)
     : app_names_(apps),
       config_(config),
       obs_(obs),
@@ -65,6 +65,8 @@ void SloMonitor::Tick() {
   for (auto& [app, state] : apps_) {
     state.burn_fast = Burn(state.fast);
     state.burn_slow = Burn(state.slow);
+    const double attainment =
+        state.total == 0 ? 1.0 : static_cast<double>(state.good) / static_cast<double>(state.total);
     // Edge-triggered, with hysteresis on the fast window: the alert fires
     // when both windows burn too hot, and clears once the fast window cools
     // (the slow window alone would hold the alert long after recovery).
@@ -73,35 +75,26 @@ void SloMonitor::Tick() {
       state.alerting = true;
       state.alerts += 1;
       alerts_ += 1;
-      if (obs_ != nullptr) {
-        obs_->metrics().GetCounter("slo.alerts", app).Increment();
-        // Instant span: an annotation on the timeline, not a timed region.
-        fwobs::ScopedSpan span(&obs_->tracer(), "slo.alert", "slo");
-        span.SetAttribute("app", app);
-        span.SetAttribute("burn_fast", state.burn_fast);
-        span.SetAttribute("burn_slow", state.burn_slow);
-        span.SetAttribute("attainment", state.total == 0 ? 1.0 : static_cast<double>(state.good) /
-                                                                     static_cast<double>(state.total));
-      }
+      obs_.metrics().GetCounter("slo.alerts", app).Increment();
+      // Instant span: an annotation on the timeline, not a timed region.
+      fwobs::ScopedSpan span(&obs_.tracer(), "slo.alert", "slo");
+      span.SetAttribute("app", app);
+      span.SetAttribute("burn_fast", state.burn_fast);
+      span.SetAttribute("burn_slow", state.burn_slow);
+      span.SetAttribute("attainment", attainment);
     } else if (state.alerting && state.burn_fast < config_.burn_threshold) {
       state.alerting = false;
-      if (obs_ != nullptr) {
-        fwobs::ScopedSpan span(&obs_->tracer(), "slo.alert_cleared", "slo");
-        span.SetAttribute("app", app);
-      }
+      fwobs::ScopedSpan span(&obs_.tracer(), "slo.alert_cleared", "slo");
+      span.SetAttribute("app", app);
     }
-    if (obs_ != nullptr) {
-      if (state.burn_fast_gauge == nullptr) {
-        state.burn_fast_gauge = &obs_->metrics().GetGauge("slo.burn.fast", app);
-        state.burn_slow_gauge = &obs_->metrics().GetGauge("slo.burn.slow", app);
-        state.attainment_gauge = &obs_->metrics().GetGauge("slo.attainment", app);
-      }
-      state.burn_fast_gauge->Set(state.burn_fast);
-      state.burn_slow_gauge->Set(state.burn_slow);
-      state.attainment_gauge->Set(
-          state.total == 0 ? 1.0
-                           : static_cast<double>(state.good) / static_cast<double>(state.total));
+    if (state.burn_fast_gauge == nullptr) {
+      state.burn_fast_gauge = &obs_.metrics().GetGauge("slo.burn.fast", app);
+      state.burn_slow_gauge = &obs_.metrics().GetGauge("slo.burn.slow", app);
+      state.attainment_gauge = &obs_.metrics().GetGauge("slo.attainment", app);
     }
+    state.burn_fast_gauge->Set(state.burn_fast);
+    state.burn_slow_gauge->Set(state.burn_slow);
+    state.attainment_gauge->Set(attainment);
   }
   // Advance the shared ring head and open a fresh bucket in every app: the
   // oldest fast-window bucket leaves the fast sum, and the bucket reopened

@@ -51,10 +51,9 @@ class SloMonitor {
  public:
   // `tick` is the bucket width: the owner must call Tick() every `tick` of
   // simulated time (the cluster sampler loop does). `apps` names the ids
-  // passed to Record(). `apps` and `obs` must outlive the monitor; a null
-  // `obs` disables metric/span emission but keeps the counters.
+  // passed to Record(). `apps` and `obs` must outlive the monitor.
   SloMonitor(const AppTable& apps, const SloConfig& config, Duration tick,
-             fwobs::Observability* obs);
+             fwobs::Observability& obs);
 
   // One terminal request outcome. `good` = completed OK within target.
   void Record(AppId app, bool good);
@@ -107,7 +106,8 @@ class SloMonitor {
     // (the slow window), open bucket included.
     Bucket fast;
     Bucket slow;
-    // The app's slo.* gauges, resolved on its first Tick().
+    // The app's slo.* gauges, resolved on its first Tick(): an app first
+    // seen after the last tick dumps no gauge lines.
     fwobs::Gauge* burn_fast_gauge = nullptr;
     fwobs::Gauge* burn_slow_gauge = nullptr;
     fwobs::Gauge* attainment_gauge = nullptr;
@@ -117,7 +117,7 @@ class SloMonitor {
 
   const AppTable& app_names_;
   SloConfig config_;
-  fwobs::Observability* obs_;
+  fwobs::Observability& obs_;
   size_t fast_buckets_;
   size_t slow_buckets_;
   size_t head_ = 0;  // Shared open-bucket index (all rings advance together).

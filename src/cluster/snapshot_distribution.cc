@@ -47,7 +47,7 @@ void SetBit(std::vector<uint8_t>& bits, AppId app) {
 SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, const AppTable& apps,
                                            int num_hosts, const DistributionConfig& config,
                                            fwobs::Observability& obs,
-                                           fwfault::FaultInjector* injector)
+                                           fwfault::FaultInjector& injector)
     : sim_(sim),
       apps_(apps),
       config_(config),
@@ -144,10 +144,6 @@ void SnapshotDistribution::AddHost() {
   generations_.push_back(0);
 }
 
-bool SnapshotDistribution::TripFault(fwfault::FaultKind kind) {
-  return injector_ != nullptr && injector_->Trip(kind);
-}
-
 void SnapshotDistribution::InsertChunk(int host, const ChunkRef& chunk) {
   if (config_.cache_budget_bytes == 0) {
     return;
@@ -182,7 +178,7 @@ int SnapshotDistribution::PickPeer(int host, uint64_t digest) const {
   return -1;
 }
 
-fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
+fwsim::Co<fwbase::Result<bool>> SnapshotDistribution::FetchChunk(
     int host, const ChunkRef& chunk) {
   // 1. Local cache (free): the shared base layer makes this the common case
   // for every app after the host's first pull on the same runtime.
@@ -190,7 +186,7 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
       caches_[static_cast<size_t>(host)]->Lookup(chunk.digest)) {
     ++stats_.chunks_from_cache;
     stats_.bytes_from_cache += chunk.bytes;
-    co_return std::string("cache");
+    co_return false;
   }
 
   // 2. A peer holding the chunk (rack-local). A corrupt peer transfer is not
@@ -199,13 +195,13 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
     const int peer = PickPeer(host, chunk.digest);
     if (peer >= 0) {
       co_await fabric_.PeerTransfer(chunk.bytes);
-      if (TripFault(fwfault::FaultKind::kChunkCorruption)) {
+      if (injector_.Trip(fwfault::FaultKind::kChunkCorruption)) {
         ++stats_.corrupt_chunks;
       } else {
         InsertChunk(host, chunk);
         ++stats_.chunks_from_peer;
         stats_.bytes_from_peer += chunk.bytes;
-        co_return std::string("peer");
+        co_return true;
       }
     }
   }
@@ -216,13 +212,13 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
       ++stats_.retries;
       co_await fwsim::Delay(sim_, kRetryBackoff * static_cast<double>(1ull << (attempt - 2)));
     }
-    if (TripFault(fwfault::FaultKind::kRegistryUnreachable)) {
+    if (injector_.Trip(fwfault::FaultKind::kRegistryUnreachable)) {
       ++stats_.registry_unreachable;
       co_await fabric_.RegistryRpc();  // The timeout costs a round-trip.
       continue;
     }
     co_await fabric_.RegistryTransfer(chunk.bytes);
-    if (TripFault(fwfault::FaultKind::kChunkCorruption)) {
+    if (injector_.Trip(fwfault::FaultKind::kChunkCorruption)) {
       ++stats_.corrupt_chunks;
       continue;
     }
@@ -233,7 +229,7 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
     InsertChunk(host, chunk);
     ++stats_.chunks_from_registry;
     stats_.bytes_from_registry += chunk.bytes;
-    co_return std::string("registry");
+    co_return true;
   }
   co_return Status::Unavailable("chunk fetch exhausted retries");
 }
@@ -276,7 +272,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
         co_await fwsim::Delay(sim_, kRetryBackoff * static_cast<double>(1ull << (attempt - 2)));
       }
       co_await fabric_.RegistryRpc();
-      if (TripFault(fwfault::FaultKind::kRegistryUnreachable)) {
+      if (injector_.Trip(fwfault::FaultKind::kRegistryUnreachable)) {
         ++stats_.registry_unreachable;
         continue;
       }
@@ -300,12 +296,12 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
     span.SetAttribute("chunks", manifest.total_chunks());
     for (const LayerManifest& layer : manifest.layers) {
       for (const ChunkRef& chunk : layer.chunks) {
-        auto source = co_await FetchChunk(host, chunk);
-        if (!source.ok()) {
+        auto crossed = co_await FetchChunk(host, chunk);
+        if (!crossed.ok()) {
           total_loss = true;
           break;
         }
-        if (*source != "cache") {
+        if (*crossed) {
           fetched_bytes += chunk.bytes;
         }
       }

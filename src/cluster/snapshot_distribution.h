@@ -120,7 +120,7 @@ class SnapshotDistribution {
   // names are read only on cold paths (registry manifests, span attributes).
   SnapshotDistribution(fwsim::Simulation& sim, const AppTable& apps, int num_hosts,
                        const DistributionConfig& config, fwobs::Observability& obs,
-                       fwfault::FaultInjector* injector);
+                       fwfault::FaultInjector& injector);
 
   // Publishes `app`'s snapshot to the registry as a layered manifest with a
   // synthetic working set, and seeds `seed_host` (the host that produced the
@@ -169,20 +169,20 @@ class SnapshotDistribution {
   const DistributionConfig& config() const { return config_; }
 
  private:
-  // Fetches one chunk onto `host` (cache → peer → registry), returning the
-  // source that served it. Updates the cache and holder index.
-  fwsim::Co<fwbase::Result<std::string>> FetchChunk(int host, const fwstore::ChunkRef& chunk);
+  // Fetches one chunk onto `host` (cache → peer → registry), returning
+  // whether it crossed the network (false: the local cache served it).
+  // Updates the cache and holder index.
+  fwsim::Co<fwbase::Result<bool>> FetchChunk(int host, const fwstore::ChunkRef& chunk);
   // Deterministic peer choice: the lowest-index host (≠ self) whose cache
   // holds the chunk; -1 when none does.
   int PickPeer(int host, uint64_t digest) const;
-  bool TripFault(fwfault::FaultKind kind);
   void InsertChunk(int host, const fwstore::ChunkRef& chunk);
 
   fwsim::Simulation& sim_;
   const AppTable& apps_;
   DistributionConfig config_;
   fwobs::Observability& obs_;
-  fwfault::FaultInjector* injector_;
+  fwfault::FaultInjector& injector_;
   fwnet::ClusterFabric fabric_;
   fwstore::SnapshotRegistry registry_;
   std::vector<std::unique_ptr<fwstore::ChunkCache>> caches_;

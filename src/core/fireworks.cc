@@ -36,10 +36,8 @@ FireworksPlatform::FireworksPlatform(HostEnv& env) : FireworksPlatform(env, Conf
 FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store()),
+      hv_(env.sim(), env.memory(), env.snapshot_store(), env.obs(), env.fault_injector()),
       tracer_(&env.tracer()) {
-  hv_.set_observability(&env.obs());
-  hv_.set_fault_injector(&env.fault_injector());
   fwobs::MetricsRegistry& metrics = env.metrics();
   egress_retransmit_counter_ = &metrics.GetCounter("fw.net.egress_retransmit.count");
   corruption_repairs_counter_ = &metrics.GetCounter("fw.snapshot.corruption_repairs.count");

@@ -24,17 +24,13 @@ HostEnv::HostEnv(std::unique_ptr<fwsim::Simulation> owned, fwsim::Simulation* bo
       sim_(owned_sim_ != nullptr ? *owned_sim_ : *borrowed),
       obs_([this] { return sim_.Now(); }),
       fault_injector_(sim_, config.fault_plan, config.fault_seed),
-      memory_(kHostMemoryBytes),
-      disk_(sim_, fwstore::BlockDevice::Config{}),
-      snapshot_store_(sim_, disk_, config.snapshot_store_bytes),
-      network_(sim_),
-      broker_(sim_),
+      memory_(kHostMemoryBytes, obs_),
+      disk_(sim_, fwstore::BlockDevice::Config{}, fault_injector_),
+      snapshot_store_(sim_, disk_, config.snapshot_store_bytes, obs_, fault_injector_),
+      network_(sim_, fault_injector_),
+      broker_(sim_, obs_, fault_injector_),
       host_fs_(sim_, disk_, fwstore::FsKind::kHostDirect),
       db_(sim_, host_fs_) {
-  memory_.set_metrics(&obs_.metrics());
-  memory_.set_profiler(&obs_.profiler());
-  snapshot_store_.set_observability(&obs_);
-  broker_.set_observability(&obs_);
   fault_injector_.set_observability(&obs_);
   if (owned_sim_ != nullptr) {
     // This env is the simulation's only tenant: attribute kernel dispatch to
@@ -42,10 +38,6 @@ HostEnv::HostEnv(std::unique_ptr<fwsim::Simulation> owned, fwsim::Simulation* bo
     // owner installed.
     owned_sim_->set_profiler(&obs_.profiler());
   }
-  disk_.set_fault_injector(&fault_injector_);
-  snapshot_store_.set_fault_injector(&fault_injector_);
-  broker_.set_fault_injector(&fault_injector_);
-  network_.set_fault_injector(&fault_injector_);
 }
 
 InvocationResult& InvocationResult::operator+=(const InvocationResult& o) {

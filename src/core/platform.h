@@ -76,8 +76,8 @@ class HostEnv {
   fwbus::Broker& broker() { return broker_; }
   fwstore::Filesystem& host_fs() { return host_fs_; }
   fwstore::DocumentDb& db() { return db_; }
-  // Host-wide fault injector; wired into every subsystem (platforms wire it
-  // into the hypervisors/engines they own).
+  // Host-wide fault injector; every subsystem takes it at construction
+  // (platforms pass it to the hypervisors/engines they own).
   fwfault::FaultInjector& fault_injector() { return fault_injector_; }
 
  private:

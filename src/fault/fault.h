@@ -4,9 +4,9 @@
 // probability, inside which simulated-time window, and up to what budget. A
 // FaultInjector evaluates the plan at injection points threaded through the
 // subsystems (hypervisor, snapshot store, block device, broker, network,
-// container engine). Every subsystem treats its injector pointer as optional
-// and an empty plan as inert: no randomness is drawn and no time is charged,
-// so runs with an empty plan are bit-identical to runs without an injector.
+// container engine), each of which takes its injector at construction. An
+// empty plan is inert: no randomness is drawn and no time is charged, so runs
+// with an empty plan are bit-identical to runs with faults off.
 //
 // Determinism: the injector owns one dedicated RNG stream *per fault kind*,
 // all derived from a single fault seed. Injection decisions therefore never
@@ -100,6 +100,8 @@ class FaultInjector {
   FaultInjector(fwsim::Simulation& sim, const FaultPlan& plan, uint64_t seed);
 
   // Optional: mirror trip counts into "fault.injected.count{kind}" metrics.
+  // HostEnv wires its injector; the cluster's stays unwired, because its
+  // trips would add lines to the cluster registry (and cluster_books.golden).
   void set_observability(fwobs::Observability* obs) { obs_ = obs; }
 
   // One injection opportunity: returns true if the fault fires now. Draws

@@ -21,6 +21,22 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
+Result<uint64_t> JsonCount(const JsonValue* value) {
+  // 2^64, exact as a double: every integral double below it fits a uint64_t.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (value == nullptr) {
+    return Status::InvalidArgument("missing");
+  }
+  if (!value->is_number()) {
+    return Status::InvalidArgument("expected a number");
+  }
+  const double d = value->AsNumber();
+  if (!(d >= 0 && d < kTwoTo64) || d != std::floor(d)) {
+    return Status::InvalidArgument("expected a non-negative integer below 2^64");
+  }
+  return static_cast<uint64_t>(d);
+}
+
 namespace {
 
 class Parser {

@@ -6,6 +6,7 @@
 #ifndef FIREWORKS_SRC_LANG_JSON_H_
 #define FIREWORKS_SRC_LANG_JSON_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,6 +50,12 @@ class JsonValue {
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
+
+// Reads a count (a byte, page or op count) from outside input. InvalidArgument
+// unless `value` is present (non-null, so a Find() result passes straight in)
+// and a non-negative integral number below 2^64: a fraction would truncate,
+// and casting a double at or past 2^64 to uint64_t is undefined behaviour.
+fwbase::Result<uint64_t> JsonCount(const JsonValue* value);
 
 // Deepest nesting of arrays and objects ParseJson accepts. The parser
 // recurses once per level, so deeper input is rejected with a status rather

@@ -1,7 +1,5 @@
 #include "src/lang/source_text.h"
 
-#include <cmath>
-
 #include "src/base/strings.h"
 #include "src/base/units.h"
 #include "src/lang/json.h"
@@ -18,16 +16,6 @@ Status FieldError(const std::string& context, const std::string& reason) {
   return Status::InvalidArgument(context + ": " + reason);
 }
 
-Result<uint64_t> AsCount(const JsonValue& value, const std::string& context) {
-  if (!value.is_number()) {
-    return FieldError(context, "expected a number");
-  }
-  const double d = value.AsNumber();
-  if (d < 0 || d != std::floor(d)) {
-    return FieldError(context, "expected a non-negative integer");
-  }
-  return static_cast<uint64_t>(d);
-}
 
 Result<Op> ParseOp(const JsonValue& json, const std::string& context) {
   if (!json.is_array() || json.AsArray().empty() || !json.AsArray()[0].is_string()) {
@@ -37,7 +25,13 @@ Result<Op> ParseOp(const JsonValue& json, const std::string& context) {
   const std::string& kind = array[0].AsString();
   const size_t argc = array.size() - 1;
 
-  auto count_arg = [&](size_t i) { return AsCount(array[i], context); };
+  auto count_arg = [&](size_t i) -> Result<uint64_t> {
+    Result<uint64_t> count = JsonCount(&array[i]);
+    if (!count.ok()) {
+      return FieldError(context, count.status().message());
+    }
+    return count;
+  };
 
   if (kind == "compute") {
     if (argc < 1 || argc > 2) {
@@ -167,9 +161,9 @@ Result<FunctionSource> ParseFunctionSource(std::string_view json_text) {
 
   uint64_t package_bytes = 0;
   if (const JsonValue* package = document->Find("package_kib"); package != nullptr) {
-    auto kib = AsCount(*package, "package_kib");
+    auto kib = JsonCount(package);
     if (!kib.ok()) {
-      return kib.status();
+      return FieldError("package_kib", kib.status().message());
     }
     package_bytes = *kib * fwbase::kKiB;
   }
@@ -197,9 +191,9 @@ Result<FunctionSource> ParseFunctionSource(std::string_view json_text) {
     }
     uint64_t code_bytes = 2 * fwbase::kKiB;
     if (const JsonValue* code = method_json.Find("code_kib"); code != nullptr) {
-      auto kib = AsCount(*code, context + ".code_kib");
+      auto kib = JsonCount(code);
       if (!kib.ok()) {
-        return kib.status();
+        return FieldError(context + ".code_kib", kib.status().message());
       }
       if (*kib == 0) {
         return FieldError(context, "code_kib must be positive");

@@ -171,7 +171,7 @@ FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRange(SegmentId seg, uint64_t 
                                                         uint64_t count, bool write) {
   FW_CHECK(!unmapped_);
   FW_CHECK(seg < segments_.size());
-  FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());
+  FW_PROFILE_SCOPE_ID(&host_.profiler(), host_.page_walk_scope());
   const auto& layout = segments_[seg];
   FW_CHECK_MSG(first + count <= layout.pages, "access beyond segment end");
   FaultCounts out;
@@ -205,7 +205,7 @@ FW_MEM_ISA_CLONES FaultCounts AddressSpace::AccessRandomFraction(SegmentId seg, 
   FW_CHECK(!unmapped_);
   FW_CHECK(fraction >= 0.0 && fraction <= 1.0);
   FW_CHECK(seg < segments_.size());
-  FW_PROFILE_SCOPE_ID(host_.profiler(), host_.page_walk_scope());
+  FW_PROFILE_SCOPE_ID(&host_.profiler(), host_.page_walk_scope());
   const auto& layout = segments_[seg];
   const uint64_t threshold = FractionThreshold(fraction);
   const uint64_t end = layout.base_page + layout.pages;

@@ -4,36 +4,32 @@
 
 namespace fwmem {
 
-HostMemory::HostMemory(uint64_t total_bytes, double swap_start_fraction)
-    : total_bytes_(total_bytes), swap_start_fraction_(swap_start_fraction) {
+HostMemory::HostMemory(uint64_t total_bytes, fwobs::Observability& obs,
+                       double swap_start_fraction)
+    : total_bytes_(total_bytes),
+      swap_start_fraction_(swap_start_fraction),
+      used_bytes_gauge_(obs.metrics().GetGauge("mem.host.used_bytes")),
+      alloc_counter_(obs.metrics().GetCounter("mem.frame.alloc.count")),
+      profiler_(obs.profiler()),
+      page_walk_scope_(profiler_.RegisterScope("mem.page_walk")) {
   FW_CHECK(total_bytes_ > 0);
   FW_CHECK(swap_start_fraction_ > 0.0 && swap_start_fraction_ <= 1.0);
 }
 
-void HostMemory::set_metrics(fwobs::MetricsRegistry* metrics) {
-  used_bytes_gauge_ = &metrics->GetGauge("mem.host.used_bytes");
-  alloc_counter_ = &metrics->GetCounter("mem.frame.alloc.count");
-}
-
 void HostMemory::AllocFrames(uint64_t n) {
   used_frames_ += n;
-  total_allocated_frames_ += n;
   if (used_frames_ > peak_used_frames_) {
     peak_used_frames_ = used_frames_;
   }
-  if (used_bytes_gauge_ != nullptr) {
-    used_bytes_gauge_->Set(static_cast<double>(used_bytes()));
-    alloc_counter_->Increment(n);
-  }
+  used_bytes_gauge_.Set(static_cast<double>(used_bytes()));
+  alloc_counter_.Increment(n);
 }
 
 void HostMemory::FreeFrames(uint64_t n) {
   FW_CHECK_MSG(n <= used_frames_, "freeing more frames than allocated");
   used_frames_ -= n;
   total_freed_frames_ += n;
-  if (used_bytes_gauge_ != nullptr) {
-    used_bytes_gauge_->Set(static_cast<double>(used_bytes()));
-  }
+  used_bytes_gauge_.Set(static_cast<double>(used_bytes()));
 }
 
 bool HostMemory::swapping() const { return used_bytes() > swap_threshold_bytes(); }

@@ -12,30 +12,21 @@
 #include <cstdint>
 
 #include "src/base/units.h"
-#include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
+#include "src/obs/observability.h"
 
 namespace fwmem {
 
 class HostMemory {
  public:
-  // `swap_start_fraction` models the vm.swappiness-style threshold: swapping
-  // is reported once used/total exceeds it.
-  explicit HostMemory(uint64_t total_bytes, double swap_start_fraction = 0.6);
+  // `obs` keeps the frame accounting ("mem.host.used_bytes" gauge,
+  // "mem.frame.alloc.count" counter), and its profiler's "mem.page_walk"
+  // scope takes the page-table-walk cost on every AddressSpace backed by this
+  // host; it must outlive this object. `swap_start_fraction` models the
+  // vm.swappiness-style threshold: swapping is reported once used/total
+  // exceeds it.
+  HostMemory(uint64_t total_bytes, fwobs::Observability& obs, double swap_start_fraction = 0.6);
 
-  // Optional: mirror frame accounting into the host's metrics registry
-  // ("mem.host.used_bytes" gauge, "mem.frame.alloc.count" counter). The
-  // registry must outlive this object.
-  void set_metrics(fwobs::MetricsRegistry* metrics);
-
-  // Optional: attribute page-table-walk cost on every AddressSpace backed by
-  // this host to the profiler's "mem.page_walk" scope. The profiler must
-  // outlive this object; pass nullptr to detach.
-  void set_profiler(fwobs::Profiler* profiler) {
-    profiler_ = profiler;
-    page_walk_scope_ = profiler == nullptr ? 0 : profiler->RegisterScope("mem.page_walk");
-  }
-  fwobs::Profiler* profiler() const { return profiler_; }
+  fwobs::Profiler& profiler() const { return profiler_; }
   fwobs::ProfScopeId page_walk_scope() const { return page_walk_scope_; }
 
   void AllocFrames(uint64_t n);
@@ -50,8 +41,7 @@ class HostMemory {
   bool swapping() const;
   uint64_t swap_threshold_bytes() const;
 
-  // Lifetime counters (for benches / sanity checks).
-  uint64_t total_allocated_frames() const { return total_allocated_frames_; }
+  // Lifetime count of freed frames (allocations are "mem.frame.alloc.count").
   uint64_t total_freed_frames() const { return total_freed_frames_; }
 
  private:
@@ -59,12 +49,12 @@ class HostMemory {
   double swap_start_fraction_;
   uint64_t used_frames_ = 0;
   uint64_t peak_used_frames_ = 0;
-  uint64_t total_allocated_frames_ = 0;
+  // Kept here because the registry has no freed-frames counter.
   uint64_t total_freed_frames_ = 0;
-  fwobs::Gauge* used_bytes_gauge_ = nullptr;
-  fwobs::Counter* alloc_counter_ = nullptr;
-  fwobs::Profiler* profiler_ = nullptr;
-  fwobs::ProfScopeId page_walk_scope_ = 0;
+  fwobs::Gauge& used_bytes_gauge_;
+  fwobs::Counter& alloc_counter_;
+  fwobs::Profiler& profiler_;
+  fwobs::ProfScopeId page_walk_scope_;
 };
 
 }  // namespace fwmem

@@ -18,27 +18,26 @@ constexpr double kBandwidthBytesPerSec = 200.0e6;
 
 }  // namespace
 
-void Broker::set_observability(fwobs::Observability* obs) {
-  tracer_ = &obs->tracer();
-  profiler_ = &obs->profiler();
-  produce_scope_ = profiler_->RegisterScope("bus.produce.commit");
-  consume_scope_ = profiler_->RegisterScope("bus.consume.fetch");
-  produce_counter_ = &obs->metrics().GetCounter("bus.produce.count");
-  consume_counter_ = &obs->metrics().GetCounter("bus.consume.count");
-  produce_latency_ = &obs->metrics().GetHistogram("bus.produce.micros");
-  consume_latency_ = &obs->metrics().GetHistogram("bus.consume.micros");
-  depth_gauge_ = &obs->metrics().GetGauge("bus.queue.depth");
-}
+Broker::Broker(fwsim::Simulation& sim, fwobs::Observability& obs,
+               fwfault::FaultInjector& injector)
+    : sim_(sim),
+      tracer_(obs.tracer()),
+      profiler_(obs.profiler()),
+      produce_scope_(profiler_.RegisterScope("bus.produce.commit")),
+      consume_scope_(profiler_.RegisterScope("bus.consume.fetch")),
+      produce_counter_(obs.metrics().GetCounter("bus.produce.count")),
+      consume_counter_(obs.metrics().GetCounter("bus.consume.count")),
+      produce_latency_(obs.metrics().GetHistogram("bus.produce.micros")),
+      consume_latency_(obs.metrics().GetHistogram("bus.consume.micros")),
+      depth_gauge_(obs.metrics().GetGauge("bus.queue.depth")),
+      injector_(injector) {}
 
 void Broker::RecordConsume(fwbase::SimTime t0) {
-  FW_PROFILE_SCOPE_ID(profiler_, consume_scope_);
-  ++records_consumed_;
-  if (consume_counter_ != nullptr) {
-    consume_counter_->Increment();
-    consume_latency_->Observe(static_cast<uint64_t>((sim_.Now() - t0).micros()));
-    depth_gauge_->Set(static_cast<double>(records_produced_) -
-                      static_cast<double>(records_consumed_));
-  }
+  FW_PROFILE_SCOPE_ID(&profiler_, consume_scope_);
+  consume_counter_.Increment();
+  consume_latency_.Observe(static_cast<uint64_t>((sim_.Now() - t0).micros()));
+  depth_gauge_.Set(static_cast<double>(records_produced_) -
+                   static_cast<double>(consume_counter_.value()));
 }
 
 Status Broker::CreateTopic(const std::string& topic, int partitions) {
@@ -86,28 +85,27 @@ fwsim::Co<Result<int64_t>> Broker::Produce(const std::string& topic, int partiti
     co_return part.status();
   }
   const fwbase::SimTime t0 = sim_.Now();
-  fwobs::ScopedSpan span(tracer_, "bus.produce", "msgbus");
+  fwobs::ScopedSpan span(&tracer_, "bus.produce", "msgbus");
   span.SetAttribute("topic", topic);
   span.SetAttribute("bytes", record.SizeBytes());
   co_await fwsim::Delay(
       sim_, kProduceCost + fwbase::TransferTime(record.SizeBytes(), kBandwidthBytesPerSec));
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kBrokerDelayMessage)) {
+  if (injector_.Trip(fwfault::FaultKind::kBrokerDelayMessage)) {
     co_await fwsim::Delay(
-        sim_, injector_->SampleDelay(fwfault::FaultKind::kBrokerDelayMessage, kDelayFaultMean));
+        sim_, injector_.SampleDelay(fwfault::FaultKind::kBrokerDelayMessage, kDelayFaultMean));
   }
   // No co_await below: the commit (append + metrics + wakeup) is synchronous
   // bookkeeping, which is exactly what the profiler scope attributes.
-  FW_PROFILE_SCOPE_ID(profiler_, produce_scope_);
+  FW_PROFILE_SCOPE_ID(&profiler_, produce_scope_);
   Partition& p = **part;
   record.offset = static_cast<int64_t>(p.log.size());
   const int64_t offset = record.offset;
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kBrokerDropMessage)) {
+  if (injector_.Trip(fwfault::FaultKind::kBrokerDropMessage)) {
     // acks=1 lie: the producer sees success but the record never lands and
     // waiters are never woken. Consumers must bound their waits.
     co_return offset;
   }
-  const bool duplicate =
-      injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kBrokerDuplicateMessage);
+  const bool duplicate = injector_.Trip(fwfault::FaultKind::kBrokerDuplicateMessage);
   p.log.push_back(std::move(record));
   ++records_produced_;
   if (duplicate) {
@@ -116,12 +114,10 @@ fwsim::Co<Result<int64_t>> Broker::Produce(const std::string& topic, int partiti
     p.log.push_back(std::move(copy));
     ++records_produced_;
   }
-  if (produce_counter_ != nullptr) {
-    produce_counter_->Increment();
-    produce_latency_->Observe(static_cast<uint64_t>((sim_.Now() - t0).micros()));
-    depth_gauge_->Set(static_cast<double>(records_produced_) -
-                      static_cast<double>(records_consumed_));
-  }
+  produce_counter_.Increment();
+  produce_latency_.Observe(static_cast<uint64_t>((sim_.Now() - t0).micros()));
+  depth_gauge_.Set(static_cast<double>(records_produced_) -
+                   static_cast<double>(consume_counter_.value()));
   p.appended.Trigger();
   co_return offset;
 }
@@ -134,7 +130,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeAt(const std::string& topic, int partit
     co_return part.status();
   }
   const fwbase::SimTime t0 = sim_.Now();
-  fwobs::ScopedSpan span(tracer_, "bus.consume", "msgbus");
+  fwobs::ScopedSpan span(&tracer_, "bus.consume", "msgbus");
   span.SetAttribute("topic", topic);
   Partition& p = **part;
   while (static_cast<int64_t>(p.log.size()) <= offset) {
@@ -155,7 +151,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeLast(const std::string& topic, int part
     co_return part.status();
   }
   const fwbase::SimTime t0 = sim_.Now();
-  fwobs::ScopedSpan span(tracer_, "bus.consume", "msgbus");
+  fwobs::ScopedSpan span(&tracer_, "bus.consume", "msgbus");
   span.SetAttribute("topic", topic);
   Partition& p = **part;
   while (p.log.empty()) {
@@ -177,7 +173,7 @@ fwsim::Co<Result<Record>> Broker::ConsumeLastWithTimeout(const std::string& topi
   }
   const fwbase::SimTime t0 = sim_.Now();
   const fwbase::SimTime deadline = t0 + timeout;
-  fwobs::ScopedSpan span(tracer_, "bus.consume", "msgbus");
+  fwobs::ScopedSpan span(&tracer_, "bus.consume", "msgbus");
   span.SetAttribute("topic", topic);
   Partition& p = **part;
   // Poll instead of waiting on `appended`: a record dropped in flight never

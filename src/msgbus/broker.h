@@ -49,16 +49,12 @@ static_assert(!std::is_aggregate_v<Record>);
 
 class Broker {
  public:
-  explicit Broker(fwsim::Simulation& sim) : sim_(sim) {}
-
-  // Optional: spans for produce/consume plus "bus.*" metrics (end-to-end
-  // produce/consume latencies, outstanding-record queue-depth gauge). The
-  // Observability must outlive the broker.
-  void set_observability(fwobs::Observability* obs);
-
-  // Optional: lets the injector drop an acked record before it lands, append
-  // it twice, or add delivery latency (all inside Produce).
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
+  // `obs` receives spans for produce/consume plus "bus.*" metrics (counts,
+  // end-to-end produce/consume latencies, outstanding-record queue-depth
+  // gauge). `injector` may drop an acked record before it lands, append it
+  // twice, or add delivery latency (all inside Produce). Both must outlive
+  // the broker.
+  Broker(fwsim::Simulation& sim, fwobs::Observability& obs, fwfault::FaultInjector& injector);
 
   Status CreateTopic(const std::string& topic, int partitions = 1);
   Status DeleteTopic(const std::string& topic);
@@ -87,7 +83,6 @@ class Broker {
   Result<int64_t> EndOffset(const std::string& topic, int partition) const;
 
   uint64_t records_produced() const { return records_produced_; }
-  uint64_t records_consumed() const { return records_consumed_; }
 
  private:
   struct Partition {
@@ -104,18 +99,19 @@ class Broker {
 
   fwsim::Simulation& sim_;
   std::map<std::string, Topic> topics_;
+  // Records appended, a duplicated one twice (bus.produce.count counts acked
+  // produces); the appended side of the bus.queue.depth gauge.
   uint64_t records_produced_ = 0;
-  uint64_t records_consumed_ = 0;
-  fwobs::Tracer* tracer_ = nullptr;
-  fwobs::Profiler* profiler_ = nullptr;
-  fwobs::ProfScopeId produce_scope_ = 0;
-  fwobs::ProfScopeId consume_scope_ = 0;
-  fwobs::Counter* produce_counter_ = nullptr;
-  fwobs::Counter* consume_counter_ = nullptr;
-  fwobs::Histogram* produce_latency_ = nullptr;
-  fwobs::Histogram* consume_latency_ = nullptr;
-  fwobs::Gauge* depth_gauge_ = nullptr;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwobs::Tracer& tracer_;
+  fwobs::Profiler& profiler_;
+  fwobs::ProfScopeId produce_scope_;
+  fwobs::ProfScopeId consume_scope_;
+  fwobs::Counter& produce_counter_;
+  fwobs::Counter& consume_counter_;
+  fwobs::Histogram& produce_latency_;
+  fwobs::Histogram& consume_latency_;
+  fwobs::Gauge& depth_gauge_;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwbus

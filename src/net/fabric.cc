@@ -32,9 +32,9 @@ fwsim::DelayAwaiter ClusterFabric::RegistryRpc() {
   return fwsim::Delay(sim_, kRegistryRpcLatency);
 }
 
-fwsim::Co<void> ClusterFabric::PeerTransfer(uint64_t bytes) {
-  co_await fwsim::Delay(sim_,
-                        kPeerRpcLatency + fwbase::TransferTime(bytes, kPeerBandwidthBytesPerSec));
+fwsim::DelayAwaiter ClusterFabric::PeerTransfer(uint64_t bytes) {
+  return fwsim::Delay(sim_,
+                      kPeerRpcLatency + fwbase::TransferTime(bytes, kPeerBandwidthBytesPerSec));
 }
 
 }  // namespace fwnet

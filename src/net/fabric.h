@@ -30,7 +30,7 @@ class ClusterFabric {
   fwsim::DelayAwaiter RegistryRpc();
 
   // Charges a rack-local peer transfer of `bytes`.
-  fwsim::Co<void> PeerTransfer(uint64_t bytes);
+  fwsim::DelayAwaiter PeerTransfer(uint64_t bytes);
 
  private:
   fwsim::Simulation& sim_;

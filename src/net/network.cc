@@ -78,7 +78,8 @@ Result<IpAddr> NetworkNamespace::TranslateOutbound(IpAddr internal) const {
   return Status::NotFound("no SNAT rule for " + internal.ToString());
 }
 
-HostNetwork::HostNetwork(fwsim::Simulation& sim) : sim_(sim) {
+HostNetwork::HostNetwork(fwsim::Simulation& sim, fwfault::FaultInjector& injector)
+    : sim_(sim), injector_(injector) {
   // Namespace 0 is the root namespace.
   namespaces_.push_back(std::make_unique<NetworkNamespace>(next_namespace_id_++));
 }
@@ -124,7 +125,7 @@ Status HostNetwork::DestroyNamespace(uint64_t id) {
 }
 
 Status HostNetwork::BindExternalIp(IpAddr external, uint64_t namespace_id) {
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetNatExhausted)) {
+  if (injector_.Trip(fwfault::FaultKind::kNetNatExhausted)) {
     return Status::ResourceExhausted("NAT port allocation failed for " + external.ToString());
   }
   if (external_bindings_.count(external) != 0) {
@@ -143,7 +144,7 @@ Duration HostNetwork::WireTime(uint64_t bytes) {
 
 fwsim::Co<Result<IpAddr>> HostNetwork::DeliverInbound(IpAddr dst, uint64_t bytes) {
   co_await fwsim::Delay(sim_, WireTime(bytes));
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetLinkLoss)) {
+  if (injector_.Trip(fwfault::FaultKind::kNetLinkLoss)) {
     co_return Status::Unavailable("packet to " + dst.ToString() + " lost on the wire");
   }
   auto binding = external_bindings_.find(dst);
@@ -169,7 +170,7 @@ fwsim::Co<Result<IpAddr>> HostNetwork::SendOutbound(uint64_t namespace_id, IpAdd
     co_return Status::NotFound("no such namespace");
   }
   co_await fwsim::Delay(sim_, kTapCost);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kNetLinkLoss)) {
+  if (injector_.Trip(fwfault::FaultKind::kNetLinkLoss)) {
     co_return Status::Unavailable("packet from " + src.ToString() + " lost on the wire");
   }
   Result<IpAddr> external = ns->TranslateOutbound(src);

@@ -71,11 +71,9 @@ class NetworkNamespace {
 // inbound traffic to the owning namespace, and charges wire + NAT latency.
 class HostNetwork {
  public:
-  explicit HostNetwork(fwsim::Simulation& sim);
-
-  // Optional: link-loss faults in Deliver/Send (packet charged, then lost)
-  // and NAT port exhaustion in BindExternalIp.
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
+  // `injector` may lose a packet in Deliver/Send (charged, then lost) and
+  // exhaust NAT ports in BindExternalIp; it must outlive the network.
+  HostNetwork(fwsim::Simulation& sim, fwfault::FaultInjector& injector);
 
   // Allocates the next unused external IP (from 10.200.0.0/16).
   IpAddr AllocateExternalIp();
@@ -115,7 +113,7 @@ class HostNetwork {
   uint64_t packets_delivered_ = 0;
   uint64_t packets_sent_ = 0;
   uint64_t nat_translations_ = 0;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwnet

@@ -1,9 +1,10 @@
 // The per-host observability bundle: Tracer + MetricsRegistry + Profiler.
 //
-// HostEnv owns an Observability wired to its Simulation's clock and threads a
-// pointer to it into every subsystem (hypervisor, broker, snapshot store,
-// host memory); platforms add spans on top. Subsystems treat the pointer as
-// optional so they keep working when constructed standalone in unit tests.
+// HostEnv owns an Observability wired to its Simulation's clock and passes it
+// to the constructor of every subsystem (hypervisor, broker, snapshot store,
+// host memory); platforms add spans on top. Subsystems hold it by reference
+// and have no unwired mode: a unit test that builds one alone passes its own
+// Observability, whose tracer and profiler stay off until enabled.
 // All three instruments are pure observation: enabling or disabling any of
 // them never perturbs event order, the sim clock, or RNG draws.
 #ifndef FIREWORKS_SRC_OBS_OBSERVABILITY_H_

@@ -36,15 +36,13 @@ Container::Container(uint64_t id, std::string name, const ContainerConfig& confi
     : id_(id), name_(std::move(name)), config_(config), space_(std::move(space)) {}
 
 ContainerEngine::ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                                 fwstore::SnapshotStore& checkpoint_store)
-    : ContainerEngine(sim, host_memory, checkpoint_store, Config()) {}
-
-ContainerEngine::ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                                 fwstore::SnapshotStore& checkpoint_store, const Config& config)
+                                 fwstore::SnapshotStore& checkpoint_store,
+                                 fwfault::FaultInjector& injector, const Config& config)
     : sim_(sim),
       host_memory_(host_memory),
       checkpoint_store_(checkpoint_store),
-      config_(config) {}
+      config_(config),
+      injector_(injector) {}
 
 fwsim::Co<Container*> ContainerEngine::CreateContainer(
     const std::string& name, const ContainerConfig& config,
@@ -86,7 +84,7 @@ fwsim::Co<Status> ContainerEngine::Unpause(Container& c) {
     co_return Status::FailedPrecondition("unpause requires a paused container");
   }
   co_await fwsim::Delay(sim_, config_.unpause_cost);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kSandboxCrash)) {
+  if (injector_.Trip(fwfault::FaultKind::kSandboxCrash)) {
     c.set_state(ContainerState::kDead);
     co_return Status::Unavailable("sandbox " + c.name() + " crashed on unpause");
   }
@@ -130,7 +128,7 @@ fwsim::Co<Result<Container*>> ContainerEngine::RestoreCheckpoint(
   }
   co_await fwsim::Delay(sim_, kNamespaceSetupCost + kCgroupSetupCost + config_.sentry_spawn_cost +
                                   config_.gofer_spawn_cost + kRestoreStateCost);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kSandboxCrash)) {
+  if (injector_.Trip(fwfault::FaultKind::kSandboxCrash)) {
     // The Sentry died before the container was registered: nothing to clean up.
     co_return Status::Unavailable("sandbox crashed restoring " + checkpoint_name);
   }

@@ -93,14 +93,12 @@ class ContainerEngine {
   // Cached image-layer lookup, paid per container and per action image.
   static constexpr Duration kImageResolveCost = Duration::Millis(22);
 
+  // `injector` may crash a sandbox on unpause and checkpoint restore; a
+  // crashed container transitions to kDead and still needs Destroy(). It
+  // must outlive the engine.
   ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                  fwstore::SnapshotStore& checkpoint_store);
-  ContainerEngine(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                  fwstore::SnapshotStore& checkpoint_store, const Config& config);
-
-  // Optional: sandbox crash faults on unpause and checkpoint restore. A
-  // crashed container transitions to kDead and still needs Destroy().
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
+                  fwstore::SnapshotStore& checkpoint_store, fwfault::FaultInjector& injector,
+                  const Config& config = Config());
 
   // Creates and starts a container. `base_image` (may be null) is the runtime
   // rootfs; its read-only pages are shared across containers.
@@ -138,7 +136,7 @@ class ContainerEngine {
   uint64_t next_id_ = 1;
   uint64_t containers_created_ = 0;
   uint64_t checkpoints_taken_ = 0;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwbox

@@ -75,7 +75,8 @@ class Simulation {
   // resumption ("sim.coro.resume") cost to `profiler`. Pure observation —
   // the profiler never perturbs event order or the clock — so instrumented
   // and uninstrumented runs are bit-identical (tests/profiler_test.cc).
-  // Pass nullptr to detach.
+  // Pass nullptr to detach. A setter, not a constructor argument, because the
+  // simulation's owner (a HostEnv or a Cluster) chooses its profiler.
   void set_profiler(fwobs::Profiler* profiler);
   fwobs::Profiler* profiler() const { return profiler_; }
 

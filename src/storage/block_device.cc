@@ -4,8 +4,9 @@
 
 namespace fwstore {
 
-BlockDevice::BlockDevice(fwsim::Simulation& sim, const Config& config)
-    : sim_(sim), config_(config), queue_(sim, config.parallelism) {}
+BlockDevice::BlockDevice(fwsim::Simulation& sim, const Config& config,
+                         fwfault::FaultInjector& injector)
+    : sim_(sim), config_(config), queue_(sim, config.parallelism), injector_(injector) {}
 
 Duration BlockDevice::ReadCost(uint64_t bytes) const {
   return config_.read_latency + fwbase::TransferTime(bytes, config_.read_bw_bytes_per_sec);
@@ -27,8 +28,7 @@ fwsim::Co<void> BlockDevice::Read(uint64_t bytes) {
   // is a fresh injection opportunity; the cap keeps a plan with
   // probability ~1.0 from looping forever.
   int budget = 8;
-  while (budget-- > 0 && injector_ != nullptr &&
-         injector_->Trip(fwfault::FaultKind::kDiskReadError)) {
+  while (budget-- > 0 && injector_.Trip(fwfault::FaultKind::kDiskReadError)) {
     co_await DoOp(ReadCost(bytes));
   }
 }

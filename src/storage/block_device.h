@@ -34,12 +34,10 @@ class BlockDevice {
     int parallelism = 8;
   };
 
-  BlockDevice(fwsim::Simulation& sim, const Config& config);
-
-  // Optional: media read errors from the injector are absorbed here by the
-  // device's own retry (the op cost is charged again), mirroring firmware
-  // behaviour. Callers never see them.
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
+  // Media read errors from `injector` are absorbed here by the device's own
+  // retry (the op cost is charged again), mirroring firmware behaviour.
+  // Callers never see them. `injector` must outlive the device.
+  BlockDevice(fwsim::Simulation& sim, const Config& config, fwfault::FaultInjector& injector);
 
   fwsim::Co<void> Read(uint64_t bytes);
   fwsim::Co<void> Write(uint64_t bytes);
@@ -59,7 +57,7 @@ class BlockDevice {
   fwsim::Resource queue_;
   uint64_t bytes_written_ = 0;
   uint64_t write_ops_ = 0;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwstore

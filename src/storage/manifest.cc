@@ -52,15 +52,6 @@ fwbase::Status Malformed(const std::string& what) {
   return fwbase::Status::InvalidArgument("snapshot manifest: " + what);
 }
 
-// Numbers in the manifest are integral byte/page counts; reject anything else.
-bool ReadU64(const JsonValue* v, uint64_t* out) {
-  if (v == nullptr || !v->is_number() || v->AsNumber() < 0) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(v->AsNumber());
-  return true;
-}
-
 }  // namespace
 
 const char* LayerKindName(LayerKind kind) {
@@ -154,12 +145,17 @@ fwbase::Result<SnapshotManifest> SnapshotManifest::Parse(const std::string& text
     return Malformed("missing app");
   }
   m.app = app->AsString();
-  if (!ReadU64(root.Find("image_bytes"), &m.image_bytes)) {
-    return Malformed("missing image_bytes");
+  // Numbers in the manifest are byte/page counts (fwlang::JsonCount).
+  auto image_bytes = fwlang::JsonCount(root.Find("image_bytes"));
+  if (!image_bytes.ok()) {
+    return Malformed("image_bytes: " + image_bytes.status().message());
   }
-  if (!ReadU64(root.Find("working_set_bytes"), &m.working_set_bytes)) {
-    return Malformed("missing working_set_bytes");
+  m.image_bytes = *image_bytes;
+  auto working_set_bytes = fwlang::JsonCount(root.Find("working_set_bytes"));
+  if (!working_set_bytes.ok()) {
+    return Malformed("working_set_bytes: " + working_set_bytes.status().message());
   }
+  m.working_set_bytes = *working_set_bytes;
 
   const JsonValue* layers = root.Find("layers");
   if (layers == nullptr || !layers->is_array()) {
@@ -200,9 +196,11 @@ fwbase::Result<SnapshotManifest> SnapshotManifest::Parse(const std::string& text
           !ParseHexU64(digest->AsString(), &ref.digest)) {
         return Malformed("chunk digest is not a 16-hex-digit string");
       }
-      if (!ReadU64(cv.Find("bytes"), &ref.bytes)) {
-        return Malformed("chunk missing bytes");
+      auto bytes = fwlang::JsonCount(cv.Find("bytes"));
+      if (!bytes.ok()) {
+        return Malformed("chunk bytes: " + bytes.status().message());
       }
+      ref.bytes = *bytes;
       layer.chunks.push_back(ref);
     }
     m.layers.push_back(std::move(layer));
@@ -216,12 +214,12 @@ fwbase::Result<SnapshotManifest> SnapshotManifest::Parse(const std::string& text
     if (!rv.is_object()) {
       return Malformed("working-set range is not an object");
     }
-    PageRange range;
-    if (!ReadU64(rv.Find("first"), &range.first) ||
-        !ReadU64(rv.Find("count"), &range.count)) {
-      return Malformed("working-set range missing first/count");
+    auto first = fwlang::JsonCount(rv.Find("first"));
+    auto count = fwlang::JsonCount(rv.Find("count"));
+    if (!first.ok() || !count.ok()) {
+      return Malformed("working-set range needs counts first and count");
     }
-    m.working_set.push_back(range);
+    m.working_set.push_back(PageRange{*first, *count});
   }
   return m;
 }

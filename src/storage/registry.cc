@@ -24,7 +24,6 @@ std::vector<uint64_t> ChunkCache::Insert(uint64_t digest, uint64_t bytes) {
     const uint64_t cold = order_.front();
     evicted.push_back(cold);
     Erase(cold);
-    ++evictions_;
   }
   Entry e;
   e.bytes = bytes;
@@ -46,13 +45,11 @@ void ChunkCache::Erase(uint64_t digest) {
 }
 
 bool ChunkCache::Lookup(uint64_t digest) {
-  if (Contains(digest)) {
-    ++hits_;
-    Touch(digest);
-    return true;
+  if (!Contains(digest)) {
+    return false;
   }
-  ++misses_;
-  return false;
+  Touch(digest);
+  return true;
 }
 
 void SnapshotRegistry::Publish(const SnapshotManifest& manifest) {
@@ -65,22 +62,19 @@ void SnapshotRegistry::Publish(const SnapshotManifest& manifest) {
 }
 
 fwbase::Result<SnapshotManifest> SnapshotRegistry::FetchManifest(
-    const std::string& app) {
+    const std::string& app) const {
   auto it = manifests_.find(app);
   if (it == manifests_.end()) {
     return fwbase::Status::NotFound("no manifest published for '" + app + "'");
   }
-  ++manifest_fetches_;
   return it->second;
 }
 
-fwbase::Result<uint64_t> SnapshotRegistry::FetchChunk(uint64_t digest) {
+fwbase::Result<uint64_t> SnapshotRegistry::FetchChunk(uint64_t digest) const {
   auto it = chunk_bytes_.find(digest);
   if (it == chunk_bytes_.end()) {
     return fwbase::Status::NotFound("chunk not in registry");
   }
-  ++chunk_fetches_;
-  bytes_served_ += it->second;
   return it->second;
 }
 

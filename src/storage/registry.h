@@ -1,12 +1,12 @@
 // Snapshot registry + per-host chunk cache (bookkeeping only).
 //
 // The registry is the cluster's source of truth for published snapshots: it
-// maps app names to manifests and chunk digests to sizes, and counts what it
-// serves. The ChunkCache is one host's byte-budgeted LRU over chunk digests —
-// the thing that turns a second cold start on the same runtime into a
-// delta-only pull. Neither type models time or the network; transfer cost
-// lives in fwnet::ClusterFabric and the fetch protocol (retries, peer
-// fallback) in fwcluster::SnapshotDistribution.
+// maps app names to manifests and chunk digests to sizes. The ChunkCache is
+// one host's byte-budgeted LRU over chunk digests — the thing that turns a
+// second cold start on the same runtime into a delta-only pull. Neither type
+// models time or the network, and neither keeps counts: transfer cost lives
+// in fwnet::ClusterFabric, and the fetch protocol (retries, peer fallback)
+// and its counts by source in fwcluster::SnapshotDistribution.
 #ifndef FIREWORKS_SRC_STORAGE_REGISTRY_H_
 #define FIREWORKS_SRC_STORAGE_REGISTRY_H_
 
@@ -44,11 +44,8 @@ class ChunkCache {
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t budget_bytes() const { return budget_bytes_; }
   uint64_t entries() const { return entries_.size(); }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
 
-  // Contains + hit/miss accounting + LRU touch on hit, for fetch paths.
+  // Contains + LRU touch on hit, for fetch paths.
   bool Lookup(uint64_t digest);
 
  private:
@@ -59,16 +56,13 @@ class ChunkCache {
 
   uint64_t budget_bytes_;
   uint64_t used_bytes_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   std::list<uint64_t> order_;  // front = coldest, back = hottest; bounded by budget_bytes_.
   std::map<uint64_t, Entry> entries_;
 };
 
 // The cluster-wide snapshot registry: published manifests plus the chunk
-// universe they reference. Pure state + counters; callers charge transfer
-// time through the fabric before touching it.
+// universe they reference. Pure state; callers charge transfer time through
+// the fabric before touching it.
 class SnapshotRegistry {
  public:
   // Publishes (or republishes) an app's manifest; chunk digests join the
@@ -79,29 +73,24 @@ class SnapshotRegistry {
     return manifests_.count(app) > 0;
   }
 
-  fwbase::Result<SnapshotManifest> FetchManifest(const std::string& app);
+  fwbase::Result<SnapshotManifest> FetchManifest(const std::string& app) const;
 
-  // Uncounted read of a published manifest (local bookkeeping, not a fetch);
+  // In-place read of a published manifest (local bookkeeping, not a fetch);
   // nullptr when the app was never published.
   const SnapshotManifest* Peek(const std::string& app) const {
     auto it = manifests_.find(app);
     return it == manifests_.end() ? nullptr : &it->second;
   }
 
-  // Serves one chunk by digest (counts bytes); NotFound if never published.
-  fwbase::Result<uint64_t> FetchChunk(uint64_t digest);
+  // Serves one chunk by digest, returning its size; NotFound if never
+  // published.
+  fwbase::Result<uint64_t> FetchChunk(uint64_t digest) const;
 
   uint64_t chunk_count() const { return chunk_bytes_.size(); }
-  uint64_t manifest_fetches() const { return manifest_fetches_; }
-  uint64_t chunk_fetches() const { return chunk_fetches_; }
-  uint64_t bytes_served() const { return bytes_served_; }
 
  private:
   std::map<std::string, SnapshotManifest> manifests_;
   std::map<uint64_t, uint64_t> chunk_bytes_;  // digest -> size.
-  uint64_t manifest_fetches_ = 0;
-  uint64_t chunk_fetches_ = 0;
-  uint64_t bytes_served_ = 0;
 };
 
 }  // namespace fwstore

@@ -9,17 +9,19 @@
 namespace fwstore {
 
 SnapshotStore::SnapshotStore(fwsim::Simulation& sim, BlockDevice& device,
-                             uint64_t capacity_bytes, EvictionPolicy policy)
-    : sim_(sim), device_(device), capacity_bytes_(capacity_bytes), policy_(policy) {}
-
-void SnapshotStore::set_observability(fwobs::Observability* obs) {
-  hit_counter_ = &obs->metrics().GetCounter("store.snapshot.hit.count");
-  miss_counter_ = &obs->metrics().GetCounter("store.snapshot.miss.count");
-  evict_counter_ = &obs->metrics().GetCounter("store.snapshot.evict.count");
-  save_counter_ = &obs->metrics().GetCounter("store.snapshot.save.count");
-  corruption_counter_ = &obs->metrics().GetCounter("store.snapshot.corruption.count");
-  used_bytes_gauge_ = &obs->metrics().GetGauge("store.snapshot.used_bytes");
-}
+                             uint64_t capacity_bytes, fwobs::Observability& obs,
+                             fwfault::FaultInjector& injector, EvictionPolicy policy)
+    : sim_(sim),
+      device_(device),
+      capacity_bytes_(capacity_bytes),
+      policy_(policy),
+      hit_counter_(obs.metrics().GetCounter("store.snapshot.hit.count")),
+      miss_counter_(obs.metrics().GetCounter("store.snapshot.miss.count")),
+      evict_counter_(obs.metrics().GetCounter("store.snapshot.evict.count")),
+      save_counter_(obs.metrics().GetCounter("store.snapshot.save.count")),
+      corruption_counter_(obs.metrics().GetCounter("store.snapshot.corruption.count")),
+      used_bytes_gauge_(obs.metrics().GetGauge("store.snapshot.used_bytes")),
+      injector_(injector) {}
 
 bool SnapshotStore::EvictFor(uint64_t needed) {
   if (needed > capacity_bytes_) {
@@ -42,11 +44,8 @@ bool SnapshotStore::EvictFor(uint64_t needed) {
     used_bytes_ -= entry.image->file_bytes();
     order_.erase(entry.order_it);
     entries_.erase(victim);
-    ++evictions_;
-    if (evict_counter_ != nullptr) {
-      evict_counter_->Increment();
-      used_bytes_gauge_->Set(static_cast<double>(used_bytes_));
-    }
+    evict_counter_.Increment();
+    used_bytes_gauge_.Set(static_cast<double>(used_bytes_));
     FW_LOG(kDebug) << "snapshot-store: evicted " << victim;
   }
   return true;
@@ -64,7 +63,7 @@ fwsim::Co<Status> SnapshotStore::Save(std::shared_ptr<fwmem::SnapshotImage> imag
   // Pay the disk write for the memory file + a small vmstate file. The file
   // was just written, so its pages are warm in the host page cache.
   co_await device_.Write(bytes);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kDiskWriteError)) {
+  if (injector_.Trip(fwfault::FaultKind::kDiskWriteError)) {
     co_return Status::Unavailable("snapshot store: write error persisting " + name);
   }
   image->set_cache_warm(true);
@@ -72,10 +71,8 @@ fwsim::Co<Status> SnapshotStore::Save(std::shared_ptr<fwmem::SnapshotImage> imag
   auto it = std::prev(order_.end());
   entries_.emplace(name, Entry{std::move(image), /*pinned=*/false, it});
   used_bytes_ += bytes;
-  if (save_counter_ != nullptr) {
-    save_counter_->Increment();
-    used_bytes_gauge_->Set(static_cast<double>(used_bytes_));
-  }
+  save_counter_.Increment();
+  used_bytes_gauge_.Set(static_cast<double>(used_bytes_));
   co_return Status::Ok();
 }
 
@@ -91,30 +88,20 @@ void SnapshotStore::TouchRecency(Entry& entry, const std::string& name) {
 Result<std::shared_ptr<fwmem::SnapshotImage>> SnapshotStore::Get(const std::string& name) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    ++misses_;
-    if (miss_counter_ != nullptr) {
-      miss_counter_->Increment();
-    }
+    miss_counter_.Increment();
     return Status::NotFound("snapshot " + name + " not in store");
   }
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kSnapshotCorruption)) {
+  if (injector_.Trip(fwfault::FaultKind::kSnapshotCorruption)) {
     // Checksum mismatch: the on-disk file is garbage. Drop the entry so the
     // caller's re-install path can Save a fresh copy under the same name.
-    if (corruption_counter_ != nullptr) {
-      corruption_counter_->Increment();
-    }
+    corruption_counter_.Increment();
     used_bytes_ -= it->second.image->file_bytes();
     order_.erase(it->second.order_it);
     entries_.erase(it);
-    if (used_bytes_gauge_ != nullptr) {
-      used_bytes_gauge_->Set(static_cast<double>(used_bytes_));
-    }
+    used_bytes_gauge_.Set(static_cast<double>(used_bytes_));
     return Status::DataLoss("snapshot " + name + " failed checksum verification");
   }
-  ++hits_;
-  if (hit_counter_ != nullptr) {
-    hit_counter_->Increment();
-  }
+  hit_counter_.Increment();
   TouchRecency(it->second, name);
   return it->second.image;
 }
@@ -149,9 +136,7 @@ Status SnapshotStore::Remove(const std::string& name) {
   used_bytes_ -= it->second.image->file_bytes();
   order_.erase(it->second.order_it);
   entries_.erase(it);
-  if (used_bytes_gauge_ != nullptr) {
-    used_bytes_gauge_->Set(static_cast<double>(used_bytes_));
-  }
+  used_bytes_gauge_.Set(static_cast<double>(used_bytes_));
   return Status::Ok();
 }
 

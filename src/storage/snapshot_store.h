@@ -32,16 +32,13 @@ class SnapshotStore {
  public:
   enum class EvictionPolicy { kNone, kLru, kFifo };
 
+  // `obs` keeps the hit/miss/eviction/save accounting ("store.snapshot.*"
+  // metrics). `injector` may fail a Save with a write error (kUnavailable) or
+  // a Get with a checksum mismatch (kDataLoss, entry dropped so callers can
+  // re-install). Both must outlive the store.
   SnapshotStore(fwsim::Simulation& sim, BlockDevice& device, uint64_t capacity_bytes,
+                fwobs::Observability& obs, fwfault::FaultInjector& injector,
                 EvictionPolicy policy = EvictionPolicy::kLru);
-
-  // Optional: mirror hit/miss/eviction/save accounting into "store.*" metrics.
-  // The Observability must outlive the store.
-  void set_observability(fwobs::Observability* obs);
-
-  // Optional: inject write errors at Save (kUnavailable) and checksum
-  // mismatches at Get (kDataLoss, entry dropped so callers can re-install).
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
 
   // Persists the image (paying the disk-write time for its file bytes),
   // evicting per policy if needed. Fails with kResourceExhausted when the
@@ -61,9 +58,6 @@ class SnapshotStore {
 
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
   size_t size() const { return entries_.size(); }
 
  private:
@@ -82,18 +76,15 @@ class SnapshotStore {
   uint64_t capacity_bytes_;
   EvictionPolicy policy_;
   uint64_t used_bytes_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> order_;  // Eviction order, front is the next victim.
-  fwobs::Counter* hit_counter_ = nullptr;
-  fwobs::Counter* miss_counter_ = nullptr;
-  fwobs::Counter* evict_counter_ = nullptr;
-  fwobs::Counter* save_counter_ = nullptr;
-  fwobs::Counter* corruption_counter_ = nullptr;
-  fwobs::Gauge* used_bytes_gauge_ = nullptr;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwobs::Counter& hit_counter_;
+  fwobs::Counter& miss_counter_;
+  fwobs::Counter& evict_counter_;
+  fwobs::Counter& save_counter_;
+  fwobs::Counter& corruption_counter_;
+  fwobs::Gauge& used_bytes_gauge_;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwstore

@@ -90,29 +90,27 @@ Result<std::string> MicroVm::GetMetadata(const std::string& key) const {
 }
 
 Hypervisor::Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-                       fwstore::SnapshotStore& snapshot_store)
+                       fwstore::SnapshotStore& snapshot_store, fwobs::Observability& obs,
+                       fwfault::FaultInjector& injector)
     : sim_(sim),
       host_memory_(host_memory),
       snapshot_store_(snapshot_store),
       // The virtio-rng entropy pool: forked once at construction so hosts on
       // a shared simulation get distinct-but-deterministic entropy streams.
-      guest_entropy_rng_(sim.rng().Fork()) {}
-
-void Hypervisor::set_observability(fwobs::Observability* obs) {
-  tracer_ = &obs->tracer();
-  auto& metrics = obs->metrics();
-  fault_major_counter_ = &metrics.GetCounter("mem.fault.major.count");
-  fault_minor_counter_ = &metrics.GetCounter("mem.fault.minor.count");
-  fault_zero_counter_ = &metrics.GetCounter("mem.fault.zero.count");
-  fault_cow_counter_ = &metrics.GetCounter("mem.fault.cow.count");
-  fault_fresh_counter_ = &metrics.GetCounter("mem.fault.fresh.count");
-  vm_create_counter_ = &metrics.GetCounter("hv.vm.create.count");
-  vm_restore_counter_ = &metrics.GetCounter("hv.vm.restore.count");
-  snapshot_counter_ = &metrics.GetCounter("hv.snapshot.create.count");
-}
+      guest_entropy_rng_(sim.rng().Fork()),
+      tracer_(obs.tracer()),
+      fault_major_counter_(obs.metrics().GetCounter("mem.fault.major.count")),
+      fault_minor_counter_(obs.metrics().GetCounter("mem.fault.minor.count")),
+      fault_zero_counter_(obs.metrics().GetCounter("mem.fault.zero.count")),
+      fault_cow_counter_(obs.metrics().GetCounter("mem.fault.cow.count")),
+      fault_fresh_counter_(obs.metrics().GetCounter("mem.fault.fresh.count")),
+      vm_create_counter_(obs.metrics().GetCounter("hv.vm.create.count")),
+      vm_restore_counter_(obs.metrics().GetCounter("hv.vm.restore.count")),
+      snapshot_counter_(obs.metrics().GetCounter("hv.snapshot.create.count")),
+      injector_(injector) {}
 
 fwsim::Co<MicroVm*> Hypervisor::CreateMicroVm(const std::string& name) {
-  fwobs::ScopedSpan span(tracer_, "hv.create_vm", "vmm");
+  fwobs::ScopedSpan span(&tracer_, "hv.create_vm", "vmm");
   span.SetAttribute("vm", name);
   co_await fwsim::Delay(sim_,
                         kApiRequestCost + kProcessSpawnCost + kKvmSetupCost + kDeviceSetupCost);
@@ -125,10 +123,7 @@ fwsim::Co<MicroVm*> Hypervisor::CreateMicroVm(const std::string& name) {
   vm->generation_ = next_generation_++;
   MicroVm* raw = vm.get();
   vms_.emplace(id, std::move(vm));
-  ++vms_created_;
-  if (vm_create_counter_ != nullptr) {
-    vm_create_counter_->Increment();
-  }
+  vm_create_counter_.Increment();
   FW_LOG(kDebug) << "created microVM " << name << " (id " << id << ")";
   co_return raw;
 }
@@ -138,7 +133,7 @@ fwsim::Co<Status> Hypervisor::BootGuestOs(MicroVm& vm) {
     co_return Status::FailedPrecondition("guest boot requires a configured VM");
   }
   vm.set_state(VmState::kBooting);
-  fwobs::ScopedSpan span(tracer_, "hv.boot_guest", "vmm");
+  fwobs::ScopedSpan span(&tracer_, "hv.boot_guest", "vmm");
   auto& space = vm.address_space();
   // The kernel decompresses itself and early userspace populates its pages:
   // all private, fresh writes.
@@ -166,7 +161,7 @@ fwsim::Co<Status> Hypervisor::Resume(MicroVm& vm) {
     co_return Status::FailedPrecondition("resume requires a paused VM");
   }
   co_await fwsim::Delay(sim_, kApiRequestCost + kResumeCost);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kVmCrashOnResume)) {
+  if (injector_.Trip(fwfault::FaultKind::kVmCrashOnResume)) {
     vm.set_state(VmState::kDead);
     co_return Status::Unavailable("VMM process crashed resuming " + vm.name());
   }
@@ -185,17 +180,14 @@ fwsim::Co<Result<std::shared_ptr<fwmem::SnapshotImage>>> Hypervisor::CreateSnaps
       co_return paused;
     }
   }
-  fwobs::ScopedSpan span(tracer_, "hv.create_snapshot", "vmm");
+  fwobs::ScopedSpan span(&tracer_, "hv.create_snapshot", "vmm");
   co_await fwsim::Delay(sim_, kApiRequestCost + kSnapshotVmstateCost);
   std::shared_ptr<fwmem::SnapshotImage> image = vm.address_space().TakeSnapshot(snapshot_name);
   Status saved = co_await snapshot_store_.Save(image);
   if (!saved.ok()) {
     co_return saved;
   }
-  ++snapshots_taken_;
-  if (snapshot_counter_ != nullptr) {
-    snapshot_counter_->Increment();
-  }
+  snapshot_counter_.Increment();
   span.SetAttribute("bytes", image->file_bytes());
   FW_LOG(kDebug) << "snapshot " << snapshot_name << ": "
                  << fwbase::BytesToString(image->file_bytes());
@@ -208,12 +200,12 @@ fwsim::Co<Result<MicroVm*>> Hypervisor::RestoreMicroVm(const std::string& snapsh
   if (!image.ok()) {
     co_return image.status();
   }
-  fwobs::ScopedSpan span(tracer_, "hv.restore_vm", "vmm");
+  fwobs::ScopedSpan span(&tracer_, "hv.restore_vm", "vmm");
   span.SetAttribute("snapshot", snapshot_name);
   // Trimmed VMM bring-up, then map the memory file and parse vmstate. No
   // guest boot: execution continues from the snapshot point.
   co_await fwsim::Delay(sim_, kApiRequestCost + kRestoreProcessCost + kRestoreVmstateCost);
-  if (injector_ != nullptr && injector_->Trip(fwfault::FaultKind::kVmCrashOnResume)) {
+  if (injector_.Trip(fwfault::FaultKind::kVmCrashOnResume)) {
     // The fresh VMM died before the VM was registered: nothing to clean up.
     co_return Status::Unavailable("VMM process crashed restoring " + snapshot_name);
   }
@@ -227,10 +219,7 @@ fwsim::Co<Result<MicroVm*>> Hypervisor::RestoreMicroVm(const std::string& snapsh
   vm->set_state(VmState::kRunning);
   MicroVm* raw = vm.get();
   vms_.emplace(id, std::move(vm));
-  ++vms_restored_;
-  if (vm_restore_counter_ != nullptr) {
-    vm_restore_counter_->Increment();
-  }
+  vm_restore_counter_.Increment();
   co_return raw;
 }
 
@@ -249,13 +238,11 @@ Duration Hypervisor::FaultServiceTime(const MicroVm& vm,
                                       const fwmem::FaultCounts& faults) const {
   // Every fault charge in the simulator flows through here exactly once, so
   // this is the single place the per-kind fault counters are recorded.
-  if (fault_major_counter_ != nullptr) {
-    fault_major_counter_->Increment(faults.major_faults);
-    fault_minor_counter_->Increment(faults.minor_shared);
-    fault_zero_counter_->Increment(faults.zero_fills);
-    fault_cow_counter_->Increment(faults.cow_copies);
-    fault_fresh_counter_->Increment(faults.fresh_writes);
-  }
+  fault_major_counter_.Increment(faults.major_faults);
+  fault_minor_counter_.Increment(faults.minor_shared);
+  fault_zero_counter_.Increment(faults.zero_fills);
+  fault_cow_counter_.Increment(faults.cow_copies);
+  fault_fresh_counter_.Increment(faults.fresh_writes);
   return fwmem::FaultServiceTime(vm.address_space(), faults);
 }
 

@@ -75,16 +75,13 @@ class Hypervisor {
   static constexpr uint64_t kKernelBootBytes = 64 * fwbase::kMiB;
   static constexpr uint64_t kOsServicesBytes = 44 * fwbase::kMiB;
 
+  // `obs` receives spans for VM lifecycle operations plus "hv.*" and
+  // "mem.fault.*" metrics. `injector` may crash the VMM during snapshot
+  // restore and resume; a crashed VM transitions to kDead and still owns its
+  // frames until Destroy(). Both must outlive the hypervisor.
   Hypervisor(fwsim::Simulation& sim, fwmem::HostMemory& host_memory,
-             fwstore::SnapshotStore& snapshot_store);
-
-  // Optional: spans for VM lifecycle operations plus "hv.*" / "mem.fault.*"
-  // metrics. The Observability must outlive the hypervisor.
-  void set_observability(fwobs::Observability* obs);
-
-  // Optional: VMM crash faults during snapshot restore and resume. A crashed
-  // VM transitions to kDead and still owns its frames until Destroy().
-  void set_fault_injector(fwfault::FaultInjector* injector) { injector_ = injector; }
+             fwstore::SnapshotStore& snapshot_store, fwobs::Observability& obs,
+             fwfault::FaultInjector& injector);
 
   // --- Lifecycle -----------------------------------------------------------
 
@@ -149,9 +146,6 @@ class Hypervisor {
   fwmem::HostMemory& host_memory() { return host_memory_; }
   fwstore::SnapshotStore& snapshot_store() { return snapshot_store_; }
 
-  uint64_t vms_created() const { return vms_created_; }
-  uint64_t vms_restored() const { return vms_restored_; }
-  uint64_t snapshots_taken() const { return snapshots_taken_; }
   size_t live_vm_count() const { return vms_.size(); }
 
  private:
@@ -164,21 +158,18 @@ class Hypervisor {
   // this hypervisor ever produced share a generation.
   uint64_t next_generation_ = 1;
   fwbase::Rng guest_entropy_rng_;
-  uint64_t vms_created_ = 0;
-  uint64_t vms_restored_ = 0;
-  uint64_t snapshots_taken_ = 0;
-  fwobs::Tracer* tracer_ = nullptr;
+  fwobs::Tracer& tracer_;
   // Fault counters are bumped from the const FaultServiceTime() choke point;
   // the instruments themselves are mutable observation state.
-  fwobs::Counter* fault_major_counter_ = nullptr;
-  fwobs::Counter* fault_minor_counter_ = nullptr;
-  fwobs::Counter* fault_zero_counter_ = nullptr;
-  fwobs::Counter* fault_cow_counter_ = nullptr;
-  fwobs::Counter* fault_fresh_counter_ = nullptr;
-  fwobs::Counter* vm_create_counter_ = nullptr;
-  fwobs::Counter* vm_restore_counter_ = nullptr;
-  fwobs::Counter* snapshot_counter_ = nullptr;
-  fwfault::FaultInjector* injector_ = nullptr;
+  fwobs::Counter& fault_major_counter_;
+  fwobs::Counter& fault_minor_counter_;
+  fwobs::Counter& fault_zero_counter_;
+  fwobs::Counter& fault_cow_counter_;
+  fwobs::Counter& fault_fresh_counter_;
+  fwobs::Counter& vm_create_counter_;
+  fwobs::Counter& vm_restore_counter_;
+  fwobs::Counter& snapshot_counter_;
+  fwfault::FaultInjector& injector_;
 };
 
 }  // namespace fwvmm

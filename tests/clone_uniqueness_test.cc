@@ -68,8 +68,9 @@ class CloneIdentityTest : public fwtest::SimTest {
   }
 
   FunctionSource fn_;
-  fwmem::HostMemory host_{64_GiB};
-  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{64_GiB, inst_.obs};
+  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}, inst_.injector};
   fwstore::Filesystem fs_{sim_, dev_, fwstore::FsKind::kVirtio};
   fwlang::ExecEnv env_;
 };
@@ -314,8 +315,6 @@ TEST_F(ClonePlatformTest, GenerationMonotonicAcrossRestoreKinds) {
 
 class DistributionGenerationTest : public fwtest::SimTest {
  protected:
-  DistributionGenerationTest() : obs_([] { return fwbase::SimTime(); }) {}
-
   fwcluster::DistributionConfig SmallConfig() {
     fwcluster::DistributionConfig config;
     config.enabled = true;
@@ -327,11 +326,11 @@ class DistributionGenerationTest : public fwtest::SimTest {
 
   fwcluster::AppTable apps_;
   const fwcluster::AppId app0_ = apps_.Intern("app-0");
-  fwobs::Observability obs_;
+  fwtest::Instruments inst_{sim_};
 };
 
 TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) {
-  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), inst_.obs, inst_.injector);
   dist.Publish(app0_, 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, app0_)).ok());
   EXPECT_EQ(dist.Generation(1), 0u);
@@ -356,7 +355,7 @@ TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) 
 TEST_F(DistributionGenerationTest, UniquenessOffChargesNoReseed) {
   fwcluster::DistributionConfig config = SmallConfig();
   config.restore_uniqueness = false;
-  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  fwcluster::SnapshotDistribution dist(sim_, apps_, 2, config, inst_.obs, inst_.injector);
   dist.Publish(app0_, 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, app0_)).ok());
   RunSyncVoid(sim_, dist.WarmRestore(1, app0_));

@@ -36,8 +36,9 @@ using namespace fwbase::literals;
 
 class AttachRuntimeTest : public fwtest::SimTest {
  protected:
-  fwmem::HostMemory host_{16_GiB};
-  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{16_GiB, inst_.obs};
+  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}, inst_.injector};
   fwstore::Filesystem fs_{sim_, dev_, fwstore::FsKind::kHostDirect};
 };
 
@@ -94,7 +95,8 @@ TEST(BrokerEdgeTest, RecordSizeBytes) {
 
 TEST(BrokerEdgeTest, EndOffsetErrors) {
   Simulation sim;
-  fwbus::Broker broker(sim);
+  fwtest::Instruments inst(sim);
+  fwbus::Broker broker(sim, inst.obs, inst.injector);
   EXPECT_FALSE(broker.EndOffset("none", 0).ok());
   ASSERT_TRUE(broker.CreateTopic("t", 2).ok());
   EXPECT_FALSE(broker.EndOffset("t", 5).ok());
@@ -103,7 +105,8 @@ TEST(BrokerEdgeTest, EndOffsetErrors) {
 
 TEST(BrokerEdgeTest, ConsumeFromDeletedTopicFails) {
   Simulation sim;
-  fwbus::Broker broker(sim);
+  fwtest::Instruments inst(sim);
+  fwbus::Broker broker(sim, inst.obs, inst.injector);
   ASSERT_TRUE(broker.CreateTopic("t").ok());
   ASSERT_TRUE(broker.DeleteTopic("t").ok());
   auto record = RunSync(sim, broker.ConsumeLast("t", 0));
@@ -115,7 +118,8 @@ TEST(BrokerEdgeTest, ConsumeFromDeletedTopicFails) {
 // ---------------------------------------------------------------------------
 
 TEST(MicroVmTest, NetworkAttachmentBookkeeping) {
-  fwmem::HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwmem::HostMemory host(1_GiB, obs);
   fwvmm::MicroVm vm(7, "vm", std::make_unique<fwmem::AddressSpace>(host), false);
   EXPECT_EQ(vm.netns_id(), 0u);
   vm.set_netns_id(3);
@@ -132,8 +136,9 @@ TEST(MicroVmTest, NetworkAttachmentBookkeeping) {
 
 TEST(AnnotatedExecutionTest, FireworksJitCompilesEveryUserMethod) {
   Simulation sim;
-  fwmem::HostMemory host(16_GiB);
-  fwstore::BlockDevice dev(sim, fwstore::BlockDevice::Config{});
+  fwtest::Instruments inst(sim);
+  fwmem::HostMemory host(16_GiB, inst.obs);
+  fwstore::BlockDevice dev(sim, fwstore::BlockDevice::Config{}, inst.injector);
   fwstore::Filesystem fs(sim, dev, fwstore::FsKind::kVirtio);
   fwmem::AddressSpace space(host);
 

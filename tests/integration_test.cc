@@ -230,7 +230,7 @@ TEST(StorePressureTest, EvictedSnapshotFailsCleanlyWithoutFallback) {
     ASSERT_TRUE(RunSync(env.sim(), platform.Install(fn)).ok()) << i;
     names.push_back(fn.name);
   }
-  EXPECT_GT(env.snapshot_store().evictions(), 0u);
+  EXPECT_GT(env.metrics().CounterValue("store.snapshot.evict.count"), 0u);
   // The oldest snapshot was evicted: with the cold-boot fallback disabled,
   // invoking it fails with NOT_FOUND rather than crashing (and without
   // burning retries — eviction is not transient). The freshest still works.
@@ -257,7 +257,7 @@ TEST(StorePressureTest, EvictedSnapshotDegradesToColdBoot) {
     ASSERT_TRUE(RunSync(env.sim(), platform.Install(fn)).ok()) << i;
     names.push_back(fn.name);
   }
-  EXPECT_GT(env.snapshot_store().evictions(), 0u);
+  EXPECT_GT(env.metrics().CounterValue("store.snapshot.evict.count"), 0u);
   // With the default config the platform degrades the evicted function to a
   // full cold boot instead of failing the invocation.
   auto evicted = RunSync(env.sim(), platform.Invoke(names[0], "{}", InvokeOptions()));

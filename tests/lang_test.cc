@@ -119,8 +119,9 @@ class GuestProcessTest : public fwtest::SimTest {
     return process;
   }
 
-  fwmem::HostMemory host_{64_GiB};
-  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{64_GiB, inst_.obs};
+  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}, inst_.injector};
   fwstore::Filesystem fs_{sim_, dev_, fwstore::FsKind::kVirtio};
   fwstore::DocumentDb db_{sim_, fs_};
   ExecEnv env_;
@@ -504,8 +505,9 @@ class ComputeScaleTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ComputeScaleTest, ScaleMultipliesComputeTime) {
   Simulation sim;
-  fwmem::HostMemory host(8_GiB);
-  fwstore::BlockDevice dev(sim, fwstore::BlockDevice::Config{});
+  fwtest::Instruments inst(sim);
+  fwmem::HostMemory host(8_GiB, inst.obs);
+  fwstore::BlockDevice dev(sim, fwstore::BlockDevice::Config{}, inst.injector);
   fwstore::Filesystem fs(sim, dev, fwstore::FsKind::kOverlayFs);
   ExecEnv env(&fs, nullptr, nullptr, Duration::Micros(400));
   auto charger = [](const fwmem::FaultCounts& f) {

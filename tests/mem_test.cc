@@ -13,7 +13,8 @@
 #include "src/mem/host_memory.h"
 #include "src/mem/page_pick.h"
 #include "src/mem/page_set.h"
-#include "src/obs/metrics.h"
+#include "src/obs/observability.h"
+#include "tests/test_util.h"
 
 namespace fwmem {
 namespace {
@@ -135,18 +136,20 @@ TEST(PageSetTest, GrowPreservesBits) {
 // ---------------------------------------------------------------------------
 
 TEST(HostMemoryTest, AllocFreeAccounting) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   host.AllocFrames(100);
   EXPECT_EQ(host.used_bytes(), 100 * kPageSize);
   host.FreeFrames(40);
   EXPECT_EQ(host.used_frames(), 60u);
   EXPECT_EQ(host.peak_used_bytes(), 100 * kPageSize);
-  EXPECT_EQ(host.total_allocated_frames(), 100u);
+  EXPECT_EQ(obs.metrics().CounterValue("mem.frame.alloc.count"), 100u);
   EXPECT_EQ(host.total_freed_frames(), 40u);
 }
 
 TEST(HostMemoryTest, SwapThreshold) {
-  HostMemory host(100 * kPageSize, /*swap_start_fraction=*/0.6);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(100 * kPageSize, obs, /*swap_start_fraction=*/0.6);
   host.AllocFrames(60);
   EXPECT_FALSE(host.swapping());
   host.AllocFrames(1);
@@ -155,7 +158,8 @@ TEST(HostMemoryTest, SwapThreshold) {
 }
 
 TEST(HostMemoryDeathTest, OverFreeAborts) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   host.AllocFrames(1);
   EXPECT_DEATH(host.FreeFrames(2), "freeing more frames");
 }
@@ -165,7 +169,8 @@ TEST(HostMemoryDeathTest, OverFreeAborts) {
 // ---------------------------------------------------------------------------
 
 TEST(BackingStoreTest, FirstTouchIsMajor) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   {
     BackingStore store(host, 10);
     EXPECT_TRUE(store.IncResident(0));
@@ -188,7 +193,8 @@ TEST(BackingStoreTest, FirstTouchIsMajor) {
 }
 
 TEST(BackingStoreTest, DestructorReleasesResidentFrames) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   {
     BackingStore store(host, 10);
     store.IncResident(1);
@@ -204,7 +210,8 @@ TEST(BackingStoreTest, DestructorReleasesResidentFrames) {
 // ---------------------------------------------------------------------------
 
 TEST(AddressSpaceTest, FreshSpaceTouchAllocatesPrivateFrames) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("kernel", 16 * kPageSize);
   const FaultCounts fc = space.Touch(seg, 0, 16);
@@ -216,7 +223,8 @@ TEST(AddressSpaceTest, FreshSpaceTouchAllocatesPrivateFrames) {
 }
 
 TEST(AddressSpaceTest, RepeatAccessIsFree) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("heap", 8 * kPageSize);
   space.Dirty(seg, 0, 8);
@@ -227,7 +235,8 @@ TEST(AddressSpaceTest, RepeatAccessIsFree) {
 }
 
 TEST(AddressSpaceTest, UnmapReleasesEverything) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   auto space = std::make_unique<AddressSpace>(host);
   const SegmentId seg = space->AddSegment("heap", 32 * kPageSize);
   space->Dirty(seg, 0, 32);
@@ -237,7 +246,8 @@ TEST(AddressSpaceTest, UnmapReleasesEverything) {
 }
 
 TEST(AddressSpaceTest, SegmentLookupByName) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   space.AddSegment("a", kPageSize);
   const SegmentId b = space.AddSegment("b", kPageSize);
@@ -247,7 +257,8 @@ TEST(AddressSpaceTest, SegmentLookupByName) {
 }
 
 TEST(AddressSpaceDeathTest, AccessBeyondSegmentAborts) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("small", 4 * kPageSize);
   EXPECT_DEATH(space.Touch(seg, 0, 5), "beyond segment");
@@ -256,7 +267,8 @@ TEST(AddressSpaceDeathTest, AccessBeyondSegmentAborts) {
 // After Unmap a space maps nothing more: a random-fraction touch or dirty
 // would take image references and private frames that nothing releases.
 TEST(AddressSpaceDeathTest, RandomFractionTouchAfterUnmapAborts) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   std::shared_ptr<SnapshotImage> image;
   {
     AddressSpace builder(host);
@@ -269,7 +281,8 @@ TEST(AddressSpaceDeathTest, RandomFractionTouchAfterUnmapAborts) {
 }
 
 TEST(AddressSpaceDeathTest, RandomFractionDirtyAfterUnmapAborts) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("heap", 64 * kPageSize);
   space.Unmap();
@@ -293,7 +306,8 @@ class SnapshotFixture : public ::testing::Test {
     source_.reset();  // The source VM is torn down after snapshotting.
   }
 
-  HostMemory host_{1_GiB};
+  fwobs::Observability obs_{fwtest::StoppedClock()};
+  HostMemory host_{1_GiB, obs_};
   std::unique_ptr<AddressSpace> source_;
   SegmentId os_ = 0;
   SegmentId rt_ = 0;
@@ -422,7 +436,8 @@ TEST_F(SnapshotFixture, RandomDirtySubsetsDifferBySalt) {
 }
 
 TEST(AddressSpaceTest, FractionZeroAndOne) {
-  HostMemory host(1_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(1_GiB, obs);
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("s", 32 * kPageSize);
   EXPECT_EQ(space.DirtyRandomFraction(seg, 0.0, 1).NewPrivatePages(), 0u);
@@ -438,7 +453,8 @@ class PssConservationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PssConservationTest, PssSumsToHostFrames) {
   const int num_vms = GetParam();
-  HostMemory host(4_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  HostMemory host(4_GiB, obs);
   std::shared_ptr<SnapshotImage> image;
   {
     AddressSpace src(host);
@@ -654,22 +670,20 @@ void ExpectSameFaults(const FaultCounts& got, const FaultCounts& want) {
   EXPECT_EQ(got.already_mapped, want.already_mapped);
 }
 
-// One host with its metrics, for each of the two worlds.
+// One host with its own registry, for each of the two worlds.
 struct World {
-  World() { host.set_metrics(&metrics); }
-  fwobs::MetricsRegistry metrics;
-  HostMemory host{4_GiB};
+  fwobs::Observability obs{fwtest::StoppedClock()};
+  HostMemory host{4_GiB, obs};
 };
 
 void ExpectSameHost(World& got, World& want) {
   EXPECT_EQ(got.host.used_frames(), want.host.used_frames());
   EXPECT_EQ(got.host.peak_used_bytes(), want.host.peak_used_bytes());
-  EXPECT_EQ(got.host.total_allocated_frames(), want.host.total_allocated_frames());
   EXPECT_EQ(got.host.total_freed_frames(), want.host.total_freed_frames());
-  EXPECT_EQ(got.metrics.GetGauge("mem.host.used_bytes").value(),
-            want.metrics.GetGauge("mem.host.used_bytes").value());
-  EXPECT_EQ(got.metrics.GetCounter("mem.frame.alloc.count").value(),
-            want.metrics.GetCounter("mem.frame.alloc.count").value());
+  EXPECT_EQ(got.obs.metrics().GaugeValue("mem.host.used_bytes"),
+            want.obs.metrics().GaugeValue("mem.host.used_bytes"));
+  EXPECT_EQ(got.obs.metrics().CounterValue("mem.frame.alloc.count"),
+            want.obs.metrics().CounterValue("mem.frame.alloc.count"));
 }
 
 void ExpectSameSpace(const AddressSpace& got, const RefSpace& want) {

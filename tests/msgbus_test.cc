@@ -20,7 +20,12 @@ using namespace fwbase::literals;
 
 class BrokerTest : public fwtest::SimTest {
  protected:
-  Broker broker_{sim_};
+  uint64_t Count(const std::string& counter) const {
+    return inst_.obs.metrics().CounterValue(counter);
+  }
+
+  fwtest::Instruments inst_{sim_};
+  Broker broker_{sim_, inst_.obs, inst_.injector};
 };
 
 TEST_F(BrokerTest, CreateAndDeleteTopics) {
@@ -136,7 +141,8 @@ TEST_F(BrokerTest, CountersTrack) {
   ASSERT_TRUE(RunSync(sim_, broker_.Produce("t", 0, {"", "b"})).ok());
   ASSERT_TRUE(RunSync(sim_, broker_.ConsumeLast("t", 0)).ok());
   EXPECT_EQ(broker_.records_produced(), 2u);
-  EXPECT_EQ(broker_.records_consumed(), 1u);
+  EXPECT_EQ(Count("bus.produce.count"), 2u);
+  EXPECT_EQ(Count("bus.consume.count"), 1u);
 }
 
 TEST_F(BrokerTest, ManyInstanceTopicsPattern) {
@@ -154,7 +160,7 @@ TEST_F(BrokerTest, ManyInstanceTopicsPattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-twin tests: broker behavior with an injector attached.
+// Fault-twin tests: a broker whose injector has a plan.
 // ---------------------------------------------------------------------------
 
 TEST_F(BrokerTest, ConsumeLastWithTimeoutMatchesConsumeLastWhenRecordPresent) {
@@ -182,22 +188,22 @@ TEST_F(BrokerTest, DropFaultAcksButRecordNeverLands) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDropMessage, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  broker_.set_fault_injector(&injector);
+  Broker broker(sim_, inst_.obs, injector);
 
-  ASSERT_TRUE(broker_.CreateTopic("t").ok());
+  ASSERT_TRUE(broker.CreateTopic("t").ok());
   // The producer is lied to (acks=1 semantics): it receives an offset...
-  auto offset = RunSync(sim_, broker_.Produce("t", 0, {"", "lost"}));
+  auto offset = RunSync(sim_, broker.Produce("t", 0, {"", "lost"}));
   ASSERT_TRUE(offset.ok());
   // ...but the record never lands; a bounded consumer times out instead of
   // hanging forever.
   const auto t0 = sim_.Now();
-  auto consumed = RunSync(sim_, broker_.ConsumeLastWithTimeout("t", 0, 50_ms));
+  auto consumed = RunSync(sim_, broker.ConsumeLastWithTimeout("t", 0, 50_ms));
   EXPECT_EQ(consumed.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE((sim_.Now() - t0).nanos(), (50_ms).nanos());
 
   // Budget spent: the retry lands and is consumable.
-  ASSERT_TRUE(RunSync(sim_, broker_.Produce("t", 0, {"", "retry"})).ok());
-  auto record = RunSync(sim_, broker_.ConsumeLastWithTimeout("t", 0, 50_ms));
+  ASSERT_TRUE(RunSync(sim_, broker.Produce("t", 0, {"", "retry"})).ok());
+  auto record = RunSync(sim_, broker.ConsumeLastWithTimeout("t", 0, 50_ms));
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->value, "retry");
 }
@@ -206,17 +212,19 @@ TEST_F(BrokerTest, DuplicateFaultAppendsRecordTwice) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDuplicateMessage, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  broker_.set_fault_injector(&injector);
+  Broker broker(sim_, inst_.obs, injector);
 
-  ASSERT_TRUE(broker_.CreateTopic("t").ok());
-  ASSERT_TRUE(RunSync(sim_, broker_.Produce("t", 0, {"", "dup"})).ok());
-  auto first = RunSync(sim_, broker_.ConsumeAt("t", 0, 0));
-  auto second = RunSync(sim_, broker_.ConsumeAt("t", 0, 1));
+  ASSERT_TRUE(broker.CreateTopic("t").ok());
+  ASSERT_TRUE(RunSync(sim_, broker.Produce("t", 0, {"", "dup"})).ok());
+  auto first = RunSync(sim_, broker.ConsumeAt("t", 0, 0));
+  auto second = RunSync(sim_, broker.ConsumeAt("t", 0, 1));
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->value, "dup");
   EXPECT_EQ(second->value, "dup");
-  EXPECT_EQ(broker_.records_produced(), 2u);
+  // Two records landed for one acked produce.
+  EXPECT_EQ(broker.records_produced(), 2u);
+  EXPECT_EQ(Count("bus.produce.count"), 1u);
 }
 
 TEST_F(BrokerTest, DelayFaultAddsDeterministicLatency) {
@@ -228,13 +236,14 @@ TEST_F(BrokerTest, DelayFaultAddsDeterministicLatency) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDelayMessage, 1.0);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  broker_.set_fault_injector(&injector);
+  Broker slow(sim_, inst_.obs, injector);
+  ASSERT_TRUE(slow.CreateTopic("t").ok());
   const auto slow_t0 = sim_.Now();
-  ASSERT_TRUE(RunSync(sim_, broker_.Produce("t", 0, {"", "slow"})).ok());
+  ASSERT_TRUE(RunSync(sim_, slow.Produce("t", 0, {"", "slow"})).ok());
   const auto slow_elapsed = sim_.Now() - slow_t0;
   EXPECT_GT(slow_elapsed.nanos(), base_elapsed.nanos());
-  // The delayed record still lands, in order.
-  auto record = RunSync(sim_, broker_.ConsumeLast("t", 0));
+  // The delayed record still lands.
+  auto record = RunSync(sim_, slow.ConsumeLast("t", 0));
   EXPECT_EQ(record->value, "slow");
 }
 

@@ -109,7 +109,8 @@ class HostNetworkTest : public fwtest::SimTest {
     return {ns.id(), external};
   }
 
-  HostNetwork net_{sim_};
+  fwtest::Instruments inst_{sim_};
+  HostNetwork net_{sim_, inst_.injector};
 };
 
 TEST_F(HostNetworkTest, ExternalIpsAreUnique) {

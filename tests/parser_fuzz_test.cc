@@ -24,12 +24,13 @@ namespace {
 constexpr int kMutantsPerParser = 20'000;
 constexpr uint64_t kFuzzSeed = 0x5EED'F022;
 
-// Tokens that byte edits rarely build: non-finite numbers, escapes, JSON
+// Tokens that byte edits rarely build: non-finite numbers, a finite number
+// past 2^64 (a count cast from it would be undefined), escapes, JSON
 // punctuation, and a nesting run far deeper than any recursion bound.
 const std::vector<std::string>& Dictionary() {
   static const std::vector<std::string> tokens = {
-      "nan", "inf", "-", "1e999", "\\u", "\\ud800", "\"", "[", "]", "{", "}", ",", ":", "=",
-      "null", std::string(100'000, '[')};
+      "nan", "inf", "-", "1e999", "1e300", "\\u", "\\ud800", "\"", "[", "]", "{", "}", ",",
+      ":", "=", "null", std::string(100'000, '[')};
   return tokens;
 }
 

@@ -282,7 +282,8 @@ fwcluster::SloConfig TestSloConfig() {
 
 TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
   fwcluster::AppTable apps;
-  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), obs);
   EXPECT_EQ(slo.Attainment(), 1.0);  // Nothing recorded yet.
   for (int i = 0; i < 9; ++i) {
     slo.Record(apps.Intern("app-a"), true);
@@ -297,7 +298,8 @@ TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
 
 TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
   fwcluster::AppTable apps;
-  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), obs);
   // 50% errors, well above the 40% alerting line, sustained long enough to
   // light up the slow window too (16 buckets of 250 ms = 4 s).
   for (int tick = 0; tick < 20; ++tick) {
@@ -324,7 +326,8 @@ TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
 
 TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
   fwcluster::AppTable apps;
-  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), obs);
   // Steady good traffic fills both windows first; then one bucket of errors
   // burns the fast window hot (8 bad of 14 in-window = burn 5.7) while the
   // slow window stays diluted (8 of 38 = burn 2.1 < 4) -> no page. This is
@@ -352,7 +355,8 @@ TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
 
 TEST(SloMonitorTest, PerAppIsolation) {
   fwcluster::AppTable apps;
-  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), nullptr);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwcluster::SloMonitor slo(apps, TestSloConfig(), Duration::Millis(250), obs);
   for (int tick = 0; tick < 20; ++tick) {
     slo.Record(apps.Intern("victim"), false);
     slo.Record(apps.Intern("healthy"), true);
@@ -403,7 +407,8 @@ TEST(SloMonitorTest, RunningWindowSumsMatchBruteForceHistory) {
       config.fast_window = shape.fast;
       config.slow_window = shape.slow;
       fwcluster::AppTable apps;
-      fwcluster::SloMonitor slo(apps, config, Duration::Millis(250), nullptr);
+      fwobs::Observability obs(fwtest::StoppedClock());
+      fwcluster::SloMonitor slo(apps, config, Duration::Millis(250), obs);
       fwbase::Rng rng(seed);
       const double bad_fraction = rng.UniformDouble(0.0, 0.8);
       const double tick_chance = rng.UniformDouble(0.05, 0.6);

@@ -189,7 +189,8 @@ class AccessSequenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AccessSequenceTest, FrameAccountingBalances) {
   const uint64_t salt = GetParam();
-  fwmem::HostMemory host(8_GiB);
+  fwobs::Observability obs(fwtest::StoppedClock());
+  fwmem::HostMemory host(8_GiB, obs);
   std::shared_ptr<fwmem::SnapshotImage> image;
   {
     fwmem::AddressSpace builder(host);

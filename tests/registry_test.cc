@@ -122,7 +122,6 @@ TEST(ChunkCacheTest, EvictsColdestFirstAndTouchPromotes) {
   EXPECT_EQ(evicted[1], 3u);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_TRUE(cache.Contains(4));
-  EXPECT_EQ(cache.evictions(), 2u);
 }
 
 TEST(ChunkCacheTest, OversizedChunkRefusedWithoutCollateralEviction) {
@@ -145,14 +144,15 @@ TEST(ChunkCacheTest, ResidentInsertIsATouch) {
   EXPECT_EQ(cache.used_bytes(), 300u);
 }
 
-TEST(ChunkCacheTest, LookupCountsHitsAndMisses) {
+TEST(ChunkCacheTest, LookupHitPromotes) {
   ChunkCache cache(100);
   cache.Insert(7, 50);
-  EXPECT_TRUE(cache.Lookup(7));
-  EXPECT_FALSE(cache.Lookup(8));
-  EXPECT_TRUE(cache.Lookup(7));
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
+  cache.Insert(8, 50);
+  EXPECT_TRUE(cache.Lookup(7));  // 7 is now hottest; 8 is coldest.
+  EXPECT_FALSE(cache.Lookup(9));
+  const std::vector<uint64_t> evicted = cache.Insert(10, 50);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0], 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,13 +236,29 @@ TEST(ManifestTest, ParseRejectsMalformedInput) {
   ASSERT_NE(pos, std::string::npos);
   wire.replace(pos, 16, "zz0000000000002a");
   EXPECT_FALSE(SnapshotManifest::Parse(wire).ok());
+  // Counts are integers below 2^64: a fraction would truncate, and casting a
+  // double at or past 2^64 to uint64_t is undefined behaviour.
+  const std::string field = "\"image_bytes\":10";
+  const std::string valid = m.ToJson();
+  ASSERT_NE(valid.find(field), std::string::npos);
+  for (const char* bad : {"1e300", "18446744073709551616", "1.5", "-1"}) {
+    std::string count = valid;
+    count.replace(count.find(field), field.size(), std::string("\"image_bytes\":") + bad);
+    EXPECT_FALSE(SnapshotManifest::Parse(count).ok()) << bad;
+  }
+  // The largest double below 2^64 is a count.
+  std::string largest = valid;
+  largest.replace(largest.find(field), field.size(), "\"image_bytes\":18446744073709549568");
+  auto parsed = SnapshotManifest::Parse(largest);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->image_bytes, 18446744073709549568ull);
 }
 
 // ---------------------------------------------------------------------------
 // SnapshotRegistry bookkeeping.
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotRegistryTest, PublishFetchAndCounters) {
+TEST(SnapshotRegistryTest, PublishAndFetch) {
   SnapshotRegistry registry;
   SnapshotManifest m;
   m.app = "app-0";
@@ -264,10 +280,6 @@ TEST(SnapshotRegistryTest, PublishFetchAndCounters) {
   ASSERT_TRUE(chunk.ok());
   EXPECT_EQ(*chunk, 1024u);
   EXPECT_FALSE(registry.FetchChunk(12345).ok());
-  // Counters track successful serves only; NotFound fetches do not count.
-  EXPECT_EQ(registry.manifest_fetches(), 1u);
-  EXPECT_EQ(registry.chunk_fetches(), 1u);
-  EXPECT_EQ(registry.bytes_served(), 1024u);
 }
 
 }  // namespace
@@ -288,8 +300,6 @@ using fwtest::RunSyncVoid;
 
 class DistributionTest : public fwtest::SimTest {
  protected:
-  DistributionTest() : obs_([] { return fwbase::SimTime(); }) {}
-
   DistributionConfig SmallConfig() {
     DistributionConfig config;
     config.enabled = true;
@@ -304,11 +314,11 @@ class DistributionTest : public fwtest::SimTest {
   AppId App(const std::string& name) { return apps_.Intern(name); }
 
   AppTable apps_;
-  fwobs::Observability obs_;
+  fwtest::Instruments inst_{sim_};
 };
 
 TEST_F(DistributionTest, ColdFetchInstallsThenHoldIsFree) {
-  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   EXPECT_TRUE(dist.Holds(0, App("app-0")));
   EXPECT_FALSE(dist.Holds(1, App("app-0")));
@@ -326,7 +336,7 @@ TEST_F(DistributionTest, ColdFetchInstallsThenHoldIsFree) {
 }
 
 TEST_F(DistributionTest, ConcurrentPullsCoalesceOntoOneFetch) {
-  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   int done = 0;
   for (int i = 0; i < 3; ++i) {
@@ -346,7 +356,7 @@ TEST_F(DistributionTest, ConcurrentPullsCoalesceOntoOneFetch) {
 
 TEST_F(DistributionTest, PeerServesChunksWhenAHolderExists) {
   DistributionConfig config = SmallConfig();
-  SnapshotDistribution dist(sim_, apps_, 4, config, obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 4, config, inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);  // Host 0's cache holds every chunk.
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, App("app-0"))).ok());
   EXPECT_EQ(dist.stats().bytes_from_registry, 0u);
@@ -356,7 +366,7 @@ TEST_F(DistributionTest, PeerServesChunksWhenAHolderExists) {
 TEST_F(DistributionTest, RegistryServesChunksWhenPeerFetchDisabled) {
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, apps_, 4, config, obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 4, config, inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(2, App("app-0"))).ok());
   EXPECT_EQ(dist.stats().bytes_from_peer, 0u);
@@ -364,7 +374,7 @@ TEST_F(DistributionTest, RegistryServesChunksWhenPeerFetchDisabled) {
 }
 
 TEST_F(DistributionTest, SharedBaseLayerComesFromCacheOnSecondApp) {
-  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 4, SmallConfig(), inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   dist.Publish(App("app-1"), 0);  // Same runtime: identical base layer.
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
@@ -376,7 +386,7 @@ TEST_F(DistributionTest, SharedBaseLayerComesFromCacheOnSecondApp) {
 }
 
 TEST_F(DistributionTest, UnpublishedAppDegradesToColdBoot) {
-  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), inst_.obs, inst_.injector);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("ghost-app"))).ok());
   EXPECT_TRUE(dist.Holds(1, App("ghost-app")));  // Booted from source.
   EXPECT_EQ(dist.stats().cold_boots, 1u);
@@ -389,7 +399,7 @@ TEST_F(DistributionTest, RegistryDownThroughAllRetriesColdBoots) {
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, &injector);
+  SnapshotDistribution dist(sim_, apps_, 2, config, inst_.obs, injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_TRUE(dist.Holds(1, App("app-0")));
@@ -408,7 +418,7 @@ TEST_F(DistributionTest, CorruptChunkRetriesAgainstRegistryAndSucceeds) {
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
   DistributionConfig config = SmallConfig();
   config.peer_fetch = false;
-  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, &injector);
+  SnapshotDistribution dist(sim_, apps_, 2, config, inst_.obs, injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_TRUE(dist.Holds(1, App("app-0")));
@@ -421,7 +431,7 @@ TEST_F(DistributionTest, CorruptPeerChunkFallsBackToRegistry) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kChunkCorruption, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, fwtest::PerTestSeed());
-  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, &injector);
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), inst_.obs, injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   // The first peer transfer was corrupt; that chunk came from the registry
@@ -434,7 +444,7 @@ TEST_F(DistributionTest, CorruptPeerChunkFallsBackToRegistry) {
 
 TEST_F(DistributionTest, WorkingSetPrefetchBeatsDemandFaulting) {
   DistributionConfig config = SmallConfig();
-  SnapshotDistribution prefetch(sim_, apps_, 2, config, obs_, nullptr);
+  SnapshotDistribution prefetch(sim_, apps_, 2, config, inst_.obs, inst_.injector);
   prefetch.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, prefetch.EnsureSnapshot(1, App("app-0"))).ok());
   const fwbase::SimTime before = sim_.Now();
@@ -446,7 +456,7 @@ TEST_F(DistributionTest, WorkingSetPrefetchBeatsDemandFaulting) {
 
   // Same image without REAP restore: pay one random read per touched page.
   config.working_set_restore = false;
-  SnapshotDistribution demand(sim_, apps_, 2, config, obs_, nullptr);
+  SnapshotDistribution demand(sim_, apps_, 2, config, inst_.obs, inst_.injector);
   demand.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, demand.EnsureSnapshot(1, App("app-0"))).ok());
   const fwbase::SimTime before_demand = sim_.Now();
@@ -462,7 +472,7 @@ TEST_F(DistributionTest, WorkingSetPrefetchBeatsDemandFaulting) {
 }
 
 TEST_F(DistributionTest, RestartKeepsDiskStateButNeedsRewarm) {
-  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 2, SmallConfig(), inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
@@ -479,7 +489,7 @@ TEST_F(DistributionTest, CacheEvictionsRetirePeerIndexEntries) {
   DistributionConfig config = SmallConfig();
   // Budget holds half of one image: pulling forces continuous eviction.
   config.cache_budget_bytes = 5ull << 20;
-  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 2, config, inst_.obs, inst_.injector);
   dist.Publish(App("app-0"), 0);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_GT(dist.stats().cache_evictions, 0u);
@@ -489,7 +499,7 @@ TEST_F(DistributionTest, CacheEvictionsRetirePeerIndexEntries) {
 
 TEST_F(DistributionTest, DisabledTierIsInert) {
   DistributionConfig config;  // enabled = false.
-  SnapshotDistribution dist(sim_, apps_, 2, config, obs_, nullptr);
+  SnapshotDistribution dist(sim_, apps_, 2, config, inst_.obs, inst_.injector);
   ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(sim_.Now(), fwbase::SimTime::Zero());

@@ -32,10 +32,11 @@ class ContainerEngineTest : public fwtest::SimTest {
     return image;
   }
 
-  fwmem::HostMemory host_{64_GiB};
-  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
-  fwstore::SnapshotStore store_{sim_, dev_, 32_GiB};
-  ContainerEngine engine_{sim_, host_, store_};
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{64_GiB, inst_.obs};
+  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}, inst_.injector};
+  fwstore::SnapshotStore store_{sim_, dev_, 32_GiB, inst_.obs, inst_.injector};
+  ContainerEngine engine_{sim_, host_, store_, inst_.injector};
 };
 
 TEST_F(ContainerEngineTest, RuncCreateIsFasterThanGvisor) {
@@ -141,30 +142,31 @@ TEST_F(ContainerEngineTest, RuntimeNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-twin tests: the same lifecycle paths with an injector attached.
+// Fault-twin tests: the same lifecycle paths on an engine whose injector has
+// a plan.
 // ---------------------------------------------------------------------------
 
 TEST_F(ContainerEngineTest, UnpauseCrashFaultKillsContainerWithTypedError) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kSandboxCrash, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 3);
-  engine_.set_fault_injector(&injector);
+  ContainerEngine engine(sim_, host_, store_, injector);
 
   Container* c = RunSync(
-      sim_, engine_.CreateContainer("c", ContainerConfig(ContainerRuntime::kRunc), nullptr));
-  ASSERT_TRUE(RunSync(sim_, engine_.Pause(*c)).ok());
-  Status resumed = RunSync(sim_, engine_.Unpause(*c));
+      sim_, engine.CreateContainer("c", ContainerConfig(ContainerRuntime::kRunc), nullptr));
+  ASSERT_TRUE(RunSync(sim_, engine.Pause(*c)).ok());
+  Status resumed = RunSync(sim_, engine.Unpause(*c));
   EXPECT_EQ(resumed.code(), fwbase::StatusCode::kUnavailable);
   EXPECT_EQ(c->state(), ContainerState::kDead);
   // Destroying the dead container releases everything.
-  EXPECT_TRUE(engine_.Destroy(*c).ok());
+  EXPECT_TRUE(engine.Destroy(*c).ok());
   EXPECT_EQ(host_.used_bytes(), 0u);
 
   // Budget spent: the next cycle works.
   Container* c2 = RunSync(
-      sim_, engine_.CreateContainer("c2", ContainerConfig(ContainerRuntime::kRunc), nullptr));
-  ASSERT_TRUE(RunSync(sim_, engine_.Pause(*c2)).ok());
-  EXPECT_TRUE(RunSync(sim_, engine_.Unpause(*c2)).ok());
+      sim_, engine.CreateContainer("c2", ContainerConfig(ContainerRuntime::kRunc), nullptr));
+  ASSERT_TRUE(RunSync(sim_, engine.Pause(*c2)).ok());
+  EXPECT_TRUE(RunSync(sim_, engine.Unpause(*c2)).ok());
 }
 
 TEST_F(ContainerEngineTest, RestoreCrashFaultRegistersNothing) {
@@ -176,40 +178,43 @@ TEST_F(ContainerEngineTest, RestoreCrashFaultRegistersNothing) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kSandboxCrash, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 3);
-  engine_.set_fault_injector(&injector);
+  ContainerEngine engine(sim_, host_, store_, injector);
 
-  auto crashed = RunSync(sim_, engine_.RestoreCheckpoint(
+  auto crashed = RunSync(sim_, engine.RestoreCheckpoint(
                                    "cp", "c2", ContainerConfig(ContainerRuntime::kGvisor)));
   EXPECT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), fwbase::StatusCode::kUnavailable);
-  EXPECT_EQ(engine_.live_container_count(), 0u);
+  EXPECT_EQ(engine.live_container_count(), 0u);
   EXPECT_EQ(host_.used_bytes(), 0u);
 
   // Budget spent: the retry restores normally.
-  auto restored = RunSync(sim_, engine_.RestoreCheckpoint(
+  auto restored = RunSync(sim_, engine.RestoreCheckpoint(
                                     "cp", "c3", ContainerConfig(ContainerRuntime::kGvisor)));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)->state(), ContainerState::kRunning);
 }
 
 TEST_F(ContainerEngineTest, EmptyPlanInjectorIsInert) {
-  // Happy-path twin of PauseUnpauseLifecycle with an inert injector attached.
+  // Happy-path twin of PauseUnpauseLifecycle: an empty plan draws nothing, so
+  // a twin whose empty-plan injector has another seed unpauses in exactly the
+  // same time, and neither injector ever trips.
   Container* baseline = RunSync(
       sim_, engine_.CreateContainer("c", ContainerConfig(ContainerRuntime::kRunc), nullptr));
   ASSERT_TRUE(RunSync(sim_, engine_.Pause(*baseline)).ok());
   auto t0 = sim_.Now();
   ASSERT_TRUE(RunSync(sim_, engine_.Unpause(*baseline)).ok());
-  const auto without_injector = sim_.Now() - t0;
+  const auto baseline_unpause = sim_.Now() - t0;
 
   fwfault::FaultInjector injector(sim_, fwfault::FaultPlan(), 3);
-  engine_.set_fault_injector(&injector);
+  ContainerEngine engine(sim_, host_, store_, injector);
   Container* twin = RunSync(
-      sim_, engine_.CreateContainer("c2", ContainerConfig(ContainerRuntime::kRunc), nullptr));
-  ASSERT_TRUE(RunSync(sim_, engine_.Pause(*twin)).ok());
+      sim_, engine.CreateContainer("c2", ContainerConfig(ContainerRuntime::kRunc), nullptr));
+  ASSERT_TRUE(RunSync(sim_, engine.Pause(*twin)).ok());
   t0 = sim_.Now();
-  ASSERT_TRUE(RunSync(sim_, engine_.Unpause(*twin)).ok());
-  EXPECT_EQ((sim_.Now() - t0).nanos(), without_injector.nanos());
-  EXPECT_EQ(injector.total_trips(), 0u);
+  ASSERT_TRUE(RunSync(sim_, engine.Unpause(*twin)).ok());
+  EXPECT_EQ((sim_.Now() - t0).nanos(), baseline_unpause.nanos());
+  EXPECT_EQ(inst_.injector.total_trips() + injector.total_trips(), 0u);
+  EXPECT_GT(inst_.injector.opportunities(fwfault::FaultKind::kSandboxCrash), 0u);
   EXPECT_GT(injector.opportunities(fwfault::FaultKind::kSandboxCrash), 0u);
 }
 

@@ -184,6 +184,19 @@ TEST(SourceTextTest, ValidationErrors) {
       {R"({"name":"f","language":"nodejs","entry":"m",
            "methods":[{"name":"m","ops":[["compute",-5]]}]})",
        "non-negative"},
+      // A fraction would truncate; a cast at or past 2^64 is undefined.
+      {R"({"name":"f","language":"nodejs","entry":"m",
+           "methods":[{"name":"m","ops":[["compute",1.5]]}]})",
+       "non-negative integer"},
+      {R"({"name":"f","language":"nodejs","entry":"m",
+           "methods":[{"name":"m","ops":[["compute",1e300]]}]})",
+       "below 2^64"},
+      {R"({"name":"f","language":"nodejs","entry":"m",
+           "methods":[{"name":"m","ops":[["compute",18446744073709551616]]}]})",
+       "below 2^64"},
+      {R"({"name":"f","language":"nodejs","entry":"m","package_kib":1e300,
+           "methods":[{"name":"m","ops":[]}]})",
+       "package_kib"},
       {R"({"name":"f","language":"nodejs","entry":"m",
            "methods":[{"name":"m","ops":[["compute",10,1.5]]}]})",
        "friendliness"},

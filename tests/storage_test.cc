@@ -30,15 +30,18 @@ using namespace fwbase::literals;
 // BlockDevice.
 // ---------------------------------------------------------------------------
 
-class BlockDeviceTest : public fwtest::SimTest {};
-class FilesystemTest : public fwtest::SimTest {};
+class BlockDeviceTest : public fwtest::SimTest {
+ protected:
+  fwtest::Instruments inst_{sim_};
+};
+class FilesystemTest : public BlockDeviceTest {};
 
 TEST_F(BlockDeviceTest, ReadCostIsLatencyPlusTransfer) {
   Simulation& sim = sim_;
   BlockDevice::Config cfg;
   cfg.read_latency = 100_us;
   cfg.read_bw_bytes_per_sec = 1.0e9;
-  BlockDevice dev(sim, cfg);
+  BlockDevice dev(sim, cfg, inst_.injector);
   // 1 MB at 1 GB/s ≈ 1 ms transfer + 100us latency.
   EXPECT_NEAR(dev.ReadCost(1'000'000).millis(), 1.1, 0.01);
 }
@@ -48,7 +51,7 @@ TEST_F(BlockDeviceTest, OpsAdvanceSimulatedTime) {
   BlockDevice::Config cfg;
   cfg.write_latency = 50_us;
   cfg.write_bw_bytes_per_sec = 1.0e9;
-  BlockDevice dev(sim, cfg);
+  BlockDevice dev(sim, cfg, inst_.injector);
   RunSyncVoid(sim, dev.Write(1'000'000));
   EXPECT_NEAR((sim.Now() - fwbase::SimTime::Zero()).millis(), 1.05, 0.01);
   EXPECT_EQ(dev.bytes_written(), 1'000'000u);
@@ -61,7 +64,7 @@ TEST_F(BlockDeviceTest, ParallelismBoundsConcurrency) {
   cfg.read_latency = 1_ms;
   cfg.read_bw_bytes_per_sec = 1.0e12;  // Transfer negligible.
   cfg.parallelism = 2;
-  BlockDevice dev(sim, cfg);
+  BlockDevice dev(sim, cfg, inst_.injector);
   for (int i = 0; i < 4; ++i) {
     sim.Spawn(dev.Read(1));
   }
@@ -91,7 +94,7 @@ TEST_F(FilesystemTest, PersonalityOrderingMatchesPaper) {
 
 TEST_F(FilesystemTest, GoferSlowerThanOverlayEndToEnd) {
   Simulation& sim = sim_;
-  BlockDevice dev(sim, BlockDevice::Config{});
+  BlockDevice dev(sim, BlockDevice::Config{}, inst_.injector);
   Filesystem overlay(sim, dev, FsKind::kOverlayFs);
   Filesystem gofer(sim, dev, FsKind::kGofer);
 
@@ -122,12 +125,17 @@ class SnapshotStoreTest : public fwtest::SimTest {
     return space.TakeSnapshot(name);
   }
 
-  fwmem::HostMemory host_{8_GiB};
-  BlockDevice dev_{sim_, BlockDevice::Config{}};
+  uint64_t Count(const std::string& counter) const {
+    return inst_.obs.metrics().CounterValue(counter);
+  }
+
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{8_GiB, inst_.obs};
+  BlockDevice dev_{sim_, BlockDevice::Config{}, inst_.injector};
 };
 
 TEST_F(SnapshotStoreTest, SaveAndGet) {
-  SnapshotStore store(sim_, dev_, 100 * kPageSize);
+  SnapshotStore store(sim_, dev_, 100 * kPageSize, inst_.obs, inst_.injector);
   auto status = RunSync(sim_, store.Save(MakeImage("f1", 10)));
   EXPECT_TRUE(status.ok());
   EXPECT_TRUE(store.Contains("f1"));
@@ -135,11 +143,11 @@ TEST_F(SnapshotStoreTest, SaveAndGet) {
   auto got = store.Get("f1");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ((*got)->name(), "f1");
-  EXPECT_EQ(store.hits(), 1u);
+  EXPECT_EQ(Count("store.snapshot.hit.count"), 1u);
 }
 
 TEST_F(SnapshotStoreTest, SavePaysDiskWriteTime) {
-  SnapshotStore store(sim_, dev_, 1_GiB);
+  SnapshotStore store(sim_, dev_, 1_GiB, inst_.obs, inst_.injector);
   const auto t0 = sim_.Now();
   ASSERT_TRUE(RunSync(sim_, store.Save(MakeImage("big", 25600))).ok());  // 100 MiB.
   const Duration elapsed = sim_.Now() - t0;
@@ -149,20 +157,21 @@ TEST_F(SnapshotStoreTest, SavePaysDiskWriteTime) {
 }
 
 TEST_F(SnapshotStoreTest, DuplicateSaveFails) {
-  SnapshotStore store(sim_, dev_, 1_GiB);
+  SnapshotStore store(sim_, dev_, 1_GiB, inst_.obs, inst_.injector);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("f", 5))).ok());
   auto status = RunSync(sim_, store.Save(MakeImage("f", 5)));
   EXPECT_EQ(status.code(), fwbase::StatusCode::kAlreadyExists);
 }
 
 TEST_F(SnapshotStoreTest, MissingGetIsMiss) {
-  SnapshotStore store(sim_, dev_, 1_GiB);
+  SnapshotStore store(sim_, dev_, 1_GiB, inst_.obs, inst_.injector);
   EXPECT_FALSE(store.Get("nope").ok());
-  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(Count("store.snapshot.miss.count"), 1u);
 }
 
 TEST_F(SnapshotStoreTest, LruEvictsColdestFirst) {
-  SnapshotStore store(sim_, dev_, 30 * kPageSize, SnapshotStore::EvictionPolicy::kLru);
+  SnapshotStore store(sim_, dev_, 30 * kPageSize, inst_.obs, inst_.injector,
+                      SnapshotStore::EvictionPolicy::kLru);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("a", 10))).ok());
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("b", 10))).ok());
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("c", 10))).ok());
@@ -173,11 +182,12 @@ TEST_F(SnapshotStoreTest, LruEvictsColdestFirst) {
   EXPECT_FALSE(store.Contains("b"));
   EXPECT_TRUE(store.Contains("c"));
   EXPECT_TRUE(store.Contains("d"));
-  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_EQ(Count("store.snapshot.evict.count"), 1u);
 }
 
 TEST_F(SnapshotStoreTest, FifoIgnoresRecency) {
-  SnapshotStore store(sim_, dev_, 30 * kPageSize, SnapshotStore::EvictionPolicy::kFifo);
+  SnapshotStore store(sim_, dev_, 30 * kPageSize, inst_.obs, inst_.injector,
+                      SnapshotStore::EvictionPolicy::kFifo);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("a", 10))).ok());
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("b", 10))).ok());
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("c", 10))).ok());
@@ -187,7 +197,8 @@ TEST_F(SnapshotStoreTest, FifoIgnoresRecency) {
 }
 
 TEST_F(SnapshotStoreTest, PinnedEntriesSurviveEviction) {
-  SnapshotStore store(sim_, dev_, 30 * kPageSize, SnapshotStore::EvictionPolicy::kLru);
+  SnapshotStore store(sim_, dev_, 30 * kPageSize, inst_.obs, inst_.injector,
+                      SnapshotStore::EvictionPolicy::kLru);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("hot", 10))).ok());
   EXPECT_TRUE(store.Pin("hot").ok());
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("x", 10))).ok());
@@ -198,20 +209,22 @@ TEST_F(SnapshotStoreTest, PinnedEntriesSurviveEviction) {
 }
 
 TEST_F(SnapshotStoreTest, NoPolicyRejectsWhenFull) {
-  SnapshotStore store(sim_, dev_, 15 * kPageSize, SnapshotStore::EvictionPolicy::kNone);
+  SnapshotStore store(sim_, dev_, 15 * kPageSize, inst_.obs, inst_.injector,
+                      SnapshotStore::EvictionPolicy::kNone);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("a", 10))).ok());
   auto status = RunSync(sim_, store.Save(MakeImage("b", 10)));
   EXPECT_EQ(status.code(), fwbase::StatusCode::kResourceExhausted);
 }
 
 TEST_F(SnapshotStoreTest, OversizedImageRejected) {
-  SnapshotStore store(sim_, dev_, 5 * kPageSize, SnapshotStore::EvictionPolicy::kLru);
+  SnapshotStore store(sim_, dev_, 5 * kPageSize, inst_.obs, inst_.injector,
+                      SnapshotStore::EvictionPolicy::kLru);
   auto status = RunSync(sim_, store.Save(MakeImage("huge", 10)));
   EXPECT_EQ(status.code(), fwbase::StatusCode::kResourceExhausted);
 }
 
 TEST_F(SnapshotStoreTest, RemoveFreesSpace) {
-  SnapshotStore store(sim_, dev_, 1_GiB);
+  SnapshotStore store(sim_, dev_, 1_GiB, inst_.obs, inst_.injector);
   EXPECT_TRUE(RunSync(sim_, store.Save(MakeImage("a", 10))).ok());
   EXPECT_TRUE(store.Remove("a").ok());
   EXPECT_EQ(store.used_bytes(), 0u);
@@ -222,9 +235,9 @@ TEST_F(SnapshotStoreTest, RemoveFreesSpace) {
 // DocumentDb.
 // ---------------------------------------------------------------------------
 
-class DocumentDbTest : public fwtest::SimTest {
+class DocumentDbTest : public BlockDeviceTest {
  protected:
-  BlockDevice dev_{sim_, BlockDevice::Config{}};
+  BlockDevice dev_{sim_, BlockDevice::Config{}, inst_.injector};
   Filesystem fs_{sim_, dev_, FsKind::kHostDirect};
   DocumentDb db_{sim_, fs_};
 };

@@ -1,5 +1,5 @@
-// Shared helpers for driving coroutines to completion inside tests, plus the
-// per-test simulation fixture.
+// Shared helpers for driving coroutines to completion inside tests, the
+// per-test simulation fixture, and the instruments a host subsystem takes.
 #ifndef FIREWORKS_TESTS_TEST_UTIL_H_
 #define FIREWORKS_TESTS_TEST_UTIL_H_
 
@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/fault/fault.h"
+#include "src/obs/observability.h"
 #include "src/simcore/run_sync.h"
 #include "src/simcore/simulation.h"
 
@@ -44,6 +46,23 @@ class SimTest : public ::testing::Test {
   SimTest() : sim_(PerTestSeed()) {}
 
   fwsim::Simulation sim_;
+};
+
+// The clock of an Observability in a test that runs no simulation.
+inline fwobs::SimClockFn StoppedClock() {
+  return [] { return fwbase::SimTime::Zero(); };
+}
+
+// The instruments a host subsystem takes at construction, for a test that
+// builds one without a HostEnv: an Observability on `sim`'s clock (its tracer
+// and profiler stay off until the test enables them) and an empty-plan
+// FaultInjector, which draws no randomness and never fires.
+struct Instruments {
+  explicit Instruments(fwsim::Simulation& sim)
+      : obs([&sim] { return sim.Now(); }), injector(sim, fwfault::FaultPlan(), /*seed=*/0) {}
+
+  fwobs::Observability obs;
+  fwfault::FaultInjector injector;
 };
 
 }  // namespace fwtest

@@ -29,17 +29,23 @@ class HypervisorTest : public ::testing::Test {
  protected:
   Duration Elapsed(fwbase::SimTime t0) const { return sim_.Now() - t0; }
 
-  MicroVm* CreateBooted(const std::string& name) {
-    MicroVm* vm = RunSync(sim_, hv_.CreateMicroVm(name));
-    FW_CHECK(RunSync(sim_, hv_.BootGuestOs(*vm)).ok());
+  MicroVm* CreateBooted(const std::string& name) { return CreateBooted(hv_, name); }
+  MicroVm* CreateBooted(Hypervisor& hv, const std::string& name) {
+    MicroVm* vm = RunSync(sim_, hv.CreateMicroVm(name));
+    FW_CHECK(RunSync(sim_, hv.BootGuestOs(*vm)).ok());
     return vm;
   }
 
+  uint64_t Count(const std::string& counter) const {
+    return inst_.obs.metrics().CounterValue(counter);
+  }
+
   Simulation sim_;
-  fwmem::HostMemory host_{128_GiB};
-  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}};
-  fwstore::SnapshotStore store_{sim_, dev_, 64_GiB};
-  Hypervisor hv_{sim_, host_, store_};
+  fwtest::Instruments inst_{sim_};
+  fwmem::HostMemory host_{128_GiB, inst_.obs};
+  fwstore::BlockDevice dev_{sim_, fwstore::BlockDevice::Config{}, inst_.injector};
+  fwstore::SnapshotStore store_{sim_, dev_, 64_GiB, inst_.obs, inst_.injector};
+  Hypervisor hv_{sim_, host_, store_, inst_.obs, inst_.injector};
 };
 
 TEST_F(HypervisorTest, CreateMicroVmTakesSetupTime) {
@@ -50,7 +56,7 @@ TEST_F(HypervisorTest, CreateMicroVmTakesSetupTime) {
   // api + process + kvm + devices ≈ 81 ms with default config.
   EXPECT_GT(Elapsed(t0).millis(), 60.0);
   EXPECT_LT(Elapsed(t0).millis(), 120.0);
-  EXPECT_EQ(hv_.vms_created(), 1u);
+  EXPECT_EQ(Count("hv.vm.create.count"), 1u);
   EXPECT_EQ(hv_.live_vm_count(), 1u);
 }
 
@@ -92,7 +98,7 @@ TEST_F(HypervisorTest, SnapshotStoresImageAndLeavesVmPaused) {
   EXPECT_EQ((*image)->file_bytes(),
             Hypervisor::kKernelBootBytes + Hypervisor::kOsServicesBytes);
   EXPECT_TRUE((*image)->cache_warm());
-  EXPECT_EQ(hv_.snapshots_taken(), 1u);
+  EXPECT_EQ(Count("hv.snapshot.create.count"), 1u);
 }
 
 TEST_F(HypervisorTest, SnapshotOfConfiguredVmFails) {
@@ -113,7 +119,7 @@ TEST_F(HypervisorTest, RestoreIsMuchFasterThanColdBoot) {
   EXPECT_TRUE((*restored)->restored_from_snapshot());
   // Restore (~86 ms of VMM setup) must be far below cold boot (~870 ms).
   EXPECT_LT(restore_time.millis(), 150.0);
-  EXPECT_EQ(hv_.vms_restored(), 1u);
+  EXPECT_EQ(Count("hv.vm.restore.count"), 1u);
 }
 
 TEST_F(HypervisorTest, RestoredVmSharesPagesWithSiblings) {
@@ -214,28 +220,29 @@ TEST_F(HypervisorTest, VmStateNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-twin tests: the same lifecycle paths with an injector attached.
+// Fault-twin tests: the same lifecycle paths on a hypervisor whose injector
+// has a plan.
 // ---------------------------------------------------------------------------
 
 TEST_F(HypervisorTest, ResumeCrashFaultKillsVmWithTypedError) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kVmCrashOnResume, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 5);
-  hv_.set_fault_injector(&injector);
+  Hypervisor hv(sim_, host_, store_, inst_.obs, injector);
 
-  MicroVm* vm = CreateBooted("vm0");
-  ASSERT_TRUE(RunSync(sim_, hv_.Pause(*vm)).ok());
-  Status resumed = RunSync(sim_, hv_.Resume(*vm));
+  MicroVm* vm = CreateBooted(hv, "vm0");
+  ASSERT_TRUE(RunSync(sim_, hv.Pause(*vm)).ok());
+  Status resumed = RunSync(sim_, hv.Resume(*vm));
   EXPECT_EQ(resumed.code(), fwbase::StatusCode::kUnavailable);
   EXPECT_EQ(vm->state(), VmState::kDead);
   // A dead VM can still be destroyed cleanly — no leaked frames.
-  EXPECT_TRUE(hv_.Destroy(*vm).ok());
+  EXPECT_TRUE(hv.Destroy(*vm).ok());
   EXPECT_EQ(host_.used_bytes(), 0u);
 
   // The trip budget is spent: the next pause/resume cycle succeeds.
-  MicroVm* vm2 = CreateBooted("vm1");
-  ASSERT_TRUE(RunSync(sim_, hv_.Pause(*vm2)).ok());
-  EXPECT_TRUE(RunSync(sim_, hv_.Resume(*vm2)).ok());
+  MicroVm* vm2 = CreateBooted(hv, "vm1");
+  ASSERT_TRUE(RunSync(sim_, hv.Pause(*vm2)).ok());
+  EXPECT_TRUE(RunSync(sim_, hv.Resume(*vm2)).ok());
   EXPECT_EQ(injector.trips(fwfault::FaultKind::kVmCrashOnResume), 1u);
 }
 
@@ -247,37 +254,39 @@ TEST_F(HypervisorTest, RestoreCrashFaultRegistersNothing) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kVmCrashOnResume, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 5);
-  hv_.set_fault_injector(&injector);
+  Hypervisor hv(sim_, host_, store_, inst_.obs, injector);
 
-  auto crashed = RunSync(sim_, hv_.RestoreMicroVm("snap0", "clone0"));
+  auto crashed = RunSync(sim_, hv.RestoreMicroVm("snap0", "clone0"));
   EXPECT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), fwbase::StatusCode::kUnavailable);
-  EXPECT_EQ(hv_.live_vm_count(), 0u);
+  EXPECT_EQ(hv.live_vm_count(), 0u);
   EXPECT_EQ(host_.used_bytes(), 0u);
 
   // Budget spent: the retry restores normally from the same snapshot.
-  auto restored = RunSync(sim_, hv_.RestoreMicroVm("snap0", "clone1"));
+  auto restored = RunSync(sim_, hv.RestoreMicroVm("snap0", "clone1"));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)->state(), VmState::kRunning);
 }
 
 TEST_F(HypervisorTest, EmptyPlanInjectorIsInert) {
-  // Happy-path twin of PauseResumeRoundTrip: an attached injector with an
-  // empty plan changes neither behavior nor timing.
-  fwfault::FaultInjector injector(sim_, fwfault::FaultPlan(), 5);
+  // Happy-path twin of PauseResumeRoundTrip: an empty plan draws nothing, so
+  // a twin whose empty-plan injector has another seed resumes in exactly the
+  // same time, and neither injector ever trips.
   MicroVm* baseline = CreateBooted("vm0");
   ASSERT_TRUE(RunSync(sim_, hv_.Pause(*baseline)).ok());
   const auto t0 = sim_.Now();
   ASSERT_TRUE(RunSync(sim_, hv_.Resume(*baseline)).ok());
-  const Duration without_injector = Elapsed(t0);
+  const Duration baseline_resume = Elapsed(t0);
 
-  hv_.set_fault_injector(&injector);
-  MicroVm* twin = CreateBooted("vm1");
-  ASSERT_TRUE(RunSync(sim_, hv_.Pause(*twin)).ok());
+  fwfault::FaultInjector injector(sim_, fwfault::FaultPlan(), 5);
+  Hypervisor hv(sim_, host_, store_, inst_.obs, injector);
+  MicroVm* twin = CreateBooted(hv, "vm1");
+  ASSERT_TRUE(RunSync(sim_, hv.Pause(*twin)).ok());
   const auto t1 = sim_.Now();
-  ASSERT_TRUE(RunSync(sim_, hv_.Resume(*twin)).ok());
-  EXPECT_EQ(Elapsed(t1).nanos(), without_injector.nanos());
-  EXPECT_EQ(injector.total_trips(), 0u);
+  ASSERT_TRUE(RunSync(sim_, hv.Resume(*twin)).ok());
+  EXPECT_EQ(Elapsed(t1).nanos(), baseline_resume.nanos());
+  EXPECT_EQ(inst_.injector.total_trips() + injector.total_trips(), 0u);
+  EXPECT_GT(inst_.injector.opportunities(fwfault::FaultKind::kVmCrashOnResume), 0u);
   EXPECT_GT(injector.opportunities(fwfault::FaultKind::kVmCrashOnResume), 0u);
 }
 
