@@ -34,8 +34,12 @@ void SloMonitor::Record(AppId app, bool good) {
     by_id_.resize(static_cast<size_t>(app) + 1, nullptr);
   }
   if (by_id_[app] == nullptr) {
-    AppState& fresh = apps_[app_names_.name(app)];
+    const std::string& name = app_names_.name(app);
+    AppState& fresh = apps_[name];
     fresh.ring.resize(slow_buckets_);
+    fresh.burn_fast_gauge = &obs_.metrics().GetGauge("slo.burn.fast", name);
+    fresh.burn_slow_gauge = &obs_.metrics().GetGauge("slo.burn.slow", name);
+    fresh.attainment_gauge = &obs_.metrics().GetGauge("slo.attainment", name);
     by_id_[app] = &fresh;
   }
   AppState& state = *by_id_[app];
@@ -86,11 +90,6 @@ void SloMonitor::Tick() {
       state.alerting = false;
       fwobs::ScopedSpan span(&obs_.tracer(), "slo.alert_cleared", "slo");
       span.SetAttribute("app", app);
-    }
-    if (state.burn_fast_gauge == nullptr) {
-      state.burn_fast_gauge = &obs_.metrics().GetGauge("slo.burn.fast", app);
-      state.burn_slow_gauge = &obs_.metrics().GetGauge("slo.burn.slow", app);
-      state.attainment_gauge = &obs_.metrics().GetGauge("slo.attainment", app);
     }
     state.burn_fast_gauge->Set(state.burn_fast);
     state.burn_slow_gauge->Set(state.burn_slow);

@@ -106,8 +106,8 @@ class SloMonitor {
     // (the slow window), open bucket included.
     Bucket fast;
     Bucket slow;
-    // The app's slo.* gauges, resolved on its first Tick(): an app first
-    // seen after the last tick dumps no gauge lines.
+    // The app's slo.* gauges, resolved when the app is first recorded; they
+    // read zero until its first Tick().
     fwobs::Gauge* burn_fast_gauge = nullptr;
     fwobs::Gauge* burn_slow_gauge = nullptr;
     fwobs::Gauge* attainment_gauge = nullptr;
