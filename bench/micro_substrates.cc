@@ -212,8 +212,9 @@ void BM_SnapshotTake(benchmark::State& state) {
 BENCHMARK(BM_SnapshotTake);
 
 void BM_BrokerRoundTrip(benchmark::State& state) {
-  fwobs::Observability obs(StoppedClock);
   for (auto _ : state) {
+    // One registry per broker: bus.queue.depth reads the broker's own count.
+    fwobs::Observability obs(StoppedClock);
     fwsim::Simulation sim;
     fwfault::FaultInjector injector(sim, fwfault::FaultPlan(), /*seed=*/0);
     fwbus::Broker broker(sim, obs, injector);

@@ -40,6 +40,8 @@ void SloMonitor::Record(AppId app, bool good) {
     fresh.burn_fast_gauge = &obs_.metrics().GetGauge("slo.burn.fast", name);
     fresh.burn_slow_gauge = &obs_.metrics().GetGauge("slo.burn.slow", name);
     fresh.attainment_gauge = &obs_.metrics().GetGauge("slo.attainment", name);
+    // Unsampled until the next Tick: read as met, the monitor's no-data value.
+    fresh.attainment_gauge->Set(1.0);
     by_id_[app] = &fresh;
   }
   AppState& state = *by_id_[app];

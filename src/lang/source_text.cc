@@ -1,5 +1,7 @@
 #include "src/lang/source_text.h"
 
+#include <cstdint>
+
 #include "src/base/strings.h"
 #include "src/base/units.h"
 #include "src/lang/json.h"
@@ -16,6 +18,18 @@ Status FieldError(const std::string& context, const std::string& reason) {
   return Status::InvalidArgument(context + ": " + reason);
 }
 
+// A KiB count from outside input, in bytes; a count whose byte size would
+// wrap a uint64_t is rejected.
+Result<uint64_t> KibAsBytes(const JsonValue* value) {
+  Result<uint64_t> kib = JsonCount(value);
+  if (!kib.ok()) {
+    return kib.status();
+  }
+  if (*kib > UINT64_MAX / fwbase::kKiB) {
+    return Status::InvalidArgument("expected a KiB count below 2^54");
+  }
+  return *kib * fwbase::kKiB;
+}
 
 Result<Op> ParseOp(const JsonValue& json, const std::string& context) {
   if (!json.is_array() || json.AsArray().empty() || !json.AsArray()[0].is_string()) {
@@ -161,11 +175,11 @@ Result<FunctionSource> ParseFunctionSource(std::string_view json_text) {
 
   uint64_t package_bytes = 0;
   if (const JsonValue* package = document->Find("package_kib"); package != nullptr) {
-    auto kib = JsonCount(package);
-    if (!kib.ok()) {
-      return FieldError("package_kib", kib.status().message());
+    auto bytes = KibAsBytes(package);
+    if (!bytes.ok()) {
+      return FieldError("package_kib", bytes.status().message());
     }
-    package_bytes = *kib * fwbase::kKiB;
+    package_bytes = *bytes;
   }
 
   const JsonValue* methods_field = document->Find("methods");
@@ -191,14 +205,14 @@ Result<FunctionSource> ParseFunctionSource(std::string_view json_text) {
     }
     uint64_t code_bytes = 2 * fwbase::kKiB;
     if (const JsonValue* code = method_json.Find("code_kib"); code != nullptr) {
-      auto kib = JsonCount(code);
-      if (!kib.ok()) {
-        return FieldError(context + ".code_kib", kib.status().message());
+      auto bytes = KibAsBytes(code);
+      if (!bytes.ok()) {
+        return FieldError(context + ".code_kib", bytes.status().message());
       }
-      if (*kib == 0) {
+      if (*bytes == 0) {
         return FieldError(context, "code_kib must be positive");
       }
-      code_bytes = *kib * fwbase::kKiB;
+      code_bytes = *bytes;
     }
     const JsonValue* ops_field = method_json.Find("ops");
     if (ops_field == nullptr || !ops_field->is_array()) {

@@ -53,7 +53,9 @@ class Broker {
   // end-to-end produce/consume latencies, outstanding-record queue-depth
   // gauge). `injector` may drop an acked record before it lands, append it
   // twice, or add delivery latency (all inside Produce). Both must outlive
-  // the broker.
+  // the broker. Each Observability has exactly one Broker: the depth gauge
+  // subtracts the registry's bus.consume.count from this broker's own
+  // records_produced().
   Broker(fwsim::Simulation& sim, fwobs::Observability& obs, fwfault::FaultInjector& injector);
 
   Status CreateTopic(const std::string& topic, int partitions = 1);

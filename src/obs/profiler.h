@@ -22,12 +22,11 @@
 // Usage follows the metrics-instrument idiom: resolve a ScopeId once
 // (RegisterScope), then pay one branch per enter/exit when disabled:
 //
-//   void Broker::set_observability(Observability* obs) {
-//     profiler_ = &obs->profiler();
-//     produce_scope_ = profiler_->RegisterScope("bus.produce");
-//   }
+//   Broker::Broker(..., Observability& obs, ...)
+//       : profiler_(obs.profiler()),
+//         produce_scope_(profiler_.RegisterScope("bus.produce")) {}
 //   ...
-//   { FW_PROFILE_SCOPE_ID(profiler_, produce_scope_); /* hot work */ }
+//   { FW_PROFILE_SCOPE_ID(&profiler_, produce_scope_); /* hot work */ }
 //
 // Scopes nest into call paths (a path-tree keyed by scope id), which is what
 // the collapsed-stack exporter in export.h flattens into flamegraph input.

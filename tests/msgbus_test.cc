@@ -26,6 +26,9 @@ class BrokerTest : public fwtest::SimTest {
 
   fwtest::Instruments inst_{sim_};
   Broker broker_{sim_, inst_.obs, inst_.injector};
+  // The registry of a test's second, faulted broker: an Observability has
+  // one Broker, whose own count feeds the bus.queue.depth gauge.
+  fwobs::Observability twin_obs_{[this] { return sim_.Now(); }};
 };
 
 TEST_F(BrokerTest, CreateAndDeleteTopics) {
@@ -143,6 +146,7 @@ TEST_F(BrokerTest, CountersTrack) {
   EXPECT_EQ(broker_.records_produced(), 2u);
   EXPECT_EQ(Count("bus.produce.count"), 2u);
   EXPECT_EQ(Count("bus.consume.count"), 1u);
+  EXPECT_EQ(inst_.obs.metrics().GaugeValue("bus.queue.depth"), 1.0);
 }
 
 TEST_F(BrokerTest, ManyInstanceTopicsPattern) {
@@ -188,7 +192,7 @@ TEST_F(BrokerTest, DropFaultAcksButRecordNeverLands) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDropMessage, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  Broker broker(sim_, inst_.obs, injector);
+  Broker broker(sim_, twin_obs_, injector);
 
   ASSERT_TRUE(broker.CreateTopic("t").ok());
   // The producer is lied to (acks=1 semantics): it receives an offset...
@@ -212,7 +216,7 @@ TEST_F(BrokerTest, DuplicateFaultAppendsRecordTwice) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDuplicateMessage, 1.0, /*max_trips=*/1);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  Broker broker(sim_, inst_.obs, injector);
+  Broker broker(sim_, twin_obs_, injector);
 
   ASSERT_TRUE(broker.CreateTopic("t").ok());
   ASSERT_TRUE(RunSync(sim_, broker.Produce("t", 0, {"", "dup"})).ok());
@@ -224,7 +228,7 @@ TEST_F(BrokerTest, DuplicateFaultAppendsRecordTwice) {
   EXPECT_EQ(second->value, "dup");
   // Two records landed for one acked produce.
   EXPECT_EQ(broker.records_produced(), 2u);
-  EXPECT_EQ(Count("bus.produce.count"), 1u);
+  EXPECT_EQ(twin_obs_.metrics().CounterValue("bus.produce.count"), 1u);
 }
 
 TEST_F(BrokerTest, DelayFaultAddsDeterministicLatency) {
@@ -236,14 +240,19 @@ TEST_F(BrokerTest, DelayFaultAddsDeterministicLatency) {
   fwfault::FaultPlan plan;
   plan.Set(fwfault::FaultKind::kBrokerDelayMessage, 1.0);
   fwfault::FaultInjector injector(sim_, plan, 9);
-  Broker slow(sim_, inst_.obs, injector);
+  Broker slow(sim_, twin_obs_, injector);
   ASSERT_TRUE(slow.CreateTopic("t").ok());
+  ASSERT_TRUE(RunSync(sim_, slow.Produce("t", 0, {"", "first"})).ok());
   const auto slow_t0 = sim_.Now();
   ASSERT_TRUE(RunSync(sim_, slow.Produce("t", 0, {"", "slow"})).ok());
   const auto slow_elapsed = sim_.Now() - slow_t0;
   EXPECT_GT(slow_elapsed.nanos(), base_elapsed.nanos());
-  // The delayed record still lands.
+  // The delayed record still lands, in order.
+  auto first = RunSync(sim_, slow.ConsumeAt("t", 0, 0));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->value, "first");
   auto record = RunSync(sim_, slow.ConsumeLast("t", 0));
+  ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->value, "slow");
 }
 

@@ -294,6 +294,10 @@ TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
   EXPECT_DOUBLE_EQ(slo.WorstAttainment(), 0.9);  // app-a, not the fleet mean.
   EXPECT_EQ(slo.total(), 11u);
   EXPECT_EQ(slo.good(), 10u);
+  // The per-app gauge reads as met until a tick samples it.
+  EXPECT_EQ(obs.metrics().GaugeValue("slo.attainment", "app-a"), 1.0);
+  slo.Tick();
+  EXPECT_DOUBLE_EQ(obs.metrics().GaugeValue("slo.attainment", "app-a"), 0.9);
 }
 
 TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {

@@ -197,6 +197,13 @@ TEST(SourceTextTest, ValidationErrors) {
       {R"({"name":"f","language":"nodejs","entry":"m","package_kib":1e300,
            "methods":[{"name":"m","ops":[]}]})",
        "package_kib"},
+      // 2^54 KiB is 2^64 bytes: the byte size would wrap to zero.
+      {R"({"name":"f","language":"nodejs","entry":"m","package_kib":18014398509481984,
+           "methods":[{"name":"m","ops":[]}]})",
+       "package_kib: expected a KiB count below 2^54"},
+      {R"({"name":"f","language":"nodejs","entry":"m",
+           "methods":[{"name":"m","code_kib":18014398509481985,"ops":[]}]})",
+       "code_kib: expected a KiB count below 2^54"},
       {R"({"name":"f","language":"nodejs","entry":"m",
            "methods":[{"name":"m","ops":[["compute",10,1.5]]}]})",
        "friendliness"},
