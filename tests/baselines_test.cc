@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/baselines/container_platform.h"
 #include "src/baselines/firecracker.h"
 #include "src/baselines/isolate.h"
@@ -456,6 +457,151 @@ TEST(BaselinePinnedTimingTest, ColdThenWarmInvocationIsUnchanged) {
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(DescribeInvocation(env, *cold), p.cold);
     EXPECT_EQ(DescribeInvocation(env, *warm), p.warm);
+  }
+}
+
+// The rest of the keep-alive lifecycle of each sandbox-manager baseline,
+// pinned the same way: install, the §5.1 prewarm, kept instances and their
+// PSS, and the crash fallbacks under a fault plan that always fires.
+struct PinnedLifecycle {
+  const char* name;
+  std::unique_ptr<fwcore::ServerlessPlatform> (*make)(HostEnv&);
+  const char* crash_plan;   // Crashes every warm resume and every restore.
+  int64_t install_ns;
+  const char* prewarmed;    // The invocation after Prewarm.
+  const char* kept;         // A kept instance...
+  const char* kept_steady;  // ...and a second one with steady_state.
+  const char* kept_pss;     // MeasurePssBytes with both kept, %.17g.
+  const char* crash_cold;   // Under crash_plan: a cold invocation...
+  const char* crash_warm;   // ...and the next one, whose resume crashes.
+};
+
+const PinnedLifecycle kLifecycles[] = {
+    {"openwhisk", Make<OpenWhiskPlatform>, "sandbox_crash=1", 705837003,
+     "cold=0 attempts=1 startup=58000000 exec=120447533 others=120464 total=178567997 |"
+     " invoke.startup=58000000 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=971179560 exec=120447533 others=120464 total=1091747557 |"
+     " invoke.startup=971179560 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=971179560 exec=120447533 others=120464 total=1091747557 |"
+     " invoke.startup=971179560 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "223936512",
+     "cold=1 attempts=1 startup=971179560 exec=120447533 others=120464 total=1091747557 |"
+     " invoke.startup=971179560 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=2 startup=1029179560 exec=120447533 others=120464 total=1149747557 |"
+     " invoke.startup=1029179560 invoke.params=60001 invoke.exec=120447533 invoke.response=60463"},
+    {"gvisor", Make<GvisorPlatform>, "sandbox_crash=1", 705837003,
+     "cold=0 attempts=1 startup=52300000 exec=137053038 others=120464 total=189473502 |"
+     " invoke.startup=52300000 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=1 attempts=1 startup=1103479560 exec=137053038 others=120464 total=1240653062 |"
+     " invoke.startup=1103479560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=1 attempts=1 startup=1103479560 exec=137053038 others=120464 total=1240653062 |"
+     " invoke.startup=1103479560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "223936512",
+     "cold=1 attempts=1 startup=1103479560 exec=137053038 others=120464 total=1240653062 |"
+     " invoke.startup=1103479560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=1 attempts=2 startup=1155779560 exec=137053038 others=120464 total=1292953062 |"
+     " invoke.startup=1155779560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463"},
+    {"gvisor-snapshot", Make<GvisorSnapshotPlatform>, "sandbox_crash=1", 1979766046,
+     "cold=0 attempts=1 startup=52300000 exec=137053038 others=120464 total=189473502 |"
+     " invoke.startup=52300000 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=1 attempts=1 startup=633300000 exec=140324538 others=120464 total=773745002 |"
+     " invoke.startup=633300000 invoke.params=60001 invoke.exec=140324538 invoke.response=60463",
+     "cold=1 attempts=1 startup=633300000 exec=140290338 others=120464 total=773710802 |"
+     " invoke.startup=633300000 invoke.params=60001 invoke.exec=140290338 invoke.response=60463",
+     "157622272",
+     "cold=1 attempts=1 startup=1736479560 exec=137053038 others=120464 total=1873653062 |"
+     " invoke.startup=1736479560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=1 attempts=2 startup=1788779560 exec=137053038 others=120464 total=1925953062 |"
+     " invoke.startup=1788779560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463"},
+    {"firecracker", Make<FirecrackerPlatform>, "vm_crash_on_resume=1", 683837003,
+     "cold=0 attempts=1 startup=60370000 exec=120447533 others=120464 total=180937997 |"
+     " invoke.startup=60370000 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=2488734200 exec=120447533 others=120464 total=2609302197 |"
+     " invoke.startup=2488734200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=2488734200 exec=120447533 others=120464 total=2609302197 |"
+     " invoke.startup=2488734200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "494469120",
+     "cold=1 attempts=1 startup=2488734200 exec=120447533 others=120464 total=2609302197 |"
+     " invoke.startup=2488734200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=2 startup=2548854200 exec=120447533 others=120464 total=2669422197 |"
+     " invoke.startup=2548854200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463"},
+    {"firecracker-os-snapshot", MakeFirecrackerOsSnapshot, "vm_crash_on_resume=1", 2920885599,
+     "cold=0 attempts=1 startup=60370000 exec=120447533 others=120464 total=180937997 |"
+     " invoke.startup=60370000 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=478098100 exec=120447533 others=120464 total=598666097 |"
+     " invoke.startup=478098100 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=1 startup=478198900 exec=120447533 others=120464 total=598766897 |"
+     " invoke.startup=478198900 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "289366016",
+     "cold=1 attempts=1 startup=2501854200 exec=120447533 others=120464 total=2622422197 |"
+     " invoke.startup=2501854200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463",
+     "cold=1 attempts=2 startup=2561974200 exec=120447533 others=120464 total=2682542197 |"
+     " invoke.startup=2561974200 invoke.params=60001 invoke.exec=120447533 invoke.response=60463"},
+};
+
+// Installs faas-fact on `env` and returns how long the install took.
+int64_t InstallFact(HostEnv& env, fwcore::ServerlessPlatform& platform) {
+  auto installed = RunSync(env.sim(), platform.Install(FactFn()));
+  EXPECT_TRUE(installed.ok());
+  return installed.ok() ? installed->total.nanos() : -1;
+}
+
+std::string DescribeNext(HostEnv& env, fwcore::ServerlessPlatform& platform,
+                         const InvokeOptions& options) {
+  auto result = RunSync(env.sim(), platform.Invoke(FactFn().name, "{}", options));
+  return result.ok() ? DescribeInvocation(env, *result) : result.status().ToString();
+}
+
+TEST(BaselinePinnedTimingTest, InstallIsUnchanged) {
+  for (const PinnedLifecycle& p : kLifecycles) {
+    SCOPED_TRACE(p.name);
+    HostEnv env;
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    EXPECT_EQ(InstallFact(env, *platform), p.install_ns);
+  }
+}
+
+TEST(BaselinePinnedTimingTest, PrewarmedInvocationIsUnchanged) {
+  for (const PinnedLifecycle& p : kLifecycles) {
+    SCOPED_TRACE(p.name);
+    HostEnv env;
+    env.tracer().Enable();
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    InstallFact(env, *platform);
+    ASSERT_TRUE(RunSync(env.sim(), platform->Prewarm(FactFn().name)).ok());
+    EXPECT_EQ(DescribeNext(env, *platform, InvokeOptions()), p.prewarmed);
+  }
+}
+
+TEST(BaselinePinnedTimingTest, KeptInstancesAreUnchanged) {
+  for (const PinnedLifecycle& p : kLifecycles) {
+    SCOPED_TRACE(p.name);
+    HostEnv env;
+    env.tracer().Enable();
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    InstallFact(env, *platform);
+    InvokeOptions keep;
+    keep.keep_instance = true;
+    EXPECT_EQ(DescribeNext(env, *platform, keep), p.kept);
+    keep.steady_state = true;
+    EXPECT_EQ(DescribeNext(env, *platform, keep), p.kept_steady);
+    EXPECT_EQ(fwbase::StrFormat("%.17g", platform->MeasurePssBytes()), p.kept_pss);
+  }
+}
+
+// A failed restore degrades to a full launch; a crashed warm resume falls
+// back to a cold start.
+TEST(BaselinePinnedTimingTest, CrashFallbacksAreUnchanged) {
+  for (const PinnedLifecycle& p : kLifecycles) {
+    SCOPED_TRACE(p.name);
+    HostEnv::Config config;
+    config.fault_plan = *fwfault::FaultPlan::Parse(p.crash_plan);
+    HostEnv env(config);
+    env.tracer().Enable();
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    InstallFact(env, *platform);
+    EXPECT_EQ(DescribeNext(env, *platform, InvokeOptions()), p.crash_cold);
+    EXPECT_EQ(DescribeNext(env, *platform, InvokeOptions()), p.crash_warm);
   }
 }
 

@@ -51,6 +51,14 @@ TEST(SyntheticChunksTest, TilesTotalBytesDeterministically) {
   EXPECT_EQ(a.back().bytes, 10'000'000u % (1u << 20));  // Last takes the remainder.
 }
 
+TEST(SyntheticChunksTest, DigestsAreStableAcrossBuilds) {
+  // Pinned values: chunk digests key every cache, peer index and registry
+  // book, so the goldens and replay digests depend on these never drifting.
+  const std::vector<ChunkRef> chunks = SyntheticChunks("base/nodejs", 10'000'000, 1 << 20);
+  EXPECT_EQ(chunks.front().digest, 0x8e4ed00e4170b3fdull);
+  EXPECT_EQ(chunks.back().digest, 0xaa25336d86bf3008ull);
+}
+
 TEST(SyntheticChunksTest, DistinctLayersDoNotShareAddresses) {
   const std::vector<ChunkRef> base = SyntheticChunks("base/nodejs", 1 << 22, 1 << 20);
   const std::vector<ChunkRef> delta = SyntheticChunks("delta/app-0", 1 << 22, 1 << 20);
