@@ -1,5 +1,5 @@
-// ContainerPlatform: shared machinery of the container-based baselines
-// (OpenWhisk on runc, gVisor as a sandbox manager).
+// ContainerPlatform: the container-based baselines (OpenWhisk on runc,
+// gVisor as a sandbox manager, and gVisor with checkpoint/restore starts).
 //
 // Cold start: controller handling → container create (runc or Sentry+Gofer)
 // → runtime boot inside the container (binary text shared via the rootfs
@@ -10,24 +10,14 @@
 #define FIREWORKS_SRC_BASELINES_CONTAINER_PLATFORM_H_
 
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/core/platform.h"
+#include "src/baselines/warm_sandbox.h"
 #include "src/sandbox/container.h"
 
 namespace fwbaselines {
 
-using fwcore::Duration;
-using fwcore::HostEnv;
-using fwcore::InstallResult;
-using fwcore::InvocationResult;
-using fwcore::InvokeOptions;
-using fwcore::Result;
-using fwcore::Status;
-
-class ContainerPlatform : public fwcore::ServerlessPlatform {
+class ContainerPlatform : public WarmSandboxPlatform<fwbox::Container> {
  public:
   struct Params {
     Params() {}
@@ -55,61 +45,42 @@ class ContainerPlatform : public fwcore::ServerlessPlatform {
   ContainerPlatform(HostEnv& env, const Params& params);
   ~ContainerPlatform() override;
 
-  std::string name() const override { return params_.platform_name; }
-
-  fwsim::Co<Result<InstallResult>> Install(const fwlang::FunctionSource& fn) override;
-  fwsim::Co<Result<InvocationResult>> Invoke(const std::string& fn_name,
-                                             const std::string& args,
-                                             const InvokeOptions& options) override;
-  fwsim::Co<Status> Prewarm(const std::string& fn_name) override;
   bool SupportsChains() const override { return params_.supports_chains; }
 
-  double MeasurePssBytes() const override;
-  void ReleaseInstances() override;
-
-  bool HasWarmContainer(const std::string& fn_name) const;
+  bool HasWarmContainer(const std::string& fn_name) const { return HasWarmSandbox(fn_name); }
   fwbox::ContainerEngine& engine() { return engine_; }
 
  private:
-  struct Sandbox {
-    fwbox::Container* container = nullptr;
-    std::unique_ptr<fwstore::Filesystem> fs;
-    std::unique_ptr<fwlang::GuestProcess> process;
-  };
-  struct InstalledFunction {
-    std::unique_ptr<fwlang::FunctionSource> source;
-    std::unique_ptr<Sandbox> warm;
-    // Bumped whenever the warm slot changes; expiry events compare it so a
-    // reused-and-re-stashed sandbox gets a fresh window.
-    uint64_t warm_generation = 0;
-    // checkpoint_starts mode: the checkpoint name and the process state to
-    // re-attach on restore.
-    std::string checkpoint_name;
-    fwlang::GuestProcess::State process_state;
-  };
+  fwsim::Co<Status> Deploy(const fwlang::FunctionSource& source) override;
+  fwsim::Co<SandboxResult> LaunchSandbox(const fwlang::FunctionSource& source,
+                                         const std::string& sandbox_name,
+                                         bool& fell_back) override;
+  // checkpoint_starts: restores the function's checkpoint, degrading to a
+  // full launch if that fails.
+  fwsim::Co<SandboxResult> StartSandbox(const fwlang::FunctionSource& source,
+                                        const std::string& sandbox_name,
+                                        bool& fell_back) override;
+  fwsim::Co<Status> PauseInstance(fwbox::Container& c) override { return engine_.Pause(c); }
+  fwsim::Co<Status> ResumeInstance(fwbox::Container& c) override { return engine_.Unpause(c); }
+  void DestroyInstance(fwbox::Container& c) override { FW_CHECK(engine_.Destroy(c).ok()); }
 
-  fwsim::Co<Result<std::unique_ptr<Sandbox>>> LaunchSandbox(const InstalledFunction& fn,
-                                                            const std::string& sandbox_name);
-  fwsim::Co<Result<std::unique_ptr<Sandbox>>> RestoreSandbox(const InstalledFunction& fn,
-                                                             const std::string& sandbox_name);
+  fwsim::Co<SandboxResult> RestoreSandbox(const fwlang::FunctionSource& source,
+                                          const std::string& sandbox_name);
+  // Mounts a fresh filesystem in `sandbox` and returns the environment its
+  // guest process runs in.
+  fwlang::ExecEnv MountGuestEnv(Sandbox& sandbox);
   fwlang::GuestProcess::FaultCharger ChargerFor(fwbox::Container* container);
-  void DestroySandbox(Sandbox& sandbox);
-  // Stashes a warm sandbox, destroying the sandbox it displaces (an
-  // overlapping invocation's), and (if keep_alive is finite) arms its expiry.
-  void StashWarm(InstalledFunction& fn, std::unique_ptr<Sandbox> sandbox,
-                 const std::string& fn_name);
-  std::shared_ptr<fwmem::SnapshotImage> RootfsFor(fwlang::Language language);
+  std::string CheckpointName(const std::string& fn_name) const {
+    return params_.platform_name + "-" + fn_name;
+  }
 
   HostEnv& env_;
   Params params_;
   fwbox::ContainerEngine engine_;
-  fwobs::Tracer* tracer_;
-  std::map<std::string, InstalledFunction> installed_;
-  std::map<fwlang::Language, std::shared_ptr<fwmem::SnapshotImage>> rootfs_images_;
-  std::vector<std::unique_ptr<Sandbox>> kept_;
-  uint64_t next_instance_ = 1;
-  // Guards keep-alive expiry callbacks against outliving the platform.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  RootfsCache rootfs_;
+  // checkpoint_starts: the guest process state each function's checkpoint
+  // holds, re-attached on restore.
+  std::map<std::string, fwlang::GuestProcess::State> checkpoint_states_;
 };
 
 // OpenWhisk: container-based platform with full controller machinery and

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/baselines/util.h"
 
 namespace fwbaselines {
 
@@ -16,20 +15,9 @@ using fwcore::Status;
 using fwlang::ExecEnv;
 using fwlang::GuestProcess;
 
-IsolatePlatform::IsolatePlatform(fwcore::HostEnv& env) : env_(env) {}
+IsolatePlatform::IsolatePlatform(fwcore::HostEnv& env) : env_(env), runtime_images_(env) {}
 
 IsolatePlatform::~IsolatePlatform() { ReleaseInstances(); }
-
-std::shared_ptr<fwmem::SnapshotImage> IsolatePlatform::RuntimeImageFor(
-    fwlang::Language language) {
-  auto it = runtime_images_.find(language);
-  if (it != runtime_images_.end()) {
-    return it->second;
-  }
-  auto image = BuildRuntimeRootfs(env_, language);
-  runtime_images_.emplace(language, image);
-  return image;
-}
 
 fwsim::Co<Result<InstallResult>> IsolatePlatform::Install(const fwlang::FunctionSource& fn) {
   if (installed_.count(fn.name) != 0) {
@@ -38,7 +26,7 @@ fwsim::Co<Result<InstallResult>> IsolatePlatform::Install(const fwlang::Function
   const SimTime t0 = env_.sim().Now();
   InstalledFunction record;
   record.source = std::make_unique<fwlang::FunctionSource>(fn);
-  RuntimeImageFor(fn.language);
+  runtime_images_.For(fn.language);
   // Script upload/validation at the edge.
   co_await fwsim::Delay(env_.sim(), fwbase::Duration::Millis(8));
   InstallResult result;
@@ -70,7 +58,7 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
     result.cold = true;
     isolate = std::make_shared<Isolate>();
     isolate->space = std::make_unique<fwmem::AddressSpace>(
-        env_.memory(), RuntimeImageFor(fn.source->language));
+        env_.memory(), runtime_images_.For(fn.source->language));
     isolate->fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
                                                         fwstore::FsKind::kHostDirect);
     fwmem::AddressSpace* space = isolate->space.get();

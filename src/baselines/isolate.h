@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "src/baselines/util.h"
 #include "src/core/platform.h"
 
 namespace fwbaselines {
@@ -46,11 +47,9 @@ class IsolatePlatform : public fwcore::ServerlessPlatform {
     std::shared_ptr<Isolate> isolate;
   };
 
-  std::shared_ptr<fwmem::SnapshotImage> RuntimeImageFor(fwlang::Language language);
-
   fwcore::HostEnv& env_;
   std::map<std::string, InstalledFunction> installed_;
-  std::map<fwlang::Language, std::shared_ptr<fwmem::SnapshotImage>> runtime_images_;
+  RootfsCache runtime_images_;
   uint64_t next_instance_ = 1;
 };
 

@@ -11,15 +11,17 @@ std::function<fwsim::Co<void>(uint64_t)> DirectNetSend(fwcore::HostEnv& env) {
   };
 }
 
-std::shared_ptr<fwmem::SnapshotImage> BuildRuntimeRootfs(fwcore::HostEnv& env,
-                                                         fwlang::Language language) {
-  const fwlang::RuntimeCosts costs = fwlang::RuntimeCosts::For(language);
-  fwmem::AddressSpace builder(env.memory());
-  const fwmem::SegmentId text = builder.AddSegment(fwlang::kSegRuntimeText,
-                                                   costs.runtime_text_bytes);
-  builder.DirtyBytes(text, costs.runtime_text_bytes);
-  auto image = builder.TakeSnapshot(std::string("rootfs-") + fwlang::LanguageName(language));
-  image->set_cache_warm(true);
+std::shared_ptr<fwmem::SnapshotImage> RootfsCache::For(fwlang::Language language) {
+  std::shared_ptr<fwmem::SnapshotImage>& image = images_[language];
+  if (image == nullptr) {
+    const fwlang::RuntimeCosts costs = fwlang::RuntimeCosts::For(language);
+    fwmem::AddressSpace builder(env_.memory());
+    const fwmem::SegmentId text = builder.AddSegment(fwlang::kSegRuntimeText,
+                                                     costs.runtime_text_bytes);
+    builder.DirtyBytes(text, costs.runtime_text_bytes);
+    image = builder.TakeSnapshot(std::string("rootfs-") + fwlang::LanguageName(language));
+    image->set_cache_warm(true);
+  }
   return image;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "src/core/platform.h"
@@ -16,11 +17,20 @@ namespace fwbaselines {
 // Egress for sandboxes without per-clone NAT: wire latency + transfer only.
 std::function<fwsim::Co<void>(uint64_t)> DirectNetSend(fwcore::HostEnv& env);
 
-// Builds (and caches in the page cache) the rootfs image of a language
-// runtime: the binary text containers share across instances. The returned
-// image contains a fully-populated `runtime_text` segment.
-std::shared_ptr<fwmem::SnapshotImage> BuildRuntimeRootfs(fwcore::HostEnv& env,
-                                                         fwlang::Language language);
+// The rootfs image of each language runtime, built on first use and kept in
+// the page cache: the binary text a platform's containers (or isolates)
+// share across instances.
+class RootfsCache {
+ public:
+  explicit RootfsCache(fwcore::HostEnv& env) : env_(env) {}
+
+  // `language`'s image, with a fully-populated `runtime_text` segment.
+  std::shared_ptr<fwmem::SnapshotImage> For(fwlang::Language language);
+
+ private:
+  fwcore::HostEnv& env_;
+  std::map<fwlang::Language, std::shared_ptr<fwmem::SnapshotImage>> images_;
+};
 
 // The tail every baseline invocation shares once its instance is ready: the
 // arguments reach it over the network, `process` runs the entry method, and

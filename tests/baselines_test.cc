@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -602,6 +603,35 @@ TEST(BaselinePinnedTimingTest, CrashFallbacksAreUnchanged) {
     InstallFact(env, *platform);
     EXPECT_EQ(DescribeNext(env, *platform, InvokeOptions()), p.crash_cold);
     EXPECT_EQ(DescribeNext(env, *platform, InvokeOptions()), p.crash_warm);
+  }
+}
+
+// Every fallback is reported on the invocation (DESIGN §8) and counted under
+// the platform's name: a cold start whose install-time image fails to
+// restore, and a warm start whose resume crashes.
+TEST(BaselineRecoveryTest, FallbacksSetTheFlagAndTheirCounters) {
+  const std::set<std::string> kRestoresImage = {"gvisor-snapshot", "firecracker-os-snapshot"};
+  for (const PinnedLifecycle& p : kLifecycles) {
+    SCOPED_TRACE(p.name);
+    const bool restores = kRestoresImage.count(p.name) != 0;
+    HostEnv::Config config;
+    config.fault_plan = *fwfault::FaultPlan::Parse(p.crash_plan);
+    HostEnv env(config);
+    std::unique_ptr<fwcore::ServerlessPlatform> platform = p.make(env);
+    const fwobs::Counter& coldboot_fallbacks =
+        env.metrics().GetCounter(platform->name() + ".coldboot_fallback.count");
+    const fwobs::Counter& warm_crashes =
+        env.metrics().GetCounter(platform->name() + ".warm_crash.count");
+    InstallFact(env, *platform);
+    auto cold = RunSync(env.sim(), platform->Invoke(FactFn().name, "{}", InvokeOptions()));
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(cold->cold_boot_fallback, restores);
+    EXPECT_EQ(coldboot_fallbacks.value(), restores ? 1u : 0u);
+    auto warm = RunSync(env.sim(), platform->Invoke(FactFn().name, "{}", InvokeOptions()));
+    ASSERT_TRUE(warm.ok());
+    EXPECT_TRUE(warm->cold_boot_fallback);
+    EXPECT_EQ(warm_crashes.value(), 1u);
+    EXPECT_EQ(coldboot_fallbacks.value(), restores ? 2u : 0u);
   }
 }
 
