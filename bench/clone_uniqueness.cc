@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "src/base/hash.h"
 #include "src/base/stats.h"
 #include "src/base/strings.h"
 #include "src/core/fireworks.h"
@@ -84,11 +85,8 @@ ModeResult RunMode(bool uniqueness, const Options& opt) {
 
   ModeResult r;
   std::set<uint64_t> seen;
-  uint64_t digest = 0xcbf29ce484222325ull;
-  const auto mix = [&digest](uint64_t v) {
-    digest ^= v;
-    digest *= 0x100000001b3ull;
-  };
+  uint64_t digest = fwbase::kFnvOffsetBasis;
+  const auto mix = [&digest](uint64_t v) { digest = fwbase::FnvMix(digest, v); };
   const auto record = [&](uint64_t request_id) {
     ++r.invocations;
     if (seen.insert(request_id).second) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/base/check.h"
+#include "src/base/hash.h"
 #include "src/base/strings.h"
 
 namespace fwcluster {
@@ -156,7 +157,7 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
       }
     }
     FW_CHECK(!eligible.empty());
-    distribution_->Publish(app, eligible[HashKey(fn.name) % eligible.size()]);
+    distribution_->Publish(app, eligible[fwbase::HashKey(fn.name) % eligible.size()]);
   }
   co_return Status::Ok();
 }
@@ -1184,11 +1185,8 @@ Cluster::Rollup Cluster::ComputeRollup() const {
 }
 
 uint64_t Cluster::OutcomeDigest() const {
-  uint64_t digest = 0xcbf29ce484222325ull;
-  auto mix = [&digest](uint64_t v) {
-    digest ^= v;
-    digest *= 0x100000001b3ull;
-  };
+  uint64_t digest = fwbase::kFnvOffsetBasis;
+  auto mix = [&digest](uint64_t v) { digest = fwbase::FnvMix(digest, v); };
   for (size_t i = 0; i < outcomes_.size(); ++i) {
     const Outcome& out = outcomes_[i];
     mix(i + 1);

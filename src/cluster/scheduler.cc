@@ -1,6 +1,7 @@
 #include "src/cluster/scheduler.h"
 
 #include "src/base/check.h"
+#include "src/base/hash.h"
 #include "src/base/strings.h"
 
 namespace fwcluster {
@@ -31,23 +32,6 @@ std::vector<SchedulerPolicy> AllSchedulerPolicies() {
           SchedulerPolicy::kSnapshotLocality};
 }
 
-uint64_t HashKey(const std::string& key) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ull;  // FNV prime.
-  }
-  // FNV-1a barely diffuses the upper bits of short keys ("app-0".."app-63"
-  // all land in the top sixth of the 64-bit range), which skews ring
-  // placement badly. A murmur3-style finalizer restores avalanche.
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // ConsistentHashRing
 // ---------------------------------------------------------------------------
@@ -63,7 +47,7 @@ void ConsistentHashRing::AddHost(int host) {
   }
   members_[host] = true;
   for (int v = 0; v < vnodes_per_host_; ++v) {
-    const uint64_t point = HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
+    const uint64_t point = fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
     auto [it, inserted] = ring_.emplace(point, host);
     if (!inserted) {
       // 64-bit collision between two hosts' vnodes: keep the smaller host id
@@ -78,7 +62,7 @@ void ConsistentHashRing::RemoveHost(int host) {
     return;
   }
   for (int v = 0; v < vnodes_per_host_; ++v) {
-    const uint64_t point = HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
+    const uint64_t point = fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
     auto it = ring_.find(point);
     if (it != ring_.end() && it->second == host) {
       ring_.erase(it);
@@ -110,7 +94,7 @@ void ConsistentHashRing::Walk(const std::string& key,
   if (ring_.empty()) {
     return;
   }
-  const uint64_t point = HashKey(key);
+  const uint64_t point = fwbase::HashKey(key);
   auto it = ring_.lower_bound(point);
   std::map<int, bool> seen;
   for (size_t step = 0; step < ring_.size(); ++step) {

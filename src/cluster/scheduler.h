@@ -70,9 +70,6 @@ struct HostView {
   bool preferred() const { return alive && !suspect && !pressured; }
 };
 
-// Deterministic 64-bit string hash (FNV-1a); exposed for tests.
-uint64_t HashKey(const std::string& key);
-
 // A consistent-hash ring with virtual nodes. Structural guarantees (the
 // scheduler property tests assert these exactly):
 //   * adding a host moves keys only onto the new host;

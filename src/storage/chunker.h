@@ -7,9 +7,9 @@
 // identical digests on every host so dedup and peer fetch work; deriving the
 // digest from (key, index, size) gives exactly that.
 //
-// Digests are FNV-1a with a murmur3-style finalizer (the same construction as
-// fwcluster::HashKey): FNV alone barely diffuses short inputs' upper bits,
-// and chunk digests feed ordered maps and cache keys everywhere.
+// Digests derive from fwbase::HashKey of the key, mixed with the index and
+// size through the same fmix64 finalizer: chunk digests feed ordered maps
+// and cache keys everywhere, so they need its avalanche.
 #ifndef FIREWORKS_SRC_STORAGE_CHUNKER_H_
 #define FIREWORKS_SRC_STORAGE_CHUNKER_H_
 
@@ -19,10 +19,6 @@
 #include <vector>
 
 namespace fwstore {
-
-// 64-bit content digest of an arbitrary byte string.
-uint64_t HashBytes(const uint8_t* data, size_t len);
-uint64_t HashBytes(const std::string& bytes);
 
 // One chunk of a layer: content address + size. The digest is the identity —
 // two refs with equal digests are assumed to carry equal bytes.

@@ -1,9 +1,10 @@
-// Unit tests for src/base: units, status, rng, stats, strings.
+// Unit tests for src/base: units, status, rng, stats, strings, hash.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "src/base/hash.h"
 #include "src/base/logging.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -413,6 +414,17 @@ TEST(StringsTest, JsonQuoteKeepsValidUtf8AndEscapesEveryInvalidByte) {
   EXPECT_EQ(JsonQuote("\xed\xa0\x80"), "\"\\u00ed\\u00a0\\u0080\"");
   EXPECT_EQ(JsonQuote("\xf4\x90\x80\x80"), "\"\\u00f4\\u0090\\u0080\\u0080\"");
   EXPECT_EQ(JsonQuote("\xe2\x82"), "\"\\u00e2\\u0082\"");
+}
+
+// ---------------------------------------------------------------------------
+// Hash.
+// ---------------------------------------------------------------------------
+
+TEST(HashKeyTest, IsStableAcrossBuilds) {
+  // Pinned values (FNV-1a + murmur3 finalizer): ring placement — and thus
+  // every golden and outcome digest — depends on these never drifting.
+  EXPECT_EQ(HashKey(""), 0xefd01f60ba992926ull);
+  EXPECT_EQ(HashKey("a"), 0x82a2a958a9bece5bull);
 }
 
 }  // namespace

@@ -41,13 +41,6 @@ std::vector<std::string> TestKeys(int n) {
 // Consistent-hash ring.
 // ---------------------------------------------------------------------------
 
-TEST(HashKeyTest, IsStableAcrossBuilds) {
-  // Pinned values (FNV-1a + murmur3 finalizer): ring placement — and thus
-  // every golden and outcome digest — depends on these never drifting.
-  EXPECT_EQ(HashKey(""), 0xefd01f60ba992926ull);
-  EXPECT_EQ(HashKey("a"), 0x82a2a958a9bece5bull);
-}
-
 TEST(ConsistentHashRingTest, JoinMovesKeysOnlyToTheNewHost) {
   constexpr int kHosts = 8;
   constexpr int kKeys = 2000;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/base/hash.h"
 #include "src/fault/fault.h"
 #include "src/obs/observability.h"
 #include "src/simcore/run_sync.h"
@@ -27,12 +28,7 @@ inline uint64_t PerTestSeed() {
   if (info != nullptr) {
     name = std::string(info->test_suite_name()) + "." + info->name();
   }
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return fwbase::Fnv1a(name);
 }
 
 // Fixture giving every test its own Simulation seeded from the test's full
