@@ -144,16 +144,14 @@ class Profiler {
   std::vector<Frame> open_;
 };
 
-// RAII guard for one profiler scope. Null-safe and cheap when the profiler
-// is absent or disabled (token stays 0, Exit is skipped).
+// RAII guard for one profiler scope, by a ScopeId resolved once with
+// RegisterScope: nothing interns a name per entry. Null-safe and cheap when
+// the profiler is absent or disabled (token stays 0, Exit is skipped).
 class ProfileScope {
  public:
   ProfileScope(Profiler* p, ProfScopeId scope)
       : profiler_((p != nullptr && p->enabled()) ? p : nullptr),
         token_(profiler_ != nullptr ? profiler_->Enter(scope) : 0) {}
-  ProfileScope(Profiler* p, const char* name)
-      : profiler_((p != nullptr && p->enabled()) ? p : nullptr),
-        token_(profiler_ != nullptr ? profiler_->Enter(profiler_->RegisterScope(name)) : 0) {}
   ~ProfileScope() {
     if (profiler_ != nullptr) {
       profiler_->Exit(token_);
@@ -171,12 +169,9 @@ class ProfileScope {
 #define FW_PROFILE_CONCAT_INNER(a, b) a##b
 #define FW_PROFILE_CONCAT(a, b) FW_PROFILE_CONCAT_INNER(a, b)
 
-// Declares a named profiler scope covering the rest of the enclosing block.
-// The scope name registers the block as a hot path with fwlint
-// (hot-path-logging): no FW_LOG(kInfo)-or-lower inside.
-#define FW_PROFILE_SCOPE(profiler, name) \
-  ::fwobs::ProfileScope FW_PROFILE_CONCAT(fw_prof_scope_, __LINE__)((profiler), (name))
-// Same, with a pre-resolved ProfScopeId for the hottest sites.
+// Declares a profiler scope, by its pre-resolved ProfScopeId, covering the
+// rest of the enclosing block. The macro registers the block as a hot path
+// with fwlint (hot-path-logging): no FW_LOG(kInfo)-or-lower inside.
 #define FW_PROFILE_SCOPE_ID(profiler, id) \
   ::fwobs::ProfileScope FW_PROFILE_CONCAT(fw_prof_scope_, __LINE__)((profiler), (id))
 

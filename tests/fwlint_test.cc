@@ -408,7 +408,7 @@ TEST(HotPathLoggingCheckTest, ScopeEndsWithItsBlock) {
   const auto diags = LintOne("src/mem/address_space.cc", R"cc(
     void AddressSpace::AccessRange() {
       {
-        FW_PROFILE_SCOPE(profiler, "mem.page_walk");
+        FW_PROFILE_SCOPE_ID(profiler, page_walk_scope_);
         if (miss) {
           FW_LOG(kDebug, "fault");      // hot: nested block, scope still open
         }
@@ -452,7 +452,7 @@ TEST(HotPathLoggingCheckTest, ClassDeclAndNonSrcFilesAreIgnored) {
                   .empty());
   EXPECT_TRUE(OfCheck(LintOne("bench/cluster_scale.cc", R"cc(
     void Run() {
-      FW_PROFILE_SCOPE(p, "bench.run");
+      FW_PROFILE_SCOPE_ID(p, run_scope_);
       FW_LOG(kInfo, "progress");
     }
   )cc"),

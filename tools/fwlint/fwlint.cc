@@ -607,7 +607,7 @@ void Analyzer::CheckHotPathLogging(const File& f, std::vector<Diagnostic>& out) 
     if (t[i].kind != TokenKind::kIdentifier) {
       continue;
     }
-    if (t[i].text == "FW_PROFILE_SCOPE" || t[i].text == "FW_PROFILE_SCOPE_ID") {
+    if (t[i].text == "FW_PROFILE_SCOPE_ID") {
       hot.push_back(depth);
       continue;
     }
