@@ -1,7 +1,5 @@
 #include "src/baselines/container_platform.h"
 
-#include <utility>
-
 namespace fwbaselines {
 
 using fwbox::Container;

@@ -1,7 +1,5 @@
 #include "src/baselines/firecracker.h"
 
-#include <utility>
-
 namespace fwbaselines {
 
 using fwlang::ExecEnv;
@@ -44,18 +42,18 @@ fwsim::Co<Status> FirecrackerPlatform::Deploy(const fwlang::FunctionSource& sour
   MicroVm* vm = co_await hv_.CreateMicroVm("fcos-install-" + source.name);
   Status booted = co_await hv_.BootGuestOs(*vm);
   if (!booted.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
+    DestroyInstance(*vm);
     co_return booted;
   }
   auto image = co_await hv_.CreateSnapshot(*vm, OsSnapshotName(source.name));
   if (!image.ok()) {
     // Persisting the OS snapshot failed: release the install VM before
     // surfacing the error.
-    FW_CHECK(hv_.Destroy(*vm).ok());
+    DestroyInstance(*vm);
     co_return image.status();
   }
   (void)env_.snapshot_store().Pin(OsSnapshotName(source.name));
-  FW_CHECK(hv_.Destroy(*vm).ok());
+  DestroyInstance(*vm);
   co_return Status::Ok();
 }
 

@@ -59,6 +59,8 @@ template <typename Instance>
 class WarmSandboxPlatform : public fwcore::ServerlessPlatform {
  public:
   ~WarmSandboxPlatform() override { *alive_ = false; }  // Disarms keep-alive expiries.
+  WarmSandboxPlatform(const WarmSandboxPlatform&) = delete;
+  WarmSandboxPlatform& operator=(const WarmSandboxPlatform&) = delete;
 
   std::string name() const override { return lifecycle_.name; }
 
