@@ -46,7 +46,8 @@ struct SandboxLifecycle {
   std::string sandbox_prefix;
   // Controller costs: every invocation pays `request` before it looks for a
   // warm sandbox; a warm start pays `warm` after claiming it, a cold start
-  // `cold` before starting one. A zero cost takes no simulated event.
+  // `cold` before starting one. A zero cost takes no simulated event, so it
+  // cannot let a same-instant invocation claim the warm sandbox first.
   Duration request;
   Duration warm;
   Duration cold;
