@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "bench/common.h"
 #include "src/base/strings.h"
 #include "src/cluster/cluster.h"
@@ -72,11 +73,13 @@ struct RunResult {
   uint64_t digest = 0;
   double sim_seconds = 0.0;
   uint64_t events = 0;  // Simulation events over the whole run.
+  uint64_t allocs = 0;  // Heap allocations over the same span.
 };
 
 RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
                      const HostCalibration& calibration, const Options& opt,
                      fwobs::Profiler* profile_into = nullptr) {
+  const uint64_t allocs0 = fwbench::CurrentAllocCounts().allocs;
   fwsim::Simulation sim(opt.seed);
   std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;
   hosts.reserve(opt.hosts);
@@ -100,6 +103,7 @@ RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
   fwbench::RunLoad(sim, cluster, lg, opt.invocations);
 
   RunResult r;
+  r.allocs = fwbench::CurrentAllocCounts().allocs - allocs0;
   r.label = label;
   r.rollup = cluster.ComputeRollup();
   r.digest = cluster.OutcomeDigest();
@@ -294,10 +298,13 @@ int main(int argc, char** argv) {
     report.AddGuardedMetric("slo_attainment", head.rollup.slo_attainment, "higher");
     report.AddGuardedMetric("peak_pss_mib", head.rollup.peak_pss_bytes / (1024.0 * 1024.0),
                             "lower");
-    // An exact cost of the simulator itself: deterministic per seed, so
+    // Exact costs of the simulator itself: deterministic per seed, so
     // unchanged code diffs at 0.0% and any growth is real.
     report.AddGuardedMetric("events_per_inv",
                             static_cast<double>(head.events) / static_cast<double>(opt.invocations),
+                            "lower");
+    report.AddGuardedMetric("allocs_per_inv",
+                            static_cast<double>(head.allocs) / static_cast<double>(opt.invocations),
                             "lower");
     report.AddMetric("failed", static_cast<double>(head.rollup.failed));
     report.AddMetric("slo_alerts", static_cast<double>(head.rollup.slo_alerts));

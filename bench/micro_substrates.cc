@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the simulator's substrate hot paths:
-// event-queue throughput, coroutine spawn/resume, page-set operations, CoW
-// fault handling, snapshot take/restore, and message-bus round trips. These
-// bound how large an experiment the simulator can drive (e.g. Fig 10's ~900
-// microVMs with hundreds of thousands of page operations each).
+// event-queue throughput (a drain and a standing queue), coroutine
+// spawn/resume, page-set operations, CoW fault handling, snapshot
+// take/restore, and message-bus round trips. These bound how large an
+// experiment the simulator can drive (e.g. Fig 10's ~900 microVMs with
+// hundreds of thousands of page operations each).
 #include <benchmark/benchmark.h>
 
 #include "src/fault/fault.h"
@@ -36,6 +37,34 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
+
+// The wake-up delays of BM_EventQueueSteadyState: one in four is due now.
+constexpr fwbase::Duration kWakeDelays[] = {fwbase::Duration::Zero(), 1_us, 7_us, 1_ms};
+
+// Wakes, then sleeps again for a delay drawn from kWakeDelays, forever.
+fwsim::Co<void> Waker(fwsim::Simulation& sim, uint64_t seed) {
+  uint64_t x = seed;
+  for (;;) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;  // An LCG step.
+    co_await fwsim::Delay(sim, kWakeDelays[x >> 62]);
+  }
+}
+
+// A standing queue of 64 pending coroutine wake-ups, about a quarter of them
+// due at the current instant, as in the cluster runs. Each iteration runs one
+// event, so the time per item is the queue's own cost per event.
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  constexpr int kWakers = 64;
+  fwsim::Simulation sim;
+  for (int i = 0; i < kWakers; ++i) {
+    sim.Spawn(Waker(sim, static_cast<uint64_t>(i) + 1));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.StepOne());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueSteadyState);
 
 void BM_CoroutineSpawnResume(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));

@@ -162,8 +162,9 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
   co_return Status::Ok();
 }
 
-std::vector<HostView> Cluster::Views() {
-  std::vector<HostView> views(hosts_.size());
+std::vector<HostView>& Cluster::Views() {
+  std::vector<HostView>& views = views_;
+  views.assign(hosts_.size(), HostView());
   const fwbase::SimTime now = sim_.Now();
   for (size_t i = 0; i < hosts_.size(); ++i) {
     const int h = static_cast<int>(i);
@@ -225,7 +226,7 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
 
 void Cluster::Dispatch(Request req, int exclude_host) {
   FW_PROFILE_SCOPE_ID(&obs_.profiler(), dispatch_scope_);
-  std::vector<HostView> views = Views();
+  std::vector<HostView>& views = Views();
   if (distribution_ != nullptr) {
     // Snapshot locality over actual chunk placement: the scheduler prefers
     // hosts that already hold the app's snapshot before forcing a cold pull.
@@ -970,7 +971,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // Replenish the departing host's warm capacity on its ring successors
   // before the pool disappears, so its apps stay warm somewhere else.
   if (config_.autoscale) {
-    std::vector<HostView> views = Views();
+    const std::vector<HostView>& views = Views();
     for (const AppId app : installed_) {
       const std::string& name = app_name(app);
       if (hs.host->PooledClones(name) == 0) {
@@ -1030,7 +1031,7 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
     if (!running_) {
       break;
     }
-    std::vector<HostView> views = Views();
+    const std::vector<HostView>& views = Views();
     std::map<int, bool> alive_zones;
     for (const HostView& v : views) {
       if (v.alive) {

@@ -374,10 +374,12 @@ class Cluster {
     double prepare_seconds_ewma = 0.05;
   };
 
-  // Non-const: consulting host views re-evaluates phi (suspect/dead
-  // transitions happen at observation time, as they would in a control
-  // plane polling its detector).
-  std::vector<HostView> Views();
+  // Refills and returns `views_`, one view per host. Non-const: consulting
+  // host views re-evaluates phi (suspect/dead transitions happen at
+  // observation time, as they would in a control plane polling its
+  // detector). The buffer is reused, so a caller may edit it but must not
+  // hold it across a co_await or another Views() call.
+  std::vector<HostView>& Views();
   // Interns `name` and, for a new id, grows every AppId-indexed table.
   AppId InternApp(const std::string& name);
   // True once the request has a recorded terminal outcome; the losing copy
@@ -460,6 +462,7 @@ class Cluster {
   // and autoscaler coroutines bind HostState& for their whole lifetime, and
   // push_back only moves the unique_ptrs.
   std::vector<std::unique_ptr<HostState>> hosts_;
+  std::vector<HostView> views_;  // Views()' buffer: no allocation per dispatch.
   std::vector<AppId> installed_;  // Install order (autoscaler iteration).
   // Copies of every installed function, so a host provisioned after
   // InstallAll can run the same install sequence during its join warm-up.

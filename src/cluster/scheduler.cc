@@ -42,70 +42,46 @@ ConsistentHashRing::ConsistentHashRing(int vnodes_per_host)
 }
 
 void ConsistentHashRing::AddHost(int host) {
-  if (members_.count(host) > 0) {
+  FW_CHECK(host >= 0);
+  if (Contains(host)) {
     return;
   }
-  members_[host] = true;
-  for (int v = 0; v < vnodes_per_host_; ++v) {
-    const uint64_t point = fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
-    auto [it, inserted] = ring_.emplace(point, host);
-    if (!inserted) {
-      // 64-bit collision between two hosts' vnodes: keep the smaller host id
-      // so ownership never depends on insertion order.
-      it->second = std::min(it->second, host);
-    }
+  if (static_cast<size_t>(host) >= member_.size()) {
+    member_.resize(host + 1, false);
+    visited_.resize(host + 1, 0);
   }
+  member_[host] = true;
+  ++member_count_;
+  const auto old_end = static_cast<std::ptrdiff_t>(ring_.size());
+  for (int v = 0; v < vnodes_per_host_; ++v) {
+    ring_.push_back(
+        VNode{fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v)), host});
+  }
+  std::sort(ring_.begin() + old_end, ring_.end());
+  std::inplace_merge(ring_.begin(), ring_.begin() + old_end, ring_.end());
 }
 
 void ConsistentHashRing::RemoveHost(int host) {
-  if (members_.erase(host) == 0) {
+  if (!Contains(host)) {
     return;
   }
-  for (int v = 0; v < vnodes_per_host_; ++v) {
-    const uint64_t point = fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
-    auto it = ring_.find(point);
-    if (it != ring_.end() && it->second == host) {
-      ring_.erase(it);
-    }
-  }
+  member_[host] = false;
+  --member_count_;
+  ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
+                             [host](const VNode& v) { return v.host == host; }),
+              ring_.end());
 }
 
-bool ConsistentHashRing::Contains(int host) const { return members_.count(host) > 0; }
-
-int ConsistentHashRing::Owner(const std::string& key) const {
-  return OwnerIf(key, [](int) { return true; });
+bool ConsistentHashRing::Contains(int host) const {
+  return host >= 0 && static_cast<size_t>(host) < member_.size() && member_[host];
 }
 
-int ConsistentHashRing::OwnerIf(const std::string& key,
-                                const std::function<bool(int)>& alive) const {
-  int found = -1;
-  Walk(key, [&found, &alive](int host) {
-    if (alive(host)) {
-      found = host;
-      return false;
-    }
-    return true;
-  });
-  return found;
-}
-
-void ConsistentHashRing::Walk(const std::string& key,
-                              const std::function<bool(int)>& visit) const {
-  if (ring_.empty()) {
-    return;
+uint32_t ConsistentHashRing::NextStamp() const {
+  if (++stamp_ == 0) {
+    std::fill(visited_.begin(), visited_.end(), 0);
+    stamp_ = 1;
   }
-  const uint64_t point = fwbase::HashKey(key);
-  auto it = ring_.lower_bound(point);
-  std::map<int, bool> seen;
-  for (size_t step = 0; step < ring_.size(); ++step) {
-    if (it == ring_.end()) {
-      it = ring_.begin();  // Wrap around the ring.
-    }
-    if (seen.emplace(it->second, true).second && !visit(it->second)) {
-      return;
-    }
-    ++it;
-  }
+  return stamp_;
 }
 
 // ---------------------------------------------------------------------------
@@ -211,9 +187,10 @@ class SnapshotLocalityScheduler : public Scheduler {
     };
     static constexpr Pass kPasses[] = {
         {true, true}, {true, false}, {false, true}, {false, false}};
+    const uint64_t point = ConsistentHashRing::PointOf(app);
     int chosen = -1;
     for (const Pass& pass : kPasses) {
-      ring_.Walk(app, [&hosts, bound, pass, &chosen](int h) {
+      ring_.Walk(point, [&hosts, bound, pass, &chosen](int h) {
         if (h >= static_cast<int>(hosts.size()) ||
             (pass.healthy_only ? !hosts[h].preferred() : !hosts[h].alive)) {
           return true;
@@ -247,14 +224,15 @@ class SnapshotLocalityScheduler : public Scheduler {
     // not-yet-covered zone until `want` targets. Deterministic — a pure
     // function of the ring and the views.
     std::vector<int> targets;
-    std::map<int, bool> zones_covered;
-    ring_.Walk(app, [&hosts, &targets, &zones_covered, want](int h) {
+    ring_.Walk(ConsistentHashRing::PointOf(app), [&hosts, &targets, want](int h) {
       if (h >= static_cast<int>(hosts.size()) || !hosts[h].alive) {
         return true;
       }
-      if (targets.empty() || zones_covered.count(hosts[h].zone) == 0) {
+      const bool zone_covered = std::any_of(targets.begin(), targets.end(), [&](int t) {
+        return hosts[t].zone == hosts[h].zone;
+      });
+      if (!zone_covered) {
         targets.push_back(h);
-        zones_covered.emplace(hosts[h].zone, true);
       }
       return static_cast<int>(targets.size()) < want;
     });

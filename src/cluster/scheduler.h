@@ -21,13 +21,15 @@
 #ifndef FIREWORKS_SRC_CLUSTER_SCHEDULER_H_
 #define FIREWORKS_SRC_CLUSTER_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/base/hash.h"
 
 namespace fwcluster {
 
@@ -74,6 +76,11 @@ struct HostView {
 // scheduler property tests assert these exactly):
 //   * adding a host moves keys only onto the new host;
 //   * removing a host moves only the keys it owned.
+//
+// The ring is a vector of (point, host) sorted by point, then host: two
+// hosts whose vnodes share a 64-bit point both keep it, the smaller id
+// first, so a leave never drops another host's vnode. A walk allocates
+// nothing: it marks visited hosts with a per-walk stamp in a reused vector.
 class ConsistentHashRing {
  public:
   explicit ConsistentHashRing(int vnodes_per_host);
@@ -82,20 +89,75 @@ class ConsistentHashRing {
   void RemoveHost(int host);
   bool Contains(int host) const;
 
+  // A key's point on the ring; hash it once for several walks.
+  static uint64_t PointOf(std::string_view key) { return fwbase::HashKey(key); }
+
   // Ring owner of `key`; -1 when the ring is empty.
-  int Owner(const std::string& key) const;
+  int Owner(std::string_view key) const {
+    return OwnerIf(key, [](int) { return true; });
+  }
   // First owner clockwise from `key` for which alive(host) is true; -1 when
   // no member host is alive.
-  int OwnerIf(const std::string& key, const std::function<bool(int)>& alive) const;
-  // Visits distinct member hosts clockwise from `key`'s ring point (each at
-  // most once); stops early when `visit` returns false.
-  void Walk(const std::string& key, const std::function<bool(int)>& visit) const;
+  template <typename Alive>
+  int OwnerIf(std::string_view key, const Alive& alive) const {
+    int found = -1;
+    Walk(PointOf(key), [&found, &alive](int host) {
+      if (alive(host)) {
+        found = host;
+        return false;
+      }
+      return true;
+    });
+    return found;
+  }
+  // Visits distinct member hosts clockwise from `point` (each at most once);
+  // stops early when `visit` returns false. `visit` must not walk this ring.
+  template <typename Visit>
+  void Walk(uint64_t point, const Visit& visit) const {
+    const size_t n = ring_.size();
+    if (n == 0) {
+      return;
+    }
+    const uint32_t stamp = NextStamp();
+    size_t i = static_cast<size_t>(
+        std::lower_bound(ring_.begin(), ring_.end(), point,
+                         [](const VNode& v, uint64_t p) { return v.point < p; }) -
+        ring_.begin());
+    int unvisited = member_count_;
+    for (size_t step = 0; step < n && unvisited > 0; ++step, ++i) {
+      if (i == n) {
+        i = 0;  // Wrap around the ring.
+      }
+      const int host = ring_[i].host;
+      if (visited_[host] == stamp) {
+        continue;
+      }
+      visited_[host] = stamp;
+      --unvisited;
+      if (!visit(host)) {
+        return;
+      }
+    }
+  }
 
  private:
+  struct VNode {
+    uint64_t point;
+    int host;
+    bool operator<(const VNode& o) const {
+      return point != o.point ? point < o.point : host < o.host;
+    }
+  };
+
+  // A stamp no host carries yet; restarts the marks when the counter wraps.
+  uint32_t NextStamp() const;
+
   int vnodes_per_host_;
-  // hash point -> host. Ordered: ring walks must not depend on hash-map order.
-  std::map<uint64_t, int> ring_;
-  std::map<int, bool> members_;
+  std::vector<VNode> ring_;     // Sorted: walks never depend on insertion order.
+  std::vector<bool> member_;    // By host id.
+  int member_count_ = 0;
+  mutable std::vector<uint32_t> visited_;  // By host id: the stamp of its last walk.
+  mutable uint32_t stamp_ = 0;
 };
 
 class Scheduler {

@@ -7,17 +7,16 @@
 
 namespace fwobs {
 
-void Span::SetAttribute(std::string key, std::string value) {
-  attrs_.emplace_back(std::move(key), std::move(value));
+void Span::SetAttribute(std::string_view key, std::string_view value) {
+  attrs_.emplace_back(key, value);
 }
 
-void Span::SetAttribute(std::string key, uint64_t value) {
-  attrs_.emplace_back(std::move(key),
-                      fwbase::StrFormat("%llu", static_cast<unsigned long long>(value)));
+void Span::SetAttribute(std::string_view key, uint64_t value) {
+  attrs_.emplace_back(key, fwbase::StrFormat("%llu", static_cast<unsigned long long>(value)));
 }
 
-void Span::SetAttribute(std::string key, double value) {
-  attrs_.emplace_back(std::move(key), fwbase::StrFormat("%g", value));
+void Span::SetAttribute(std::string_view key, double value) {
+  attrs_.emplace_back(key, fwbase::StrFormat("%g", value));
 }
 
 std::string Span::ToString() const {
@@ -35,14 +34,14 @@ void Tracer::set_profiler(Profiler* profiler) {
       profiler == nullptr ? 0 : profiler->RegisterScope("obs.span.bookkeeping");
 }
 
-Span* Tracer::StartSpan(std::string name, std::string category) {
+Span* Tracer::StartSpan(std::string_view name, std::string_view category) {
   if (!enabled_) {
     return nullptr;
   }
   FW_PROFILE_SCOPE_ID(profiler_, bookkeeping_scope_);
   Span& span = spans_.emplace_back();
-  span.name_ = std::move(name);
-  span.category_ = std::move(category);
+  span.name_ = name;
+  span.category_ = category;
   span.id_ = next_id_++;
   span.parent_id_ = stack_.empty() ? kNoSpan : stack_.back()->id_;
   span.start_ = clock_();

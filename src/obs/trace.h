@@ -9,7 +9,9 @@
 // Recording is pure observation: starting or ending a span never advances the
 // clock, schedules an event, or touches the RNG, so a traced run is
 // bit-identical to an untraced one. A disabled tracer (the default) costs one
-// branch per instrumentation point and records nothing.
+// branch per instrumentation point and records nothing: names, categories and
+// attribute values arrive as std::string_view and become strings only inside
+// a recorded span, so a disabled span allocates nothing (tests/obs_test.cc).
 //
 // Span pointers returned by StartSpan stay valid until Clear() (storage is a
 // deque). ScopedSpan is the RAII form used at instrumentation sites; it
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,9 +54,9 @@ class Span {
   Duration duration() const { return end_ - start_; }
 
   // Key/value annotations exported into the Chrome trace's "args".
-  void SetAttribute(std::string key, std::string value);
-  void SetAttribute(std::string key, uint64_t value);
-  void SetAttribute(std::string key, double value);
+  void SetAttribute(std::string_view key, std::string_view value);
+  void SetAttribute(std::string_view key, uint64_t value);
+  void SetAttribute(std::string_view key, double value);
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
     return attrs_;
   }
@@ -86,7 +89,7 @@ class Tracer {
 
   // Opens a span whose parent is the innermost still-open span. Returns
   // nullptr when disabled (every Span* path below is null-safe).
-  Span* StartSpan(std::string name, std::string category = std::string());
+  Span* StartSpan(std::string_view name, std::string_view category = {});
 
   // Closes `span` at the current simulated time. Null-safe and idempotent.
   // Spans closed out of order (possible when coroutines interleave) are
@@ -132,10 +135,10 @@ class Tracer {
 //   span.End();  // Optional; the destructor ends it otherwise.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* tracer, std::string name, std::string category = std::string())
+  ScopedSpan(Tracer* tracer, std::string_view name, std::string_view category = {})
       : tracer_(tracer),
-        span_(tracer == nullptr ? nullptr
-                                : tracer->StartSpan(std::move(name), std::move(category))) {}
+        span_(tracer != nullptr && tracer->enabled() ? tracer->StartSpan(name, category)
+                                                     : nullptr) {}
   ~ScopedSpan() { End(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -152,14 +155,19 @@ class ScopedSpan {
   // nullptr when tracing is disabled.
   Span* get() const { return span_; }
 
-  void SetAttribute(std::string key, std::string value) {
+  void SetAttribute(std::string_view key, std::string_view value) {
     if (span_ != nullptr) {
-      span_->SetAttribute(std::move(key), std::move(value));
+      span_->SetAttribute(key, value);
     }
   }
-  void SetAttribute(std::string key, uint64_t value) {
+  void SetAttribute(std::string_view key, uint64_t value) {
     if (span_ != nullptr) {
-      span_->SetAttribute(std::move(key), value);
+      span_->SetAttribute(key, value);
+    }
+  }
+  void SetAttribute(std::string_view key, double value) {
+    if (span_ != nullptr) {
+      span_->SetAttribute(key, value);
     }
   }
 

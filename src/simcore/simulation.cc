@@ -16,7 +16,7 @@ namespace fwsim {
 struct Simulation::Root {
   struct promise_type {
     Simulation* sim = nullptr;
-    uint64_t id = 0;
+    uint32_t slot = 0;
 
     Root get_return_object() {
       return Root{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -25,7 +25,7 @@ struct Simulation::Root {
     struct FinalAwaiter {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) const noexcept {
-        h.promise().sim->OnRootDone(h.promise().id);
+        h.promise().sim->OnRootDone(h.promise().slot);
       }
       void await_resume() const noexcept {}
     };
@@ -44,11 +44,20 @@ Simulation::Simulation(uint64_t seed) : rng_(seed) { InstallLogTimeSource(); }
 Simulation::~Simulation() {
   fwbase::SetLogTimeSource(nullptr);
   ReclaimDeadRoots();
-  // Destroy still-suspended roots; each recursively destroys awaited children.
-  for (auto& [id, h] : roots_) {
-    h.destroy();
+  // Destroy still-suspended roots in spawn order (ids grow with it; slots are
+  // reused, so slot order is not spawn order). Each recursively destroys the
+  // children it awaits.
+  std::vector<RootSlot> suspended;
+  for (const RootSlot& root : roots_) {
+    if (root.id != 0) {
+      suspended.push_back(root);
+    }
   }
-  roots_.clear();
+  std::sort(suspended.begin(), suspended.end(),
+            [](const RootSlot& a, const RootSlot& b) { return a.id < b.id; });
+  for (const RootSlot& root : suspended) {
+    root.frame.destroy();
+  }
 }
 
 void Simulation::InstallLogTimeSource() {
@@ -57,9 +66,98 @@ void Simulation::InstallLogTimeSource() {
   fwbase::SetLogTimeSource([this] { return fwobs::FormatSimTime(now_); });
 }
 
+bool Simulation::Earlier(const Event& a, const Event& b) {
+  // One 128-bit key, `when` (never negative) above `seq`: one compare and no
+  // branch, where comparing the pair takes two.
+  const auto key = [](const Event& e) {
+    return (static_cast<unsigned __int128>(static_cast<uint64_t>(e.when.nanos())) << 64) | e.seq;
+  };
+  return key(a) < key(b);
+}
+
 void Simulation::Push(const Event& ev) {
-  queue_.push_back(ev);
-  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  if (ev.when == now_) {
+    lane_.push_back(ev);
+  } else {
+    HeapPush(ev);
+  }
+}
+
+void Simulation::HeapPush(const Event& ev) {
+  // Sift a hole up from the new leaf; the event is written once, at the end.
+  size_t hole = heap_.size();
+  heap_.push_back(ev);
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (!Earlier(ev, heap_[parent])) {
+      break;
+    }
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = ev;
+}
+
+Simulation::Event Simulation::HeapPop() {
+  const Event top = heap_[0];
+  const Event last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return top;
+  }
+  // Sift a hole down from the root: move the least child up until `last`
+  // fits. With four children present the least one is found by a branch-free
+  // tournament: each compare's result is added to an index or selects one
+  // with a conditional move.
+  size_t hole = 0;
+  for (;;) {
+    const size_t first = 4 * hole + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t least;
+    if (first + 3 < n) {
+      const size_t a = first + Earlier(heap_[first + 1], heap_[first]);
+      const size_t b = first + 2 + Earlier(heap_[first + 3], heap_[first + 2]);
+      least = Earlier(heap_[b], heap_[a]) ? b : a;
+    } else {
+      least = first;
+      for (size_t c = first + 1; c < n; ++c) {
+        least = Earlier(heap_[c], heap_[least]) ? c : least;
+      }
+    }
+    if (!Earlier(heap_[least], last)) {
+      break;
+    }
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = last;
+  return top;
+}
+
+Simulation::Event Simulation::PopNext() {
+  // The lane holds only events due now, in seq order; the heap may hold
+  // older-seq events due now too. Taking whichever is earlier on (when, seq)
+  // runs events in exactly the order one heap over both would.
+  if (lane_head_ < lane_.size()) {
+    const Event& front = lane_[lane_head_];
+    if (!heap_.empty() && Earlier(heap_[0], front)) {
+      return HeapPop();
+    }
+    const Event ev = front;
+    if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+    return ev;
+  }
+  return HeapPop();
+}
+
+bool Simulation::HasEventAtOrBefore(SimTime t) const {
+  return (lane_head_ < lane_.size() && now_ <= t) || (!heap_.empty() && heap_[0].when <= t);
 }
 
 void Simulation::PushCallback(SimTime when, std::function<void()> fn) {
@@ -101,35 +199,49 @@ void Simulation::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
 
 uint64_t Simulation::Spawn(Co<void> co) {
   Root root = Root::Drive(std::move(co));
-  const uint64_t id = next_root_id_++;
+  uint32_t slot;
+  if (free_roots_.empty()) {
+    slot = static_cast<uint32_t>(roots_.size());
+    FW_CHECK_MSG(slot < (uint32_t{1} << kRootSlotBits), "too many live root coroutines");
+    roots_.emplace_back();
+  } else {
+    slot = free_roots_.back();
+    free_roots_.pop_back();
+  }
+  const uint64_t spawn_number = ++spawned_;
+  FW_CHECK_MSG(spawn_number < (uint64_t{1} << (64 - kRootSlotBits)), "root ids exhausted");
+  const uint64_t id = (spawn_number << kRootSlotBits) | slot;
+  roots_[slot] = RootSlot{root.handle, id};
   root.handle.promise().sim = this;
-  root.handle.promise().id = id;
-  roots_.emplace(id, root.handle);
+  root.handle.promise().slot = slot;
   ScheduleResume(Duration::Zero(), root.handle);
   return id;
 }
 
-bool Simulation::IsDone(uint64_t root_id) const { return roots_.count(root_id) == 0; }
+bool Simulation::IsDone(uint64_t root_id) const {
+  // A free slot holds id 0, which Spawn never returns.
+  const uint64_t slot = root_id & ((uint64_t{1} << kRootSlotBits) - 1);
+  return root_id == 0 || slot >= roots_.size() || roots_[slot].id != root_id;
+}
 
-void Simulation::OnRootDone(uint64_t id) { dead_roots_.push_back(id); }
+void Simulation::OnRootDone(uint32_t slot) { dead_roots_.push_back(slot); }
 
 void Simulation::ReclaimDeadRoots() {
-  for (uint64_t id : dead_roots_) {
-    auto it = roots_.find(id);
-    FW_CHECK(it != roots_.end());
-    it->second.destroy();
-    roots_.erase(it);
+  for (const uint32_t slot : dead_roots_) {
+    RootSlot& root = roots_[slot];
+    FW_CHECK(root.id != 0);
+    root.frame.destroy();
+    root = RootSlot{};
+    free_roots_.push_back(slot);
   }
   dead_roots_.clear();
 }
 
 bool Simulation::StepOne() {
-  if (queue_.empty()) {
+  if (lane_head_ == lane_.size() && heap_.empty()) {
     return false;
   }
-  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-  const Event ev = queue_.back();
-  queue_.pop_back();
+  const Event ev = PopNext();
   FW_CHECK(ev.when >= now_);
   now_ = ev.when;
   ++events_processed_;
@@ -146,7 +258,9 @@ bool Simulation::StepOne() {
       fn();
     }
   }
-  ReclaimDeadRoots();
+  if (!dead_roots_.empty()) {
+    ReclaimDeadRoots();
+  }
   return true;
 }
 
@@ -158,13 +272,13 @@ void Simulation::Run() {
 
 bool Simulation::RunUntil(SimTime t) {
   stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty() && queue_.front().when <= t) {
+  while (!stop_requested_ && HasEventAtOrBefore(t)) {
     StepOne();
   }
   if (now_ < t && !stop_requested_) {
     now_ = t;
   }
-  return !queue_.empty();
+  return lane_head_ < lane_.size() || !heap_.empty();
 }
 
 }  // namespace fwsim

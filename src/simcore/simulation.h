@@ -7,15 +7,14 @@
 //
 // Spawned root coroutines are owned by the Simulation: their frames are
 // reclaimed as soon as they complete, and any still-suspended roots are
-// destroyed (recursively, including children they are awaiting) when the
-// Simulation is destroyed.
+// destroyed in spawn order (recursively, including children they are
+// awaiting) when the Simulation is destroyed.
 #ifndef FIREWORKS_SRC_SIMCORE_SIMULATION_H_
 #define FIREWORKS_SRC_SIMCORE_SIMULATION_H_
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <type_traits>
 #include <vector>
 
@@ -69,7 +68,7 @@ class Simulation {
   bool StepOne();
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t live_roots() const { return roots_.size(); }
+  size_t live_roots() const { return roots_.size() - free_roots_.size(); }
 
   // Attributes event-loop dispatch ("sim.event.dispatch") and coroutine
   // resumption ("sim.coro.resume") cost to `profiler`. Pure observation —
@@ -82,7 +81,7 @@ class Simulation {
 
  private:
   // A pending event: a suspended coroutine to resume or, when `h` is null, the
-  // slot in `callbacks_` of a plain callback. Trivially copyable, so the heap
+  // slot in `callbacks_` of a plain callback. Trivially copyable, so the queue
   // moves it with plain copies and allocates nothing per event.
   struct Event {
     SimTime when;
@@ -91,45 +90,53 @@ class Simulation {
     uint32_t callback;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+  // One spawned root: its frame and the id Spawn returned, 0 while free.
+  struct RootSlot {
+    std::coroutine_handle<> frame;
+    uint64_t id = 0;
   };
 
   // A self-reclaiming driver for one root coroutine (defined in .cc).
   struct Root;
   friend struct Root;
 
+  static bool Earlier(const Event& a, const Event& b);
   void Push(const Event& ev);
+  void HeapPush(const Event& ev);
+  Event HeapPop();
+  Event PopNext();
+  bool HasEventAtOrBefore(SimTime t) const;
   void PushCallback(SimTime when, std::function<void()> fn);
   void ReclaimDeadRoots();
-  void OnRootDone(uint64_t id);
+  void OnRootDone(uint32_t slot);
   void InstallLogTimeSource();
 
   SimTime now_;
   uint64_t next_seq_ = 0;
-  uint64_t next_root_id_ = 1;
+  uint64_t spawned_ = 0;
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
-  // Binary min-heap on (when, seq) driven by std::push_heap/std::pop_heap.
-  // Bounded by the model: each pending event belongs to one suspended
-  // coroutine or one scheduled callback.
-  std::vector<Event> queue_;  // fwlint:allow(unbounded-queue)
-  // Plain callbacks live here, not in the heap; an event carries its slot.
+  // Events due at now_, in seq order: lane_[lane_head_] is the front. Every
+  // one has when == now_, because the clock advances only once the lane is
+  // empty, and the emptied lane restarts at index 0 (DESIGN §3).
+  std::vector<Event> lane_;
+  size_t lane_head_ = 0;
+  // Every later event: a 4-ary min-heap on (when, seq). Both are bounded by
+  // the model: each pending event belongs to one suspended coroutine or one
+  // scheduled callback.
+  std::vector<Event> heap_;
+  // Plain callbacks live here, not in the queue; an event carries its slot.
   // Freed slots are reused, and the vector's destructor releases the
   // captures of callbacks still pending when the Simulation dies.
   std::vector<std::function<void()>> callbacks_;
   std::vector<uint32_t> free_callbacks_;
-  // Ordered by root id so teardown destroys frames in spawn order; with an
-  // unordered map the destructor's iteration (and any destructor side
-  // effects, e.g. logging) would follow hash order. Flagged by
-  // `fwlint --check=unordered-iteration`.
-  std::map<uint64_t, std::coroutine_handle<>> roots_;
-  std::vector<uint64_t> dead_roots_;
+  // Spawned roots by slot; freed slots are reused. A root id holds its spawn
+  // number above kRootSlotBits and its slot below, so ids grow in spawn
+  // order and a reused slot never revives an old id.
+  static constexpr int kRootSlotBits = 24;
+  std::vector<RootSlot> roots_;
+  std::vector<uint32_t> free_roots_;
+  std::vector<uint32_t> dead_roots_;
   fwbase::Rng rng_;
   fwobs::Profiler* profiler_ = nullptr;
   fwobs::ProfScopeId dispatch_scope_ = 0;

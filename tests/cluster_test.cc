@@ -3,12 +3,15 @@
 // bit-identical replay of whole cluster runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/cluster/admission.h"
 #include "src/cluster/app_table.h"
@@ -126,6 +129,92 @@ TEST(ConsistentHashRingTest, OwnerIfSkipsDeadHosts) {
     EXPECT_NE(fallback, owner) << key;
     EXPECT_GE(fallback, 0) << key;
     EXPECT_EQ(ring.OwnerIf(key, [](int) { return false; }), -1);
+  }
+}
+
+// The ring as a std::map from point to host, as it was before the flat
+// sorted vector: the reference the flat ring's walk order must match.
+class MapRing {
+ public:
+  explicit MapRing(int vnodes_per_host) : vnodes_per_host_(vnodes_per_host) {}
+
+  void AddHost(int host) {
+    if (!members_.insert(host).second) {
+      return;
+    }
+    for (int v = 0; v < vnodes_per_host_; ++v) {
+      auto [it, inserted] = ring_.emplace(Point(host, v), host);
+      if (!inserted) {
+        it->second = std::min(it->second, host);
+      }
+    }
+  }
+  void RemoveHost(int host) {
+    if (members_.erase(host) == 0) {
+      return;
+    }
+    for (int v = 0; v < vnodes_per_host_; ++v) {
+      auto it = ring_.find(Point(host, v));
+      if (it != ring_.end() && it->second == host) {
+        ring_.erase(it);
+      }
+    }
+  }
+  // Distinct hosts clockwise from `key`'s point.
+  std::vector<int> WalkOrder(const std::string& key) const {
+    std::vector<int> order;
+    if (ring_.empty()) {
+      return order;
+    }
+    std::set<int> seen;
+    auto it = ring_.lower_bound(fwbase::HashKey(key));
+    for (size_t step = 0; step < ring_.size(); ++step, ++it) {
+      if (it == ring_.end()) {
+        it = ring_.begin();
+      }
+      if (seen.insert(it->second).second) {
+        order.push_back(it->second);
+      }
+    }
+    return order;
+  }
+
+ private:
+  static uint64_t Point(int host, int v) {
+    return fwbase::HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
+  }
+
+  int vnodes_per_host_;
+  std::map<uint64_t, int> ring_;
+  std::set<int> members_;
+};
+
+TEST(ConsistentHashRingTest, FlatRingWalksInTheMapRingsOrder) {
+  constexpr int kVnodes = 64;
+  constexpr int kMaxHosts = 16;
+  const std::vector<std::string> keys = TestKeys(1000);
+  fwbase::Rng rng(7);
+  ConsistentHashRing flat(kVnodes);
+  MapRing reference(kVnodes);
+  for (int op = 0; op < 40; ++op) {
+    // Random joins and leaves; a join of a member and a leave of a
+    // non-member are no-ops on both rings.
+    const int host = static_cast<int>(rng.UniformU64(kMaxHosts));
+    if (rng.Chance(0.6)) {
+      flat.AddHost(host);
+      reference.AddHost(host);
+    } else {
+      flat.RemoveHost(host);
+      reference.RemoveHost(host);
+    }
+    for (const std::string& key : keys) {
+      std::vector<int> order;
+      flat.Walk(ConsistentHashRing::PointOf(key), [&order](int h) {
+        order.push_back(h);
+        return true;
+      });
+      ASSERT_EQ(order, reference.WalkOrder(key)) << "op " << op << ", key " << key;
+    }
   }
 }
 

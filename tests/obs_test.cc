@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
 #include "src/lang/json.h"
@@ -84,6 +85,39 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   }
   EXPECT_EQ(tracer.span_count(), 0u);
   EXPECT_EQ(tracer.CurrentSpan(), nullptr);
+}
+
+TEST(TracerTest, DisabledSpanAllocatesNothing) {
+  Simulation sim;
+  Tracer tracer = MakeTracer(sim);
+  // All three outgrow std::string's in-place buffer (15 bytes), so building
+  // any of them as a string would allocate.
+  constexpr char kName[] = "fireworks.invoke.params.encode";
+  static_assert(sizeof(kName) - 1 == 30);
+  const std::string value(40, 'v');
+  const fwbench::AllocCounts before = fwbench::CurrentAllocCounts();
+  {
+    ScopedSpan span(&tracer, kName, "fireworks.instrumentation");
+    span.SetAttribute("function", value);
+    span.SetAttribute("bytes", static_cast<uint64_t>(4096));
+  }
+  EXPECT_EQ(fwbench::CurrentAllocCounts().allocs - before.allocs, 0u);
+}
+
+TEST(TracerTest, ScopedSpanKeepsFractionalAttributes) {
+  // A double used to convert to the integer overload: a burn rate of 14.4
+  // was recorded as "14".
+  Simulation sim;
+  Tracer tracer = MakeTracer(sim);
+  tracer.Enable();
+  {
+    ScopedSpan span(&tracer, "slo.alert", "slo");
+    span.SetAttribute("burn_fast", 14.4);
+  }
+  const Span* span = tracer.FindSpan("slo.alert");
+  ASSERT_NE(span, nullptr);
+  ASSERT_EQ(span->attributes().size(), 1u);
+  EXPECT_EQ(span->attributes()[0].second, "14.4");
 }
 
 TEST(TracerTest, ScopedSpanEndIsIdempotentAndGetSurvivesEnd) {

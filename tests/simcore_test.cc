@@ -1,11 +1,14 @@
-// Unit tests for the discrete-event kernel: event ordering, coroutine tasks,
-// and synchronisation primitives.
+// Unit tests for the discrete-event kernel: event ordering, coroutine tasks
+// and their root table, and synchronisation primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/simcore/primitives.h"
 #include "src/simcore/simulation.h"
 
@@ -197,6 +200,89 @@ TEST(CoroTest, SuspendedRootsDestroyedWithSimulation) {
   EXPECT_TRUE(marks.empty());
 }
 
+// Appends its name to a log when destroyed: a coroutine frame holding one
+// records when it is torn down.
+class Marker {
+ public:
+  Marker(std::vector<std::string>& log, std::string name) : log_(log), name_(std::move(name)) {}
+  ~Marker() { log_.push_back(name_); }
+
+ private:
+  std::vector<std::string>& log_;
+  std::string name_;
+};
+
+Co<void> HoldMarker(Simulation& sim, Duration life, std::vector<std::string>& log,
+                    std::string name) {
+  Marker marker(log, std::move(name));
+  co_await Delay(sim, life);
+}
+
+TEST(RootTableTest, SuspendedRootsDieInSpawnOrderAfterSlotReuse) {
+  std::vector<std::string> log;
+  auto sim = std::make_unique<Simulation>();
+  const Duration forever = Duration::Seconds(1000);
+  sim->Spawn(HoldMarker(*sim, 1_ms, log, "a"));
+  sim->Spawn(HoldMarker(*sim, forever, log, "b"));
+  sim->Spawn(HoldMarker(*sim, 2_ms, log, "c"));
+  EXPECT_EQ(sim->live_roots(), 3u);
+  sim->RunFor(5_ms);
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(sim->live_roots(), 1u);
+  // d and e take the slots a and c freed, in whichever order the free list
+  // gives them out; neither matches spawn order for both.
+  sim->Spawn(HoldMarker(*sim, forever, log, "d"));
+  sim->Spawn(HoldMarker(*sim, forever, log, "e"));
+  sim->RunFor(1_ms);
+  EXPECT_EQ(sim->live_roots(), 3u);
+  log.clear();
+  sim.reset();
+  EXPECT_EQ(log, (std::vector<std::string>{"b", "d", "e"}));
+}
+
+TEST(RootTableTest, FinishedRootStaysDoneAfterItsSlotIsReused) {
+  Simulation sim;
+  std::vector<double> marks;
+  const uint64_t first = sim.Spawn(SleepAndMark(sim, 1_ms, marks));
+  EXPECT_FALSE(sim.IsDone(first));
+  sim.Run();
+  EXPECT_TRUE(sim.IsDone(first));
+  EXPECT_EQ(sim.live_roots(), 0u);
+  const uint64_t second = sim.Spawn(SleepAndMark(sim, 1_ms, marks));  // Reuses the slot.
+  EXPECT_NE(second, first);
+  EXPECT_TRUE(sim.IsDone(first));
+  EXPECT_FALSE(sim.IsDone(second));
+  EXPECT_EQ(sim.live_roots(), 1u);
+  sim.Run();
+  EXPECT_TRUE(sim.IsDone(first));
+  EXPECT_TRUE(sim.IsDone(second));
+  EXPECT_EQ(sim.live_roots(), 0u);
+  EXPECT_TRUE(sim.IsDone(0));  // Spawn never returns 0.
+}
+
+TEST(RootTableTest, LiveRootsCountsEverySpawnUntilItsReclaim) {
+  Simulation sim;
+  std::vector<double> marks;
+  for (int i = 1; i <= 10; ++i) {
+    sim.Spawn(SleepAndMark(sim, Duration::Millis(i), marks));
+  }
+  EXPECT_EQ(sim.live_roots(), 10u);
+  size_t refills = 0;
+  for (int i = 1; i <= 10; ++i) {
+    sim.RunUntil(SimTime::Zero() + Duration::Millis(i));
+    EXPECT_EQ(sim.live_roots(), 10 - i + refills) << i;
+    if (i % 2 == 0) {
+      // Takes a freed slot and outlives the loop.
+      sim.Spawn(SleepAndMark(sim, 1_s, marks));
+      ++refills;
+      EXPECT_EQ(sim.live_roots(), 10 - i + refills) << i;
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(marks.size(), 15u);
+  EXPECT_EQ(sim.live_roots(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // SimEvent.
 // ---------------------------------------------------------------------------
@@ -320,6 +406,172 @@ TEST(EventQueueTest, RunUntilRunsAResumeEventExactlyAtTheBoundary) {
   ASSERT_EQ(marks.size(), 1u);
   EXPECT_DOUBLE_EQ(marks[0], 0.010);
   EXPECT_EQ(sim.Now(), SimTime::Zero() + 10_ms);
+}
+
+TEST(EventQueueTest, EventScheduledEarlierForAnInstantRunsBeforeItsZeroDelayEvents) {
+  // b is scheduled at t = 0 for 5 ms, before anything that a runs at 5 ms
+  // schedules there: it must run right after a, ahead of a's zero-delay
+  // callbacks and the resume a's trigger schedules, which follow in schedule
+  // order.
+  Simulation sim;
+  SimEvent ev(sim);
+  std::vector<int> order;
+  sim.Spawn(WaitThenMark(ev, order, 3));
+  sim.Schedule(5_ms, [&] {
+    order.push_back(1);
+    sim.Schedule(Duration::Zero(), [&order] { order.push_back(2); });
+    ev.Trigger();
+    sim.ScheduleAt(sim.Now(), [&order] { order.push_back(4); });
+  });
+  sim.Schedule(5_ms, [&order] { order.push_back(0); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3, 4}));
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 5_ms);
+}
+
+// Drives a random mix of callbacks and coroutine wake-ups and records, for
+// every event it schedules, its due time and its schedule index. The
+// Simulation must run them in (due time, schedule index) order.
+class QueueDifferential {
+ public:
+  QueueDifferential(Simulation& sim, uint64_t seed) : sim_(sim), rng_(seed) {}
+
+  void Start() {
+    for (int i = 0; i < 8; ++i) {
+      ScheduleCallback();
+      SpawnSleeper();
+    }
+  }
+
+  // Indices of the events in the order they ran.
+  const std::vector<uint64_t>& ran() const { return ran_; }
+  // The same indices sorted by (due time, schedule index).
+  std::vector<uint64_t> Reference() const {
+    std::vector<uint64_t> order(due_.size());
+    for (uint64_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [this](uint64_t a, uint64_t b) { return due_[a] < due_[b]; });
+    return order;
+  }
+  size_t scheduled() const { return due_.size(); }
+
+ private:
+  static constexpr uint64_t kEvents = 2000;
+
+  Duration NextDelay() {
+    static const Duration kDelays[] = {Duration::Zero(), Duration::Zero(), 1_ns, 7_us, 1_ms};
+    return kDelays[rng_.UniformU64(5)];
+  }
+  // Records one event about to be scheduled, due `delay` from now.
+  uint64_t Track(Duration delay) {
+    due_.push_back(sim_.Now() + delay);
+    return due_.size() - 1;
+  }
+  void Ran(uint64_t index) {
+    EXPECT_EQ(sim_.Now(), due_[index]) << index;
+    ran_.push_back(index);
+  }
+  bool Budget() const { return due_.size() < kEvents; }
+
+  void ScheduleCallback() {
+    const Duration delay = NextDelay();
+    const uint64_t index = Track(delay);
+    sim_.Schedule(delay, [this, index] {
+      Ran(index);
+      // A callback schedules callbacks and spawns sleepers.
+      const uint64_t fanout = rng_.UniformU64(3);
+      for (uint64_t k = 0; k < fanout && Budget(); ++k) {
+        if (rng_.Chance(0.7)) {
+          ScheduleCallback();
+        } else {
+          SpawnSleeper();
+        }
+      }
+    });
+  }
+  void SpawnSleeper() {
+    const uint64_t first = Track(Duration::Zero());  // Spawn's first step is an event now.
+    sim_.Spawn(Sleeper(first));
+  }
+  Co<void> Sleeper(uint64_t index) {
+    for (;;) {
+      Ran(index);
+      if (!Budget()) {
+        co_return;
+      }
+      if (rng_.Chance(0.3)) {
+        ScheduleCallback();  // A coroutine schedules callbacks too.
+      }
+      if (!Budget()) {
+        co_return;
+      }
+      const Duration delay = NextDelay();
+      index = Track(delay);
+      co_await Delay(sim_, delay);
+    }
+  }
+
+  Simulation& sim_;
+  fwbase::Rng rng_;
+  std::vector<SimTime> due_;
+  std::vector<uint64_t> ran_;
+};
+
+TEST(EventQueueTest, RandomScheduleRunsInDueTimeThenScheduleOrder) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Simulation sim;
+    QueueDifferential driver(sim, seed);
+    driver.Start();
+    sim.Run();
+    EXPECT_GE(driver.scheduled(), 2000u) << "seed " << seed;
+    ASSERT_EQ(driver.ran(), driver.Reference()) << "seed " << seed;
+    EXPECT_EQ(sim.live_roots(), 0u);
+  }
+}
+
+TEST(EventQueueTest, RunUntilRunsZeroDelayEventsPendingAtTheCurrentInstant) {
+  Simulation sim;
+  sim.RunFor(2_ms);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    sim.Schedule(Duration::Zero(), [&order, i] { order.push_back(i); });
+  }
+  // Only same-instant events are pending: a boundary at the current instant
+  // runs them, and the clock stays put.
+  EXPECT_FALSE(sim.RunUntil(sim.Now()));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 2_ms);
+  sim.Schedule(Duration::Zero(), [&order] { order.push_back(3); });
+  EXPECT_FALSE(sim.RunUntil(SimTime::Zero() + 3_ms));
+  EXPECT_EQ(order.back(), 3);
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 3_ms);
+}
+
+TEST(EventQueueTest, StopLeavesTheRestOfTheInstantPending) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.Schedule(Duration::Zero(), [&] {
+    order.push_back(0);
+    sim.Stop();
+  });
+  sim.Schedule(Duration::Zero(), [&order] { order.push_back(1); });
+  sim.Schedule(Duration::Zero(), [&order] { order.push_back(2); });
+  // Stopped after the first event: the others stay queued and the clock does
+  // not move to the boundary.
+  EXPECT_TRUE(sim.RunUntil(SimTime::Zero() + 1_ms));
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(sim.Now(), SimTime::Zero());
+  sim.Schedule(Duration::Zero(), [&] {
+    order.push_back(3);
+    sim.Stop();
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  sim.Run();  // Nothing left.
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(sim.Now(), SimTime::Zero());
 }
 
 // ---------------------------------------------------------------------------
