@@ -24,6 +24,7 @@ namespace {
 using fwcore::HostEnv;
 using fwcore::InvokeOptions;
 using fwlang::FunctionSource;
+using fwtest::DescribeInvocation;
 using fwlang::Language;
 using fwtest::RunSync;
 using fwwork::FaasdomBench;
@@ -372,24 +373,6 @@ TEST_F(IsolateTest, FirstInvocationCreatesIsolate) {
 // ---------------------------------------------------------------------------
 // Pinned timings: one cold and one warm invocation per baseline platform.
 // ---------------------------------------------------------------------------
-
-// The result's windows in ns, its recovery bookkeeping, and the name and
-// duration of every child of its root span.
-std::string DescribeInvocation(HostEnv& env, const fwcore::InvocationResult& r) {
-  std::string out = "cold=" + std::to_string(r.cold) +
-                    " attempts=" + std::to_string(r.attempts) +
-                    " startup=" + std::to_string(r.startup.nanos()) +
-                    " exec=" + std::to_string(r.exec.nanos()) +
-                    " others=" + std::to_string(r.others.nanos()) +
-                    " total=" + std::to_string(r.total.nanos()) + " |";
-  if (r.root_span == nullptr) {
-    return out + " no root span";
-  }
-  for (const fwobs::Span* child : env.tracer().ChildrenOf(r.root_span->id())) {
-    out += " " + child->name() + "=" + std::to_string(child->duration().nanos());
-  }
-  return out;
-}
 
 template <typename Platform>
 std::unique_ptr<fwcore::ServerlessPlatform> Make(HostEnv& env) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "src/base/strings.h"
 #include "src/core/annotator.h"
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
@@ -253,6 +255,324 @@ TEST_F(FireworksPlatformTest, DeoptStillCompletesWithVariedSignatures) {
   auto result = RunSync(env_.sim(), platform_.Invoke("hello", "{}", options));
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->exec_stats.deopts, 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Pinned timings: every path through FireworksPlatform.
+// ---------------------------------------------------------------------------
+
+FunctionSource FactFn() { return fwwork::MakeFaasdom(FaasdomBench::kFact, Language::kNodeJs); }
+
+// The host's live microVMs and network namespaces (the root one included),
+// and a digest of every span recorded so far: its name, start, end, parent
+// and attributes.
+std::string HostState(HostEnv& env, FireworksPlatform& platform) {
+  std::string spans;
+  for (const fwobs::Span& span : env.tracer().spans()) {
+    spans += fwbase::StrFormat("%s %lld %lld %llu", span.name().c_str(),
+                               static_cast<long long>(span.start().nanos()),
+                               static_cast<long long>(span.end().nanos()),
+                               static_cast<unsigned long long>(span.parent_id()));
+    for (const auto& [key, value] : span.attributes()) {
+      spans += " " + key + "=" + value;
+    }
+    spans += "\n";
+  }
+  return fwbase::StrFormat(" | vms=%zu netns=%zu spans=%zu/%016llx",
+                           platform.hypervisor().live_vm_count(),
+                           env.network().namespace_count(), env.tracer().span_count(),
+                           static_cast<unsigned long long>(fwbase::Fnv1a(spans)));
+}
+
+// An invocation's fallback flag and DescribeInvocation line, or its status.
+std::string Describe(HostEnv& env, FireworksPlatform& platform,
+                     const Result<InvocationResult>& r) {
+  const std::string line =
+      r.ok() ? "fallback=" + std::to_string(r->cold_boot_fallback) + " " +
+                   fwtest::DescribeInvocation(env, *r)
+             : r.status().ToString();
+  return line + HostState(env, platform);
+}
+
+// Installs faas-fact; the install's times and the duration of every child of
+// its root span, or its status.
+std::string InstallFact(HostEnv& env, FireworksPlatform& platform) {
+  auto r = RunSync(env.sim(), platform.Install(FactFn()));
+  if (!r.ok()) {
+    return r.status().ToString() + HostState(env, platform);
+  }
+  std::string line = fwbase::StrFormat(
+      "total=%lld jit=%lld snapshot=%lld bytes=%llu |", static_cast<long long>(r->total.nanos()),
+      static_cast<long long>(r->jit_time.nanos()),
+      static_cast<long long>(r->snapshot_time.nanos()),
+      static_cast<unsigned long long>(r->snapshot_bytes));
+  const fwobs::Span* root = nullptr;  // This install's: the last one recorded.
+  for (const fwobs::Span& span : env.tracer().spans()) {
+    if (span.name() == "fireworks.install") {
+      root = &span;
+    }
+  }
+  for (const fwobs::Span* child : env.tracer().ChildrenOf(root->id())) {
+    line += " " + child->name() + "=" + std::to_string(child->duration().nanos());
+  }
+  return line + HostState(env, platform);
+}
+
+std::string InvokeFact(HostEnv& env, FireworksPlatform& platform,
+                       const InvokeOptions& options = InvokeOptions()) {
+  return Describe(env, platform,
+                  RunSync(env.sim(), platform.Invoke(FactFn().name, "{}", options)));
+}
+
+std::string PrepareFact(HostEnv& env, FireworksPlatform& platform) {
+  auto r = RunSync(env.sim(), platform.PrepareClone(FactFn().name));
+  return (r.ok() ? "fc_id=" + std::to_string(*r) : r.status().ToString()) +
+         HostState(env, platform);
+}
+
+std::string InvokeFactOnClone(HostEnv& env, FireworksPlatform& platform) {
+  return Describe(env, platform,
+                  RunSync(env.sim(), platform.InvokeOnClone(FactFn().name, "{}",
+                                                            InvokeOptions())));
+}
+
+// A traced host whose injector runs `plan`, and its platform.
+struct PinnedHost {
+  explicit PinnedHost(const fwfault::FaultPlan& plan = fwfault::FaultPlan())
+      : env(ConfigFor(plan)), platform(env) {
+    env.tracer().Enable();
+  }
+  static HostEnv::Config ConfigFor(const fwfault::FaultPlan& plan) {
+    HostEnv::Config config;
+    config.fault_plan = plan;
+    return config;
+  }
+
+  HostEnv env;
+  FireworksPlatform platform;
+};
+
+// A plan whose `kind` always fires once the host has installed (100 s in).
+fwfault::FaultPlan AfterInstall(fwfault::FaultKind kind, uint64_t max_trips) {
+  fwfault::FaultPlan plan;
+  plan.Set(kind, 1.0, max_trips);
+  plan.SetWindow(kind, fwbase::SimTime::Zero() + 100_s, fwbase::SimTime::Max());
+  return plan;
+}
+
+TEST(FireworksPinnedTimingTest, CleanPathsAreUnchanged) {
+  {
+    PinnedHost h;
+    EXPECT_EQ(InstallFact(h.env, h.platform),
+        "total=3748682195 jit=101988529 snapshot=470633818 bytes=247705600 |"
+        " install.annotate=0 install.create_vm=81120000 install.boot=1929766400"
+        " install.netns=2200000 install.load=1162895304 install.jit=101988529"
+        " install.snapshot=470711962 | vms=0 netns=1 spans=11/8a53a9f36debe3e0");
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=0 cold=0 attempts=1 startup=17682900 exec=96484123 others=958521"
+        " total=115125544 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14582900"
+        " invoke.params.consume=480029 invoke.exec=96484123 invoke.response=78463 | vms=0"
+        " netns=1 spans=24/199e533b35ee084b");
+  }
+  {
+    PinnedHost h;
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=1 | vms=1 netns=2 spans=15/19c7e0e9ab76378b");
+    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+        "fallback=0 cold=0 attempts=1 startup=1600058 exec=96484123 others=78463"
+        " total=98162644 | invoke.frontend=900000 invoke.params.produce=400029"
+        " invoke.params.consume=300029 invoke.exec=96484123 invoke.response=78463 | vms=0"
+        " netns=1 spans=23/3a691f783cdcc8d5");
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=2 | vms=1 netns=2 spans=27/a0eb165a12f52221");
+    h.platform.ReleaseInstances();
+    EXPECT_EQ(HostState(h.env, h.platform), " | vms=0 netns=1 spans=27/a0eb165a12f52221");
+  }
+  {
+    PinnedHost h;
+    InstallFact(h.env, h.platform);
+    InvokeOptions steady;
+    steady.keep_instance = true;
+    steady.steady_state = true;
+    EXPECT_EQ(InvokeFact(h.env, h.platform, steady),
+        "fallback=0 cold=0 attempts=1 startup=17682900 exec=96484123 others=958521"
+        " total=115125544 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14582900"
+        " invoke.params.consume=480029 invoke.exec=96484123 invoke.response=78463 | vms=1"
+        " netns=2 spans=24/199e533b35ee084b");
+    EXPECT_EQ(fwbase::StrFormat("%.17g", h.platform.MeasurePssBytes()),
+        "216555520");
+    h.platform.ReleaseInstances();
+    EXPECT_EQ(HostState(h.env, h.platform),
+        " | vms=0 netns=1 spans=24/199e533b35ee084b");
+  }
+  {
+    PinnedHost h;
+    InstallFact(h.env, h.platform);
+    const fwbase::SimTime t0 = h.env.sim().Now();
+    const Status regenerated =
+        RunSync(h.env.sim(), h.platform.RegenerateSnapshot(FactFn().name));
+    EXPECT_EQ(regenerated.ToString() + " took=" +
+                  std::to_string((h.env.sim().Now() - t0).nanos()) +
+                  " version=" + std::to_string(h.platform.SnapshotVersion(FactFn().name)) +
+                  HostState(h.env, h.platform),
+              "OK took=506277718 version=2 | vms=0 netns=1 spans=13/e40a0572a5216662");
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=0 cold=0 attempts=1 startup=17682900 exec=96484123 others=958521"
+        " total=115125544 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14582900"
+        " invoke.params.consume=480029 invoke.exec=96484123 invoke.response=78463 | vms=0"
+        " netns=1 spans=26/93d2731d295003fd");
+  }
+}
+
+// Each fault a FireworksPlatform path recovers from or surfaces, under a plan
+// that fires it every time (or for the trips given).
+TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
+  using fwfault::FaultKind;
+  using fwfault::FaultPlan;
+  {
+    // Every restore fails its checksum: three attempts, each re-persisting
+    // the image, then the cold-boot fallback.
+    PinnedHost h(*FaultPlan::Parse("snapshot_corruption=1"));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=4583253915 exec=101084263 others=78463"
+        " total=4684416641 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=0"
+        " invoke.snapshot_reinstall=450393818 invoke.retry=13789802 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=0"
+        " invoke.snapshot_reinstall=450393818 invoke.retry=33600868 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=0"
+        " invoke.snapshot_reinstall=450393818 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=35/84a3f7c8099417df");
+  }
+  {
+    // Two corrupt restores, then the repaired image restores.
+    PinnedHost h(FaultPlan().Set(FaultKind::kSnapshotCorruption, 1.0, 2));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=0 cold=0 attempts=3 startup=17708100 exec=96556123 others=954336885"
+        " total=1068601108 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=0"
+        " invoke.snapshot_reinstall=450393818 invoke.retry=13789802 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=0"
+        " invoke.snapshot_reinstall=450393818 invoke.retry=33600868 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14608100"
+        " invoke.params.consume=480029 invoke.exec=96556123 invoke.response=78463 | vms=0"
+        " netns=1 spans=36/760784506aaee5d0");
+  }
+  {
+    // NAT exhaustion once, at the install VM's wiring.
+    PinnedHost h(FaultPlan().Set(FaultKind::kNetNatExhausted, 1.0, 1));
+    EXPECT_EQ(InstallFact(h.env, h.platform),
+        "RESOURCE_EXHAUSTED: NAT port allocation failed for 10.200.0.1 | vms=0 netns=1"
+        " spans=7/8c4cd75496a1063f");
+    EXPECT_EQ(InstallFact(h.env, h.platform),
+        "total=3748682195 jit=101988529 snapshot=470633818 bytes=247705600 |"
+        " install.annotate=0 install.create_vm=81120000 install.boot=1929766400"
+        " install.netns=2200000 install.load=1162895304 install.jit=101988529"
+        " install.snapshot=470711962 | vms=0 netns=1 spans=18/f76bb239467823d2");
+  }
+  {
+    // NAT exhaustion once, at a snapshot clone's start...
+    PinnedHost h(AfterInstall(FaultKind::kNetNatExhausted, 1));
+    InstallFact(h.env, h.platform);
+    h.env.sim().RunUntil(fwbase::SimTime::Zero() + 100_s);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=0 cold=0 attempts=2 startup=17682900 exec=96484123 others=16948323"
+        " total=131115346 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.retry=13789802 invoke.netns=2200000 invoke.params.produce=400029"
+        " invoke.restore=14582900 invoke.params.consume=480029 invoke.exec=96484123"
+        " invoke.response=78463 | vms=0 netns=1 spans=26/c15ebad934ad10bf");
+  }
+  {
+    // ...and at a parked clone's.
+    PinnedHost h(AfterInstall(FaultKind::kNetNatExhausted, 1));
+    InstallFact(h.env, h.platform);
+    h.env.sim().RunUntil(fwbase::SimTime::Zero() + 100_s);
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "RESOURCE_EXHAUSTED: NAT port allocation failed for 10.200.0.2 | vms=0 netns=1"
+        " spans=12/0a5b11c33a64374c");
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=1 | vms=1 netns=2 spans=16/e8293b5978eb2007");
+    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+        "fallback=0 cold=0 attempts=1 startup=1600058 exec=96484123 others=78463"
+        " total=98162644 | invoke.frontend=900000 invoke.params.produce=400029"
+        " invoke.params.consume=300029 invoke.exec=96484123 invoke.response=78463 | vms=0"
+        " netns=1 spans=24/311681ec0de6c97b");
+  }
+  {
+    // The guest crashes in every exec: the snapshot path falls back to a
+    // cold boot, a parked clone fails.
+    PinnedHost h(*FaultPlan::Parse("vm_crash_during_exec=1"));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=3277383648 exec=101084263 others=78463"
+        " total=3378546374 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14582900"
+        " invoke.params.consume=480029 invoke.retry=13789802 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14680100"
+        " invoke.params.consume=480029 invoke.retry=33600868 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14608100"
+        " invoke.params.consume=480029 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=47/d5828d7b8917c3cd");
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=4 | vms=1 netns=2 spans=51/603cc54cfe37125f");
+    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+        "UNAVAILABLE: guest VM crashed executing faas-fact-nodejs | vms=0 netns=1"
+        " spans=57/c80c81758ad98707");
+  }
+  {
+    // Every restore crashes the VMM.
+    PinnedHost h(*FaultPlan::Parse("vm_crash_on_resume=1"));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=3271432461 exec=101084263 others=78463"
+        " total=3372595187 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=13120000 invoke.retry=13789802"
+        " invoke.netns=2200000 invoke.params.produce=400029 invoke.restore=13120000"
+        " invoke.retry=33600868 invoke.netns=2200000 invoke.params.produce=400029"
+        " invoke.restore=13120000 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=35/1bb5684da557d8d5");
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "UNAVAILABLE: VMM process crashed restoring fw-faas-fact-nodejs | vms=0 netns=1"
+        " spans=37/3a8205a8d455f929");
+  }
+  {
+    // Every args record is dropped: the guest's parameter fetch times out.
+    PinnedHost h(*FaultPlan::Parse("broker_drop_message=1"));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=4776483561 exec=101084263 others=78463"
+        " total=4877646287 | invoke.frontend=900000 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14582900"
+        " invoke.params.consume=500180000 invoke.retry=13789802 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14680100"
+        " invoke.params.consume=500180000 invoke.retry=33600868 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14608100"
+        " invoke.params.consume=500180000 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=47/848da4baf4d94d9b");
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=4 | vms=1 netns=2 spans=51/c48ffb86a3ecca99");
+    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+        "DEADLINE_EXCEEDED: no record in topic4 within 500.000000 ms | vms=0 netns=1"
+        " spans=57/f2b8509de258ceea");
+  }
+  {
+    // Persisting the post-JIT snapshot fails.
+    PinnedHost h(*FaultPlan::Parse("disk_write_error=1"));
+    EXPECT_EQ(InstallFact(h.env, h.platform),
+        "UNAVAILABLE: snapshot store: write error persisting fw-faas-fact-nodejs | vms=0"
+        " netns=1 spans=11/bd7fc1e3b53a22ab");
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Shared helpers for driving coroutines to completion inside tests, the
-// per-test simulation fixture, and the instruments a host subsystem takes.
+// per-test simulation fixture, the instruments a host subsystem takes, and
+// the one-line description the pinned-timing tests compare.
 #ifndef FIREWORKS_TESTS_TEST_UTIL_H_
 #define FIREWORKS_TESTS_TEST_UTIL_H_
 
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "src/base/hash.h"
+#include "src/core/platform.h"
 #include "src/fault/fault.h"
 #include "src/obs/observability.h"
 #include "src/simcore/run_sync.h"
@@ -60,6 +62,24 @@ struct Instruments {
   fwobs::Observability obs;
   fwfault::FaultInjector injector;
 };
+
+// The result's windows in ns, its recovery bookkeeping, and the name and
+// duration of every child of its root span.
+inline std::string DescribeInvocation(fwcore::HostEnv& env, const fwcore::InvocationResult& r) {
+  std::string out = "cold=" + std::to_string(r.cold) +
+                    " attempts=" + std::to_string(r.attempts) +
+                    " startup=" + std::to_string(r.startup.nanos()) +
+                    " exec=" + std::to_string(r.exec.nanos()) +
+                    " others=" + std::to_string(r.others.nanos()) +
+                    " total=" + std::to_string(r.total.nanos()) + " |";
+  if (r.root_span == nullptr) {
+    return out + " no root span";
+  }
+  for (const fwobs::Span* child : env.tracer().ChildrenOf(r.root_span->id())) {
+    out += " " + child->name() + "=" + std::to_string(child->duration().nanos());
+  }
+  return out;
+}
 
 }  // namespace fwtest
 
