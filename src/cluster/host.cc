@@ -15,7 +15,8 @@ FullHost::FullHost(fwsim::Simulation& sim, int id, const Config& config)
     : id_(id),
       env_(sim, config.env),
       memory_bytes_(static_cast<double>(env_.memory().total_bytes())),
-      platform_(env_, config.fw) {}
+      platform_(env_, config.fw),
+      warm_invoked_(env_.metrics().GetCounter("fw.warmpool.invoked.count")) {}
 
 fwsim::Co<Status> FullHost::Install(const fwlang::FunctionSource& fn) {
   auto r = co_await platform_.Install(fn);
@@ -34,11 +35,7 @@ fwsim::Co<Result<fwcore::InvocationResult>> FullHost::Invoke(const std::string& 
     // generation (its reseed never completed) and was discarded; fall
     // through to the regular snapshot path. Other errors are real
     // invocation failures.
-    if (r.ok()) {
-      ++warm_hits_;
-      co_return r;
-    }
-    if (r.status().code() != fwbase::StatusCode::kFailedPrecondition) {
+    if (r.ok() || r.status().code() != fwbase::StatusCode::kFailedPrecondition) {
       co_return r;
     }
   }

@@ -109,7 +109,7 @@ class FullHost : public ClusterHost {
   size_t TotalPooledClones() const override;
   size_t LiveVmCount() override;
   size_t LiveNetnsCount() override;
-  uint64_t warm_hits() const override { return warm_hits_; }
+  uint64_t warm_hits() const override { return warm_invoked_.value(); }
   void DropWarmPool() override;
 
   fwcore::HostEnv& env() { return env_; }
@@ -120,7 +120,9 @@ class FullHost : public ClusterHost {
   fwcore::HostEnv env_;  // Borrows the cluster's shared Simulation.
   double memory_bytes_;  // Physical capacity of env_'s memory.
   fwcore::FireworksPlatform platform_;
-  uint64_t warm_hits_ = 0;
+  // The platform's fw.warmpool.invoked.count: every parked-clone invocation
+  // that succeeded, which is exactly a warm hit.
+  const fwobs::Counter& warm_invoked_;
 };
 
 // ---------------------------------------------------------------------------

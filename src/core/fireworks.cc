@@ -55,38 +55,33 @@ FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
 
 FireworksPlatform::~FireworksPlatform() { ReleaseInstances(); }
 
-fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> FireworksPlatform::WireNetwork() {
+fwsim::Co<Status> FireworksPlatform::WireNetwork(Instance& instance) {
   co_await fwsim::Delay(env_.sim(), kNetnsSetupCost);
   fwnet::NetworkNamespace& ns = env_.network().CreateNamespace();
+  // Recorded at once: a half-wired namespace (e.g. after injected NAT
+  // exhaustion) is released by the caller's Teardown.
+  instance.netns_id = ns.id();
   Status tap = ns.AttachTap({kGuestTapName, kGuestIp, fwnet::MacAddr(0xFA57F00D)});
   if (!tap.ok()) {
-    (void)env_.network().DestroyNamespace(ns.id());
     co_return tap;
   }
-  const fwnet::IpAddr external = env_.network().AllocateExternalIp();
-  Status nat = ns.AddNatRule({external, kGuestIp});
+  instance.external_ip = env_.network().AllocateExternalIp();
+  Status nat = ns.AddNatRule({instance.external_ip, kGuestIp});
   if (!nat.ok()) {
-    (void)env_.network().DestroyNamespace(ns.id());
     co_return nat;
   }
-  Status bind = env_.network().BindExternalIp(external, ns.id());
-  if (!bind.ok()) {
-    // NAT port allocation failed (e.g. injected exhaustion): release the
-    // half-wired namespace rather than leaking it.
-    (void)env_.network().DestroyNamespace(ns.id());
-    co_return bind;
-  }
-  co_return std::make_pair(ns.id(), external);
+  co_return env_.network().BindExternalIp(instance.external_ip, ns.id());
 }
 
-ExecEnv FireworksPlatform::MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_id,
-                                        fwnet::IpAddr guest_ip) {
-  auto net_send = [this, netns_id, guest_ip](uint64_t bytes) -> fwsim::Co<void> {
+ExecEnv FireworksPlatform::MountGuest(Instance& instance) {
+  instance.fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
+                                                      fwstore::FsKind::kVirtio);
+  auto net_send = [this, netns_id = instance.netns_id](uint64_t bytes) -> fwsim::Co<void> {
     // Lost packets are retransmitted (bounded, TCP-style). A link that stays
     // down drops this egress — an application-visible effect, never a host
     // crash. Each attempt charges its own wire time.
     for (int attempt = 0; attempt < 8; ++attempt) {
-      auto sent = co_await env_.network().SendOutbound(netns_id, guest_ip, bytes);
+      auto sent = co_await env_.network().SendOutbound(netns_id, kGuestIp, bytes);
       if (sent.ok()) {
         co_return;
       }
@@ -94,7 +89,7 @@ ExecEnv FireworksPlatform::MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_
     }
     FW_LOG(kWarning) << "fireworks: guest egress dropped after retransmit budget";
   };
-  return ExecEnv(fs, &env_.db(), std::move(net_send), Duration::Micros(400));
+  return ExecEnv(instance.fs.get(), &env_.db(), std::move(net_send), Duration::Micros(400));
 }
 
 GuestProcess::FaultCharger FireworksPlatform::ChargerFor(MicroVm* vm) {
@@ -121,42 +116,16 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
   record.annotated = std::make_unique<fwlang::FunctionSource>(*std::move(annotated));
   annotate_span.End();
 
-  // ① Create a microVM ready for the runtime and boot it.
-  fwobs::ScopedSpan create_span(tracer_, "install.create_vm", "install");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-install-" + fn.name);
-  create_span.End();
-  fwobs::ScopedSpan boot_span(tracer_, "install.boot", "install");
-  Status booted = co_await hv_.BootGuestOs(*vm);
+  // ① Create a microVM and boot it, wire its network (the snapshot request
+  // needs egress), and ③ launch the runtime and load the annotated function.
+  Instance instance;
+  Status booted =
+      co_await BootGuest(*record.annotated, "fw-install-" + fn.name, tracer_, instance);
   if (!booted.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
+    Teardown(instance);
     co_return booted;
   }
-  boot_span.End();
-
-  // Network wiring for the install VM (the snapshot request needs egress).
-  fwobs::ScopedSpan netns_span(tracer_, "install.netns", "install");
-  auto wired = co_await WireNetwork();
-  if (!wired.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
-    co_return wired.status();
-  }
-  const auto [netns_id, external_ip] = *wired;
-  vm->set_netns_id(netns_id);
-  vm->set_tap_name(kGuestTapName);
-  netns_span.End();
-
-  // ③ Launch the runtime and load the annotated function.
-  fwobs::ScopedSpan load_span(tracer_, "install.load", "install");
-  auto fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
-                                                  fwstore::FsKind::kVirtio);
-  GuestProcess process(env_.sim(), record.annotated->language, vm->address_space(),
-                       MakeGuestEnv(fs.get(), netns_id, kGuestIp), ChargerFor(vm));
-  // One virtio-rng read at runtime start seeds the guest RNG (DESIGN.md §15).
-  process.set_boot_entropy(hv_.DrawGuestEntropy());
-  co_await process.InstallPackages(*record.annotated);
-  co_await process.BootRuntime();
-  co_await process.LoadApplication(*record.annotated);
-  load_span.End();
+  GuestProcess& process = *instance.process;
 
   // ④ __fireworks_jit: JIT-compile every user method (one default-params
   // execution of the whole application).
@@ -173,12 +142,9 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
   co_await process.CallMethod(fwlang::kFireworksSnapshotMethod, "default");
   // ...and the host takes it right before the original entry point.
   const SimTime snap_t0 = env_.sim().Now();
-  auto image = co_await hv_.CreateSnapshot(*vm, "fw-" + fn.name);
+  auto image = co_await hv_.CreateSnapshot(*instance.vm, "fw-" + fn.name);
   if (!image.ok()) {
-    // Persisting the snapshot failed: release the install VM and its network
-    // wiring before surfacing the error.
-    FW_CHECK(hv_.Destroy(*vm).ok());
-    FW_CHECK(env_.network().DestroyNamespace(netns_id).ok());
+    Teardown(instance);
     co_return image.status();
   }
   record.install.snapshot_time = env_.sim().Now() - snap_t0;
@@ -195,8 +161,7 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
   record.process_state = process.ExtractState();
 
   // The install VM is no longer needed; clones resume from the image.
-  FW_CHECK(hv_.Destroy(*vm).ok());
-  FW_CHECK(env_.network().DestroyNamespace(netns_id).ok());
+  Teardown(instance);
 
   record.install.total = env_.sim().Now() - t0;
   FW_LOG(kInfo) << "fireworks: installed " << fn.name << " in "
@@ -207,6 +172,40 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
   InstallResult result = record.install;
   installed_.emplace(fn.name, std::move(record));
   co_return result;
+}
+
+fwsim::Co<Status> FireworksPlatform::BootGuest(const fwlang::FunctionSource& source,
+                                               const std::string& vm_name, fwobs::Tracer* steps,
+                                               Instance& instance) {
+  fwobs::ScopedSpan create_span(steps, "install.create_vm", "install");
+  instance.vm = co_await hv_.CreateMicroVm(vm_name);
+  create_span.End();
+  fwobs::ScopedSpan boot_span(steps, "install.boot", "install");
+  Status booted = co_await hv_.BootGuestOs(*instance.vm);
+  if (!booted.ok()) {
+    co_return booted;
+  }
+  boot_span.End();
+
+  fwobs::ScopedSpan netns_span(steps, "install.netns", "install");
+  Status wired = co_await WireNetwork(instance);
+  if (!wired.ok()) {
+    co_return wired;
+  }
+  instance.vm->set_netns_id(instance.netns_id);
+  instance.vm->set_tap_name(kGuestTapName);
+  netns_span.End();
+
+  fwobs::ScopedSpan load_span(steps, "install.load", "install");
+  instance.process =
+      std::make_unique<GuestProcess>(env_.sim(), source.language, instance.vm->address_space(),
+                                     MountGuest(instance), ChargerFor(instance.vm));
+  // One virtio-rng read at runtime start seeds the guest RNG (DESIGN.md §15).
+  instance.process->set_boot_entropy(hv_.DrawGuestEntropy());
+  co_await instance.process->InstallPackages(source);
+  co_await instance.process->BootRuntime();
+  co_await instance.process->LoadApplication(source);
+  co_return Status::Ok();
 }
 
 fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string& fn_name,
@@ -387,12 +386,10 @@ fwmem::FaultCounts FireworksPlatform::GuestResumeFaults(Instance& instance) {
 }
 
 fwsim::Co<Status> FireworksPlatform::OpenClone(Instance& instance) {
-  auto wired = co_await WireNetwork();
+  Status wired = co_await WireNetwork(instance);
   if (!wired.ok()) {
-    co_return wired.status();
+    co_return wired;
   }
-  instance.netns_id = wired->first;
-  instance.external_ip = wired->second;
   instance.fc_id = next_fc_id_++;
   const std::string topic =
       fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(instance.fc_id));
@@ -437,13 +434,8 @@ fwsim::Co<Status> FireworksPlatform::ResumeClone(const InstalledFunction& fn,
   // copy), then restore its uniqueness while still inside the restore window
   // — the clone must not touch user traffic with snapshot-duplicated
   // identity, and a parked clone is one Produce away from it (DESIGN.md §15).
-  instance.fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
-                                                      fwstore::FsKind::kVirtio);
-  instance.process = GuestProcess::FromState(fn.process_state, env_.sim(),
-                                             vm->address_space(),
-                                             MakeGuestEnv(instance.fs.get(), instance.netns_id,
-                                                          kGuestIp),
-                                             ChargerFor(vm));
+  instance.process = GuestProcess::FromState(fn.process_state, env_.sim(), vm->address_space(),
+                                             MountGuest(instance), ChargerFor(vm));
   instance.process->set_mem_salt(instance.fc_id);
   if (config_.restore_uniqueness) {
     co_await RestoreUniqueness(*instance.process, *vm);
@@ -458,15 +450,17 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
                                                    Instance& instance, AttemptTimes& times,
                                                    InvocationResult& result) {
   times.attempt_start = env_.sim().Now();
+  const bool parked = instance.vm != nullptr;
   instance.fn = &fn;
 
-  // Per-clone network namespace (§3.5) and parameter topic.
-  fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
-  Status opened = co_await OpenClone(instance);
-  if (!opened.ok()) {
-    co_return opened;
+  if (!parked) {
+    // Per-clone network namespace (§3.5) and parameter topic.
+    fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
+    Status opened = co_await OpenClone(instance);
+    if (!opened.ok()) {
+      co_return opened;
+    }
   }
-  netns_span.End();
   times.net_done = env_.sim().Now();
 
   // §3.6: put the arguments into the instance's Kafka topic *before* resume.
@@ -479,19 +473,23 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   produce_span.End();
   times.params_queued = env_.sim().Now();
 
-  // ⑥ Restore the post-JIT snapshot into a fresh microVM.
-  fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
-  Status resumed = co_await ResumeClone(fn, fn_name, instance);
-  if (!resumed.ok()) {
-    co_return resumed;
+  if (!parked) {
+    // ⑥ Restore the post-JIT snapshot into a fresh microVM.
+    fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
+    Status resumed = co_await ResumeClone(fn, fn_name, instance);
+    if (!resumed.ok()) {
+      co_return resumed;
+    }
   }
-  restore_span.End();
   times.restored = env_.sim().Now();
   fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
 
-  // The resumed guest identifies itself via MMDS and fetches its parameters.
-  auto fc_id_value = co_await hv_.GuestReadMmds(*instance.vm, "fcID");
-  FW_CHECK(fc_id_value.ok());
+  // The resumed guest identifies itself via MMDS and fetches its parameters
+  // (a parked guest is already blocked on its topic).
+  if (!parked) {
+    auto fc_id_value = co_await hv_.GuestReadMmds(*instance.vm, "fcID");
+    FW_CHECK(fc_id_value.ok());
+  }
   // Bounded wait: a dropped args record must surface as kDeadlineExceeded,
   // not a hang. With the record already present (the normal case) the timing
   // is identical to the unbounded ConsumeLast.
@@ -599,50 +597,20 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   co_await fwsim::Delay(env_.sim(), kControllerCost);
   frontend_span.End();
 
-  // Produce the arguments; the parked guest is already blocked on the topic.
-  fwobs::ScopedSpan produce_span(tracer_, "invoke.params.produce", "invoke");
-  auto produced = co_await env_.broker().Produce(instance->topic, 0,
-                                                 fwbus::Record("args", args));
-  if (!produced.ok()) {
+  // The snapshot path's attempt from the produce on: the clone holds a VM.
+  AttemptTimes times;
+  Status attempted =
+      co_await InvokeAttempt(fn, fn_name, args, options, *instance, times, result);
+  if (!attempted.ok()) {
     Teardown(*instance);
-    co_return produced.status();
+    co_return attempted;
   }
-  produce_span.End();
-
-  fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
-  auto params = co_await env_.broker().ConsumeLastWithTimeout(instance->topic, 0,
-                                                              kParamsConsumeTimeout);
-  if (!params.ok()) {
-    Teardown(*instance);
-    co_return params.status();
-  }
-  consume_span.End();
-  const SimTime t_params_read = env_.sim().Now();
-
-  if (env_.fault_injector().Trip(fwfault::FaultKind::kVmCrashDuringExec)) {
-    Teardown(*instance);
-    co_return Status::Unavailable("guest VM crashed executing " + fn_name);
-  }
-  fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
-  result.exec_stats =
-      co_await instance->process->CallMethod(fn.annotated->entry_method, options.type_sig);
-  exec_span.End();
-  const SimTime t_exec_done = env_.sim().Now();
-
-  fwobs::ScopedSpan response_span(tracer_, "invoke.response", "invoke");
-  auto sent = co_await env_.network().SendOutbound(instance->netns_id, kGuestIp, 579);
-  if (!sent.ok()) {
-    Teardown(*instance);
-    co_return sent.status();
-  }
-  response_span.End();
-  const SimTime t_done = env_.sim().Now();
 
   // Startup spans request arrival → function entry, as on the snapshot path;
   // the restore itself happened off-path at PrepareClone time.
-  result.startup = t_params_read - t0;
-  result.exec = t_exec_done - t_params_read;
-  result.total = t_done - t0;
+  result.startup = times.params_read - t0;
+  result.exec = times.exec_done - times.params_read;
+  result.total = times.done - t0;
   result.others = result.total - result.startup - result.exec;
   root.End();
   result.root_span = root.get();
@@ -716,45 +684,28 @@ fwsim::Co<Status> FireworksPlatform::ColdBootInvoke(const InstalledFunction& fn,
   result.cold_boot_fallback = true;
 
   // Create + boot + wire + load: the slow path the snapshot normally skips.
-  fwobs::ScopedSpan boot_span(tracer_, "invoke.coldboot.boot", "invoke");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-coldboot-" + fn_name);
-  Status booted = co_await hv_.BootGuestOs(*vm);
-  if (!booted.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
-    co_return booted;
-  }
-  auto wired = co_await WireNetwork();
-  if (!wired.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
-    co_return wired.status();
-  }
-  const auto [netns_id, external_ip] = *wired;
-  (void)external_ip;
-  vm->set_netns_id(netns_id);
-  vm->set_tap_name(kGuestTapName);
-  auto fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
-                                                  fwstore::FsKind::kVirtio);
-  GuestProcess process(env_.sim(), fn.annotated->language, vm->address_space(),
-                       MakeGuestEnv(fs.get(), netns_id, kGuestIp), ChargerFor(vm));
   // A cold boot is a fresh guest: it reads fresh boot entropy rather than
   // inheriting a snapshot's identity (DESIGN.md §15).
-  process.set_boot_entropy(hv_.DrawGuestEntropy());
-  co_await process.InstallPackages(*fn.annotated);
-  co_await process.BootRuntime();
-  co_await process.LoadApplication(*fn.annotated);
+  Instance instance;
+  fwobs::ScopedSpan boot_span(tracer_, "invoke.coldboot.boot", "invoke");
+  Status booted = co_await BootGuest(*fn.annotated, "fw-coldboot-" + fn_name, nullptr, instance);
+  if (!booted.ok()) {
+    Teardown(instance);
+    co_return booted;
+  }
   boot_span.End();
   const SimTime t_ready = env_.sim().Now();
 
   fwobs::ScopedSpan exec_span(tracer_, "invoke.coldboot.exec", "invoke");
-  result.exec_stats = co_await process.CallMethod(fn.annotated->entry_method, options.type_sig);
+  result.exec_stats =
+      co_await instance.process->CallMethod(fn.annotated->entry_method, options.type_sig);
   exec_span.End();
   const SimTime t_exec_done = env_.sim().Now();
 
   fwobs::ScopedSpan response_span(tracer_, "invoke.coldboot.response", "invoke");
-  auto sent = co_await env_.network().SendOutbound(netns_id, kGuestIp, 579);
+  auto sent = co_await env_.network().SendOutbound(instance.netns_id, kGuestIp, 579);
   response_span.End();
-  FW_CHECK(hv_.Destroy(*vm).ok());
-  (void)env_.network().DestroyNamespace(netns_id);
+  Teardown(instance);
   if (!sent.ok()) {
     co_return sent.status();
   }
@@ -775,7 +726,7 @@ void FireworksPlatform::Teardown(Instance& instance) {
     instance.vm = nullptr;
   }
   if (instance.netns_id != 0) {
-    (void)env_.network().DestroyNamespace(instance.netns_id);
+    FW_CHECK(env_.network().DestroyNamespace(instance.netns_id).ok());
     instance.netns_id = 0;
   }
   if (!instance.topic.empty()) {
@@ -845,11 +796,10 @@ fwsim::Co<Status> FireworksPlatform::RegenerateSnapshot(const std::string& fn_na
   const std::string new_name =
       fwbase::StrFormat("fw-%s-v%d", fn_name.c_str(), fn.version + 1);
   auto image = co_await hv_.CreateSnapshot(*vm, new_name);
+  FW_CHECK(hv_.Destroy(*vm).ok());
   if (!image.ok()) {
-    FW_CHECK(hv_.Destroy(*vm).ok());
     co_return image.status();
   }
-  FW_CHECK(hv_.Destroy(*vm).ok());
 
   if (config_.pin_snapshots) {
     (void)env_.snapshot_store().Pin(new_name);

@@ -133,7 +133,9 @@ class FireworksPlatform : public ServerlessPlatform {
     int version = 1;
   };
 
-  // One running microVM instance of a function.
+  // One microVM the platform runs: the install VM, a cold-boot VM, a
+  // snapshot clone or a parked clone. Each step that acquires something
+  // records it here at once, and Teardown is the only release.
   struct Instance {
     const InstalledFunction* fn = nullptr;
     fwvmm::MicroVm* vm = nullptr;
@@ -160,13 +162,21 @@ class FireworksPlatform : public ServerlessPlatform {
     fwbase::SimTime done;
   };
 
-  // Wires a namespace + tap + NAT + external IP for one clone; returns the
-  // namespace id and external IP.
-  fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> WireNetwork();
-  fwlang::ExecEnv MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_id,
-                               fwnet::IpAddr guest_ip);
+  // Wires a namespace + tap + NAT + external IP into `instance`.
+  fwsim::Co<Status> WireNetwork(Instance& instance);
+  // Mounts a fresh virtio filesystem in `instance` and returns the
+  // environment its guest process runs in, egressing through its namespace.
+  fwlang::ExecEnv MountGuest(Instance& instance);
   fwlang::GuestProcess::FaultCharger ChargerFor(fwvmm::MicroVm* vm);
+  // Destroys the instance's VM and namespace and deletes its topic.
   void Teardown(Instance& instance);
+
+  // Boots a fresh guest of `source` into `instance`: create the VM, boot
+  // the guest OS, wire its network, then start the runtime (with fresh boot
+  // entropy, DESIGN.md §15) and load the application. With `steps`, each
+  // step runs in its own install.* span.
+  fwsim::Co<Status> BootGuest(const fwlang::FunctionSource& source, const std::string& vm_name,
+                              fwobs::Tracer* steps, Instance& instance);
 
   // vmgenid resume protocol for a freshly restored clone (DESIGN.md §15):
   // generation-change notification, guest RNG reseed from host entropy, and
@@ -198,7 +208,9 @@ class FireworksPlatform : public ServerlessPlatform {
 
   // One attempt of the snapshot invoke path (netns → produce → restore →
   // consume → exec → response). Fills `instance` incrementally so the caller
-  // can tear down whatever partial state a failed attempt left behind.
+  // can tear down whatever partial state a failed attempt left behind. An
+  // instance that already holds a VM is a parked clone: PrepareClone ran its
+  // netns, restore and MMDS read, so the attempt starts at the produce.
   fwsim::Co<Status> InvokeAttempt(const InstalledFunction& fn, const std::string& fn_name,
                                   const std::string& args, const InvokeOptions& options,
                                   Instance& instance, AttemptTimes& times,
