@@ -56,9 +56,8 @@ fwsim::Co<Status> ContainerPlatform::Deploy(const fwlang::FunctionSource& source
   }
   // Catalyzer-style: prepare a container (runtime + app) once, checkpoint
   // it, and serve every start from the checkpoint.
-  bool fell_back = false;  // A launch from scratch has nothing to fall back from.
-  auto prepared = co_await LaunchSandbox(
-      source, params_.platform_name + "-ckpt-" + source.name, fell_back);
+  auto prepared =
+      co_await LaunchSandbox(source, params_.platform_name + "-ckpt-" + source.name);
   if (!prepared.ok()) {
     co_return prepared.status();
   }
@@ -77,7 +76,7 @@ fwsim::Co<Status> ContainerPlatform::Deploy(const fwlang::FunctionSource& source
 }
 
 fwsim::Co<ContainerPlatform::SandboxResult> ContainerPlatform::LaunchSandbox(
-    const fwlang::FunctionSource& source, const std::string& sandbox_name, bool& fell_back) {
+    const fwlang::FunctionSource& source, const std::string& sandbox_name) {
   auto sandbox = std::make_unique<Sandbox>();
   sandbox->instance = co_await engine_.CreateContainer(
       sandbox_name, ContainerConfig(params_.runtime), rootfs_.For(source.language));
@@ -119,7 +118,7 @@ fwsim::Co<ContainerPlatform::SandboxResult> ContainerPlatform::StartSandbox(
     // checkpoint): degrade to a full container launch.
     fell_back = true;
   }
-  co_return co_await LaunchSandbox(source, sandbox_name, fell_back);
+  co_return co_await LaunchSandbox(source, sandbox_name);
 }
 
 ContainerPlatform::Params OpenWhiskPlatform::MakeParams() {

@@ -52,9 +52,6 @@ class ContainerPlatform : public WarmSandboxPlatform<fwbox::Container> {
 
  private:
   fwsim::Co<Status> Deploy(const fwlang::FunctionSource& source) override;
-  fwsim::Co<SandboxResult> LaunchSandbox(const fwlang::FunctionSource& source,
-                                         const std::string& sandbox_name,
-                                         bool& fell_back) override;
   // checkpoint_starts: restores the function's checkpoint, degrading to a
   // full launch if that fails.
   fwsim::Co<SandboxResult> StartSandbox(const fwlang::FunctionSource& source,
@@ -64,6 +61,10 @@ class ContainerPlatform : public WarmSandboxPlatform<fwbox::Container> {
   fwsim::Co<Status> ResumeInstance(fwbox::Container& c) override { return engine_.Unpause(c); }
   void DestroyInstance(fwbox::Container& c) override { FW_CHECK(engine_.Destroy(c).ok()); }
 
+  // Creates a container and boots the runtime and application in it: what
+  // Deploy checkpoints and what a failed restore falls back to.
+  fwsim::Co<SandboxResult> LaunchSandbox(const fwlang::FunctionSource& source,
+                                         const std::string& sandbox_name);
   fwsim::Co<SandboxResult> RestoreSandbox(const fwlang::FunctionSource& source,
                                           const std::string& sandbox_name);
   // Mounts a fresh filesystem in `sandbox` and returns the environment its

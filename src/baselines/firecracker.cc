@@ -57,7 +57,7 @@ fwsim::Co<Status> FirecrackerPlatform::Deploy(const fwlang::FunctionSource& sour
   co_return Status::Ok();
 }
 
-fwsim::Co<FirecrackerPlatform::SandboxResult> FirecrackerPlatform::LaunchSandbox(
+fwsim::Co<FirecrackerPlatform::SandboxResult> FirecrackerPlatform::StartSandbox(
     const fwlang::FunctionSource& source, const std::string& sandbox_name, bool& fell_back) {
   auto sandbox = std::make_unique<Sandbox>();
   if (config_.mode == FirecrackerMode::kOsSnapshot) {

@@ -38,9 +38,9 @@ class FirecrackerPlatform : public WarmSandboxPlatform<fwvmm::MicroVm> {
 
  private:
   fwsim::Co<Status> Deploy(const fwlang::FunctionSource& source) override;
-  fwsim::Co<SandboxResult> LaunchSandbox(const fwlang::FunctionSource& source,
-                                         const std::string& sandbox_name,
-                                         bool& fell_back) override;
+  fwsim::Co<SandboxResult> StartSandbox(const fwlang::FunctionSource& source,
+                                        const std::string& sandbox_name,
+                                        bool& fell_back) override;
   fwsim::Co<Status> PauseInstance(fwvmm::MicroVm& vm) override { return hv_.Pause(vm); }
   fwsim::Co<Status> ResumeInstance(fwvmm::MicroVm& vm) override { return hv_.Resume(vm); }
   void DestroyInstance(fwvmm::MicroVm& vm) override { FW_CHECK(hv_.Destroy(vm).ok()); }

@@ -122,18 +122,13 @@ class WarmSandboxPlatform : public fwcore::ServerlessPlatform {
   // Install-time work once the function is recorded: at least the package
   // charge (ChargePackages), plus any image, snapshot or checkpoint.
   virtual fwsim::Co<Status> Deploy(const fwlang::FunctionSource& source) = 0;
-  // Starts a sandbox of `source` up to the §5.1 warm point: runtime booted,
-  // application loaded. Sets `fell_back` when an install-time image failed
-  // to restore and the sandbox was booted in full instead.
-  virtual fwsim::Co<SandboxResult> LaunchSandbox(const fwlang::FunctionSource& source,
-                                                 const std::string& sandbox_name,
-                                                 bool& fell_back) = 0;
-  // Starts the sandbox of a cold invocation; by default a launch.
+  // Starts a sandbox of `source` up to the §5.1 warm point (runtime booted,
+  // application loaded), for a prewarm and a cold invocation alike: from the
+  // platform's install-time image if it keeps one. Sets `fell_back` when
+  // that image failed to restore and the sandbox was booted in full instead.
   virtual fwsim::Co<SandboxResult> StartSandbox(const fwlang::FunctionSource& source,
                                                 const std::string& sandbox_name,
-                                                bool& fell_back) {
-    return LaunchSandbox(source, sandbox_name, fell_back);
-  }
+                                                bool& fell_back) = 0;
   virtual fwsim::Co<Status> PauseInstance(Instance& instance) = 0;
   virtual fwsim::Co<Status> ResumeInstance(Instance& instance) = 0;
   // A subclass's destructor calls ReleaseInstances() while the hypervisor or
@@ -248,7 +243,7 @@ fwsim::Co<Status> WarmSandboxPlatform<Instance>::Prewarm(const std::string& fn_n
     co_return Status::Ok();
   }
   bool fell_back = false;
-  auto sandbox = co_await LaunchSandbox(
+  auto sandbox = co_await StartSandbox(
       *it->second.source,
       fwbase::StrFormat("%s-warm-%s", lifecycle_.sandbox_prefix.c_str(), fn_name.c_str()),
       fell_back);

@@ -486,8 +486,8 @@ const PinnedLifecycle kLifecycles[] = {
      "cold=1 attempts=2 startup=1155779560 exec=137053038 others=120464 total=1292953062 |"
      " invoke.startup=1155779560 invoke.params=60001 invoke.exec=137053038 invoke.response=60463"},
     {"gvisor-snapshot", Make<GvisorSnapshotPlatform>, "sandbox_crash=1", 1979766046,
-     "cold=0 attempts=1 startup=52300000 exec=137053038 others=120464 total=189473502 |"
-     " invoke.startup=52300000 invoke.params=60001 invoke.exec=137053038 invoke.response=60463",
+     "cold=0 attempts=1 startup=52300000 exec=140324538 others=120464 total=192745002 |"
+     " invoke.startup=52300000 invoke.params=60001 invoke.exec=140324538 invoke.response=60463",
      "cold=1 attempts=1 startup=633300000 exec=140324538 others=120464 total=773745002 |"
      " invoke.startup=633300000 invoke.params=60001 invoke.exec=140324538 invoke.response=60463",
      "cold=1 attempts=1 startup=633300000 exec=140290338 others=120464 total=773710802 |"
