@@ -340,7 +340,7 @@ void Append(const JsonValue& value, std::string& out) {
       out += StrFormat("%.12g", d);
     }
   } else if (value.is_string()) {
-    out += JsonQuote(value.AsString());
+    out += fwbase::JsonQuote(value.AsString());
   } else if (value.is_array()) {
     out.push_back('[');
     const auto& array = value.AsArray();
@@ -359,7 +359,7 @@ void Append(const JsonValue& value, std::string& out) {
         out.push_back(',');
       }
       first = false;
-      out += JsonQuote(key);
+      out += fwbase::JsonQuote(key);
       out.push_back(':');
       Append(field, out);
     }
@@ -374,34 +374,6 @@ Result<JsonValue> ParseJson(std::string_view text) { return Parser(text).ParseDo
 std::string JsonToString(const JsonValue& value) {
   std::string out;
   Append(value, out);
-  return out;
-}
-
-std::string JsonQuote(std::string_view s) {
-  std::string out;
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  out.push_back('"');
   return out;
 }
 

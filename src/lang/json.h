@@ -67,10 +67,9 @@ inline constexpr int kMaxJsonDepth = 64;
 fwbase::Result<JsonValue> ParseJson(std::string_view text);
 
 // Serializes with no insignificant whitespace; object keys sorted (map order).
+// Strings are quoted by fwbase::JsonQuote: control bytes and bytes that are
+// not valid UTF-8 are written as \u00XX escapes.
 std::string JsonToString(const JsonValue& value);
-
-// Escapes a string for embedding in JSON output (adds quotes).
-std::string JsonQuote(std::string_view s);
 
 }  // namespace fwlang
 

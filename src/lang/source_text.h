@@ -28,6 +28,9 @@
 //
 // ParseFunctionSource accepts exactly this shape and reports precise errors;
 // FunctionSourceToJson emits it back (round-trip stable for parsed inputs).
+// Names are quoted by fwbase::JsonQuote: a control byte is written as
+// \u00XX and parses back byte-exactly, but a byte that is not valid UTF-8 is
+// written the same way and parses back as the code point U+00XX.
 #ifndef FIREWORKS_SRC_LANG_SOURCE_TEXT_H_
 #define FIREWORKS_SRC_LANG_SOURCE_TEXT_H_
 

@@ -9,7 +9,10 @@
 // pages instead of the whole file (Ustiugov et al.).
 //
 // The wire format is fwlang JSON (ToJson/Parse round-trip byte-stably: keys
-// are emitted sorted, numbers are integral).
+// are emitted sorted, numbers are integral). Names are quoted by
+// fwbase::JsonQuote: a control byte is written as \u00XX and parses back
+// byte-exactly, but a byte that is not valid UTF-8 is written the same way
+// and parses back as the code point U+00XX.
 #ifndef FIREWORKS_SRC_STORAGE_MANIFEST_H_
 #define FIREWORKS_SRC_STORAGE_MANIFEST_H_
 

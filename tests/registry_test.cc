@@ -224,6 +224,26 @@ TEST_F(ManifestProperty, JsonRoundTripIsExactAndByteStable) {
   }
 }
 
+// An app name's control bytes are written as \u00XX escapes (RFC 8259 §7)
+// and parse back byte-exactly; bytes that are not valid UTF-8 are escaped
+// the same way, so they parse back as the code points U+00XX.
+TEST(ManifestTest, AppNamesRoundTripThroughEscapes) {
+  SnapshotManifest m;
+  m.app = std::string("app\x01\x1f\n\0end", 10);
+  std::string wire = m.ToJson();
+  EXPECT_NE(wire.find(R"("app":"app\u0001\u001f\n\u0000end")"), std::string::npos) << wire;
+  auto parsed = SnapshotManifest::Parse(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->app, m.app);
+
+  m.app = "raw\x80\xff";
+  wire = m.ToJson();
+  EXPECT_NE(wire.find(R"("app":"raw\u0080\u00ff")"), std::string::npos) << wire;
+  parsed = SnapshotManifest::Parse(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->app, "raw\xc2\x80\xc3\xbf");
+}
+
 TEST(ManifestTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(SnapshotManifest::Parse("not json at all").ok());
   EXPECT_FALSE(SnapshotManifest::Parse("{}").ok());

@@ -100,9 +100,6 @@ TEST(JsonTest, SerializationRoundTrip) {
   EXPECT_EQ(JsonToString(*value), text);
 }
 
-TEST(JsonTest, QuoteEscapesSpecials) {
-  EXPECT_EQ(JsonQuote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-}
 
 // ---------------------------------------------------------------------------
 // Function definitions.
@@ -231,6 +228,31 @@ TEST(SourceTextTest, RoundTripThroughJson) {
   EXPECT_EQ(reparsed->name, fn->name);
   EXPECT_EQ(reparsed->methods.size(), fn->methods.size());
   EXPECT_EQ(FunctionSourceToJson(*reparsed), serialized);  // Fixed point.
+}
+
+// A name's control bytes are written as \u00XX escapes (RFC 8259 §7) and
+// parse back byte-exactly.
+TEST(SourceTextTest, ControlBytesInANameRoundTripAsEscapes) {
+  FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kFact, Language::kNodeJs);
+  fn.name = std::string("fact\x01\x1f\t\0end", 11);
+  const std::string serialized = FunctionSourceToJson(fn);
+  EXPECT_NE(serialized.find(R"("name":"fact\u0001\u001f\t\u0000end")"), std::string::npos)
+      << serialized;
+  auto reparsed = ParseFunctionSource(serialized);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->name, fn.name);
+}
+
+// Bytes that are not valid UTF-8 are written as \u00XX escapes too, so they
+// parse back as the code points U+00XX, UTF-8 encoded: not byte-exactly.
+TEST(SourceTextTest, InvalidUtf8InANameParsesBackAsCodePoints) {
+  FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kFact, Language::kNodeJs);
+  fn.name = "raw\x80\xff";
+  const std::string serialized = FunctionSourceToJson(fn);
+  EXPECT_NE(serialized.find(R"("name":"raw\u0080\u00ff")"), std::string::npos) << serialized;
+  auto reparsed = ParseFunctionSource(serialized);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->name, "raw\xc2\x80\xc3\xbf");
 }
 
 TEST(SourceTextTest, BuiltinWorkloadsRoundTrip) {
