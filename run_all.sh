@@ -2,20 +2,15 @@
 # Regenerates the captured outputs checked into the repo root:
 #   test_output.txt  — full ctest run
 #   bench_output.txt — every bench binary (paper tables/figures + ablations)
-#
-# Flags:
-#   --with-trace-smoke  also runs fig6_faasdom_nodejs with --trace=<tmp file>
-#                       and fails unless the Chrome trace comes out non-empty.
+# The fault-off byte identity and the trace-export smoke are ctest entries
+# (bench_faults_none_output, bench_trace_smoke), run with the rest.
 set -e
 cd "$(dirname "$0")"
 
-with_trace_smoke=0
-for arg in "$@"; do
-  case "$arg" in
-    --with-trace-smoke) with_trace_smoke=1 ;;
-    *) echo "unknown flag: $arg (supported: --with-trace-smoke)" >&2; exit 2 ;;
-  esac
-done
+if [ "$#" -ne 0 ]; then
+  echo "run_all.sh takes no arguments" >&2
+  exit 2
+fi
 
 # No -G: CMake reuses the generator build/ was configured with, or picks the
 # default for a fresh directory.
@@ -42,17 +37,6 @@ for b in build/bench/*; do
 done
 echo "wrote test_output.txt and bench_output.txt"
 
-# Fault injection is strictly opt-in: a bench run with --faults=none must be
-# byte-identical to a run without the flag.
-build/bench/fig6_faasdom_nodejs > build/fig6_default.txt
-build/bench/fig6_faasdom_nodejs --faults=none > build/fig6_faults_none.txt
-if ! cmp -s build/fig6_default.txt build/fig6_faults_none.txt; then
-  echo "fault-off check FAILED: --faults=none changed bench output" >&2
-  diff build/fig6_default.txt build/fig6_faults_none.txt >&2 || true
-  exit 1
-fi
-echo "fault-off check OK: --faults=none is byte-identical to the default"
-
 # Perf trajectory: regenerate all six guarded fwbench/1 reports at CI scale
 # and check them against the committed trajectory (>10% guarded regression
 # fails; unchanged code diffs at exactly 0%).
@@ -70,18 +54,3 @@ python3 scripts/bench_trend.py append --trajectory=build/trend_check.json --labe
   build/clone_uniqueness_report.json build/elastic_fleet_report.json build/overload_report.json
 python3 scripts/bench_trend.py check --trajectory=build/trend_check.json
 echo "perf trajectory OK (profile in build/cluster_scale_profile.topn.txt)"
-
-if [ "$with_trace_smoke" = 1 ]; then
-  trace_file=build/trace_smoke.json
-  rm -f "$trace_file"
-  build/bench/fig6_faasdom_nodejs --trace="$trace_file" > /dev/null
-  if [ ! -s "$trace_file" ]; then
-    echo "trace smoke FAILED: $trace_file missing or empty" >&2
-    exit 1
-  fi
-  grep -q '"traceEvents"' "$trace_file" || {
-    echo "trace smoke FAILED: $trace_file has no traceEvents" >&2
-    exit 1
-  }
-  echo "trace smoke OK: $trace_file ($(wc -c < "$trace_file") bytes)"
-fi
