@@ -65,12 +65,12 @@ fwsim::Co<Status> FireworksPlatform::WireNetwork(Instance& instance) {
   if (!tap.ok()) {
     co_return tap;
   }
-  instance.external_ip = env_.network().AllocateExternalIp();
-  Status nat = ns.AddNatRule({instance.external_ip, kGuestIp});
+  const fwnet::IpAddr external = env_.network().AllocateExternalIp();
+  Status nat = ns.AddNatRule({external, kGuestIp});
   if (!nat.ok()) {
     co_return nat;
   }
-  co_return env_.network().BindExternalIp(instance.external_ip, ns.id());
+  co_return env_.network().BindExternalIp(external, ns.id());
 }
 
 ExecEnv FireworksPlatform::MountGuest(Instance& instance) {

@@ -142,7 +142,6 @@ class FireworksPlatform : public ServerlessPlatform {
     std::unique_ptr<fwstore::Filesystem> fs;
     std::unique_ptr<fwlang::GuestProcess> process;
     uint64_t netns_id = 0;
-    fwnet::IpAddr external_ip;
     std::string topic;
     uint64_t fc_id = 0;
     // The clone's guest kernel and OS segments, resolved once at resume.
