@@ -2,8 +2,8 @@
 // it buys (DESIGN.md §15).
 //
 // Drives the two warm-restore paths of a full-fidelity FireworksPlatform —
-// the snapshot Invoke path and the warm-pool PrepareClone/InvokeOnClone
-// path — twice: once with Config::restore_uniqueness off (the raw snapshot
+// Invoke on a fresh snapshot restore and Invoke on a clone PrepareClone
+// parked — twice: once with Config::restore_uniqueness off (the raw snapshot
 // semantics: every clone resumes with the byte-identical RNG stream, request
 // id counter and clock base captured at install) and once with it on (every
 // restore pays the generation notification, guest RNG reseed and monotonic
@@ -114,8 +114,7 @@ ModeResult RunMode(bool uniqueness, const Options& opt) {
     const auto prepared = RunSync(env.sim(), platform.PrepareClone("uniq-bench"));
     FW_CHECK_MSG(prepared.ok(), prepared.status().ToString().c_str());
     r.warm_restore_ms.Add((env.sim().Now() - t0).millis());
-    const auto result =
-        RunSync(env.sim(), platform.InvokeOnClone("uniq-bench", "{}", InvokeOptions()));
+    const auto result = RunSync(env.sim(), platform.Invoke("uniq-bench", "{}", InvokeOptions()));
     FW_CHECK_MSG(result.ok(), result.status().ToString().c_str());
     record(result->exec_stats.request_id);
   }

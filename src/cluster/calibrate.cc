@@ -76,7 +76,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
         co_return prepared.status();
       }
       prepare_total = prepare_total + (sim.Now() - t0);
-      auto r = co_await fireworks->InvokeOnClone(fn.name, "probe", fwcore::InvokeOptions());
+      auto r = co_await platform.Invoke(fn.name, "probe", fwcore::InvokeOptions());
       if (!r.ok()) {
         co_return r.status();
       }
@@ -88,7 +88,7 @@ fwsim::Co<Status> RunProbes(fwsim::Simulation& sim, fwcore::ServerlessPlatform& 
     if (!prepared.ok()) {
       co_return prepared.status();
     }
-    cal.pooled_clone_pss_bytes = fireworks->PooledPssBytes();
+    cal.pooled_clone_pss_bytes = platform.MeasurePssBytes();  // No kept instance is alive.
     Status discarded = fireworks->DiscardClone(fn.name);
     if (!discarded.ok()) {
       co_return discarded;

@@ -28,17 +28,6 @@ fwsim::Co<Result<fwcore::InvocationResult>> FullHost::Invoke(const std::string& 
                                                              Duration deadline) {
   fwcore::InvokeOptions options;
   options.deadline = deadline;
-  if (platform_.PooledCloneCount(fn_name) > 0) {
-    auto r = co_await platform_.InvokeOnClone(fn_name, args, options);
-    // InvokeOnClone pops before its first suspension, so the clone counted
-    // above is still there. kFailedPrecondition means it had a stale VM
-    // generation (its reseed never completed) and was discarded; fall
-    // through to the regular snapshot path. Other errors are real
-    // invocation failures.
-    if (r.ok() || r.status().code() != fwbase::StatusCode::kFailedPrecondition) {
-      co_return r;
-    }
-  }
   co_return co_await platform_.Invoke(fn_name, args, options);
 }
 
@@ -59,9 +48,7 @@ size_t FullHost::TotalPooledClones() const { return platform_.TotalPooledClones(
 
 double FullHost::MemoryBytes() const { return memory_bytes_; }
 
-double FullHost::PssBytes() const {
-  return platform_.MeasurePssBytes() + platform_.PooledPssBytes();
-}
+double FullHost::PssBytes() const { return platform_.MeasurePssBytes(); }
 
 size_t FullHost::LiveVmCount() { return platform_.hypervisor().live_vm_count(); }
 

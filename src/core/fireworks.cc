@@ -216,6 +216,19 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
   const InstalledFunction& fn = it->second;
+  // The oldest parked clone, if any, serves attempt 1: a restore that ran
+  // before its request arrived (§3.6).
+  std::unique_ptr<Instance> parked = PopClone(fn_name);
+  if (parked != nullptr && config_.restore_uniqueness &&
+      parked->process->observed_generation() != parked->vm->generation()) {
+    // The clone's resume protocol never completed (e.g. a crash between
+    // restore and reseed-acknowledge): it still carries snapshot-duplicated
+    // identity and must not serve user traffic. Discard it; attempt 1
+    // restores a fresh, reseeded clone instead.
+    stale_clone_counter_->Increment();
+    Teardown(*parked);
+    parked = nullptr;
+  }
   InvocationResult result;
   result.cold = false;  // Fireworks has no cold/warm distinction (§5.1).
   const SimTime t0 = env_.sim().Now();
@@ -223,7 +236,8 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       t0 + (options.deadline.nanos() > 0 ? options.deadline : kInvokeTimeout);
   // The invoke children are contiguous windows: each child ends exactly where
   // the next begins, so their durations sum to the root span's (= total).
-  fwobs::ScopedSpan root(tracer_, "fireworks.invoke", "invoke");
+  fwobs::ScopedSpan root(tracer_, parked != nullptr ? "fireworks.invoke_warm" : "fireworks.invoke",
+                         "invoke");
   root.SetAttribute("function", fn_name);
 
   // Controller processing (Fig 1); paid once, not per attempt.
@@ -235,19 +249,27 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
   Status last_error = Status::Ok();
   for (int attempt = 1; attempt <= kMaxInvokeAttempts; ++attempt) {
     result.attempts = attempt;
-    auto instance = std::make_unique<Instance>();
+    const bool warm = parked != nullptr;
+    std::unique_ptr<Instance> instance =
+        warm ? std::exchange(parked, nullptr) : std::make_unique<Instance>();
     AttemptTimes times;
     // installed_ is a node-based map and no code path erases entries, so the
     // fn reference stays valid across suspensions.
     Status attempted = co_await InvokeAttempt(fn, fn_name, args, options, *instance,  // fwlint:allow(iterator-invalidation)
                                               times, result);
     if (attempted.ok()) {
-      // On attempt 1, times.attempt_start == t_frontend_done, making startup
-      // exactly (net_done - t0) + (restored - params_queued) — the original
-      // single-shot formula. Retries land their dead time in `others`, so
-      // startup + exec + others == total holds on every path.
-      result.startup = (t_frontend_done - t0) + (times.net_done - times.attempt_start) +
-                       (times.restored - times.params_queued);
+      if (warm) {
+        // Startup spans request arrival → function entry; the restore itself
+        // happened off-path at PrepareClone time.
+        result.startup = times.params_read - t0;
+      } else {
+        // On attempt 1, times.attempt_start == t_frontend_done, making startup
+        // exactly (net_done - t0) + (restored - params_queued) — the original
+        // single-shot formula. Retries land their dead time in `others`, so
+        // startup + exec + others == total holds on every path.
+        result.startup = (t_frontend_done - t0) + (times.net_done - times.attempt_start) +
+                         (times.restored - times.params_queued);
+      }
       result.exec = times.exec_done - times.params_read;
       result.total = times.done - t0;
       result.others = result.total - result.startup - result.exec;
@@ -256,7 +278,9 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       root.End();
       result.root_span = root.get();
 
-      if (fn.image != nullptr && !fn.image->has_working_set() && instance->vm != nullptr) {
+      if (warm) {
+        invoked_counter_->Increment();
+      } else if (fn.image != nullptr && !fn.image->has_working_set()) {
         // REAP record phase: the pages this first invocation faulted in from
         // the image become the snapshot's working set. Later cold restores
         // prefetch exactly these pages.
@@ -451,7 +475,6 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
                                                    InvocationResult& result) {
   times.attempt_start = env_.sim().Now();
   const bool parked = instance.vm != nullptr;
-  instance.fn = &fn;
 
   if (!parked) {
     // Per-clone network namespace (§3.5) and parameter topic.
@@ -531,11 +554,10 @@ fwsim::Co<Result<uint64_t>> FireworksPlatform::PrepareClone(const std::string& f
   fwobs::ScopedSpan root(tracer_, "fireworks.prepare_clone", "warmpool");
   root.SetAttribute("function", fn_name);
   auto instance = std::make_unique<Instance>();
-  instance->fn = &fn;
 
   // The invoke path's clone start, without its spans. A crash between
   // restore and the reseed completing leaves the clone's observed generation
-  // stale — InvokeOnClone refuses to admit it.
+  // stale — Invoke refuses to admit it.
   Status started = co_await OpenClone(*instance);
   if (started.ok()) {
     // installed_ is a node-based map and no code path erases entries, so the
@@ -569,61 +591,6 @@ std::unique_ptr<FireworksPlatform::Instance> FireworksPlatform::PopClone(
   return instance;
 }
 
-fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
-    const std::string& fn_name, const std::string& args, const InvokeOptions& options) {
-  std::unique_ptr<Instance> instance = PopClone(fn_name);
-  if (instance == nullptr) {
-    co_return Status::FailedPrecondition("no parked clone for " + fn_name);
-  }
-  const InstalledFunction& fn = *instance->fn;
-  if (config_.restore_uniqueness &&
-      instance->process->observed_generation() != instance->vm->generation()) {
-    // The clone's resume protocol never completed (e.g. a crash between
-    // restore and reseed-acknowledge): it still carries snapshot-duplicated
-    // identity and must not serve user traffic. Discard it; the caller falls
-    // back to the full invoke path, which restores a fresh, reseeded clone.
-    stale_clone_counter_->Increment();
-    Teardown(*instance);
-    co_return Status::FailedPrecondition("parked clone for " + fn_name +
-                                         " has a stale VM generation");
-  }
-  InvocationResult result;
-  result.cold = false;
-  const SimTime t0 = env_.sim().Now();
-  fwobs::ScopedSpan root(tracer_, "fireworks.invoke_warm", "invoke");
-  root.SetAttribute("function", fn_name);
-
-  fwobs::ScopedSpan frontend_span(tracer_, "invoke.frontend", "invoke");
-  co_await fwsim::Delay(env_.sim(), kControllerCost);
-  frontend_span.End();
-
-  // The snapshot path's attempt from the produce on: the clone holds a VM.
-  AttemptTimes times;
-  Status attempted =
-      co_await InvokeAttempt(fn, fn_name, args, options, *instance, times, result);
-  if (!attempted.ok()) {
-    Teardown(*instance);
-    co_return attempted;
-  }
-
-  // Startup spans request arrival → function entry, as on the snapshot path;
-  // the restore itself happened off-path at PrepareClone time.
-  result.startup = times.params_read - t0;
-  result.exec = times.exec_done - times.params_read;
-  result.total = times.done - t0;
-  result.others = result.total - result.startup - result.exec;
-  root.End();
-  result.root_span = root.get();
-  invoked_counter_->Increment();
-
-  if (options.keep_instance) {
-    instances_.push_back(std::move(instance));
-  } else {
-    Teardown(*instance);
-  }
-  co_return result;
-}
-
 Status FireworksPlatform::DiscardClone(const std::string& fn_name) {
   std::unique_ptr<Instance> instance = PopClone(fn_name);
   if (instance == nullptr) {
@@ -643,18 +610,6 @@ size_t FireworksPlatform::TotalPooledClones() const {
   size_t total = 0;
   for (const auto& [name, clones] : pool_) {
     total += clones.size();
-  }
-  return total;
-}
-
-double FireworksPlatform::PooledPssBytes() const {
-  double total = 0.0;
-  for (const auto& [name, clones] : pool_) {
-    for (const auto& instance : clones) {
-      if (instance->vm != nullptr) {
-        total += instance->vm->address_space().pss_bytes();
-      }
-    }
   }
   return total;
 }
@@ -749,9 +704,14 @@ void FireworksPlatform::ReleaseInstances() {
 }
 
 double FireworksPlatform::MeasurePssBytes() const {
+  // Kept instances, then parked clones: the clones share the post-JIT image
+  // pages, so a clone's marginal PSS is far below its RSS (Fig 10).
   double total = 0.0;
   for (const auto& instance : instances_) {
-    if (instance->vm != nullptr) {
+    total += instance->vm->address_space().pss_bytes();
+  }
+  for (const auto& [name, clones] : pool_) {
+    for (const auto& instance : clones) {
       total += instance->vm->address_space().pss_bytes();
     }
   }
@@ -772,8 +732,9 @@ fwsim::Co<Status> FireworksPlatform::RegenerateSnapshot(const std::string& fn_na
   if (!restored.ok()) {
     co_return restored.status();
   }
-  MicroVm* vm = *restored;
-  auto& space = vm->address_space();
+  Instance scratch;
+  scratch.vm = *restored;
+  auto& space = scratch.vm->address_space();
   fwmem::FaultCounts faults;
   // The regenerated image must contain everything the old one did: fault the
   // whole old image in (the bulk of regeneration's cost, alongside writing
@@ -790,13 +751,13 @@ fwsim::Co<Status> FireworksPlatform::RegenerateSnapshot(const std::string& fn_na
     faults += space.DirtyRandomFraction(space.SegmentByName(fwlang::kSegRuntimeHeap), 0.08,
                                         9100 + static_cast<uint64_t>(fn.version));
   }
-  co_await hv_.ServiceFaults(*vm, faults);
+  co_await hv_.ServiceFaults(*scratch.vm, faults);
   co_await fwsim::Delay(env_.sim(), Duration::Millis(3));  // In-guest reseeding.
 
   const std::string new_name =
       fwbase::StrFormat("fw-%s-v%d", fn_name.c_str(), fn.version + 1);
-  auto image = co_await hv_.CreateSnapshot(*vm, new_name);
-  FW_CHECK(hv_.Destroy(*vm).ok());
+  auto image = co_await hv_.CreateSnapshot(*scratch.vm, new_name);
+  Teardown(scratch);
   if (!image.ok()) {
     co_return image.status();
   }

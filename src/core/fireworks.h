@@ -71,6 +71,10 @@ class FireworksPlatform : public ServerlessPlatform {
   std::string name() const override { return "fireworks"; }
 
   fwsim::Co<Result<InstallResult>> Install(const fwlang::FunctionSource& fn) override;
+  // The one invoke path. The oldest parked clone of `fn_name` (PrepareClone)
+  // takes attempt 1 unless its generation is stale; every later attempt
+  // restores a fresh clone. Failed attempts back off and retry until the
+  // deadline, then fall back to a cold boot.
   fwsim::Co<Result<InvocationResult>> Invoke(const std::string& fn_name,
                                              const std::string& args,
                                              const InvokeOptions& options) override;
@@ -84,22 +88,11 @@ class FireworksPlatform : public ServerlessPlatform {
   // state a real Fireworks clone idles in between restore and parameter
   // consumption (§3.6). Returns the clone's fcID.
   fwsim::Co<Result<uint64_t>> PrepareClone(const std::string& fn_name);
-  // Invokes on the oldest parked clone of `fn_name`: produce the arguments,
-  // let the waiting guest consume + execute, send the response. Latency
-  // excludes netns setup and snapshot restore — the cluster's warm-hit path.
-  // Fails with kFailedPrecondition when the pool is empty (callers fall back
-  // to Invoke()). The clone is torn down afterwards, success or not.
-  fwsim::Co<Result<InvocationResult>> InvokeOnClone(const std::string& fn_name,
-                                                    const std::string& args,
-                                                    const InvokeOptions& options);
   // Tears down the oldest parked clone (warm-pool shrink). kNotFound if the
   // pool for `fn_name` is empty.
   Status DiscardClone(const std::string& fn_name);
   size_t PooledCloneCount(const std::string& fn_name) const;
   size_t TotalPooledClones() const;
-  // Total PSS of parked clones (they share the post-JIT image pages, so the
-  // marginal cost per clone is far below its RSS — the Fig 10 density story).
-  double PooledPssBytes() const;
 
   // §6 mitigation for snapshot entropy/ASLR staleness: resumes the current
   // snapshot, lets the guest re-randomise its address-space layout, and
@@ -109,6 +102,7 @@ class FireworksPlatform : public ServerlessPlatform {
   // Monotonic snapshot version (1 after install). 0 if not installed.
   int SnapshotVersion(const std::string& fn_name) const;
 
+  // PSS of kept instances and parked clones.
   double MeasurePssBytes() const override;
   void ReleaseInstances() override;
 
@@ -134,10 +128,10 @@ class FireworksPlatform : public ServerlessPlatform {
   };
 
   // One microVM the platform runs: the install VM, a cold-boot VM, a
-  // snapshot clone or a parked clone. Each step that acquires something
-  // records it here at once, and Teardown is the only release.
+  // snapshot clone, a parked clone or a regeneration's scratch VM. Each step
+  // that acquires something records it here at once, and Teardown is the
+  // only release.
   struct Instance {
-    const InstalledFunction* fn = nullptr;
     fwvmm::MicroVm* vm = nullptr;
     std::unique_ptr<fwstore::Filesystem> fs;
     std::unique_ptr<fwlang::GuestProcess> process;

@@ -244,12 +244,14 @@ TEST_F(ClonePlatformTest, WarmPoolSiteCollidesWithFixOff) {
   ASSERT_TRUE(RunSync(env.sim(), platform.Install(UniqFn())).ok());
   ASSERT_TRUE(RunSync(env.sim(), platform.PrepareClone("uniq")).ok());
   ASSERT_TRUE(RunSync(env.sim(), platform.PrepareClone("uniq")).ok());
-  auto r1 = RunSync(env.sim(), platform.InvokeOnClone("uniq", "{}", InvokeOptions()));
-  auto r2 = RunSync(env.sim(), platform.InvokeOnClone("uniq", "{}", InvokeOptions()));
+  auto r1 = RunSync(env.sim(), platform.Invoke("uniq", "{}", InvokeOptions()));
+  auto r2 = RunSync(env.sim(), platform.Invoke("uniq", "{}", InvokeOptions()));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->exec_stats.request_id, r2->exec_stats.request_id);
   EXPECT_EQ(r1->exec_stats.first_random, r2->exec_stats.first_random);
+  // Both ran on their parked clone, not on a fresh restore.
+  EXPECT_EQ(env.metrics().GetCounter("fw.warmpool.invoked.count").value(), 2u);
 }
 
 TEST_F(ClonePlatformTest, WarmPoolSiteUniqueWithFixOn) {
@@ -258,14 +260,15 @@ TEST_F(ClonePlatformTest, WarmPoolSiteUniqueWithFixOn) {
   ASSERT_TRUE(RunSync(env.sim(), platform.Install(UniqFn())).ok());
   ASSERT_TRUE(RunSync(env.sim(), platform.PrepareClone("uniq")).ok());
   ASSERT_TRUE(RunSync(env.sim(), platform.PrepareClone("uniq")).ok());
-  auto r1 = RunSync(env.sim(), platform.InvokeOnClone("uniq", "{}", InvokeOptions()));
-  auto r2 = RunSync(env.sim(), platform.InvokeOnClone("uniq", "{}", InvokeOptions()));
+  auto r1 = RunSync(env.sim(), platform.Invoke("uniq", "{}", InvokeOptions()));
+  auto r2 = RunSync(env.sim(), platform.Invoke("uniq", "{}", InvokeOptions()));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1->exec_stats.request_id, r2->exec_stats.request_id);
   EXPECT_NE(r1->exec_stats.first_random, r2->exec_stats.first_random);
-  // No clone was parked with a stale generation.
+  // No clone was parked with a stale generation, so both ran on theirs.
   EXPECT_EQ(env.metrics().GetCounter("fw.uniqueness.stale_clone_discarded.count").value(), 0u);
+  EXPECT_EQ(env.metrics().GetCounter("fw.warmpool.invoked.count").value(), 2u);
 }
 
 // Restore site 3 (kDataLoss re-install): a corrupted snapshot load forces a

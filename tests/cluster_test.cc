@@ -587,6 +587,27 @@ TEST(ModelHostPoolTest, UninstalledNameIsNotFound) {
   EXPECT_EQ(sim.Now(), fwbase::SimTime::Zero());  // Rejected before any work.
 }
 
+// A FullHost serves a parked clone through the platform's one invoke path:
+// a clone whose guest crashes in exec is retried on a restored clone like
+// any failed attempt, and the request it serves is no warm hit.
+TEST(FullHostPoolTest, ParkedCloneCrashRecoversWithoutAWarmHit) {
+  fwsim::Simulation sim(5);
+  FullHost::Config config;
+  config.env.fault_plan.Set(fwfault::FaultKind::kVmCrashDuringExec, 1.0, /*max_trips=*/1);
+  FullHost host(sim, 0, config);
+  ASSERT_TRUE(RunSync(sim, host.Install(NamedApp("app-a"))).ok());
+  ASSERT_TRUE(RunSync(sim, host.PrepareClone("app-a")).ok());
+  ASSERT_EQ(host.PooledClones("app-a"), 1u);
+
+  auto r = RunSync(sim, host.Invoke("app-a", "{}", Duration::Seconds(30)));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r).attempts, 2);
+  EXPECT_FALSE((*r).cold_boot_fallback);
+  EXPECT_EQ(host.warm_hits(), 0u);
+  EXPECT_EQ(host.TotalPooledClones(), 0u);
+  EXPECT_EQ(host.LiveVmCount(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // App ids: the interner, and a name no InstallAll installed.
 // ---------------------------------------------------------------------------

@@ -331,12 +331,6 @@ std::string PrepareFact(HostEnv& env, FireworksPlatform& platform) {
          HostState(env, platform);
 }
 
-std::string InvokeFactOnClone(HostEnv& env, FireworksPlatform& platform) {
-  return Describe(env, platform,
-                  RunSync(env.sim(), platform.InvokeOnClone(FactFn().name, "{}",
-                                                            InvokeOptions())));
-}
-
 // A traced host whose injector runs `plan`, and its platform.
 struct PinnedHost {
   explicit PinnedHost(const fwfault::FaultPlan& plan = fwfault::FaultPlan())
@@ -381,7 +375,7 @@ TEST(FireworksPinnedTimingTest, CleanPathsAreUnchanged) {
     InstallFact(h.env, h.platform);
     EXPECT_EQ(PrepareFact(h.env, h.platform),
         "fc_id=1 | vms=1 netns=2 spans=15/19c7e0e9ab76378b");
-    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
         "fallback=0 cold=0 attempts=1 startup=1600058 exec=96484123 others=78463"
         " total=98162644 | invoke.frontend=900000 invoke.params.produce=400029"
         " invoke.params.consume=300029 invoke.exec=96484123 invoke.response=78463 | vms=0"
@@ -500,7 +494,7 @@ TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
         " spans=12/0a5b11c33a64374c");
     EXPECT_EQ(PrepareFact(h.env, h.platform),
         "fc_id=1 | vms=1 netns=2 spans=16/e8293b5978eb2007");
-    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
         "fallback=0 cold=0 attempts=1 startup=1600058 exec=96484123 others=78463"
         " total=98162644 | invoke.frontend=900000 invoke.params.produce=400029"
         " invoke.params.consume=300029 invoke.exec=96484123 invoke.response=78463 | vms=0"
@@ -508,7 +502,8 @@ TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
   }
   {
     // The guest crashes in every exec: the snapshot path falls back to a
-    // cold boot, a parked clone fails.
+    // cold boot, and so does an invocation whose attempt 1 ran on a parked
+    // clone.
     PinnedHost h(*FaultPlan::Parse("vm_crash_during_exec=1"));
     InstallFact(h.env, h.platform);
     EXPECT_EQ(InvokeFact(h.env, h.platform),
@@ -524,9 +519,33 @@ TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
         " spans=47/d5828d7b8917c3cd");
     EXPECT_EQ(PrepareFact(h.env, h.platform),
         "fc_id=4 | vms=1 netns=2 spans=51/603cc54cfe37125f");
-    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
-        "UNAVAILABLE: guest VM crashed executing faas-fact-nodejs | vms=0 netns=1"
-        " spans=57/c80c81758ad98707");
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=3272134685 exec=101084263 others=78463"
+        " total=3373297411 | invoke.frontend=900000 invoke.params.produce=400029"
+        " invoke.params.consume=300029 invoke.retry=19246929 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14647700"
+        " invoke.params.consume=480029 invoke.retry=39836078 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14662100"
+        " invoke.params.consume=480029 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=82/7fe0d948a58ddd94");
+  }
+  {
+    // One crash, in a parked clone's exec: attempt 2 restores a fresh clone
+    // and serves the request, which is therefore no warm hit.
+    PinnedHost h(FaultPlan().Set(FaultKind::kVmCrashDuringExec, 1.0, 1));
+    InstallFact(h.env, h.platform);
+    EXPECT_EQ(PrepareFact(h.env, h.platform),
+        "fc_id=1 | vms=1 netns=2 spans=15/19c7e0e9ab76378b");
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=0 cold=0 attempts=2 startup=17780100 exec=96581323 others=15448381"
+        " total=129809804 | invoke.frontend=900000 invoke.params.produce=400029"
+        " invoke.params.consume=300029 invoke.retry=13789802 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14680100"
+        " invoke.params.consume=480029 invoke.exec=96581323 invoke.response=78463 | vms=0"
+        " netns=1 spans=33/d03b8ca11654a02e");
+    EXPECT_EQ(h.env.metrics().GetCounter("fw.warmpool.invoked.count").value(), 0u);
+    EXPECT_EQ(h.env.metrics().GetCounter("fw.invoke.retry.count").value(), 1u);
   }
   {
     // Every restore crashes the VMM.
@@ -546,7 +565,8 @@ TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
         " spans=37/3a8205a8d455f929");
   }
   {
-    // Every args record is dropped: the guest's parameter fetch times out.
+    // Every args record is dropped: the guest's parameter fetch times out,
+    // on a restored and on a parked clone alike.
     PinnedHost h(*FaultPlan::Parse("broker_drop_message=1"));
     InstallFact(h.env, h.platform);
     EXPECT_EQ(InvokeFact(h.env, h.platform),
@@ -562,9 +582,16 @@ TEST(FireworksPinnedTimingTest, FaultPathsAreUnchanged) {
         " spans=47/848da4baf4d94d9b");
     EXPECT_EQ(PrepareFact(h.env, h.platform),
         "fc_id=4 | vms=1 netns=2 spans=51/c48ffb86a3ecca99");
-    EXPECT_EQ(InvokeFactOnClone(h.env, h.platform),
-        "DEADLINE_EXCEEDED: no record in topic4 within 500.000000 ms | vms=0 netns=1"
-        " spans=57/f2b8509de258ceea");
+    EXPECT_EQ(InvokeFact(h.env, h.platform),
+        "fallback=1 cold=1 attempts=3 startup=4771234598 exec=101084263 others=78463"
+        " total=4872397324 | invoke.frontend=900000 invoke.params.produce=400029"
+        " invoke.params.consume=500000000 invoke.retry=19246929 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14647700"
+        " invoke.params.consume=500180000 invoke.retry=39836078 invoke.netns=2200000"
+        " invoke.params.produce=400029 invoke.restore=14662100"
+        " invoke.params.consume=500180000 invoke.coldboot.boot=3175981704"
+        " invoke.coldboot.exec=101084263 invoke.coldboot.response=78463 | vms=0 netns=1"
+        " spans=82/22418b6d246df0b5");
   }
   {
     // Persisting the post-JIT snapshot fails.

@@ -149,8 +149,7 @@ TEST(GoldenTrace, FireworksInvokePipeline) {
       RunSync(env.sim(), platform.Invoke(fn.name, "{}", fwcore::InvokeOptions())).ok());
   ASSERT_TRUE(RunSync(env.sim(), platform.PrepareClone(fn.name)).ok());
   ASSERT_TRUE(
-      RunSync(env.sim(), platform.InvokeOnClone(fn.name, "{}", fwcore::InvokeOptions()))
-          .ok());
+      RunSync(env.sim(), platform.Invoke(fn.name, "{}", fwcore::InvokeOptions())).ok());
 
   ExpectMatchesGolden("fireworks_invoke_trace.golden",
                       RenderTrace(env.obs().tracer()));
