@@ -121,8 +121,10 @@ HostEnv::Config ChaosHostConfig(uint64_t seed, const FaultPlan& plan) {
 
 // --- Fireworks scenario ----------------------------------------------------
 // Install one function, invoke it repeatedly (one kept instance in the
-// middle), release, and verify nothing leaked. Returns the outcome
-// fingerprint; fills `trace_json` when tracing is requested.
+// middle, and a clone parked before the second and the fifth invocation, so
+// faults land on warm-pool attempts too), release, and verify nothing
+// leaked. Returns the outcome fingerprint; fills `trace_json` when tracing is
+// requested.
 std::string RunFireworksScenario(uint64_t seed, const FaultPlan& plan,
                                  std::string* trace_json = nullptr,
                                  uint64_t* corruption_repairs = nullptr) {
@@ -148,6 +150,20 @@ std::string RunFireworksScenario(uint64_t seed, const FaultPlan& plan,
   } else {
     fp += "install:ok;";
     for (int i = 0; i < 6; ++i) {
+      if (i == 1 || i == 4) {
+        // A fault during the clone start is a legitimate typed failure. The
+        // token stays free of 'f', the fallback mark.
+        auto prepared = RunSync(env.sim(), platform.PrepareClone(fn.name));
+        if (prepared.ok()) {
+          fp += "prepare:ok;";
+        } else {
+          EXPECT_TRUE(IsTypedFaultError(prepared.status().code()))
+              << prepared.status().ToString();
+          fp += "prepare:err,";
+          fp += fwbase::StatusCodeName(prepared.status().code());
+          fp += ';';
+        }
+      }
       InvokeOptions options;
       options.keep_instance = (i == 2);  // Exercise kept-instance teardown.
       auto r = RunSync(env.sim(), platform.Invoke(fn.name, "{\"n\":10}", options));
@@ -156,6 +172,7 @@ std::string RunFireworksScenario(uint64_t seed, const FaultPlan& plan,
   }
   platform.ReleaseInstances();
   EXPECT_EQ(platform.live_instance_count(), 0u) << "leaked instances";
+  EXPECT_EQ(platform.TotalPooledClones(), 0u) << "leaked parked clones";
   EXPECT_EQ(platform.hypervisor().live_vm_count(), 0u) << "leaked VMs";
   EXPECT_EQ(env.memory().used_bytes(), 0u) << "leaked host pages";
   fp += "trips=" + std::to_string(env.fault_injector().total_trips());
