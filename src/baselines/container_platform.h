@@ -47,7 +47,6 @@ class ContainerPlatform : public WarmSandboxPlatform<fwbox::Container> {
 
   bool SupportsChains() const override { return params_.supports_chains; }
 
-  bool HasWarmContainer(const std::string& fn_name) const { return HasWarmSandbox(fn_name); }
   fwbox::ContainerEngine& engine() { return engine_; }
 
  private:

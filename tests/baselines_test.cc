@@ -232,12 +232,12 @@ TEST_F(KeepAliveTest, WarmContainerExpiresAfterWindow) {
   const FunctionSource fn = FactFn();
   ASSERT_TRUE(RunSync(env_.sim(), platform.Install(fn)).ok());
   ASSERT_TRUE(RunSync(env_.sim(), platform.Prewarm(fn.name)).ok());
-  EXPECT_TRUE(platform.HasWarmContainer(fn.name));
+  EXPECT_TRUE(platform.HasWarmSandbox(fn.name));
   const uint64_t held = env_.memory().used_bytes();
   EXPECT_GT(held, 0u);
   // No requests for the whole window: the sandbox is terminated.
   env_.sim().RunFor(11_s);
-  EXPECT_FALSE(platform.HasWarmContainer(fn.name));
+  EXPECT_FALSE(platform.HasWarmSandbox(fn.name));
   EXPECT_EQ(env_.memory().used_bytes(), 0u);
 }
 
@@ -252,9 +252,9 @@ TEST_F(KeepAliveTest, UseWithinWindowReArmsIt) {
   ASSERT_TRUE(warm.ok());
   EXPECT_FALSE(warm->cold);
   env_.sim().RunFor(8_s);  // Old window would have fired by now.
-  EXPECT_TRUE(platform.HasWarmContainer(fn.name));
+  EXPECT_TRUE(platform.HasWarmSandbox(fn.name));
   env_.sim().RunFor(4_s);  // New window fires.
-  EXPECT_FALSE(platform.HasWarmContainer(fn.name));
+  EXPECT_FALSE(platform.HasWarmSandbox(fn.name));
 }
 
 TEST_F(KeepAliveTest, ExpiryMakesNextRequestCold) {
@@ -285,7 +285,7 @@ TEST_F(KeepAliveTest, DefaultNeverExpires) {
   ASSERT_TRUE(RunSync(env_.sim(), platform.Install(fn)).ok());
   ASSERT_TRUE(RunSync(env_.sim(), platform.Prewarm(fn.name)).ok());
   env_.sim().RunFor(fwbase::Duration::Seconds(3600));
-  EXPECT_TRUE(platform.HasWarmContainer(fn.name));
+  EXPECT_TRUE(platform.HasWarmSandbox(fn.name));
 }
 
 // ---------------------------------------------------------------------------
