@@ -2,8 +2,10 @@
 # Regenerates the captured outputs checked into the repo root:
 #   test_output.txt  — full ctest run
 #   bench_output.txt — every bench binary (paper tables/figures + ablations)
-# The fault-off byte identity and the trace-export smoke are ctest entries
-# (bench_faults_none_output, bench_trace_smoke), run with the rest.
+# The lint gate, the fault-off byte identity, the trace-export smoke and the
+# perf-trajectory check are ctest entries (fwlint, bench_faults_none_output,
+# bench_trace_smoke, bench_trajectory), run with the rest; the trajectory
+# reports and the cluster_scale profile land in build/bench/trajectory/.
 set -e
 cd "$(dirname "$0")"
 
@@ -16,8 +18,6 @@ fi
 # default for a fresh directory.
 cmake -B build
 cmake --build build
-# Lint gate: every fwlint check, zero findings.
-build/tools/fwlint/fwlint --root=.
 # Write the capture first, then fail on ctest's own exit status (a pipe into
 # tee would report tee's).
 ctest_status=0
@@ -36,21 +36,3 @@ for b in build/bench/*; do
   fi
 done
 echo "wrote test_output.txt and bench_output.txt"
-
-# Perf trajectory: regenerate all six guarded fwbench/1 reports at CI scale
-# and check them against the committed trajectory (>10% guarded regression
-# fails; unchanged code diffs at exactly 0%).
-python3 scripts/bench_trend.py selftest
-build/bench/cluster_scale --smoke --no-baselines \
-  --report=build/cluster_scale_report.json --profile=build/cluster_scale_profile > /dev/null
-build/bench/fig9_realworld --report=build/fig9_report.json > /dev/null
-build/bench/registry_cold_start --smoke --report=build/registry_report.json > /dev/null
-build/bench/clone_uniqueness --smoke --report=build/clone_uniqueness_report.json > /dev/null
-build/bench/elastic_fleet --smoke --report=build/elastic_fleet_report.json > /dev/null
-build/bench/overload_resilience --smoke --report=build/overload_report.json > /dev/null
-cp BENCH_trajectory.json build/trend_check.json
-python3 scripts/bench_trend.py append --trajectory=build/trend_check.json --label=run_all \
-  build/cluster_scale_report.json build/fig9_report.json build/registry_report.json \
-  build/clone_uniqueness_report.json build/elastic_fleet_report.json build/overload_report.json
-python3 scripts/bench_trend.py check --trajectory=build/trend_check.json
-echo "perf trajectory OK (profile in build/cluster_scale_profile.topn.txt)"
