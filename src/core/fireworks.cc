@@ -732,9 +732,9 @@ fwsim::Co<Status> FireworksPlatform::RegenerateSnapshot(const std::string& fn_na
   if (!restored.ok()) {
     co_return restored.status();
   }
-  Instance scratch;
-  scratch.vm = *restored;
-  auto& space = scratch.vm->address_space();
+  Instance regen;
+  regen.vm = *restored;
+  auto& space = regen.vm->address_space();
   fwmem::FaultCounts faults;
   // The regenerated image must contain everything the old one did: fault the
   // whole old image in (the bulk of regeneration's cost, alongside writing
@@ -751,13 +751,13 @@ fwsim::Co<Status> FireworksPlatform::RegenerateSnapshot(const std::string& fn_na
     faults += space.DirtyRandomFraction(space.SegmentByName(fwlang::kSegRuntimeHeap), 0.08,
                                         9100 + static_cast<uint64_t>(fn.version));
   }
-  co_await hv_.ServiceFaults(*scratch.vm, faults);
+  co_await hv_.ServiceFaults(*regen.vm, faults);
   co_await fwsim::Delay(env_.sim(), Duration::Millis(3));  // In-guest reseeding.
 
   const std::string new_name =
       fwbase::StrFormat("fw-%s-v%d", fn_name.c_str(), fn.version + 1);
-  auto image = co_await hv_.CreateSnapshot(*scratch.vm, new_name);
-  Teardown(scratch);
+  auto image = co_await hv_.CreateSnapshot(*regen.vm, new_name);
+  Teardown(regen);
   if (!image.ok()) {
     co_return image.status();
   }

@@ -128,9 +128,9 @@ class FireworksPlatform : public ServerlessPlatform {
   };
 
   // One microVM the platform runs: the install VM, a cold-boot VM, a
-  // snapshot clone, a parked clone or a regeneration's scratch VM. Each step
-  // that acquires something records it here at once, and Teardown is the
-  // only release.
+  // snapshot clone, a parked clone or the VM RegenerateSnapshot resumes.
+  // Each step that acquires something records it here at once, and
+  // Teardown is the only release.
   struct Instance {
     fwvmm::MicroVm* vm = nullptr;
     std::unique_ptr<fwstore::Filesystem> fs;
